@@ -16,9 +16,7 @@ Quickstart::
 (Configuration is spec-first: every knob lives on ``JoinSpec`` —
 ``JoinSpec(algorithm="sj4", buffer_kb=128, workers=4)`` for the
 parallel executor — and an already-resolved ``ExecutionPlan`` can be
-passed as ``spec=`` to skip planning.  The pre-1.0 keyword style,
-``spatial_join(forests, cities, algorithm="sj4")``, still works for
-one release but emits a ``DeprecationWarning``.)
+passed as ``spec=`` to skip planning.)
 
 Package map:
 
@@ -51,8 +49,8 @@ from .errors import (CatalogError, OverloadedError, QueryError,
 from .geometry import (ComparisonCounter, Point, Polygon, Polyline, Rect,
                        Segment, SpatialPredicate)
 from .rtree import (GuttmanRTree, NodeColumns, RStarTree, RTreeParams,
-                    kernel_layout, load_tree, save_tree, set_kernel_layout,
-                    str_pack, tree_properties, validate_rtree)
+                    load_tree, save_tree, str_pack, tree_properties,
+                    validate_rtree)
 
 __version__ = "1.0.0"
 
@@ -92,7 +90,6 @@ __all__ = [
     "SpatialRelation",
     "WindowQueryEngine",
     "id_spatial_join",
-    "kernel_layout",
     "load_tree",
     "multiway_spatial_join",
     "nearest_neighbors",
@@ -102,7 +99,6 @@ __all__ = [
     "plan_join",
     "render_plan",
     "save_tree",
-    "set_kernel_layout",
     "spatial_join",
     "spatial_join_stream",
     "str_pack",

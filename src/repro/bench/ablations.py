@@ -12,11 +12,11 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.context import JoinContext
 from ..core.pairs import nested_loop_pairs, sorted_intersection_test
-from ..core.planner import make_algorithm
 from ..core.refinement import id_spatial_join
 from ..data.datasets import effective_scale, load_test
 from ..geometry.counting import ComparisonCounter
 from ..geometry.rect import Rect
+from ..plan.registry import make_algorithm
 from ..rtree.entry import Entry
 from .experiments import BUFFER_SIZES_KB, TESTS, _estimate_seconds, _kb
 from .runner import optimum_accesses, run_join, test_trees

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.context import JoinContext, counted_sort_cost
-from ..core.planner import make_algorithm
 from ..data.datasets import effective_scale, load_test
+from ..plan.registry import make_algorithm
 from ..rtree.base import RTreeBase
 from ..rtree.bulk import hilbert_pack, str_pack
 from ..rtree.guttman import GuttmanRTree

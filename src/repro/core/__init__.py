@@ -31,8 +31,9 @@ from .distance import distance_join, rect_mindist
 from .joinindex import SpatialJoinIndex
 from .parallel import (PairTask, ParallelJoinResult, cluster_tasks,
                        parallel_spatial_join, partition_tasks)
-from .planner import (ALGORITHMS, build_context, execute_plan,
-                      make_algorithm, spatial_join, spatial_join_stream)
+from ..plan.registry import ALGORITHMS, make_algorithm
+from .planner import (build_context, execute_plan, spatial_join,
+                      spatial_join_stream)
 from .spec import JoinSpec, resolve_spec
 from .refinement import (ObjectIntersection, RefinementStats,
                          id_spatial_join, object_spatial_join)

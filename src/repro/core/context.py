@@ -15,7 +15,7 @@ from ..errors import QueryTimeout
 from ..geometry.counting import ComparisonCounter
 from ..obs.core import NULL_OBS, Observability
 from ..rtree.base import RTreeBase
-from ..rtree.columns import NodeColumns, kernel_layout
+from ..rtree.columns import NodeColumns
 from ..rtree.entry import Entry
 from ..rtree.node import Node
 from ..storage.manager import BufferManager
@@ -36,8 +36,7 @@ class JoinContext:
                  record_trace: bool = False,
                  max_retries: int = 0,
                  timeout: Optional[float] = None,
-                 obs: Optional[Observability] = None,
-                 layout: Optional[str] = None) -> None:
+                 obs: Optional[Observability] = None) -> None:
         if tree_r.params.page_size != tree_s.params.page_size:
             raise ValueError(
                 "joined trees must share one page size "
@@ -73,21 +72,10 @@ class JoinContext:
             page_size=tree_r.params.page_size, buffer_kb=buffer_kb)
         self.stats.comparisons = self.counter
         self.stats.io = self.manager.stats
-        #: Sorted entry-list cache for sort_mode="on_read": one sorted copy
+        #: Sorted column cache for sort_mode="on_read": one sorted copy
         #: per page, re-sorted (and re-charged) whenever the page comes
         #: from disk again.  Models "a page is sorted immediately after it
         #: is read from disk" (Section 4.2).
-        self._sorted_cache: Dict[Tuple[int, int], List[Entry]] = {}
-        #: Whether the engine runs the columnar kernels (struct-of-arrays
-        #: NodeColumns) or the object kernels (Entry lists).  Resolved
-        #: once per context from the process-wide switch so parallel
-        #: workers agree with their coordinator.
-        if layout is None:
-            layout = kernel_layout()
-        elif layout not in ("columnar", "object"):
-            raise ValueError(f"unknown layout: {layout!r}")
-        self.columnar = layout == "columnar"
-        #: Columnar mirror of ``_sorted_cache``.
         self._sorted_cols: Dict[Tuple[int, int], NodeColumns] = {}
 
     # ------------------------------------------------------------------
@@ -105,7 +93,6 @@ class JoinContext:
         node = self.manager.read(side, page_id, depth)
         if self.manager.stats.disk_reads != before:
             # Fresh from disk: an on-read sorted copy is now stale.
-            self._sorted_cache.pop((side, page_id), None)
             self._sorted_cols.pop((side, page_id), None)
         return node
 
@@ -121,42 +108,19 @@ class JoinContext:
     # Sorted views (Section 4.2)
     # ------------------------------------------------------------------
 
-    def sorted_entries(self, side: int, node: Node) -> List[Entry]:
-        """Entries of *node* in plane-sweep order (ascending xl).
-
-        * ``maintained`` — nodes were physically sorted before the join
-          (see :func:`presort_trees`); their entry lists are used as-is.
-        * ``on_read`` — a sorted copy is produced with counted
-          comparisons; the copy is reused while the page stays buffered
-          and rebuilt after each disk read of the page.
-        """
-        if node.sorted_by_xl:
-            return node.entries
-        if self.sort_mode == "maintained":
-            # Physically sort the stored node once; charged as presort.
-            self.stats.presort_comparisons += counted_sort_cost(
-                node.entries)
-            node.sort_by_xl()
-            return node.entries
-        key = (side, node.page_id)
-        cached = self._sorted_cache.get(key)
-        if cached is not None:
-            return cached
-        entries = list(node.entries)
-        self.counter.sort += counted_sort_inplace(entries)
-        self._sorted_cache[key] = entries
-        return entries
-
     def sorted_columns(self, side: int, node: Node) -> NodeColumns:
         """Columns of *node* in plane-sweep order (ascending xlo).
 
-        The columnar twin of :meth:`sorted_entries` with identical
-        comparison charges: sorting is always performed (and counted)
-        on the entry objects — Timsort's data-dependent comparison
-        count is part of the cost model — and the columns are rebuilt
-        from the sorted order.  In ``on_read`` mode the columnar copy
-        shares the sorted entry list, so mixing object- and
-        columnar-path reads of one page charges the sort only once.
+        * ``maintained`` — nodes were physically sorted before the join
+          (see :func:`presort_trees`) or are sorted here once, charged
+          as presort; their columns are used as-is.
+        * ``on_read`` — a sorted copy is produced with counted
+          comparisons; the copy is reused while the page stays buffered
+          and rebuilt after each disk read of the page.
+
+        Sorting is always performed (and counted) on the entry objects
+        — Timsort's data-dependent comparison count is part of the cost
+        model — and the columns are rebuilt from the sorted order.
         """
         if node.sorted_by_xl:
             return node.columns
@@ -167,15 +131,11 @@ class JoinContext:
             return node.columns
         key = (side, node.page_id)
         cols = self._sorted_cols.get(key)
-        if cols is not None:
-            return cols
-        entries = self._sorted_cache.get(key)
-        if entries is None:
+        if cols is None:
             entries = list(node.entries)
             self.counter.sort += counted_sort_inplace(entries)
-            self._sorted_cache[key] = entries
-        cols = NodeColumns.from_entries(entries)
-        self._sorted_cols[key] = cols
+            cols = NodeColumns.from_entries(entries)
+            self._sorted_cols[key] = cols
         return cols
 
     # ------------------------------------------------------------------

@@ -5,7 +5,8 @@ R*-trees that differ only in
 
 * how the intersecting entry pairs of a node pair are computed
   (:meth:`JoinAlgorithm._find_pairs` — nested loop, restricted nested
-  loop, or plane sweep), and
+  loop, or plane sweep, each a kernel over the nodes' struct-of-arrays
+  :class:`~repro.rtree.columns.NodeColumns`), and
 * in which order the qualifying child pairs are read and recursed into
   (:meth:`JoinAlgorithm._order_pairs` and pinning).
 
@@ -36,14 +37,29 @@ from ..geometry.rect import Rect
 from ..rtree.columns import NodeColumns
 from ..rtree.node import Node
 from .context import JoinContext, R_SIDE, S_SIDE
-from .pairs import EntryPair, iter_index_pairs, ref_pairs
+from .pairs import iter_index_pairs, ref_pairs
 from .stats import JoinResult
 
 OutputPair = Tuple[int, int]
 
-#: A columnar find-pairs result: the (possibly restricted/sorted) column
-#: views of both nodes plus the qualifying row-index pairs.
+#: A find-pairs result: the (possibly restricted/sorted) column views of
+#: both nodes plus the qualifying row-index pairs into them.
 ColumnsPairs = Tuple[NodeColumns, NodeColumns, object, object]
+
+#: A qualifying pair as (row in the R columns, row in the S columns).
+IndexPair = Tuple[int, int]
+
+
+def common_rect(cols_r: NodeColumns, a: int,
+                cols_s: NodeColumns, b: int) -> Rect:
+    """Intersection rectangle of a qualifying row pair."""
+    rect_a = cols_r.rect(a)
+    common = rect_a.intersection(cols_s.rect(b))
+    if common is None:
+        # Degenerate touch lost to float arithmetic; the pair qualifies,
+        # so keep the boundary rectangle.
+        return rect_a
+    return common
 
 
 class _CallbackSink:
@@ -148,71 +164,12 @@ class JoinAlgorithm:
                     out: List[OutputPair]) -> None:
         """Join the subtrees rooted at node pair (nr, ns)."""
         ctx.stats.node_pairs += 1
-        if ctx.columnar:
-            self._join_nodes_columnar(ctx, nr, dr, ns, ds, rect, out)
-            return
-        if nr.is_leaf and ns.is_leaf:
-            pairs = self._observed_find_pairs(ctx, nr, ns, rect, dr,
-                                              leaf=True)
-            if self.predicate is SpatialPredicate.INTERSECTS:
-                out.extend((er.ref, es.ref) for er, es in pairs)
-            else:
-                predicate = self.predicate
-                counter = ctx.counter
-                out.extend(
-                    (er.ref, es.ref) for er, es in pairs
-                    if predicate.evaluate_counted(er.rect, es.rect,
-                                                  counter))
-            return
-        if nr.is_leaf or ns.is_leaf:
+        if nr.is_leaf != ns.is_leaf:
             self._window_mode(ctx, nr, dr, ns, ds, rect, out)
             return
-        pairs = self._observed_find_pairs(ctx, nr, ns, rect, dr,
-                                          leaf=False)
-        if not pairs:
-            return
-        pairs = self._order_pairs(ctx, pairs)
-        process = self._make_pair_processor(ctx, dr, ds, out)
-        if self.uses_pinning:
-            self._process_with_pinning(ctx, pairs, process)
-        else:
-            for pair in pairs:
-                process(pair)
-
-    def _make_pair_processor(
-            self, ctx: JoinContext, dr: int, ds: int,
-            out: List[OutputPair]) -> Callable[[EntryPair], None]:
-        """Build the per-pair step: read both children, recurse."""
-
-        def process(pair: EntryPair) -> None:
-            er, es = pair
-            child_rect: Optional[Rect] = None
-            if self.restricts_search_space:
-                child_rect = er.rect.intersection(es.rect)
-                if child_rect is None:
-                    # Degenerate touch lost to float arithmetic; the pair
-                    # qualifies, so keep the boundary rectangle.
-                    child_rect = er.rect
-            child_r = ctx.read(R_SIDE, er.ref, dr + 1)
-            child_s = ctx.read(S_SIDE, es.ref, ds + 1)
-            self._join_nodes(ctx, child_r, dr + 1, child_s, ds + 1,
-                             child_rect, out)
-
-        return process
-
-    # ------------------------------------------------------------------
-    # Columnar traversal (same shape, NodeColumns kernels)
-    # ------------------------------------------------------------------
-
-    def _join_nodes_columnar(self, ctx: JoinContext, nr: Node, dr: int,
-                             ns: Node, ds: int, rect: Optional[Rect],
-                             out: List[OutputPair]) -> None:
-        """The columnar twin of the object branch of :meth:`_join_nodes`:
-        identical traversal, read schedule, and counter charges, with
-        the entry-pair kernels running over ``Node.columns`` buffers."""
-        if nr.is_leaf and ns.is_leaf:
-            cols_r, cols_s, idx_r, idx_s = self._observed_find_pairs_columns(
-                ctx, nr, ns, rect, dr, leaf=True)
+        cols_r, cols_s, idx_r, idx_s = self._observed_find_pairs(
+            ctx, nr, ns, rect, dr, leaf=nr.is_leaf)
+        if nr.is_leaf:
             if self.predicate is SpatialPredicate.INTERSECTS:
                 out.extend(ref_pairs(cols_r, cols_s, idx_r, idx_s))
             else:
@@ -225,17 +182,12 @@ class JoinAlgorithm:
                                                   cols_s.rect(b), counter):
                         out.append((int(refs_r[a]), int(refs_s[b])))
             return
-        if nr.is_leaf or ns.is_leaf:
-            self._window_mode(ctx, nr, dr, ns, ds, rect, out)
-            return
-        cols_r, cols_s, idx_r, idx_s = self._observed_find_pairs_columns(
-            ctx, nr, ns, rect, dr, leaf=False)
         pairs = iter_index_pairs(idx_r, idx_s)
         if not pairs:
             return
-        pairs = self._order_pairs_columns(ctx, cols_r, cols_s, pairs)
-        process = self._make_pair_processor_columns(ctx, cols_r, cols_s,
-                                                    dr, ds, out)
+        pairs = self._order_pairs(ctx, cols_r, cols_s, pairs)
+        process = self._make_pair_processor(ctx, cols_r, cols_s, dr, ds,
+                                            out)
         if self.uses_pinning:
             refs_r = cols_r.refs
             refs_s = cols_s.refs
@@ -245,24 +197,19 @@ class JoinAlgorithm:
             for pair in pairs:
                 process(pair)
 
-    def _make_pair_processor_columns(
+    def _make_pair_processor(
             self, ctx: JoinContext, cols_r: NodeColumns,
             cols_s: NodeColumns, dr: int, ds: int,
-            out: List[OutputPair]) -> Callable[[Tuple[int, int]], None]:
-        """Columnar per-pair step: read both children, recurse."""
+            out: List[OutputPair]) -> Callable[[IndexPair], None]:
+        """Build the per-pair step: read both children, recurse."""
         refs_r = cols_r.refs
         refs_s = cols_s.refs
 
-        def process(pair: Tuple[int, int]) -> None:
+        def process(pair: IndexPair) -> None:
             a, b = pair
             child_rect: Optional[Rect] = None
             if self.restricts_search_space:
-                rect_a = cols_r.rect(a)
-                child_rect = rect_a.intersection(cols_s.rect(b))
-                if child_rect is None:
-                    # Degenerate touch lost to float arithmetic; the pair
-                    # qualifies, so keep the boundary rectangle.
-                    child_rect = rect_a
+                child_rect = common_rect(cols_r, a, cols_s, b)
             child_r = ctx.read(R_SIDE, int(refs_r[a]), dr + 1)
             child_s = ctx.read(S_SIDE, int(refs_s[b]), ds + 1)
             self._join_nodes(ctx, child_r, dr + 1, child_s, ds + 1,
@@ -274,20 +221,13 @@ class JoinAlgorithm:
     # Pinning (Section 4.3)
     # ------------------------------------------------------------------
 
-    def _process_with_pinning(
-            self, ctx: JoinContext, pairs: List[EntryPair],
-            process: Callable[[EntryPair], None]) -> None:
+    def _pinned_schedule(self, ctx: JoinContext, pairs: List[IndexPair],
+                         refs: List[Tuple[int, int]],
+                         process: Callable[[IndexPair], None]) -> None:
         """Process *pairs* in order, but after each pair pin the child
         page with the maximal degree (number of still-unprocessed pairs
-        it takes part in) and finish all its pairs first."""
-        refs = [(er.ref, es.ref) for er, es in pairs]
-        self._pinned_schedule(ctx, pairs, refs, process)
-
-    def _pinned_schedule(self, ctx: JoinContext, pairs: List,
-                         refs: List[Tuple[int, int]],
-                         process: Callable) -> None:
-        """Degree-based pinning over any pair representation: *refs* is
-        the parallel list of (child ref of R, child ref of S) pairs."""
+        it takes part in) and finish all its pairs first.  *refs* is the
+        parallel list of (child ref of R, child ref of S) pairs."""
         n = len(pairs)
         done = [False] * n
         by_r: Dict[int, List[int]] = defaultdict(list)
@@ -325,13 +265,15 @@ class JoinAlgorithm:
     # ------------------------------------------------------------------
 
     def _find_pairs(self, ctx: JoinContext, nr: Node, ns: Node,
-                    rect: Optional[Rect]) -> List[EntryPair]:
-        """Intersecting entry pairs of a node pair (algorithm specific)."""
+                    rect: Optional[Rect]) -> ColumnsPairs:
+        """Intersecting entry pairs of a node pair (algorithm specific):
+        the (restricted, sorted) column views of both nodes and the
+        qualifying row-index pairs into them."""
         raise NotImplementedError
 
     def _observed_find_pairs(self, ctx: JoinContext, nr: Node, ns: Node,
                              rect: Optional[Rect], depth: int,
-                             leaf: bool) -> List[EntryPair]:
+                             leaf: bool) -> ColumnsPairs:
         """:meth:`_find_pairs` plus observability (the disabled path is
         one attribute check).  Records the pair-finding time as the
         ``find_pairs`` aggregate, the per-level node-pair count, and
@@ -342,43 +284,7 @@ class JoinAlgorithm:
         if not obs.enabled:
             return self._find_pairs(ctx, nr, ns, rect)
         start = perf_counter()
-        pairs = self._find_pairs(ctx, nr, ns, rect)
-        obs.tracer.add_duration("find_pairs", perf_counter() - start)
-        metrics = obs.metrics
-        metrics.inc("join.node_pairs.level.%d" % depth)
-        if leaf:
-            metrics.observe("sweep.run_length", len(pairs))
-        else:
-            metrics.observe("join.fanout", len(pairs))
-        return pairs
-
-    def _order_pairs(self, ctx: JoinContext,
-                     pairs: List[EntryPair]) -> List[EntryPair]:
-        """Reorder the qualifying pairs into the read schedule.
-
-        Default: keep the order `_find_pairs` produced (discovery order
-        for SJ1/SJ2, sweep order for SJ3/SJ4).  SJ5 overrides this with
-        the local z-order.
-        """
-        return pairs
-
-    def _find_pairs_columns(self, ctx: JoinContext, nr: Node, ns: Node,
-                            rect: Optional[Rect]) -> ColumnsPairs:
-        """Columnar :meth:`_find_pairs`: returns the (restricted,
-        sorted — algorithm specific) column views of both nodes and the
-        qualifying row-index pairs into them."""
-        raise NotImplementedError
-
-    def _observed_find_pairs_columns(
-            self, ctx: JoinContext, nr: Node, ns: Node,
-            rect: Optional[Rect], depth: int, leaf: bool) -> ColumnsPairs:
-        """:meth:`_find_pairs_columns` plus the same observability
-        signals as :meth:`_observed_find_pairs`."""
-        obs = ctx.obs
-        if not obs.enabled:
-            return self._find_pairs_columns(ctx, nr, ns, rect)
-        start = perf_counter()
-        result = self._find_pairs_columns(ctx, nr, ns, rect)
+        result = self._find_pairs(ctx, nr, ns, rect)
         obs.tracer.add_duration("find_pairs", perf_counter() - start)
         metrics = obs.metrics
         metrics.inc("join.node_pairs.level.%d" % depth)
@@ -388,11 +294,15 @@ class JoinAlgorithm:
             metrics.observe("join.fanout", len(result[2]))
         return result
 
-    def _order_pairs_columns(
-            self, ctx: JoinContext, cols_r: NodeColumns,
-            cols_s: NodeColumns,
-            pairs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-        """Columnar :meth:`_order_pairs` (SJ5 overrides)."""
+    def _order_pairs(self, ctx: JoinContext, cols_r: NodeColumns,
+                     cols_s: NodeColumns,
+                     pairs: List[IndexPair]) -> List[IndexPair]:
+        """Reorder the qualifying pairs into the read schedule.
+
+        Default: keep the order `_find_pairs` produced (discovery order
+        for SJ1/SJ2, sweep order for SJ3/SJ4).  SJ5 overrides this with
+        the local z-order.
+        """
         return pairs
 
     # ------------------------------------------------------------------

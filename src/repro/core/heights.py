@@ -18,15 +18,22 @@ Three policies are implemented:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from collections import defaultdict
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..geometry.predicates import SpatialPredicate
-from ..geometry.rect import Rect, intersect_count
+from ..geometry.rect import Rect
+from ..rtree.columns import NodeColumns
 from ..rtree.node import Node
 from .context import JoinContext, R_SIDE, S_SIDE
-from .pairs import EntryPair
+from .pairs import (iter_index_pairs, nested_loop_pairs_columns,
+                    restrict_columns)
 
 OutputPair = Tuple[int, int]
+
+#: One scheduled window query: (subtree page of the deep side, row of
+#: the data rectangle in the flat side's columns).
+Probe = Tuple[int, int]
 
 
 def run_window_mode(algorithm, ctx: JoinContext, nr: Node, dr: int,
@@ -39,32 +46,25 @@ def run_window_mode(algorithm, ctx: JoinContext, nr: Node, dr: int,
     """
     if nr.is_leaf == ns.is_leaf:
         raise ValueError("window mode needs exactly one data node")
+    cols_r, cols_s, idx_r, idx_s = algorithm._find_pairs(ctx, nr, ns, rect)
     # Orient: `deep` is the directory side, `flat` the data side.
     if nr.is_leaf:
-        deep_side, deep, deep_depth = S_SIDE, ns, ds
-        flat = nr
+        deep_side, deep_depth = S_SIDE, ds
+        deep_cols, flat_cols = cols_s, cols_r
+        pairs = iter_index_pairs(idx_s, idx_r)
     else:
-        deep_side, deep, deep_depth = R_SIDE, nr, dr
-        flat = ns
-
-    if deep_side == S_SIDE:
-        pairs = algorithm._find_pairs(ctx, flat, deep, rect)
-        oriented = [(es, er) for er, es in pairs]   # (deep entry, data entry)
-    else:
-        pairs = algorithm._find_pairs(ctx, deep, flat, rect)
-        oriented = list(pairs)
-    if not oriented:
+        deep_side, deep_depth = R_SIDE, dr
+        deep_cols, flat_cols = cols_r, cols_s
+        pairs = iter_index_pairs(idx_r, idx_s)
+    if not pairs:
         return
+    pages = deep_cols.child_refs()
+    probes = [(pages[a], b) for a, b in pairs]
 
     emit = _make_emitter(deep_side, out)
     accept = _make_leaf_check(algorithm.predicate, deep_side)
-    policy = algorithm.height_policy
-    if policy == "a":
-        _policy_a(ctx, deep_side, deep_depth, oriented, emit, accept)
-    elif policy == "b":
-        _policy_b(ctx, deep_side, deep_depth, oriented, emit, accept)
-    else:
-        _policy_c(ctx, deep_side, deep_depth, oriented, emit, accept)
+    _POLICIES[algorithm.height_policy](ctx, deep_side, deep_depth, probes,
+                                       flat_cols, emit, accept)
 
 
 def _make_emitter(deep_side: int,
@@ -79,11 +79,14 @@ def _make_emitter(deep_side: int,
     return emit
 
 
-def _make_leaf_check(predicate: SpatialPredicate, deep_side: int):
+def _make_leaf_check(predicate: SpatialPredicate,
+                     deep_side: int) -> Optional[Callable]:
     """Counted data-level join condition with the (R, S) orientation
-    restored: the predicate's left operand is always the R-side rect."""
+    restored: the predicate's left operand is always the R-side rect.
+    ``None`` stands for plain intersection, which the columnar kernels
+    answer without a per-row callback."""
     if predicate is SpatialPredicate.INTERSECTS:
-        return intersect_count
+        return None
     if deep_side == R_SIDE:
         def accept(deep_rect, flat_rect, counter):
             return predicate.evaluate_counted(deep_rect, flat_rect,
@@ -100,30 +103,38 @@ def _make_leaf_check(predicate: SpatialPredicate, deep_side: int):
 # ----------------------------------------------------------------------
 
 def _policy_a(ctx: JoinContext, side: int, depth: int,
-              oriented: List[EntryPair],
+              probes: List[Probe], flat_cols: NodeColumns,
               emit: Callable[[int, int], None],
-              accept: Callable) -> None:
-    for deep_entry, data_entry in oriented:
-        _window_query(ctx, side, deep_entry.ref, depth + 1,
-                      data_entry.rect, data_entry.ref, emit, accept)
+              accept: Optional[Callable]) -> None:
+    windows = list(flat_cols.iter_rect_refs())
+    for page_id, row in probes:
+        window, partner_ref = windows[row]
+        _window_query(ctx, side, page_id, depth + 1, window, partner_ref,
+                      emit, accept)
 
 
 def _window_query(ctx: JoinContext, side: int, page_id: int, depth: int,
                   window: Rect, partner_ref: int,
                   emit: Callable[[int, int], None],
-                  accept: Callable) -> None:
+                  accept: Optional[Callable]) -> None:
     """Counted single-window query on one subtree."""
     node = ctx.read(side, page_id, depth)
     counter = ctx.counter
-    if node.is_leaf:
-        for entry in node.entries:
-            if accept(entry.rect, window, counter):
-                emit(entry.ref, partner_ref)
+    if node.is_leaf and accept is not None:
+        for rect, ref in node.columns.iter_rect_refs():
+            if accept(rect, window, counter):
+                emit(ref, partner_ref)
         return
-    for entry in node.entries:
-        if intersect_count(entry.rect, window, counter):
-            _window_query(ctx, side, entry.ref, depth + 1,
-                          window, partner_ref, emit, accept)
+    # The restriction kernel charges exactly what a per-entry
+    # ``intersect_count(entry.rect, window)`` loop would.
+    hits = restrict_columns(node.columns, window, counter).child_refs()
+    if node.is_leaf:
+        for ref in hits:
+            emit(ref, partner_ref)
+    else:
+        for ref in hits:
+            _window_query(ctx, side, ref, depth + 1, window, partner_ref,
+                          emit, accept)
 
 
 # ----------------------------------------------------------------------
@@ -131,45 +142,53 @@ def _window_query(ctx: JoinContext, side: int, page_id: int, depth: int,
 # ----------------------------------------------------------------------
 
 def _policy_b(ctx: JoinContext, side: int, depth: int,
-              oriented: List[EntryPair],
+              probes: List[Probe], flat_cols: NodeColumns,
               emit: Callable[[int, int], None],
-              accept: Callable) -> None:
+              accept: Optional[Callable]) -> None:
     # Group the query rectangles by directory entry, keeping the order in
-    # which directory entries first appear in the schedule.
-    order: List[int] = []
-    batches: dict[int, List] = {}
-    for deep_entry, data_entry in oriented:
-        if deep_entry.ref not in batches:
-            batches[deep_entry.ref] = []
-            order.append(deep_entry.ref)
-        batches[deep_entry.ref].append(data_entry)
-    for ref in order:
-        _batched_window_query(ctx, side, ref, depth + 1,
-                              batches[ref], emit, accept)
+    # which directory entries first appear in the schedule (dicts keep
+    # insertion order).
+    batches: Dict[int, List[int]] = defaultdict(list)
+    for page_id, row in probes:
+        batches[page_id].append(row)
+    for page_id, rows in batches.items():
+        _batched_window_query(ctx, side, page_id, depth + 1,
+                              flat_cols.take(rows), emit, accept)
 
 
 def _batched_window_query(ctx: JoinContext, side: int, page_id: int,
-                          depth: int, queries: List,
+                          depth: int, queries: NodeColumns,
                           emit: Callable[[int, int], None],
-                          accept: Callable) -> None:
+                          accept: Optional[Callable]) -> None:
     """Answer several window queries in one traversal; every subtree page
     is read at most once for the whole batch (policy (b))."""
     node = ctx.read(side, page_id, depth)
+    cols = node.columns
     counter = ctx.counter
-    if node.is_leaf:
-        for entry in node.entries:
-            rect = entry.rect
-            for query in queries:
-                if accept(rect, query.rect, counter):
-                    emit(entry.ref, query.ref)
+    if node.is_leaf and accept is not None:
+        windows = list(queries.iter_rect_refs())
+        for rect, ref in cols.iter_rect_refs():
+            for window, partner_ref in windows:
+                if accept(rect, window, counter):
+                    emit(ref, partner_ref)
         return
-    for entry in node.entries:
-        rect = entry.rect
-        sub = [q for q in queries
-               if intersect_count(rect, q.rect, counter)]
-        if sub:
-            _batched_window_query(ctx, side, entry.ref, depth + 1, sub,
-                                  emit, accept)
+    # The node's rows play R, so every (entry, query) test charges what
+    # ``intersect_count(entry.rect, query.rect)`` would; the kernel
+    # reports hits query-major, regrouped here per node entry.
+    rows, hits = nested_loop_pairs_columns(cols, queries, counter)
+    by_row: Dict[int, List[int]] = defaultdict(list)
+    for row, hit in iter_index_pairs(rows, hits):
+        by_row[row].append(hit)
+    refs = cols.child_refs()
+    if node.is_leaf:
+        partner_refs = queries.child_refs()
+        for row in sorted(by_row):
+            for hit in by_row[row]:
+                emit(refs[row], partner_refs[hit])
+    else:
+        for row in sorted(by_row):
+            _batched_window_query(ctx, side, refs[row], depth + 1,
+                                  queries.take(by_row[row]), emit, accept)
 
 
 # ----------------------------------------------------------------------
@@ -177,32 +196,36 @@ def _batched_window_query(ctx: JoinContext, side: int, page_id: int,
 # ----------------------------------------------------------------------
 
 def _policy_c(ctx: JoinContext, side: int, depth: int,
-              oriented: List[EntryPair],
+              probes: List[Probe], flat_cols: NodeColumns,
               emit: Callable[[int, int], None],
-              accept: Callable) -> None:
-    from collections import defaultdict
-    n = len(oriented)
+              accept: Optional[Callable]) -> None:
+    windows = list(flat_cols.iter_rect_refs())
+    n = len(probes)
     done = [False] * n
-    by_deep: dict[int, List[int]] = defaultdict(list)
-    for idx, (deep_entry, _) in enumerate(oriented):
-        by_deep[deep_entry.ref].append(idx)
+    by_page: Dict[int, List[int]] = defaultdict(list)
+    for idx, (page_id, _) in enumerate(probes):
+        by_page[page_id].append(idx)
 
     def process(idx: int) -> None:
-        deep_entry, data_entry = oriented[idx]
-        _window_query(ctx, side, deep_entry.ref, depth + 1,
-                      data_entry.rect, data_entry.ref, emit, accept)
+        page_id, row = probes[idx]
+        window, partner_ref = windows[row]
+        _window_query(ctx, side, page_id, depth + 1, window, partner_ref,
+                      emit, accept)
 
     for i in range(n):
         if done[i]:
             continue
         process(i)
         done[i] = True
-        deep_ref = oriented[i][0].ref
-        group = [k for k in by_deep[deep_ref] if not done[k]]
+        page_id = probes[i][0]
+        group = [k for k in by_page[page_id] if not done[k]]
         if not group:
             continue
-        ctx.pin(side, deep_ref)
+        ctx.pin(side, page_id)
         for k in group:
             process(k)
             done[k] = True
-        ctx.unpin(side, deep_ref)
+        ctx.unpin(side, page_id)
+
+
+_POLICIES = {"a": _policy_a, "b": _policy_b, "c": _policy_c}

@@ -13,6 +13,10 @@ Three ways to find the intersecting entry pairs of two nodes:
 All kernels charge the shared comparison counter with the paper's
 semantics (≤ 4 comparisons per rectangle pair test; each sweep x- or
 y-check is one comparison).
+
+The three functions above are the paper-literal reference over
+``Entry`` objects, which tests and the kernel benches compare against;
+the join engines run their ``*_columns`` counterparts below.
 """
 
 from __future__ import annotations

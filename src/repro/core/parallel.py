@@ -69,11 +69,13 @@ from typing import List, Optional, Sequence, Tuple
 from ..curves.zorder import ZGrid
 from ..geometry.rect import Rect
 from ..obs.core import Observability
+from ..plan.registry import make_algorithm
 from ..rtree.base import RTreeBase
 from ..storage.faults import FaultInjectingPageStore, pristine_store
 from .context import JoinContext, R_SIDE, S_SIDE, presort_trees
-from .engine import JoinAlgorithm
-from .spec import JoinSpec, resolve_spec
+from .engine import JoinAlgorithm, common_rect
+from .pairs import iter_index_pairs
+from .spec import JoinSpec
 from .stats import JoinResult, JoinStatistics
 
 #: Default number of tasks per worker the partitioner aims for; spare
@@ -156,7 +158,7 @@ def partition_tasks(ctx: JoinContext, algo: JoinAlgorithm,
     """
     root_r = ctx.read_root(R_SIDE)
     root_s = ctx.read_root(S_SIDE)
-    if not root_r.entries or not root_s.entries:
+    if not len(root_r) or not len(root_s):
         return []
     rect: Optional[Rect] = None
     if algo.restricts_search_space:
@@ -184,20 +186,19 @@ def partition_tasks(ctx: JoinContext, algo: JoinAlgorithm,
             ctx.stats.node_pairs += 1
             dr = len(pr) - 1
             ds = len(ps) - 1
-            for er, es in algo._observed_find_pairs(ctx, nr, ns, rc, dr,
-                                                    leaf=False):
+            cols_r, cols_s, idx_r, idx_s = algo._observed_find_pairs(
+                ctx, nr, ns, rc, dr, leaf=False)
+            refs_r = cols_r.child_refs()
+            refs_s = cols_s.child_refs()
+            for a, b in iter_index_pairs(idx_r, idx_s):
                 child_rect: Optional[Rect] = None
                 if algo.restricts_search_space:
-                    child_rect = er.rect.intersection(es.rect)
-                    if child_rect is None:
-                        # Degenerate touch lost to float arithmetic; the
-                        # pair qualifies, so keep the boundary rectangle.
-                        child_rect = er.rect
-                child_r = ctx.read(R_SIDE, er.ref, dr + 1)
-                child_s = ctx.read(S_SIDE, es.ref, ds + 1)
+                    child_rect = common_rect(cols_r, a, cols_s, b)
+                child_r = ctx.read(R_SIDE, refs_r[a], dr + 1)
+                child_s = ctx.read(S_SIDE, refs_s[b], ds + 1)
                 next_frontier.append(
-                    (child_r, pr + (er.ref,), child_s, ps + (es.ref,),
-                     child_rect))
+                    (child_r, pr + (refs_r[a],), child_s,
+                     ps + (refs_s[b],), child_rect))
         frontier = next_frontier
         level += 1
 
@@ -300,7 +301,6 @@ def _execute_batch(tree_r: RTreeBase, tree_s: RTreeBase, spec: JoinSpec,
     spans/metrics of a traced batch (None untraced), shipped back
     alongside the statistics.  Also used in-process for ``workers=1``
     and single-batch joins, so the merge path is identical either way."""
-    from .planner import make_algorithm
     injectors = _fault_injectors(tree_r, tree_s)
     faults_before = sum(s.stats.total_injected for s in injectors)
     obs = Observability(enabled=spec.trace)
@@ -392,7 +392,7 @@ def parallel_spatial_join(tree_r: RTreeBase, tree_s: RTreeBase,
     """
     if plan is None:
         from ..plan.optimizer import plan_join
-        plan = plan_join(tree_r, tree_s, resolve_spec(spec))
+        plan = plan_join(tree_r, tree_s, spec)
     elif spec is not None:
         raise TypeError("pass either spec or plan, not both")
     spec = plan.to_spec()
@@ -400,7 +400,7 @@ def parallel_spatial_join(tree_r: RTreeBase, tree_s: RTreeBase,
         oversubscribe = plan.oversubscribe
     if oversubscribe < 1:
         raise ValueError(f"oversubscribe must be >= 1 ({oversubscribe})")
-    from .planner import make_algorithm, resolve_obs
+    from .planner import resolve_obs
     obs = resolve_obs(obs, spec)
     # The root span wraps partitioning, dispatch, recovery, and merge.
     # Entered explicitly (not ``with``) to keep the long body flat; a

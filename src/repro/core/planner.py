@@ -1,40 +1,34 @@
-"""High-level join entry point: plan, then execute.
+"""High-level join entry points and the plan executor.
 
 :func:`spatial_join` is the one call a library user needs: pick two
-trees, an algorithm name ("sj1" ... "sj5", or "auto" for the
-cost-based planner), a buffer size, and get back the result pairs with
-full CPU/I-O accounting.  The defaults are the paper's overall
-recommendation (Section 5): SpatialJoin4 with height policy (b).
+trees and a :class:`~repro.core.spec.JoinSpec` (algorithm "sj1" ...
+"sj5", or "auto" for the cost-based planner, buffer size, ...), and get
+back the result pairs with full CPU/I-O accounting.  The defaults are
+the paper's overall recommendation (Section 5): SpatialJoin4 with
+height policy (b).
 
-All configuration flows through one :class:`~repro.core.spec.JoinSpec`
-passed as ``spec=`` (the classic keyword arguments survive for one
-release behind a ``DeprecationWarning`` adapter), and every execution
-flows through one
+All configuration flows through the one spec passed as ``spec=``, and
+every execution flows through one
 :class:`~repro.plan.ExecutionPlan`: the spec is handed to
-:func:`repro.plan.plan_join`, which resolves "auto" via the cost model
-and mirrors fixed algorithms verbatim, and the resulting plan is run
-by :func:`execute_plan` — serially, or through the partitioned
-parallel executor (:mod:`repro.core.parallel`) when ``workers >= 2``.
-The chosen plan rides on ``result.plan`` and, for traced runs, in the
+:func:`repro.plan.plan_join` (the planner proper lives in
+:mod:`repro.plan`), which resolves "auto" via the cost model and
+mirrors fixed algorithms verbatim, and the resulting plan is run by
+:func:`execute_plan` — serially, or through the partitioned parallel
+executor (:mod:`repro.core.parallel`) when ``workers >= 2``.  The
+chosen plan rides on ``result.plan`` and, for traced runs, in the
 ``plan.*`` metrics.
-
-The algorithm registry itself lives in :mod:`repro.plan.registry`;
-``ALGORITHMS`` and :func:`make_algorithm` (plus the ablation variant
-classes) are re-exported here for backward compatibility.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Optional, Union
 
 from ..obs.core import NULL_OBS, Observability
 from ..plan.plan import ExecutionPlan
-from ..plan.registry import (ALGORITHMS, SpatialJoin4NoRestrict,  # noqa: F401
-                             SweepJoinNoRestrict, make_algorithm)
+from ..plan.registry import make_algorithm
 from ..rtree.base import RTreeBase
 from .context import JoinContext, presort_trees
-from .spec import JoinSpec, resolve_spec
+from .spec import JoinSpec
 from .stats import JoinResult
 
 
@@ -94,38 +88,9 @@ def execute_plan(tree_r: RTreeBase, tree_s: RTreeBase, plan,
     return result
 
 
-def resolve_call_spec(name: str, spec: Optional[Union[JoinSpec, str]],
-                      legacy: dict) -> JoinSpec:
-    """Fold an entry point's ``spec=`` argument and any legacy keyword
-    arguments into one :class:`~repro.core.spec.JoinSpec`.
-
-    The keyword style (``algorithm=``, ``buffer_kb=``, ...) is
-    deprecated: it still works for one release via this adapter, but
-    every use emits a :class:`DeprecationWarning`.  A bare algorithm
-    name passed where the spec belongs is adapted the same way.
-    """
-    if isinstance(spec, str):
-        # Old positional style: spatial_join(r, s, "sj3").
-        legacy = dict(legacy, algorithm=spec)
-        spec = None
-    if legacy:
-        warnings.warn(
-            f"configuring {name}() through keyword arguments is "
-            f"deprecated; pass spec=JoinSpec(...) (or an ExecutionPlan) "
-            f"instead", DeprecationWarning, stacklevel=3)
-        return resolve_spec(spec, **legacy)
-    if spec is None:
-        return JoinSpec()
-    if not isinstance(spec, JoinSpec):
-        raise TypeError(f"spec must be a JoinSpec or ExecutionPlan, "
-                        f"got {spec!r}")
-    return spec
-
-
 def spatial_join(tree_r: RTreeBase, tree_s: RTreeBase,
                  spec: Optional[Union[JoinSpec, ExecutionPlan]] = None,
-                 *, obs: Optional[Observability] = None,
-                 **legacy) -> JoinResult:
+                 *, obs: Optional[Observability] = None) -> JoinResult:
     """MBR-spatial-join of two R-trees.
 
     Parameters
@@ -147,12 +112,6 @@ def spatial_join(tree_r: RTreeBase, tree_s: RTreeBase,
         spans and metrics for this join (see ``docs/observability.md``);
         equivalent to ``spec.trace=True`` except the caller owns the
         handle.  Never changes results or counters.
-    legacy:
-        The pre-spec keyword arguments (``algorithm=``, ``buffer_kb=``,
-        ``height_policy=``, ``sort_mode=``, ``use_path_buffer=``,
-        ``presort=``, ``predicate=``, ``workers=``).  Deprecated —
-        still honored for one release with a
-        :class:`DeprecationWarning`.
 
     Returns
     -------
@@ -163,13 +122,8 @@ def spatial_join(tree_r: RTreeBase, tree_s: RTreeBase,
         ``result.obs``).
     """
     from ..plan.optimizer import plan_join
-    if isinstance(spec, ExecutionPlan):
-        if legacy:
-            raise TypeError("cannot combine an ExecutionPlan with "
-                            "keyword join options")
-        return execute_plan(tree_r, tree_s, spec, obs=obs)
-    spec = resolve_call_spec("spatial_join", spec, legacy)
-    plan = plan_join(tree_r, tree_s, spec)
+    plan = spec if isinstance(spec, ExecutionPlan) \
+        else plan_join(tree_r, tree_s, spec)
     return execute_plan(tree_r, tree_s, plan, obs=obs)
 
 
@@ -177,38 +131,25 @@ def spatial_join_stream(tree_r: RTreeBase, tree_s: RTreeBase,
                         callback: Callable[[int, int], None],
                         spec: Optional[Union[JoinSpec,
                                              ExecutionPlan]] = None,
-                        *, obs: Optional[Observability] = None,
-                        **legacy):
+                        *, obs: Optional[Observability] = None):
     """Like :func:`spatial_join`, but delivers each pair to *callback*
     as it is produced (no result list is materialized).  Returns the
     :class:`~repro.core.stats.JoinStatistics`.
 
-    Shares :func:`spatial_join`'s configuration path (spec-first, with
-    the same deprecated keyword adapter and ``algorithm="auto"``
-    planning), so a streaming run of a given
-    :class:`~repro.core.spec.JoinSpec` reports the same counters as
-    the materialized run.  Streaming delivery is inherently ordered,
+    Shares :func:`spatial_join`'s configuration path (spec-only, with
+    the same ``algorithm="auto"`` planning), so a streaming run of a
+    given :class:`~repro.core.spec.JoinSpec` reports the same counters
+    as the materialized run.  Streaming delivery is inherently ordered,
     so ``workers`` must stay 1.
     """
     from ..plan.optimizer import plan_join, record_plan
-    if isinstance(spec, ExecutionPlan):
-        if legacy:
-            raise TypeError("cannot combine an ExecutionPlan with "
-                            "keyword join options")
-        plan = spec
-    else:
-        spec = resolve_call_spec("spatial_join_stream", spec, legacy)
-        if spec.workers > 1:
-            raise ValueError(
-                "spatial_join_stream delivers pairs in traversal order "
-                "and cannot run parallel; use spatial_join(spec=...) "
-                "with workers>1 or a workers=1 spec here")
-        plan = plan_join(tree_r, tree_s, spec)
+    plan = spec if isinstance(spec, ExecutionPlan) \
+        else plan_join(tree_r, tree_s, spec)
     if plan.workers > 1:
         raise ValueError(
             "spatial_join_stream delivers pairs in traversal order and "
-            "cannot run parallel; use spatial_join with a workers>1 "
-            "plan instead")
+            "cannot run parallel; use spatial_join with workers>1 "
+            "instead")
     run_spec = plan.to_spec()
     obs = resolve_obs(obs, run_spec)
     record_plan(obs, plan)

@@ -8,13 +8,13 @@ node is checked against all entries of the other node").
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..geometry.rect import Rect
 from ..rtree.node import Node
 from .context import JoinContext
 from .engine import ColumnsPairs, JoinAlgorithm
-from .pairs import EntryPair, nested_loop_pairs, nested_loop_pairs_columns
+from .pairs import nested_loop_pairs_columns
 
 
 class SpatialJoin1(JoinAlgorithm):
@@ -25,11 +25,7 @@ class SpatialJoin1(JoinAlgorithm):
     uses_pinning = False
 
     def _find_pairs(self, ctx: JoinContext, nr: Node, ns: Node,
-                    rect: Optional[Rect]) -> List[EntryPair]:
-        return nested_loop_pairs(nr.entries, ns.entries, ctx.counter)
-
-    def _find_pairs_columns(self, ctx: JoinContext, nr: Node, ns: Node,
-                            rect: Optional[Rect]) -> ColumnsPairs:
+                    rect: Optional[Rect]) -> ColumnsPairs:
         cols_r = nr.columns
         cols_s = ns.columns
         idx_r, idx_s = nested_loop_pairs_columns(cols_r, cols_s,

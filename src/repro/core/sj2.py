@@ -8,14 +8,13 @@ marked entries enter the nested loop.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..geometry.rect import Rect
 from ..rtree.node import Node
 from .context import JoinContext
 from .engine import ColumnsPairs, JoinAlgorithm
-from .pairs import (EntryPair, nested_loop_pairs, nested_loop_pairs_columns,
-                    restrict_columns, restrict_entries)
+from .pairs import nested_loop_pairs_columns, restrict_columns
 
 
 class SpatialJoin2(JoinAlgorithm):
@@ -26,15 +25,7 @@ class SpatialJoin2(JoinAlgorithm):
     uses_pinning = False
 
     def _find_pairs(self, ctx: JoinContext, nr: Node, ns: Node,
-                    rect: Optional[Rect]) -> List[EntryPair]:
-        if rect is None:
-            return nested_loop_pairs(nr.entries, ns.entries, ctx.counter)
-        marked_r = restrict_entries(nr.entries, rect, ctx.counter)
-        marked_s = restrict_entries(ns.entries, rect, ctx.counter)
-        return nested_loop_pairs(marked_r, marked_s, ctx.counter)
-
-    def _find_pairs_columns(self, ctx: JoinContext, nr: Node, ns: Node,
-                            rect: Optional[Rect]) -> ColumnsPairs:
+                    rect: Optional[Rect]) -> ColumnsPairs:
         cols_r = nr.columns
         cols_s = ns.columns
         if rect is not None:

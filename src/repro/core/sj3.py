@@ -9,15 +9,13 @@ extra cost".
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..geometry.rect import Rect
 from ..rtree.node import Node
 from .context import JoinContext, R_SIDE, S_SIDE
 from .engine import ColumnsPairs, JoinAlgorithm
-from .pairs import (EntryPair, restrict_columns, restrict_entries,
-                    sorted_intersection_test,
-                    sorted_intersection_test_columns)
+from .pairs import restrict_columns, sorted_intersection_test_columns
 
 
 class SpatialJoin3(JoinAlgorithm):
@@ -28,16 +26,7 @@ class SpatialJoin3(JoinAlgorithm):
     uses_pinning = False
 
     def _find_pairs(self, ctx: JoinContext, nr: Node, ns: Node,
-                    rect: Optional[Rect]) -> List[EntryPair]:
-        seq_r = ctx.sorted_entries(R_SIDE, nr)
-        seq_s = ctx.sorted_entries(S_SIDE, ns)
-        if rect is not None:
-            seq_r = restrict_entries(seq_r, rect, ctx.counter)
-            seq_s = restrict_entries(seq_s, rect, ctx.counter)
-        return sorted_intersection_test(seq_r, seq_s, ctx.counter)
-
-    def _find_pairs_columns(self, ctx: JoinContext, nr: Node, ns: Node,
-                            rect: Optional[Rect]) -> ColumnsPairs:
+                    rect: Optional[Rect]) -> ColumnsPairs:
         cols_r = ctx.sorted_columns(R_SIDE, nr)
         cols_s = ctx.sorted_columns(S_SIDE, ns)
         if rect is not None:

@@ -13,8 +13,9 @@ from typing import List, Optional
 
 from ..curves.zorder import ZGrid
 from ..geometry.rect import Rect
+from ..rtree.columns import NodeColumns
 from .context import JoinContext, R_SIDE, S_SIDE
-from .pairs import EntryPair
+from .engine import IndexPair, common_rect
 from .sj3 import SpatialJoin3
 
 
@@ -47,52 +48,16 @@ class SpatialJoin5(SpatialJoin3):
                          world.xu + 0.5, world.yu + 0.5)
         return world
 
-    def _order_pairs(self, ctx: JoinContext,
-                     pairs: List[EntryPair]) -> List[EntryPair]:
+    def _order_pairs(self, ctx: JoinContext, cols_r: NodeColumns,
+                     cols_s: NodeColumns,
+                     pairs: List[IndexPair]) -> List[IndexPair]:
         if self._grid is None or len(pairs) < 2:
             return pairs
         grid = self._grid
-        keyed = []
-        for pair in pairs:
-            er, es = pair
-            common = er.rect.intersection(es.rect)
-            if common is None:    # boundary touch lost to float arithmetic
-                common = er.rect
-            keyed.append((grid.zvalue_of_rect(common), pair))
+        keyed = [(grid.zvalue_of_rect(common_rect(cols_r, a, cols_s, b)),
+                  (a, b)) for a, b in pairs]
         # The z-sort is the extra CPU of SJ5; charge its comparisons to
         # the sorting bucket.
-        count = 0
-
-        class _Key:
-            __slots__ = ("value",)
-
-            def __init__(self, item) -> None:
-                self.value = item[0]
-
-            def __lt__(self, other: "_Key") -> bool:
-                nonlocal count
-                count += 1
-                return self.value < other.value
-
-        keyed.sort(key=_Key)
-        ctx.counter.sort += count
-        return [pair for _, pair in keyed]
-
-    def _order_pairs_columns(self, ctx: JoinContext, cols_r, cols_s,
-                             pairs):
-        if self._grid is None or len(pairs) < 2:
-            return pairs
-        grid = self._grid
-        keyed = []
-        for pair in pairs:
-            a, b = pair
-            rect_a = cols_r.rect(a)
-            common = rect_a.intersection(cols_s.rect(b))
-            if common is None:    # boundary touch lost to float arithmetic
-                common = rect_a
-            keyed.append((grid.zvalue_of_rect(common), pair))
-        # Same counted z-sort as the object path: identical keys in the
-        # identical input order make Timsort charge the same count.
         count = 0
 
         class _Key:

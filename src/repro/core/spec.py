@@ -2,47 +2,19 @@
 
 Every join entry point (:func:`repro.core.planner.spatial_join`,
 :func:`~repro.core.planner.spatial_join_stream`,
-:meth:`repro.db.SpatialDatabase.join`, the CLI) historically grew its
-own copy of the same keyword arguments, and they drifted: the streaming
-path silently dropped ``use_path_buffer`` and ``presort``.  ``JoinSpec``
-is the single, frozen description of *how* a join runs — algorithm,
-buffer, sorting regime, height policy, predicate, and (new) the number
-of parallel workers — with one validation/normalization path shared by
-all entry points.
-
-The old keyword signatures keep working: they are thin shims that build
-a ``JoinSpec`` via :func:`resolve_spec`.  Passing both a spec and a
-*conflicting* keyword emits a :class:`DeprecationWarning` (the explicit
-keyword wins, so existing call sites that tweak one knob keep their
-meaning).
+:meth:`repro.db.SpatialDatabase.join`, the CLI) takes one ``JoinSpec``:
+the single, frozen description of *how* a join runs — algorithm,
+buffer, sorting regime, height policy, predicate, and the number of
+parallel workers — with one validation/normalization path shared by
+all of them.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..geometry.predicates import SpatialPredicate
-
-
-class _Unset:
-    """Sentinel for "keyword not passed" (distinguishes an explicit
-    default from an omitted argument in the shim signatures)."""
-
-    _instance: Optional["_Unset"] = None
-
-    def __new__(cls) -> "_Unset":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "UNSET"
-
-
-#: The shared sentinel used as default for all shim keywords.
-UNSET = _Unset()
 
 _SORT_MODES = ("maintained", "on_read")
 _HEIGHT_POLICIES = ("a", "b", "c")
@@ -175,40 +147,13 @@ class JoinSpec:
             raise TypeError(f"trace must be a bool, got {self.trace!r}")
 
 
-def resolve_spec(spec: Optional[JoinSpec] = None, **overrides) -> JoinSpec:
-    """Fold shim keywords and an optional explicit spec into one
-    :class:`JoinSpec`.
-
-    *overrides* maps field names to either :data:`UNSET` (keyword not
-    passed) or the caller's value.  Rules:
-
-    * no spec — the passed keywords fill a fresh ``JoinSpec``;
-    * spec only — used as-is;
-    * spec plus keywords — the keywords win; a keyword whose
-      (normalized) value differs from the spec's additionally emits a
-      :class:`DeprecationWarning`, because mixing the two styles is how
-      configuration drift crept in before.
-    """
-    given = {name: value for name, value in overrides.items()
-             if value is not UNSET}
-    unknown = set(given) - {f.name for f in fields(JoinSpec)}
-    if unknown:
-        raise TypeError(f"unknown join option(s): "
-                        f"{', '.join(sorted(unknown))}")
+def resolve_spec(spec: Optional[JoinSpec] = None) -> JoinSpec:
+    """The spec a join runs under: *spec* itself, or the defaults for
+    ``None``.  Anything else — a bare algorithm name, a dict of options
+    — is rejected."""
     if spec is None:
-        return JoinSpec(**given)
+        return JoinSpec()
     if not isinstance(spec, JoinSpec):
-        raise TypeError(f"spec must be a JoinSpec, got {spec!r}")
-    if not given:
-        return spec
-    resolved = replace(spec, **given)
-    conflicting = [name for name in given
-                   if getattr(resolved, name) != getattr(spec, name)]
-    if conflicting:
-        warnings.warn(
-            "passing keyword arguments that conflict with an explicit "
-            f"JoinSpec is deprecated (overriding: "
-            f"{', '.join(sorted(conflicting))}); build the spec with "
-            "dataclasses.replace(spec, ...) instead",
-            DeprecationWarning, stacklevel=3)
-    return resolved
+        raise TypeError(f"join options must be passed as "
+                        f"spec=JoinSpec(...), got {spec!r}")
+    return spec

@@ -14,9 +14,9 @@ import os
 from typing import Dict, Optional, Tuple
 
 from ..core.deltajoin import overlay_join
-from ..core.planner import execute_plan, resolve_call_spec
+from ..core.planner import execute_plan
 from ..core.refinement import id_spatial_join
-from ..core.spec import JoinSpec
+from ..core.spec import JoinSpec, resolve_spec
 from ..core.stats import JoinResult
 from ..plan.optimizer import plan_join
 from ..plan.plan import ExecutionPlan
@@ -128,15 +128,12 @@ class SpatialDatabase:
 
     def join(self, left: str, right: str,
              spec: Optional[JoinSpec] = None, *,
-             refine: bool = False, **legacy) -> JoinResult:
+             refine: bool = False) -> JoinResult:
         """Join two relations.
 
         Configuration goes through the shared
         :class:`~repro.core.spec.JoinSpec` path — pass ``spec=`` (with
-        ``spec.workers >= 2`` for parallel execution).  The classic
-        keywords (``algorithm=``, ``buffer_kb=``, ``predicate=``,
-        ``workers=``) survive for one release behind a
-        :class:`DeprecationWarning`.
+        ``spec.workers >= 2`` for parallel execution).
 
         ``refine=False`` returns the MBR-spatial-join (the filter step);
         ``refine=True`` additionally runs the ID-spatial-join on the
@@ -146,7 +143,7 @@ class SpatialDatabase:
         """
         rel_l = self.relation(left)
         rel_r = self.relation(right)
-        spec = resolve_call_spec("SpatialDatabase.join", spec, legacy)
+        spec = resolve_spec(spec)
         # One consistent snapshot per side: the base trees are static
         # for the whole join (direct mode: the live tree; delta mode:
         # the published MVCC view) and unmerged writes are overlaid on
@@ -207,8 +204,7 @@ class SpatialDatabase:
         return result
 
     def explain(self, left: str, right: str,
-                spec: Optional[JoinSpec] = None,
-                **legacy) -> ExecutionPlan:
+                spec: Optional[JoinSpec] = None) -> ExecutionPlan:
         """Plan a join between two relations without executing it.
 
         Takes the same configuration as :meth:`join` and returns the
@@ -219,7 +215,6 @@ class SpatialDatabase:
         """
         rel_l = self.relation(left)
         rel_r = self.relation(right)
-        spec = resolve_call_spec("SpatialDatabase.explain", spec, legacy)
         return plan_join(rel_l.snapshot().tree, rel_r.snapshot().tree,
                          spec, score=True)
 

@@ -1,11 +1,8 @@
 """The single authoritative algorithm registry.
 
-Historically the algorithm table lived in :mod:`repro.core.planner`
-while the CLI and the serve protocol each hardcoded their own copy of
-the names — adding a variant meant touching three places.  The table
-now lives here; :mod:`repro.core.planner` re-exports it for
-compatibility, ``repro --algorithm`` choices and the serve-protocol
-validation are *generated* from :func:`algorithm_choices`.
+The algorithm table lives here and nowhere else: ``repro --algorithm``
+choices and the serve-protocol validation are *generated* from
+:func:`algorithm_choices`, so adding a variant touches one place.
 
 Two kinds of names exist:
 

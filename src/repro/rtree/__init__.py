@@ -7,7 +7,7 @@ The R*-tree (:class:`RStarTree`) is the access method the paper joins;
 from .base import RTreeBase
 from .bulk import PackedRTree, chunk_balanced, hilbert_pack, str_pack
 from .columns import (HAVE_NUMPY, NodeColumns, force_stdlib, kernel_layout,
-                      set_kernel_layout, use_numpy)
+                      use_numpy)
 from .entry import Entry
 from .guttman import (GuttmanRTree, least_enlargement_index, linear_split,
                       quadratic_split)
@@ -50,7 +50,6 @@ __all__ = [
     "rstar_split",
     "save_tree",
     "scrub_tree",
-    "set_kernel_layout",
     "str_pack",
     "tree_properties",
     "use_numpy",

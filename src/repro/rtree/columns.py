@@ -22,11 +22,8 @@ value) before import to force the stdlib backend without uninstalling
 numpy — CI uses this to exercise the fallback.  Tests may also flip the
 backend at runtime via :func:`force_stdlib`.
 
-The engine-facing layout switch lives here too: :func:`kernel_layout`
-returns ``"columnar"`` (default) or ``"object"``; the join engine
-consults it once per :class:`~repro.core.context.JoinContext`.  The
-``REPRO_LAYOUT`` environment variable seeds the default so forked /
-spawned worker processes agree with the coordinator.
+The join engine has one path, over these columns; only the backend
+varies, and it is chosen from what import can observe.
 """
 
 from __future__ import annotations
@@ -71,32 +68,11 @@ if HAVE_NUMPY:
                                ("xu", "<f8"), ("yu", "<f8"),
                                ("ref", "<i8")])
 
-_LAYOUTS = ("columnar", "object")
-
-_layout = os.environ.get("REPRO_LAYOUT", "columnar")
-if _layout not in _LAYOUTS:  # pragma: no cover - defensive
-    _layout = "columnar"
-
 
 def kernel_layout() -> str:
-    """The active join-kernel layout: ``"columnar"`` or ``"object"``."""
-    return _layout
-
-
-def set_kernel_layout(layout: str) -> str:
-    """Switch the join-kernel layout; returns the previous value.
-
-    The choice is mirrored into ``os.environ["REPRO_LAYOUT"]`` so worker
-    processes started with the *spawn* method inherit it too.
-    """
-    global _layout
-    if layout not in _LAYOUTS:
-        raise ValueError(f"unknown kernel layout {layout!r}; "
-                         f"expected one of {_LAYOUTS}")
-    previous = _layout
-    _layout = layout
-    os.environ["REPRO_LAYOUT"] = layout
-    return previous
+    """The join-kernel layout, always ``"columnar"`` — kept as a
+    reporter for environment fingerprints that record it."""
+    return "columnar"
 
 
 def use_numpy() -> bool:

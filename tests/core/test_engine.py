@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import (JoinContext, make_algorithm, spatial_join)
-from repro.core.planner import SweepJoinNoRestrict
+from repro.plan.registry import SweepJoinNoRestrict
 from tests.conftest import build_rstar, make_rects
 from repro.core import JoinSpec
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import (JoinSpec, resolve_spec, spatial_join,
                         spatial_join_stream)
-from repro.core.spec import UNSET
 from repro.geometry import SpatialPredicate
 
 
@@ -59,36 +58,12 @@ class TestConstruction:
 
 
 class TestResolveSpec:
-    def test_kwargs_build_a_spec(self):
-        spec = resolve_spec(None, algorithm="sj1", buffer_kb=8.0)
-        assert spec == JoinSpec(algorithm="sj1", buffer_kb=8.0)
-
-    def test_unset_kwargs_are_ignored(self):
-        spec = resolve_spec(None, algorithm=UNSET, buffer_kb=UNSET)
-        assert spec == JoinSpec()
+    def test_none_resolves_to_the_defaults(self):
+        assert resolve_spec(None) == JoinSpec()
 
     def test_explicit_spec_passes_through_unchanged(self):
         spec = JoinSpec(algorithm="sj2", workers=3)
-        assert resolve_spec(spec, algorithm=UNSET) is spec
-
-    def test_conflicting_kwarg_warns_and_wins(self):
-        spec = JoinSpec(algorithm="sj4")
-        with pytest.warns(DeprecationWarning):
-            resolved = resolve_spec(spec, algorithm="sj1")
-        assert resolved.algorithm == "sj1"
-        assert spec.algorithm == "sj4"  # original untouched
-
-    def test_equal_kwarg_does_not_warn(self):
-        import warnings
-        spec = JoinSpec(algorithm="sj4")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            resolved = resolve_spec(spec, algorithm="SJ4")
-        assert resolved.algorithm == "sj4"
-
-    def test_unknown_option_rejected(self):
-        with pytest.raises(TypeError):
-            resolve_spec(None, fanout=3)
+        assert resolve_spec(spec) is spec
 
     def test_non_spec_rejected(self):
         with pytest.raises(TypeError):
@@ -114,83 +89,6 @@ class TestEntryPointsShareTheSpecPath:
                           spec=JoinSpec(algorithm="sj1", buffer_kb=8.0))
         assert len(by_spec) > 0
 
-
-class TestLegacyKeywordAdapter:
-    """The pre-1.0 keyword style still works for one release, but every
-    use emits a DeprecationWarning and resolves to the same plan as the
-    equivalent JoinSpec."""
-
-    def test_legacy_kwargs_warn_and_match_spec(self, medium_trees):
-        tree_r, tree_s = medium_trees
-        with pytest.warns(DeprecationWarning,
-                          match="spatial_join.*deprecated"):
-            by_kwargs = spatial_join(tree_r, tree_s,
-                                     algorithm="sj3", buffer_kb=16.0)
-        by_spec = spatial_join(tree_r, tree_s,
-                               spec=JoinSpec(algorithm="sj3",
-                                             buffer_kb=16.0))
-        assert by_kwargs.pair_set() == by_spec.pair_set()
-        assert (by_kwargs.stats.disk_accesses
-                == by_spec.stats.disk_accesses)
-        assert (by_kwargs.stats.comparisons.join
-                == by_spec.stats.comparisons.join)
-
-    def test_legacy_positional_algorithm_warns(self, medium_trees):
-        tree_r, tree_s = medium_trees
-        with pytest.warns(DeprecationWarning):
-            result = spatial_join(tree_r, tree_s, "sj1")
-        reference = spatial_join(tree_r, tree_s,
-                                 spec=JoinSpec(algorithm="sj1"))
-        assert result.pair_set() == reference.pair_set()
-
-    def test_legacy_stream_kwargs_warn(self, medium_trees):
-        tree_r, tree_s = medium_trees
-        pairs = []
-        with pytest.warns(DeprecationWarning,
-                          match="spatial_join_stream"):
-            spatial_join_stream(tree_r, tree_s,
-                                lambda a, b: pairs.append((a, b)),
-                                buffer_kb=16.0)
-        reference = spatial_join(tree_r, tree_s,
-                                 spec=JoinSpec(buffer_kb=16.0))
-        assert set(pairs) == reference.pair_set()
-
-    def test_legacy_database_join_warns(self):
-        from repro.db import SpatialDatabase
-        from repro.geometry import Rect
-        db = SpatialDatabase(page_size=1024)
-        left = db.create_relation("left")
-        right = db.create_relation("right")
-        for i in range(40):
-            left.insert(Rect(i, 0, i + 1.5, 1))
-            right.insert(Rect(i + 0.5, 0, i + 2, 1))
-        with pytest.warns(DeprecationWarning,
-                          match="SpatialDatabase.join"):
-            by_kwargs = db.join("left", "right", buffer_kb=8.0)
-        by_spec = db.join("left", "right", spec=JoinSpec(buffer_kb=8.0))
-        assert by_kwargs.pair_set() == by_spec.pair_set()
-
-    def test_spec_plus_legacy_kwargs_warns(self, medium_trees):
-        tree_r, tree_s = medium_trees
-        with pytest.warns(DeprecationWarning):
-            result = spatial_join(tree_r, tree_s,
-                                  spec=JoinSpec(algorithm="sj1"),
-                                  buffer_kb=8.0)
-        assert result.plan.algorithm == "sj1"
-        assert result.plan.buffer_kb == 8.0
-
-    def test_plan_plus_legacy_kwargs_rejected(self, medium_trees):
-        from repro.plan import plan_join
-        tree_r, tree_s = medium_trees
-        plan = plan_join(tree_r, tree_s, spec=JoinSpec(algorithm="sj1"))
-        with pytest.raises(TypeError):
-            spatial_join(tree_r, tree_s, plan, buffer_kb=8.0)
-
-    def test_unknown_kwarg_rejected(self, medium_trees):
-        tree_r, tree_s = medium_trees
-        with pytest.warns(DeprecationWarning), pytest.raises(TypeError):
-            spatial_join(tree_r, tree_s, fanout=3)
-
     def test_execution_plan_accepted_as_spec(self, medium_trees):
         from repro.plan import plan_join
         tree_r, tree_s = medium_trees
@@ -201,3 +99,42 @@ class TestLegacyKeywordAdapter:
                                spec=JoinSpec(algorithm="sj3",
                                              buffer_kb=16.0))
         assert by_plan.pair_set() == by_spec.pair_set()
+
+
+class TestSpecIsTheOnlyCallStyle:
+    """The pre-1.0 call styles (a positional algorithm name, loose
+    keyword options) are gone: a non-spec value names the replacement,
+    a keyword option is an unknown parameter."""
+
+    def test_positional_algorithm_rejected(self, medium_trees):
+        tree_r, tree_s = medium_trees
+        with pytest.raises(TypeError, match=r"spec=JoinSpec\(\.\.\.\)"):
+            spatial_join(tree_r, tree_s, "sj3")
+
+    def test_keyword_options_rejected(self, medium_trees):
+        tree_r, tree_s = medium_trees
+        with pytest.raises(TypeError, match="algorithm"):
+            spatial_join(tree_r, tree_s, algorithm="sj3")
+        with pytest.raises(TypeError, match="buffer_kb"):
+            spatial_join(tree_r, tree_s, spec=JoinSpec(algorithm="sj1"),
+                         buffer_kb=8.0)
+
+    def test_stream_keyword_options_rejected(self, medium_trees):
+        tree_r, tree_s = medium_trees
+        with pytest.raises(TypeError, match="buffer_kb"):
+            spatial_join_stream(tree_r, tree_s, lambda a, b: None,
+                                buffer_kb=16.0)
+        with pytest.raises(TypeError, match=r"spec=JoinSpec\(\.\.\.\)"):
+            spatial_join_stream(tree_r, tree_s, lambda a, b: None, "sj3")
+
+    def test_database_join_keyword_options_rejected(self):
+        from repro.db import SpatialDatabase
+        db = SpatialDatabase(page_size=1024)
+        db.create_relation("left")
+        db.create_relation("right")
+        with pytest.raises(TypeError, match="buffer_kb"):
+            db.join("left", "right", buffer_kb=8)
+        with pytest.raises(TypeError, match=r"spec=JoinSpec\(\.\.\.\)"):
+            db.join("left", "right", "sj3")
+        with pytest.raises(TypeError, match="algorithm"):
+            db.explain("left", "right", algorithm="sj3")

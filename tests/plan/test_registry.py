@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.engine import JoinAlgorithm
-from repro.core.planner import ALGORITHMS as PLANNER_ALGORITHMS
 from repro.core.spec import JoinSpec
 from repro.plan import (ALGORITHMS, AUTO, AUTO_CANDIDATES,
                         algorithm_choices, algorithm_names,
@@ -22,11 +21,6 @@ class TestRegistry:
 
     def test_choices_are_names_plus_auto(self):
         assert algorithm_choices() == algorithm_names() + (AUTO,)
-
-    def test_planner_reexport_is_same_object(self):
-        # Backward compatibility: repro.core.planner.ALGORITHMS must be
-        # the registry, not a copy that could drift.
-        assert PLANNER_ALGORITHMS is ALGORITHMS
 
     def test_auto_candidates_are_registered(self):
         for name in AUTO_CANDIDATES:
