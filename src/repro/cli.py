@@ -269,24 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--checkpoint-every", type=int, default=256,
                        help="WAL records between automatic checkpoints "
                             "(default 256)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=7421,
-                       help="TCP port (0 picks a free one; default "
-                            "7421)")
-    serve.add_argument("--workers", type=int, default=4,
-                       help="request worker threads (default 4)")
-    serve.add_argument("--queue", type=int, default=64,
-                       help="admission-control queue depth; a full "
-                            "queue sheds requests with an "
-                            "'overloaded' error (default 64)")
-    serve.add_argument("--cache-mb", type=float, default=64.0,
-                       help="result cache budget in MByte (default 64)")
-    serve.add_argument("--cache-entries", type=int, default=4096,
-                       help="result cache budget in entries "
-                            "(default 4096)")
-    serve.add_argument("--timeout-ms", type=float, default=30_000.0,
-                       help="default per-request deadline "
-                            "(default 30000)")
+    _add_server_flags(serve, port=7421, who="server")
     serve.add_argument("--max-retries", type=int, default=2,
                        help="transient worker-failure retries per "
                             "request (default 2)")
@@ -308,10 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--rebuild-every", type=float, default=None,
                        help="also merge pending deltas every this "
                             "many seconds (default: threshold only)")
-    serve.add_argument("--trace", metavar="FILE",
-                       help="write the server's spans and serve.* "
-                            "metrics as a JSONL trace on shutdown "
-                            "(render with repro report)")
     serve.set_defaults(handler=_cmd_serve)
 
     shard = commands.add_parser(
@@ -341,38 +320,16 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="shard workers as subprocesses (one "
                                   "GIL each; default) or in-process "
                                   "threads")
-    shard_serve.add_argument("--host", default="127.0.0.1")
-    shard_serve.add_argument("--port", type=int, default=7500,
-                             help="router TCP port (0 picks a free "
-                                  "one; default 7500)")
-    shard_serve.add_argument("--workers", type=int, default=4,
-                             help="router worker threads (default 4)")
-    shard_serve.add_argument("--queue", type=int, default=64,
-                             help="router admission-control queue "
-                                  "depth (default 64)")
+    _add_server_flags(shard_serve, port=7500, who="router")
     shard_serve.add_argument("--shard-workers", type=int, default=2,
                              help="worker threads per shard "
                                   "(default 2)")
     shard_serve.add_argument("--shard-queue", type=int, default=64,
                              help="queue depth per shard (default 64)")
-    shard_serve.add_argument("--cache-mb", type=float, default=64.0,
-                             help="router result-cache budget in "
-                                  "MByte (default 64)")
-    shard_serve.add_argument("--cache-entries", type=int, default=4096,
-                             help="router result-cache budget in "
-                                  "entries (default 4096)")
-    shard_serve.add_argument("--timeout-ms", type=float,
-                             default=30_000.0,
-                             help="default per-request deadline "
-                                  "(default 30000)")
     shard_serve.add_argument("--scratch-dir", default=None,
                              help="where process-mode shard catalogs "
                                   "are written (default a temp dir, "
                                   "removed on shutdown)")
-    shard_serve.add_argument("--trace", metavar="FILE",
-                             help="write the router's spans and "
-                                  "shard.* metrics as a JSONL trace "
-                                  "on shutdown")
     shard_serve.set_defaults(handler=_cmd_shard_serve)
 
     shard_plan = shard_commands.add_parser(
@@ -459,6 +416,76 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(handler=_cmd_bench)
 
     return parser
+
+
+def _add_server_flags(parser: argparse.ArgumentParser, port: int,
+                      who: str) -> None:
+    """The flags ``serve`` and ``shard serve`` share: the listening
+    socket plus the request pipeline's worker pool, admission queue,
+    result cache, default deadline and shutdown trace (*who* names
+    the process in the help text)."""
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=port,
+                        help=f"{who} TCP port (0 picks a free one; "
+                             f"default {port})")
+    parser.add_argument("--workers", type=int, default=4,
+                        help=f"{who} request worker threads "
+                             f"(default 4)")
+    parser.add_argument("--queue", type=int, default=64,
+                        help=f"{who} admission-control queue depth; a "
+                             f"full queue sheds requests with an "
+                             f"'overloaded' error (default 64)")
+    parser.add_argument("--cache-mb", type=float, default=64.0,
+                        help=f"{who} result cache budget in MByte "
+                             f"(default 64)")
+    parser.add_argument("--cache-entries", type=int, default=4096,
+                        help=f"{who} result cache budget in entries "
+                             f"(default 4096)")
+    parser.add_argument("--timeout-ms", type=float, default=30_000.0,
+                        help="default per-request deadline "
+                             "(default 30000)")
+    parser.add_argument("--trace", metavar="FILE",
+                        help=f"write the {who}'s spans and metrics "
+                             f"as a JSONL trace on shutdown (render "
+                             f"with repro report)")
+
+
+def _pipeline_options(args: argparse.Namespace, obs) -> dict:
+    """Constructor arguments of the request pipeline behind
+    :func:`_add_server_flags`."""
+    return dict(workers=args.workers, queue_depth=args.queue,
+                cache_entries=args.cache_entries,
+                cache_bytes=int(args.cache_mb * (1 << 20)),
+                default_timeout=(args.timeout_ms / 1e3
+                                 if args.timeout_ms else None),
+                obs=obs)
+
+
+def _serve_until_signalled(server, obs, args: argparse.Namespace,
+                           summarize, meta: dict) -> int:
+    """Block until SIGTERM/SIGINT, then shut *server* down (draining
+    the workers and closing the pipeline behind it), print the lines
+    *summarize()* yields and write the ``--trace`` file."""
+    import signal
+    import threading
+
+    stop = threading.Event()
+
+    def _request_stop(signum, frame):
+        stop.set()
+
+    signal.signal(signal.SIGTERM, _request_stop)
+    signal.signal(signal.SIGINT, _request_stop)
+    try:
+        stop.wait()
+    finally:
+        server.shutdown()
+        for line in summarize():
+            print(line, flush=True)
+        if args.trace:
+            lines = write_trace(args.trace, obs, meta=meta)
+            print(f"trace: {lines} records -> {args.trace}", flush=True)
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -665,9 +692,6 @@ def _cmd_query_remote(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import signal
-    import threading
-
     from .db import SpatialDatabase
     from .obs import Observability
     from .serve import QueryService, SpatialQueryServer
@@ -703,15 +727,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         db = SpatialDatabase.open(args.db)
     service = QueryService(
-        db, workers=args.workers, queue_depth=args.queue,
-        cache_entries=args.cache_entries,
-        cache_bytes=int(args.cache_mb * (1 << 20)),
-        default_timeout=(args.timeout_ms / 1e3
-                         if args.timeout_ms else None),
-        max_retries=args.max_retries, obs=obs, durability=durability,
+        db, max_retries=args.max_retries, durability=durability,
         slow_ms=args.slow_ms, ingest=args.ingest,
         rebuild_threshold=(args.rebuild_threshold or None),
-        rebuild_every=args.rebuild_every)
+        rebuild_every=args.rebuild_every,
+        **_pipeline_options(args, obs))
     server = SpatialQueryServer(service, host=args.host, port=args.port)
     host, port = server.start()
     source = args.data_dir if args.data_dir else args.db
@@ -721,41 +741,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"cache {args.cache_mb:g} MB/{args.cache_entries} entries, "
           f"ingest {args.ingest}{durable})", flush=True)
 
-    stop = threading.Event()
-
-    def _request_stop(signum, frame):
-        stop.set()
-
-    signal.signal(signal.SIGTERM, _request_stop)
-    signal.signal(signal.SIGINT, _request_stop)
-    try:
-        stop.wait()
-    finally:
-        # shutdown drains the workers and closes the service; with a
-        # data directory that lands a final checkpoint, so the next
-        # startup replays nothing.
-        server.shutdown()
-        counters = service.obs.metrics.counters
-        print(f"shutting down: {counters.get('serve.requests', 0)} "
-              f"requests served, "
-              f"{counters.get('serve.cache.hits', 0)} cache hits, "
-              f"{counters.get('serve.shed', 0)} shed, "
-              f"{service.rebuilds} delta rebuild(s)", flush=True)
+    def summarize():
+        # The shutdown closed the service; with a data directory that
+        # landed a final checkpoint, so the next startup replays
+        # nothing.
+        counters = obs.metrics.counters
+        yield (f"shutting down: {counters.get('serve.requests', 0)} "
+               f"requests served, "
+               f"{counters.get('serve.cache.hits', 0)} cache hits, "
+               f"{counters.get('serve.shed', 0)} shed, "
+               f"{service.rebuilds} delta rebuild(s)")
         if durability is not None:
-            print(f"final checkpoint "
-                  f"{durability.manifest['checkpoint_id']} at lsn "
-                  f"{durability.applied_lsn} "
-                  f"({durability.wal.appends} WAL append(s) this run)",
-                  flush=True)
-        if args.trace:
-            lines = write_trace(args.trace, service.obs,
-                                meta={"mode": "serve",
-                                      "db": args.db,
-                                      "data_dir": args.data_dir,
-                                      "workers": args.workers,
-                                      "queue": args.queue})
-            print(f"trace: {lines} records -> {args.trace}", flush=True)
-    return 0
+            yield (f"final checkpoint "
+                   f"{durability.manifest['checkpoint_id']} at lsn "
+                   f"{durability.applied_lsn} "
+                   f"({durability.wal.appends} WAL append(s) this run)")
+
+    return _serve_until_signalled(
+        server, obs, args, summarize,
+        meta={"mode": "serve", "db": args.db,
+              "data_dir": args.data_dir, "workers": args.workers,
+              "queue": args.queue})
 
 
 def _seed_data_dir(db, source_path: str) -> int:
@@ -786,9 +792,6 @@ def _parse_grid(value: Optional[str]) -> Optional[tuple]:
 
 
 def _cmd_shard_serve(args: argparse.Namespace) -> int:
-    import signal
-    import threading
-
     from .db import SpatialDatabase
     from .obs import Observability
     from .serve import SpatialQueryServer
@@ -806,13 +809,7 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
         directory=args.scratch_dir)
     topology.start()
     try:
-        router = ShardRouter(
-            topology, workers=args.workers, queue_depth=args.queue,
-            cache_entries=args.cache_entries,
-            cache_bytes=int(args.cache_mb * (1 << 20)),
-            default_timeout=(args.timeout_ms / 1e3
-                             if args.timeout_ms else None),
-            obs=obs)
+        router = ShardRouter(topology, **_pipeline_options(args, obs))
         server = SpatialQueryServer(router, host=args.host,
                                     port=args.port)
         host, port = server.start()
@@ -827,34 +824,21 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
           f"queue {args.queue}, cache {args.cache_mb:g} MB/"
           f"{args.cache_entries} entries)", flush=True)
 
-    stop = threading.Event()
-
-    def _request_stop(signum, frame):
-        stop.set()
-
-    signal.signal(signal.SIGTERM, _request_stop)
-    signal.signal(signal.SIGINT, _request_stop)
-    try:
-        stop.wait()
-    finally:
-        server.shutdown()          # drains router workers via close()
+    def summarize():
         drained = topology.drain()
         counters = obs.metrics.counters
-        print(f"shutting down: {counters.get('shard.requests', 0)} "
-              f"requests routed, "
-              f"{counters.get('shard.subrequests', 0)} shard "
-              f"sub-requests, "
-              f"{counters.get('shard.cache.hits', 0)} cache hits, "
-              f"{drained} shard(s) drained", flush=True)
-        if args.trace:
-            lines = write_trace(args.trace, obs,
-                                meta={"mode": "shard-serve",
-                                      "db": args.db,
-                                      "shards": topology.n_shards,
-                                      "grid": grid_txt,
-                                      "workers": args.workers})
-            print(f"trace: {lines} records -> {args.trace}", flush=True)
-    return 0
+        yield (f"shutting down: {counters.get('shard.requests', 0)} "
+               f"requests routed, "
+               f"{counters.get('shard.subrequests', 0)} shard "
+               f"sub-requests, "
+               f"{counters.get('shard.cache.hits', 0)} cache hits, "
+               f"{drained} shard(s) drained")
+
+    return _serve_until_signalled(
+        server, obs, args, summarize,
+        meta={"mode": "shard-serve", "db": args.db,
+              "shards": topology.n_shards, "grid": grid_txt,
+              "workers": args.workers})
 
 
 def _cmd_shard_plan(args: argparse.Namespace) -> int:

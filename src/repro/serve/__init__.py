@@ -31,6 +31,7 @@ Everything is stdlib-only; see ``docs/serving.md`` for the protocol.
 """
 
 from .cache import ResultCache, normalized_key
+from .pipeline import RequestPipeline, latency_section
 from .protocol import (E_BAD_REQUEST, E_CATALOG, E_INTERNAL,
                        E_OVERLOADED, E_QUERY, E_TIMEOUT, ProtocolError,
                        decode_request, encode_line, error_code_for,
@@ -39,8 +40,7 @@ from .protocol import (E_BAD_REQUEST, E_CATALOG, E_INTERNAL,
 from .scheduler import RequestScheduler
 from .server import (ServiceClient, SpatialQueryServer, TCPServiceClient,
                      decode_response)
-from .service import (QueryService, ReadWriteLock, cache_section,
-                      latency_section)
+from .service import QueryService, ReadWriteLock
 
 __all__ = [
     "E_BAD_REQUEST",
@@ -52,12 +52,12 @@ __all__ = [
     "ProtocolError",
     "QueryService",
     "ReadWriteLock",
+    "RequestPipeline",
     "RequestScheduler",
     "ResultCache",
     "ServiceClient",
     "SpatialQueryServer",
     "TCPServiceClient",
-    "cache_section",
     "decode_request",
     "decode_response",
     "encode_line",

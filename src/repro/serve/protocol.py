@@ -26,6 +26,7 @@ persistence format of :mod:`repro.db.database`.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Union
 
 from ..errors import (CatalogError, OverloadedError, QueryError,
@@ -131,19 +132,29 @@ def geometry_from_json(data: Any) -> Geometry:
     coords = data.get("coords")
     if kind == "rect":
         if (not isinstance(coords, list) or len(coords) != 4
-                or not all(isinstance(c, (int, float))
-                           and not isinstance(c, bool) for c in coords)):
+                or not all(_is_finite_number(c) for c in coords)):
             raise ProtocolError("rect needs 4 numeric coords")
-        return Rect(*(float(c) for c in coords))
-    if kind in ("polyline", "polygon"):
+    elif kind in ("polyline", "polygon"):
         if (not isinstance(coords, list)
                 or any(not isinstance(p, (list, tuple)) or len(p) != 2
+                       or not all(_is_finite_number(c) for c in p)
                        for p in coords)):
             raise ProtocolError(f"{kind} needs a list of [x, y] pairs")
+    else:
+        raise ProtocolError(f"unknown geometry kind {kind!r}")
+    try:
+        if kind == "rect":
+            return Rect(*(float(c) for c in coords))
         points = [(float(x), float(y)) for x, y in coords]
-        try:
-            return (Polygon(points) if kind == "polygon"
-                    else Polyline(points))
-        except ValueError as exc:
-            raise ProtocolError(f"bad {kind}: {exc}") from None
-    raise ProtocolError(f"unknown geometry kind {kind!r}")
+        return Polygon(points) if kind == "polygon" else Polyline(points)
+    except ValueError as exc:
+        raise ProtocolError(f"bad {kind}: {exc}") from None
+
+
+def is_number(value: Any) -> bool:
+    """A JSON number (``true``/``false`` are not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite_number(value: Any) -> bool:
+    return is_number(value) and math.isfinite(value)

@@ -1,10 +1,12 @@
 """The TCP front end and the two clients.
 
-:class:`SpatialQueryServer` wraps a :class:`~repro.serve.service.
-QueryService` in a threading TCP server speaking the line-oriented
-JSON protocol of :mod:`repro.serve.protocol`: one connection thread
-per client, one request line in, one response line out, pipelining
-allowed (responses come back in request order per connection).
+:class:`SpatialQueryServer` wraps a :class:`~repro.serve.pipeline.
+RequestPipeline` (a :class:`~repro.serve.service.QueryService` or a
+:class:`~repro.shard.router.ShardRouter`) in a threading TCP server
+speaking the line-oriented JSON protocol of
+:mod:`repro.serve.protocol`: one connection thread per client, one
+request line in, one response line out, pipelining allowed (responses
+come back in request order per connection).
 
 Two clients cover the two deployment shapes:
 
@@ -24,14 +26,14 @@ from typing import Any, Dict, Optional, Tuple
 
 from .protocol import (ProtocolError, decode_request, encode_request,
                        encode_response, error_response)
-from .service import QueryService
+from .pipeline import RequestPipeline
 
 
 class _ConnectionHandler(socketserver.StreamRequestHandler):
     """One client connection: a loop of request/response lines."""
 
     def handle(self) -> None:
-        service: QueryService = self.server.service  # type: ignore
+        service: RequestPipeline = self.server.service  # type: ignore
         while True:
             try:
                 line = self.rfile.readline()
@@ -60,9 +62,9 @@ class _ThreadingTCPServer(socketserver.ThreadingTCPServer):
 
 
 class SpatialQueryServer:
-    """A listening TCP server over one :class:`QueryService`."""
+    """A listening TCP server over one :class:`RequestPipeline`."""
 
-    def __init__(self, service: QueryService, host: str = "127.0.0.1",
+    def __init__(self, service: RequestPipeline, host: str = "127.0.0.1",
                  port: int = 0) -> None:
         self.service = service
         self._tcp = _ThreadingTCPServer((host, port), _ConnectionHandler)
@@ -108,7 +110,7 @@ class SpatialQueryServer:
 class ServiceClient:
     """In-process client: the protocol without the socket."""
 
-    def __init__(self, service: QueryService) -> None:
+    def __init__(self, service: RequestPipeline) -> None:
         self.service = service
         self._next_id = 0
 

@@ -1,11 +1,14 @@
 """The query service: operations over a shared :class:`SpatialDatabase`.
 
-:class:`QueryService` is the transport-independent core of the server:
-it validates decoded protocol requests, runs them through the
-admission-controlled scheduler, consults the epoch-keyed result cache,
-and maps every failure onto a stable protocol error code.  The TCP
-front end (:mod:`repro.serve.server`) and the in-process
-:class:`~repro.serve.server.ServiceClient` both speak to this class.
+:class:`QueryService` is the :class:`~repro.serve.pipeline.
+RequestPipeline` over one local database.  The pipeline owns the
+request path (deadline, admission, result cache, error mapping,
+metrics — see :mod:`repro.serve.pipeline`); this module supplies the
+local side of it: cache keys stamped with the database's epochs, the
+lock policy below, the ``_op_*`` handlers over MVCC snapshots, and the
+background rebuilder.  The TCP front end (:mod:`repro.serve.server`)
+and the in-process :class:`~repro.serve.server.ServiceClient` both
+speak to this class.
 
 Concurrency model
 -----------------
@@ -53,9 +56,8 @@ import contextlib
 import json
 import threading
 import time
-from concurrent.futures import TimeoutError as FuturesTimeout
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
-                    Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, ContextManager, Dict,
+                    List, Optional, Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..db.durability import DurabilityManager
@@ -64,19 +66,17 @@ from ..core.spec import JoinSpec
 from ..core.stats import JoinResult, JoinStatistics
 from ..db.database import SpatialDatabase
 from ..db.relation import INGEST_MODES, exact_window_survivors
-from ..errors import QueryError, QueryTimeout
-from ..geometry.predicates import SpatialPredicate
-from ..geometry.rect import Rect
 from ..obs.core import Observability
-from ..plan.registry import algorithm_choices
-from .cache import ResultCache, normalized_key
-from .protocol import (ProtocolError, error_code_for, error_response,
-                       geometry_from_json, geometry_to_json, ok_response)
-from .scheduler import RequestScheduler
+from .cache import normalized_key
+from .fields import (bool_field, join_fields, k_field, number_field,
+                     oid_field, string_field, window_field)
+from .pipeline import RequestPipeline, latency_section
+from .protocol import geometry_from_json, geometry_to_json
 
-#: Fields every request may carry that do not affect the result (and
-#: therefore never enter the cache key).
-_ENVELOPE_FIELDS = ("id", "op", "timeout_ms", "_params_json")
+
+#: What an MVCC read runs under (stateless, so one instance serves
+#: every thread).
+_UNGUARDED = contextlib.nullcontext()
 
 
 class ReadWriteLock:
@@ -125,8 +125,10 @@ class ReadWriteLock:
                 self._cond.notify_all()
 
 
-class QueryService:
-    """Validated, scheduled, cached operations over one database."""
+class QueryService(RequestPipeline):
+    """The request pipeline over one local database."""
+
+    PREFIX = "serve"
 
     def __init__(self, db: SpatialDatabase, workers: int = 4,
                  queue_depth: int = 64, cache_entries: int = 4096,
@@ -141,7 +143,6 @@ class QueryService:
                  rebuild_threshold: Optional[int] = 512,
                  rebuild_every: Optional[float] = None
                  ) -> None:
-        self.db = db
         if ingest not in INGEST_MODES:
             raise ValueError(f"unknown ingest mode {ingest!r}; "
                              f"expected one of {INGEST_MODES}")
@@ -149,6 +150,10 @@ class QueryService:
             raise ValueError("rebuild_threshold must be >= 1 (or None)")
         if rebuild_every is not None and rebuild_every <= 0:
             raise ValueError("rebuild_every must be positive (or None)")
+        super().__init__(workers, queue_depth, cache_entries,
+                         cache_bytes, default_timeout, obs,
+                         max_retries=max_retries)
+        self.db = db
         #: Ingest regime (see the module docstring): ``"delta"`` runs
         #: reads lock-free over MVCC snapshots, ``"direct"`` restores
         #: the read-locked in-place-mutation behaviour.
@@ -160,12 +165,12 @@ class QueryService:
         #: Periodic merge interval in seconds (None: threshold only).
         self.rebuild_every = rebuild_every
         self.rebuilds = 0
-        #: Requests slower than this many milliseconds are counted in
-        #: ``serve.slow_requests`` and logged through *slow_log*
-        #: (default: a line on stderr).  None disables the check.
+        #: Slow-request threshold in milliseconds (see
+        #: :attr:`RequestPipeline.slow_ms`); *slow_log* defaults to a
+        #: line on stderr.
         self.slow_ms = slow_ms
-        self.slow_log = slow_log if slow_log is not None \
-            else _default_slow_log
+        if slow_log is not None:
+            self.slow_log = slow_log
         #: Optional :class:`~repro.db.durability.DurabilityManager`.
         #: Mutations already write ahead through the database hooks;
         #: the service only surfaces its status (``stats``) and drives
@@ -173,26 +178,7 @@ class QueryService:
         #: the exclusive write lock, so checkpoints always snapshot a
         #: fully-applied catalog.
         self.durability = durability
-        self.obs = obs if obs is not None else Observability()
-        self.cache = ResultCache(max_entries=cache_entries,
-                                 max_bytes=cache_bytes)
-        self.scheduler = RequestScheduler(workers=workers,
-                                          queue_depth=queue_depth,
-                                          max_retries=max_retries,
-                                          obs=self.obs)
-        self.default_timeout = default_timeout
         self._lock = ReadWriteLock()
-        #: op -> (handler(request, deadline) -> result payload,
-        #:        cacheable) — extension point for tests and embedders.
-        self._ops: Dict[str, Tuple[Callable[[Dict[str, Any],
-                                             Optional[float]], Any],
-                                   bool]] = {}
-        for name, cacheable in (("join", True), ("explain", True),
-                                ("window", True),
-                                ("knn", True), ("get", True),
-                                ("insert", False), ("delete", False),
-                                ("create", False), ("drop", False)):
-            self._ops[name] = (getattr(self, f"_op_{name}"), cacheable)
         self._rebuild_stop = threading.Event()
         self._rebuilder: Optional[threading.Thread] = None
         if self._mvcc and (rebuild_threshold is not None
@@ -203,118 +189,23 @@ class QueryService:
             self._rebuilder.start()
 
     # ------------------------------------------------------------------
-    # Entry point
+    # What the pipeline asks of a local database
     # ------------------------------------------------------------------
 
-    def handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Execute one decoded request; always returns a response
-        envelope (errors are responses, never exceptions)."""
-        request_id = request.get("id")
-        op = request.get("op")
-        started = time.perf_counter()
-        if self.obs.enabled:
-            self.obs.metrics.inc("serve.requests")
-            self.obs.metrics.inc(f"serve.op.{op}")
-        try:
-            with self.obs.tracer.span("serve.request", op=str(op)):
-                response = self._dispatch(request, request_id, op)
-        except BaseException as exc:  # noqa: BLE001 — protocol boundary
-            if self.obs.enabled:
-                self.obs.metrics.inc("serve.errors")
-            response = error_response(request_id, error_code_for(exc),
-                                      str(exc) or type(exc).__name__)
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        if self.obs.enabled:
-            self.obs.metrics.observe("serve.time_ms", elapsed_ms)
-            if not response.get("ok"):
-                code = response["error"]["code"]
-                self.obs.metrics.inc(f"serve.error.{code}")
-        if self.slow_ms is not None and elapsed_ms >= self.slow_ms:
-            if self.obs.enabled:
-                self.obs.metrics.inc("serve.slow_requests")
-            self.slow_log(
-                f"slow request: op={op} {elapsed_ms:.1f} ms >= "
-                f"{self.slow_ms:g} ms (id={request_id}, "
-                f"ok={str(bool(response.get('ok'))).lower()})")
-        return response
+    def _relation_epoch(self, name: str) -> int:
+        relation = self.db.relations.get(name)
+        return -1 if relation is None else relation.epoch
 
-    def _dispatch(self, request: Dict[str, Any], request_id: Any,
-                  op: Any) -> Dict[str, Any]:
-        if op == "ping":
-            return ok_response(request_id, "pong")
-        if op == "stats":
-            return ok_response(request_id, self.metrics_snapshot())
-        if op == "relations":
-            return ok_response(request_id, self._op_relations())
-        entry = self._ops.get(op)
-        if entry is None:
-            raise ProtocolError(f"unknown op {op!r}")
-        handler, cacheable = entry
-        deadline = self._deadline_of(request)
-        # Admission control happens here: a full queue raises
-        # OverloadedError straight back to the caller.
-        future = self.scheduler.submit(
-            lambda: self._execute(handler, cacheable, request, deadline),
-            deadline=deadline)
-        remaining = (None if deadline is None
-                     else max(0.0, deadline - time.perf_counter()))
-        try:
-            # Small grace on top of the deadline: the worker enforces
-            # the deadline itself (queue expiry + JoinSpec.timeout), so
-            # this wait normally ends with a QueryTimeout result; the
-            # grace only covers ops without cooperative checks.
-            payload, cached = future.result(timeout=(
-                None if remaining is None else remaining + 1.0))
-        except FuturesTimeout:
-            if self.obs.enabled:
-                self.obs.metrics.inc("serve.deadline_expired")
-            raise QueryTimeout(
-                "request did not finish before its deadline") from None
-        return ok_response(request_id, payload, cached=cached)
+    def _catalog_epoch(self) -> int:
+        return self.db.epoch
 
-    def _deadline_of(self, request: Dict[str, Any]) -> Optional[float]:
-        timeout_ms = request.get("timeout_ms")
-        if timeout_ms is None:
-            timeout = self.default_timeout
-        else:
-            if (not isinstance(timeout_ms, (int, float))
-                    or isinstance(timeout_ms, bool) or timeout_ms <= 0):
-                raise ProtocolError(
-                    f"timeout_ms must be a positive number "
-                    f"({timeout_ms!r})")
-            timeout = timeout_ms / 1e3
-        if timeout is None:
-            return None
-        return time.perf_counter() + timeout
-
-    # ------------------------------------------------------------------
-    # Worker-side execution: cache, locks, handlers
-    # ------------------------------------------------------------------
-
-    def _execute(self, handler: Callable, cacheable: bool,
-                 request: Dict[str, Any],
-                 deadline: Optional[float]) -> Tuple[Any, bool]:
-        key = self._cache_key(request) if cacheable else None
-        if key is not None:
-            payload = self.cache.get(key)
-            if payload is not None:
-                if self.obs.enabled:
-                    self.obs.metrics.inc("serve.cache.hits")
-                return payload, True
-            if self.obs.enabled:
-                self.obs.metrics.inc("serve.cache.misses")
+    def _guard(self, cacheable: bool) -> ContextManager:
         if cacheable and self._mvcc:
             # MVCC read path: no lock at all.  The handler grabs one
             # immutable snapshot per relation (a single reference
             # read) and never touches shared mutable state.
-            payload = handler(request, deadline)
-        else:
-            with self._locked(write=not cacheable):
-                payload = handler(request, deadline)
-        if key is not None:
-            self.cache.put(key, payload,
-                           nbytes=len(json.dumps(payload)))
-        return payload, False
+            return _UNGUARDED
+        return self._locked(write=not cacheable)
 
     @contextlib.contextmanager
     def _locked(self, write: bool):
@@ -345,16 +236,14 @@ class QueryService:
         invalidate the full-key entry but leave these intact, so a
         read after a write replays only the delta overlay on top of
         the cached base result.  Shares the one :class:`ResultCache`
-        (and its hit/miss accounting) with the full-key level.
+        (and its hit/miss accounting) with the full-key level.  Direct
+        ingest has no second level (every write changes the base).
         """
-        params_json = request.get("_params_json")
-        if not isinstance(params_json, str):
-            params_json = json.dumps(
-                {name: value for name, value in request.items()
-                 if name not in _ENVELOPE_FIELDS}, sort_keys=True)
+        if not self._mvcc:
+            return compute()
         epochs = [(snap.name, snap.base_epoch) for snap in snapshots]
-        key = normalized_key(f"{op}@base", None, epochs,
-                             self.db.epoch, params_json=params_json)
+        key = normalized_key(f"{op}@base", None, epochs, self.db.epoch,
+                             params_json=request["_params_json"])
         payload = self.cache.get(key)
         if payload is not None:
             if self.obs.enabled:
@@ -366,47 +255,9 @@ class QueryService:
         self.cache.put(key, payload, nbytes=len(json.dumps(payload)))
         return payload
 
-    def _cache_key(self, request: Dict[str, Any]) -> Optional[str]:
-        """The epoch-stamped cache key (None disables caching, e.g.
-        for a registered custom op without a relation signature)."""
-        op = request["op"]
-        params = {name: value for name, value in request.items()
-                  if name not in _ENVELOPE_FIELDS}
-        # Canonicalize once; _base_cached builds the base-level key
-        # from the same string (the stash is an envelope field, so it
-        # can never leak into either key's parameter body).
-        params_json = json.dumps(params, sort_keys=True)
-        request["_params_json"] = params_json
-        names: List[str] = []
-        for field in ("relation", "left", "right"):
-            value = request.get(field)
-            if isinstance(value, str):
-                names.append(value)
-        epochs = []
-        for name in names:
-            relation = self.db.relations.get(name)
-            # Unknown relation: let the handler raise CatalogError.
-            epochs.append((name, -1 if relation is None
-                           else relation.epoch))
-        return normalized_key(op, None, epochs, self.db.epoch,
-                              params_json=params_json)
-
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
-
-    def register_op(self, name: str,
-                    handler: Callable[[Dict[str, Any], Optional[float]],
-                                      Any],
-                    cacheable: bool = False) -> None:
-        """Register a custom operation (tests, embedders).
-
-        *handler* receives the raw request dict and the absolute
-        monotonic deadline (or None) and returns a JSON-ready payload.
-        """
-        if name in ("ping", "stats", "relations"):
-            raise ValueError(f"cannot override built-in op {name!r}")
-        self._ops[name] = (handler, cacheable)
 
     def _op_relations(self) -> List[Dict[str, Any]]:
         return [{"name": name, "objects": len(relation),
@@ -418,38 +269,18 @@ class QueryService:
     def _join_spec(self, request: Dict[str, Any],
                    deadline: Optional[float],
                    default_algorithm: str = "sj4") -> JoinSpec:
-        """Validated :class:`JoinSpec` for a join/explain request.
-
-        The algorithm name is checked against the
-        :mod:`repro.plan.registry` choices (which include "auto") so
-        the protocol accepts exactly what the CLI does.
-        """
-        algorithm = request.get("algorithm", default_algorithm)
-        if not isinstance(algorithm, str) \
-                or algorithm.lower() not in algorithm_choices():
-            raise QueryError(
-                f"algorithm must be one of "
-                f"{', '.join(algorithm_choices())} ({algorithm!r})")
-        buffer_kb = request.get("buffer_kb", 128.0)
-        predicate = request.get("predicate", "intersects")
-        if not isinstance(buffer_kb, (int, float)) \
-                or isinstance(buffer_kb, bool) or buffer_kb < 0:
-            raise ProtocolError(f"buffer_kb must be a non-negative "
-                                f"number ({buffer_kb!r})")
-        try:
-            return JoinSpec(algorithm=algorithm,
-                            buffer_kb=float(buffer_kb),
-                            predicate=SpatialPredicate(predicate),
-                            sort_mode="on_read",
-                            timeout=_remaining(deadline))
-        except ValueError as exc:
-            raise QueryError(str(exc)) from None
+        """The :class:`JoinSpec` of a join/explain request."""
+        algorithm, buffer_kb, predicate = join_fields(request,
+                                                      default_algorithm)
+        return JoinSpec(algorithm=algorithm, buffer_kb=buffer_kb,
+                        predicate=predicate, sort_mode="on_read",
+                        timeout=_remaining(deadline))
 
     def _op_join(self, request: Dict[str, Any],
                  deadline: Optional[float]) -> Dict[str, Any]:
-        left = _string_field(request, "left")
-        right = _string_field(request, "right")
-        refine = _bool_field(request, "refine", False)
+        left = string_field(request, "left")
+        right = string_field(request, "right")
+        refine = bool_field(request, "refine", False)
         spec = self._join_spec(request, deadline)
         snap_l = self.db.relation(left).snapshot()
         snap_r = self.db.relation(right).snapshot()
@@ -461,11 +292,8 @@ class QueryService:
                     "stats": base.stats.to_dict(),
                     "plan": base.plan.to_dict()}
 
-        if self._mvcc:
-            cached = self._base_cached("join", request,
-                                       (snap_l, snap_r), compute)
-        else:
-            cached = compute()
+        cached = self._base_cached("join", request, (snap_l, snap_r),
+                                   compute)
         base = JoinResult([tuple(pair) for pair in cached["pairs"]],
                           JoinStatistics.from_dict(cached["stats"]))
         result = self.db.join_overlay(snap_l, snap_r, base, spec,
@@ -485,27 +313,18 @@ class QueryService:
         :class:`~repro.plan.ExecutionPlan` as a JSON dict, candidates
         always scored.  The spec is built with no timeout so the
         cached payload does not depend on the request deadline."""
-        left = _string_field(request, "left")
-        right = _string_field(request, "right")
+        left = string_field(request, "left")
+        right = string_field(request, "right")
         spec = self._join_spec(request, None, default_algorithm="auto")
         plan = self.db.explain(left, right, spec=spec)
         return {"plan": plan.to_dict()}
 
     def _op_window(self, request: Dict[str, Any],
                    deadline: Optional[float]) -> Dict[str, Any]:
-        relation = self.db.relation(_string_field(request, "relation"))
-        window = request.get("window")
-        if (not isinstance(window, list) or len(window) != 4
-                or not all(isinstance(c, (int, float))
-                           and not isinstance(c, bool) for c in window)):
-            raise ProtocolError(
-                "window must be [xl, yl, xu, yu] numbers")
-        exact = _bool_field(request, "exact", False)
-        try:
-            rect = Rect(*(float(c) for c in window))
-        except ValueError as exc:
-            raise QueryError(str(exc)) from None
-        snap = relation.snapshot()
+        name = string_field(request, "relation")
+        rect = window_field(request)
+        exact = bool_field(request, "exact", False)
+        snap = self.db.relation(name).snapshot()
 
         def compute() -> List[int]:
             refs = list(snap.tree.window_query(rect))
@@ -514,11 +333,8 @@ class QueryService:
                                               rect)
             return sorted(refs)
 
-        if self._mvcc:
-            base_refs = self._base_cached("window", request, (snap,),
-                                          compute)
-        else:
-            base_refs = compute()
+        base_refs = self._base_cached("window", request, (snap,),
+                                      compute)
         delta = snap.delta
         if delta:
             hidden = delta.hidden
@@ -538,54 +354,48 @@ class QueryService:
 
     def _op_knn(self, request: Dict[str, Any],
                 deadline: Optional[float]) -> Dict[str, Any]:
-        relation = self.db.relation(_string_field(request, "relation"))
-        x = _number_field(request, "x")
-        y = _number_field(request, "y")
-        k = request.get("k", 1)
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ProtocolError(f"k must be a positive integer ({k!r})")
-        neighbors = relation.nearest(x, y, k=k)
+        name = string_field(request, "relation")
+        x = number_field(request, "x")
+        y = number_field(request, "y")
+        k = k_field(request)
+        neighbors = self.db.relation(name).nearest(x, y, k=k)
         return {"neighbors": [[ref, distance]
                               for ref, distance in neighbors]}
 
     def _op_get(self, request: Dict[str, Any],
                 deadline: Optional[float]) -> Dict[str, Any]:
-        relation = self.db.relation(_string_field(request, "relation"))
-        oid = request.get("oid")
-        if not isinstance(oid, int) or isinstance(oid, bool):
-            raise ProtocolError(f"oid must be an integer ({oid!r})")
+        name = string_field(request, "relation")
+        oid = oid_field(request)
         return {"oid": oid,
-                "geometry": geometry_to_json(relation.get(oid))}
+                "geometry": geometry_to_json(
+                    self.db.relation(name).get(oid))}
 
     def _op_insert(self, request: Dict[str, Any],
                    deadline: Optional[float]) -> Dict[str, Any]:
-        relation = self.db.relation(_string_field(request, "relation"))
+        name = string_field(request, "relation")
         geometry = geometry_from_json(request.get("geometry"))
-        oid = request.get("oid")
-        if oid is not None and (not isinstance(oid, int)
-                                or isinstance(oid, bool)):
-            raise ProtocolError(f"oid must be an integer ({oid!r})")
+        oid = oid_field(request, optional=True)
+        relation = self.db.relation(name)
         assigned = relation.insert(geometry, oid=oid)
         return {"oid": assigned, "epoch": relation.epoch}
 
     def _op_delete(self, request: Dict[str, Any],
                    deadline: Optional[float]) -> Dict[str, Any]:
-        relation = self.db.relation(_string_field(request, "relation"))
-        oid = request.get("oid")
-        if not isinstance(oid, int) or isinstance(oid, bool):
-            raise ProtocolError(f"oid must be an integer ({oid!r})")
+        name = string_field(request, "relation")
+        oid = oid_field(request)
+        relation = self.db.relation(name)
         relation.delete(oid)
         return {"oid": oid, "epoch": relation.epoch}
 
     def _op_create(self, request: Dict[str, Any],
                    deadline: Optional[float]) -> Dict[str, Any]:
-        name = _string_field(request, "relation")
+        name = string_field(request, "relation")
         self.db.create_relation(name)
         return {"relation": name, "catalog_epoch": self.db.epoch}
 
     def _op_drop(self, request: Dict[str, Any],
                  deadline: Optional[float]) -> Dict[str, Any]:
-        name = _string_field(request, "relation")
+        name = string_field(request, "relation")
         self.db.drop_relation(name)
         return {"relation": name, "catalog_epoch": self.db.epoch}
 
@@ -655,31 +465,15 @@ class QueryService:
     # Introspection / lifecycle
     # ------------------------------------------------------------------
 
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        """Counters and gauges of the server registry (stats op)."""
-        if self.obs.enabled:
-            # Cache-usage gauges are derived on demand rather than
-            # updated on every admission — the read path stays off
-            # the metrics lock.
-            self.obs.metrics.set_gauge("serve.cache.entries",
-                                       self.cache.entries)
-            self.obs.metrics.set_gauge("serve.cache.bytes",
-                                       self.cache.bytes)
-            self.obs.metrics.set_gauge("serve.cache.evictions",
-                                       self.cache.evictions)
-        snapshot = {"counters": dict(self.obs.metrics.counters),
-                    "gauges": dict(self.obs.metrics.gauges),
-                    "cache": cache_section(self.cache),
-                    "ingest": {
-                        "mode": self.ingest,
-                        "pending_delta_ops": sum(
-                            r.delta_ops_pending
-                            for r in self.db.relations.values()),
-                        "rebuilds": self.rebuilds,
-                    }}
-        latency = latency_section(self.obs, "serve.time_ms")
-        if latency is not None:
-            snapshot["latency_ms"] = latency
+    def _stats_sections(self) -> Dict[str, Any]:
+        sections: Dict[str, Any] = {
+            "ingest": {
+                "mode": self.ingest,
+                "pending_delta_ops": sum(
+                    r.delta_ops_pending
+                    for r in self.db.relations.values()),
+                "rebuilds": self.rebuilds,
+            }}
         lock_waits = {}
         for mode in ("read", "write"):
             section = latency_section(self.obs,
@@ -687,10 +481,10 @@ class QueryService:
             if section is not None:
                 lock_waits[mode] = section
         if lock_waits:
-            snapshot["lock_wait_ms"] = lock_waits
+            sections["lock_wait_ms"] = lock_waits
         if self.durability is not None:
-            snapshot["durability"] = self.durability.status()
-        return snapshot
+            sections["durability"] = self.durability.status()
+        return sections
 
     def close(self) -> None:
         """Stop the rebuilder, drain workers, then (when durable)
@@ -700,80 +494,13 @@ class QueryService:
         if self._rebuilder is not None:
             self._rebuilder.join(timeout=10.0)
             self._rebuilder = None
-        self.scheduler.shutdown()
+        super().close()
         if self.durability is not None:
             with self._locked(write=True):
                 self.durability.close(checkpoint=True)
-
-
-#: Backwards-compatible private alias (pre-shard name).
-_RWLock = ReadWriteLock
-
-
-def cache_section(cache: ResultCache) -> Dict[str, Any]:
-    """The ``cache`` block of a ``stats`` payload: capacity usage plus
-    the hit/miss/eviction counters (and the derived hit rate), so
-    cache effectiveness is observable wherever a :class:`ResultCache`
-    fronts results — the single-process service and the shard
-    router alike."""
-    lookups = cache.hits + cache.misses
-    return {"entries": cache.entries,
-            "bytes": cache.bytes,
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "evictions": cache.evictions,
-            "hit_rate": round(cache.hits / lookups, 4)
-            if lookups else 0.0}
-
-
-def latency_section(obs: Observability,
-                    histogram_name: str) -> Optional[Dict[str, Any]]:
-    """The ``latency_ms`` block of a ``stats`` payload, from one
-    request-time histogram (None when nothing was observed yet)."""
-    histogram = obs.metrics.histograms.get(histogram_name)
-    if histogram is None or not histogram.count:
-        return None
-    percentiles = histogram.percentiles()
-    return {
-        "count": histogram.count,
-        "mean": round(histogram.mean, 3),
-        "p50": round(percentiles["p50"], 3),
-        "p95": round(percentiles["p95"], 3),
-        "p99": round(percentiles["p99"], 3),
-        "max": round(histogram.vmax, 3)
-        if histogram.vmax is not None else None,
-    }
-
-
-def _default_slow_log(line: str) -> None:
-    import sys
-    print(line, file=sys.stderr, flush=True)
 
 
 def _remaining(deadline: Optional[float]) -> Optional[float]:
     if deadline is None:
         return None
     return max(1e-3, deadline - time.perf_counter())
-
-
-def _string_field(request: Dict[str, Any], name: str) -> str:
-    value = request.get(name)
-    if not isinstance(value, str) or not value:
-        raise ProtocolError(f"{name!r} must be a non-empty string "
-                            f"({value!r})")
-    return value
-
-
-def _number_field(request: Dict[str, Any], name: str) -> float:
-    value = request.get(name)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ProtocolError(f"{name!r} must be a number ({value!r})")
-    return float(value)
-
-
-def _bool_field(request: Dict[str, Any], name: str,
-                default: bool) -> bool:
-    value = request.get(name, default)
-    if not isinstance(value, bool):
-        raise ProtocolError(f"{name!r} must be a boolean ({value!r})")
-    return value

@@ -1,26 +1,29 @@
 """The fan-out/merge router over a shard topology.
 
-:class:`ShardRouter` exposes the same ``handle(request) -> response``
-surface as :class:`~repro.serve.QueryService`, so the existing
+:class:`ShardRouter` is the :class:`~repro.serve.pipeline.
+RequestPipeline` over a started shard fleet, so the existing
 :class:`~repro.serve.SpatialQueryServer` TCP front end (and the
 in-process :class:`~repro.serve.ServiceClient`) front it unchanged —
 ``repro shard serve`` is exactly ``repro serve`` with this class
-behind the socket.  Per request it:
+behind the socket.  Deadline, admission, result cache, error mapping
+and request metrics are the pipeline's; this module holds what a
+coordinator owns:
 
-1. admits through the same bounded
-   :class:`~repro.serve.RequestScheduler` (load shedding, deadlines);
-2. consults an epoch-keyed :class:`~repro.serve.ResultCache` — the
-   router tracks its own relation/catalog epochs, bumped by every
-   mutation that passes through it, so shard mutations invalidate
-   router-cached results instantly;
-3. fans the request out to the relevant shards over persistent
-   per-thread TCP connections (all shards compute concurrently);
-4. merges: join pairs pass the reference-point deduplication rule
+1. the epochs keying the cache — the router tracks its own
+   relation/catalog epochs, bumped by every mutation that passes
+   through it, so shard mutations invalidate router-cached results
+   instantly;
+2. which partitions a request touches, and the fan-out to them over
+   persistent per-thread TCP connections (all shards compute
+   concurrently);
+3. the merge: join pairs pass the reference-point deduplication rule
    (:meth:`~repro.shard.partition.GridPartitioner.owns_pair` — each
    cross-partition pair is owned by exactly one cell), per-shard
    :class:`~repro.core.stats.JoinStatistics` fold together with the
    mergeable-counter machinery, window refs dedup by the same
-   ownership rule, and kNN neighbor lists merge into the global top-k.
+   ownership rule, and kNN neighbor lists merge into the global top-k;
+4. driving the fleet to a definite state when a mutation's fan-out
+   fails part-way.
 
 Planning is *per shard*: unless the client pins an algorithm, the
 router forwards ``algorithm="auto"`` so every shard's cost-based
@@ -39,30 +42,26 @@ original count), which ``repro query --connect`` prints next to
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from concurrent.futures import TimeoutError as FuturesTimeout
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
 from ..core.stats import JoinStatistics
 from ..errors import (CatalogError, OverloadedError, QueryError,
                       QueryTimeout, ReproError)
 from ..geometry.rect import Rect
 from ..obs.core import Observability
-from ..plan.registry import algorithm_choices
-from ..serve.cache import ResultCache, normalized_key
-from ..serve.protocol import (ProtocolError, error_code_for,
-                              error_response, geometry_from_json,
-                              ok_response)
-from ..serve.scheduler import RequestScheduler
+from ..serve.fields import (bool_field, join_fields, k_field,
+                            number_field, oid_field, string_field,
+                            window_field)
+from ..serve.pipeline import RequestPipeline
+from ..serve.protocol import ProtocolError, geometry_from_json
 from ..serve.server import TCPServiceClient
-from ..serve.service import (ReadWriteLock, cache_section,
-                             latency_section)
+from ..serve.service import ReadWriteLock
 from .topology import ShardTopology
 
-#: Envelope fields that never enter the cache key.
-_ENVELOPE_FIELDS = ("id", "op", "timeout_ms")
+#: Socket timeout of the router's shard connections, in seconds.
+_CONNECT_TIMEOUT = 30.0
 
 #: Wire code -> exception class, for re-raising shard-side errors at
 #: the router boundary with the code preserved.
@@ -81,26 +80,21 @@ class ShardError(ReproError):
     code = "shard"
 
 
-class ShardRouter:
-    """Fan-out/merge query service over a started shard topology."""
+class ShardRouter(RequestPipeline):
+    """The request pipeline over a started shard topology."""
+
+    PREFIX = "shard"
 
     def __init__(self, topology: ShardTopology, workers: int = 4,
                  queue_depth: int = 64, cache_entries: int = 4096,
                  cache_bytes: int = 64 << 20,
                  default_timeout: Optional[float] = 30.0,
-                 connect_timeout: float = 30.0,
                  obs: Optional[Observability] = None) -> None:
+        super().__init__(workers, queue_depth, cache_entries,
+                         cache_bytes, default_timeout, obs)
         self.topology = topology
         self.partitioner = topology.partitioner
         self.pmap = topology.pmap
-        self.obs = obs if obs is not None else Observability()
-        self.cache = ResultCache(max_entries=cache_entries,
-                                 max_bytes=cache_bytes)
-        self.scheduler = RequestScheduler(workers=workers,
-                                          queue_depth=queue_depth,
-                                          obs=self.obs)
-        self.default_timeout = default_timeout
-        self.connect_timeout = connect_timeout
         self._lock = ReadWriteLock()
         #: Router-side mutation epochs, mirroring SpatialRelation
         #: epochs: bumped by every mutation routed through here, they
@@ -117,122 +111,20 @@ class ShardRouter:
         self._local = threading.local()
         self._conn_registry: List[TCPServiceClient] = []
         self._conn_registry_lock = threading.Lock()
-        self._ops: Dict[str, Tuple[Callable, bool]] = {}
-        for name, cacheable in (("join", True), ("explain", True),
-                                ("window", True), ("knn", True),
-                                ("get", True),
-                                ("insert", False), ("delete", False),
-                                ("create", False), ("drop", False)):
-            self._ops[name] = (getattr(self, f"_op_{name}"), cacheable)
 
     # ------------------------------------------------------------------
-    # Entry point (mirrors QueryService.handle)
+    # What the pipeline asks of a fleet
     # ------------------------------------------------------------------
 
-    def handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Execute one decoded request; errors become responses."""
-        request_id = request.get("id")
-        op = request.get("op")
-        started = time.perf_counter()
-        if self.obs.enabled:
-            self.obs.metrics.inc("shard.requests")
-            self.obs.metrics.inc(f"shard.op.{op}")
-        try:
-            with self.obs.tracer.span("shard.request", op=str(op)):
-                response = self._dispatch(request, request_id, op)
-        except BaseException as exc:  # noqa: BLE001 — protocol boundary
-            if self.obs.enabled:
-                self.obs.metrics.inc("shard.errors")
-            response = error_response(request_id, error_code_for(exc),
-                                      str(exc) or type(exc).__name__)
-        if self.obs.enabled:
-            elapsed_ms = (time.perf_counter() - started) * 1e3
-            self.obs.metrics.observe("shard.time_ms", elapsed_ms)
-            if not response.get("ok"):
-                code = response["error"]["code"]
-                self.obs.metrics.inc(f"shard.error.{code}")
-        return response
+    def _relation_epoch(self, name: str) -> int:
+        return self.epochs.get(name, -1)
 
-    def _dispatch(self, request: Dict[str, Any], request_id: Any,
-                  op: Any) -> Dict[str, Any]:
-        if op == "ping":
-            return ok_response(request_id, "pong")
-        if op == "stats":
-            return ok_response(request_id, self.metrics_snapshot())
-        if op == "relations":
-            return ok_response(request_id, self._op_relations())
-        entry = self._ops.get(op)
-        if entry is None:
-            raise ProtocolError(f"unknown op {op!r}")
-        handler, cacheable = entry
-        deadline = self._deadline_of(request)
-        future = self.scheduler.submit(
-            lambda: self._execute(handler, cacheable, request, deadline),
-            deadline=deadline)
-        remaining = (None if deadline is None
-                     else max(0.0, deadline - time.perf_counter()))
-        try:
-            payload, cached = future.result(timeout=(
-                None if remaining is None else remaining + 1.0))
-        except FuturesTimeout:
-            if self.obs.enabled:
-                self.obs.metrics.inc("shard.deadline_expired")
-            raise QueryTimeout(
-                "request did not finish before its deadline") from None
-        return ok_response(request_id, payload, cached=cached)
+    def _catalog_epoch(self) -> int:
+        return self.catalog_epoch
 
-    def _deadline_of(self, request: Dict[str, Any]) -> Optional[float]:
-        timeout_ms = request.get("timeout_ms")
-        if timeout_ms is None:
-            timeout = self.default_timeout
-        else:
-            if (not isinstance(timeout_ms, (int, float))
-                    or isinstance(timeout_ms, bool) or timeout_ms <= 0):
-                raise ProtocolError(
-                    f"timeout_ms must be a positive number "
-                    f"({timeout_ms!r})")
-            timeout = timeout_ms / 1e3
-        if timeout is None:
-            return None
-        return time.perf_counter() + timeout
-
-    def _execute(self, handler: Callable, cacheable: bool,
-                 request: Dict[str, Any],
-                 deadline: Optional[float]) -> Tuple[Any, bool]:
-        key = self._cache_key(request) if cacheable else None
-        if key is not None:
-            payload = self.cache.get(key)
-            if payload is not None:
-                if self.obs.enabled:
-                    self.obs.metrics.inc("shard.cache.hits")
-                return payload, True
-            if self.obs.enabled:
-                self.obs.metrics.inc("shard.cache.misses")
-        lock = self._lock.read() if cacheable else self._lock.write()
-        with lock:
-            payload = handler(request, deadline)
-        if key is not None:
-            encoded = len(json.dumps(payload))
-            if self.cache.put(key, payload, nbytes=encoded) \
-                    and self.obs.enabled:
-                self.obs.metrics.set_gauge("shard.cache.entries",
-                                           self.cache.entries)
-                self.obs.metrics.set_gauge("shard.cache.bytes",
-                                           self.cache.bytes)
-                self.obs.metrics.set_gauge("shard.cache.evictions",
-                                           self.cache.evictions)
-        return payload, False
-
-    def _cache_key(self, request: Dict[str, Any]) -> str:
-        op = request["op"]
-        params = {name: value for name, value in sorted(request.items())
-                  if name not in _ENVELOPE_FIELDS}
-        epochs = []
-        for field in ("relation", "left", "right"):
-            value = request.get(field)
-            if isinstance(value, str):
-                epochs.append((value, self.epochs.get(value, -1)))
-        return normalized_key(op, params, epochs, self.catalog_epoch)
+    def _guard(self, cacheable: bool) -> ContextManager:
+        # Fan-out mutations must not interleave with fanned-out reads.
+        return self._lock.read() if cacheable else self._lock.write()
 
     # ------------------------------------------------------------------
     # Fan-out plumbing
@@ -246,7 +138,7 @@ class ShardRouter:
         if client is None:
             host, port = self.topology.addresses[cell]
             client = TCPServiceClient(host, port,
-                                      timeout=self.connect_timeout)
+                                      timeout=_CONNECT_TIMEOUT)
             conns[cell] = client
             with self._conn_registry_lock:
                 self._conn_registry.append(client)
@@ -361,6 +253,15 @@ class ShardRouter:
                 raise CatalogError(f"no relation {name!r}")
         return self.pmap.nonempty_cells(*names)
 
+    def _count_dedup(self, kept: int, duplicates: int,
+                     stale: int) -> None:
+        if self.obs.enabled:
+            self.obs.metrics.inc("shard.dedup.checked",
+                                 kept + duplicates + stale)
+            self.obs.metrics.inc("shard.dedup.dropped", duplicates)
+            if stale:
+                self.obs.metrics.inc("shard.dedup.stale", stale)
+
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
@@ -373,42 +274,29 @@ class ShardRouter:
                                self.pmap.cell_counts[name] if count)}
                 for name in sorted(self.pmap.mbrs)]
 
-    def _forward_join_params(self, request: Dict[str, Any]
-                             ) -> Dict[str, Any]:
-        """Validated parameters a join/explain sub-request forwards.
+    def _forward_join_params(self, request: Dict[str, Any],
+                             *also: str) -> Dict[str, Any]:
+        """Validated parameters a join/explain sub-request forwards
+        (plus the already-validated fields named by *also*).
 
         ``algorithm`` defaults to ``auto`` — each shard's planner
         scores SJ1–SJ5 against its own partition-local trees, so the
         per-shard choice can differ across the grid.
         """
-        algorithm = request.get("algorithm", "auto")
-        if not isinstance(algorithm, str) \
-                or algorithm.lower() not in algorithm_choices():
-            raise QueryError(
-                f"algorithm must be one of "
-                f"{', '.join(algorithm_choices())} ({algorithm!r})")
+        algorithm, _, _ = join_fields(request, "auto")
         params: Dict[str, Any] = {"algorithm": algorithm}
-        buffer_kb = request.get("buffer_kb")
-        if buffer_kb is not None:
-            if not isinstance(buffer_kb, (int, float)) \
-                    or isinstance(buffer_kb, bool) or buffer_kb < 0:
-                raise ProtocolError(f"buffer_kb must be a non-negative "
-                                    f"number ({buffer_kb!r})")
-            params["buffer_kb"] = buffer_kb
-        predicate = request.get("predicate")
-        if predicate is not None:
-            params["predicate"] = predicate
+        for name in ("buffer_kb", "predicate") + also:
+            if name in request:
+                params[name] = request[name]
         return params
 
     def _op_join(self, request: Dict[str, Any],
                  deadline: Optional[float]) -> Dict[str, Any]:
-        left = _string_field(request, "left")
-        right = _string_field(request, "right")
-        params = self._forward_join_params(request)
-        params.update(left=left, right=right)
-        refine = request.get("refine")
-        if refine is not None:
-            params["refine"] = refine
+        left = string_field(request, "left")
+        right = string_field(request, "right")
+        bool_field(request, "refine", False)
+        params = self._forward_join_params(request, "left", "right",
+                                           "refine")
         cells = self._relation_cells(left, right)
         results = self._fanout(cells, "join", params, deadline)
         left_mbrs = self.pmap.mbrs[left]
@@ -436,12 +324,7 @@ class ShardRouter:
             stats = _shard_statistics(result.get("stats") or {})
             algorithms.add(stats.algorithm)
             merged = stats if merged is None else merged.merge(stats)
-        if self.obs.enabled:
-            self.obs.metrics.inc("shard.dedup.checked",
-                                 len(pairs) + duplicates + stale)
-            self.obs.metrics.inc("shard.dedup.dropped", duplicates)
-            if stale:
-                self.obs.metrics.inc("shard.dedup.stale", stale)
+        self._count_dedup(len(pairs), duplicates, stale)
         pairs.sort()
         if merged is None:
             merged = JoinStatistics()
@@ -463,10 +346,9 @@ class ShardRouter:
         own trees; the payload leads with the busiest shard's plan
         (what a single-process server would have answered) plus the
         full per-cell table."""
-        left = _string_field(request, "left")
-        right = _string_field(request, "right")
-        params = self._forward_join_params(request)
-        params.update(left=left, right=right)
+        left = string_field(request, "left")
+        right = string_field(request, "right")
+        params = self._forward_join_params(request, "left", "right")
         cells = self._relation_cells(left, right)
         results = self._fanout(cells, "explain", params, deadline)
         counts = self.pmap.cell_counts[left]
@@ -482,22 +364,12 @@ class ShardRouter:
 
     def _op_window(self, request: Dict[str, Any],
                    deadline: Optional[float]) -> Dict[str, Any]:
-        relation = _string_field(request, "relation")
-        window = request.get("window")
-        if (not isinstance(window, list) or len(window) != 4
-                or not all(isinstance(c, (int, float))
-                           and not isinstance(c, bool) for c in window)):
-            raise ProtocolError(
-                "window must be [xl, yl, xu, yu] numbers")
-        try:
-            rect = Rect(*(float(c) for c in window))
-        except ValueError as exc:
-            raise QueryError(str(exc)) from None
-        params: Dict[str, Any] = {"relation": relation,
-                                  "window": list(window)}
-        exact = request.get("exact")
-        if exact is not None:
-            params["exact"] = exact
+        relation = string_field(request, "relation")
+        rect = window_field(request)
+        bool_field(request, "exact", False)
+        params = {name: request[name]
+                  for name in ("relation", "window", "exact")
+                  if name in request}
         # The fan-out set comes from the same clamped floor that
         # assigned the copies (cells_of_rect), not a geometric tile
         # test: objects inserted outside the universe clamp onto the
@@ -526,24 +398,17 @@ class ShardRouter:
                     refs.append(ref)
                 else:
                     duplicates += 1
-        if self.obs.enabled:
-            self.obs.metrics.inc("shard.dedup.checked",
-                                 len(refs) + duplicates + stale)
-            self.obs.metrics.inc("shard.dedup.dropped", duplicates)
-            if stale:
-                self.obs.metrics.inc("shard.dedup.stale", stale)
+        self._count_dedup(len(refs), duplicates, stale)
         refs.sort()
         return {"refs": refs, "count": len(refs),
                 "shards": len(cells)}
 
     def _op_knn(self, request: Dict[str, Any],
                 deadline: Optional[float]) -> Dict[str, Any]:
-        relation = _string_field(request, "relation")
-        x = _number_field(request, "x")
-        y = _number_field(request, "y")
-        k = request.get("k", 1)
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ProtocolError(f"k must be a positive integer ({k!r})")
+        relation = string_field(request, "relation")
+        x = number_field(request, "x")
+        y = number_field(request, "y")
+        k = k_field(request)
         cells = self._relation_cells(relation)
         params = {"relation": relation, "x": x, "y": y, "k": k}
         results = self._fanout(cells, "knn", params, deadline)
@@ -569,12 +434,10 @@ class ShardRouter:
 
     def _op_get(self, request: Dict[str, Any],
                 deadline: Optional[float]) -> Dict[str, Any]:
-        relation = _string_field(request, "relation")
+        relation = string_field(request, "relation")
+        oid = oid_field(request)
         if relation not in self.pmap:
             raise CatalogError(f"no relation {relation!r}")
-        oid = request.get("oid")
-        if not isinstance(oid, int) or isinstance(oid, bool):
-            raise ProtocolError(f"oid must be an integer ({oid!r})")
         mbr = self.pmap.mbr(relation, oid)
         if mbr is None:
             raise CatalogError(f"no object {oid} in {relation!r}")
@@ -616,14 +479,11 @@ class ShardRouter:
 
     def _op_insert(self, request: Dict[str, Any],
                    deadline: Optional[float]) -> Dict[str, Any]:
-        relation = _string_field(request, "relation")
+        relation = string_field(request, "relation")
+        geometry = geometry_from_json(request.get("geometry"))
+        oid = oid_field(request, optional=True)
         if relation not in self.pmap:
             raise CatalogError(f"no relation {relation!r}")
-        geometry = geometry_from_json(request.get("geometry"))
-        oid = request.get("oid")
-        if oid is not None and (not isinstance(oid, int)
-                                or isinstance(oid, bool)):
-            raise ProtocolError(f"oid must be an integer ({oid!r})")
         if oid is None:
             # Shards cannot auto-assign (each sees only its cell's
             # ids); the router owns the id space.
@@ -652,12 +512,10 @@ class ShardRouter:
 
     def _op_delete(self, request: Dict[str, Any],
                    deadline: Optional[float]) -> Dict[str, Any]:
-        relation = _string_field(request, "relation")
+        relation = string_field(request, "relation")
+        oid = oid_field(request)
         if relation not in self.pmap:
             raise CatalogError(f"no relation {relation!r}")
-        oid = request.get("oid")
-        if not isinstance(oid, int) or isinstance(oid, bool):
-            raise ProtocolError(f"oid must be an integer ({oid!r})")
         mbr = self.pmap.mbr(relation, oid)
         if mbr is None:
             raise CatalogError(f"no object {oid} in {relation!r}")
@@ -682,7 +540,7 @@ class ShardRouter:
 
     def _op_create(self, request: Dict[str, Any],
                    deadline: Optional[float]) -> Dict[str, Any]:
-        name = _string_field(request, "relation")
+        name = string_field(request, "relation")
         if name in self.pmap:
             raise CatalogError(f"relation {name!r} already exists")
         cells = list(range(self.partitioner.n_cells))
@@ -702,7 +560,7 @@ class ShardRouter:
 
     def _op_drop(self, request: Dict[str, Any],
                  deadline: Optional[float]) -> Dict[str, Any]:
-        name = _string_field(request, "relation")
+        name = string_field(request, "relation")
         if name not in self.pmap:
             raise CatalogError(f"no relation {name!r}")
         cells = list(range(self.partitioner.n_cells))
@@ -727,37 +585,29 @@ class ShardRouter:
     # Introspection / lifecycle
     # ------------------------------------------------------------------
 
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        """Router counters/gauges plus the topology census (stats op)."""
+    def _stats_sections(self) -> Dict[str, Any]:
+        """The topology census of the ``stats`` payload."""
         partitioner = self.partitioner
-        snapshot: Dict[str, Any] = {
-            "counters": dict(self.obs.metrics.counters),
-            "gauges": dict(self.obs.metrics.gauges),
-            "cache": cache_section(self.cache),
-            "topology": {
-                "shards": self.topology.n_shards,
-                "mode": self.topology.mode,
-                "grid": [partitioner.cells_x, partitioner.cells_y],
-                "alive": sum(self.topology.alive()),
-                "relations": {
-                    name: {
-                        "objects": self.pmap.objects(name),
-                        "copies": self.pmap.copies(name),
-                        "replication": round(
-                            self.pmap.replication_factor(name), 4),
-                        "classes": dict(self.pmap.class_counts[name]),
-                    }
-                    for name in sorted(self.pmap.mbrs)},
-            }}
-        latency = latency_section(self.obs, "shard.time_ms")
-        if latency is not None:
-            snapshot["latency_ms"] = latency
-        return snapshot
+        return {"topology": {
+            "shards": self.topology.n_shards,
+            "mode": self.topology.mode,
+            "grid": [partitioner.cells_x, partitioner.cells_y],
+            "alive": sum(self.topology.alive()),
+            "relations": {
+                name: {
+                    "objects": self.pmap.objects(name),
+                    "copies": self.pmap.copies(name),
+                    "replication": round(
+                        self.pmap.replication_factor(name), 4),
+                    "classes": dict(self.pmap.class_counts[name]),
+                }
+                for name in sorted(self.pmap.mbrs)},
+        }}
 
     def close(self) -> None:
         """Drain the router workers and close every shard connection
         (the topology itself is drained by its owner)."""
-        self.scheduler.shutdown()
+        super().close()
         with self._conn_registry_lock:
             clients, self._conn_registry = self._conn_registry, []
         for client in clients:
@@ -785,18 +635,3 @@ def _check_deadline(deadline: Optional[float]) -> None:
     already-expired deadline fails without triggering compensation."""
     if deadline is not None and deadline - time.perf_counter() <= 0:
         raise QueryTimeout("deadline expired before fan-out")
-
-
-def _string_field(request: Dict[str, Any], name: str) -> str:
-    value = request.get(name)
-    if not isinstance(value, str) or not value:
-        raise ProtocolError(f"{name!r} must be a non-empty string "
-                            f"({value!r})")
-    return value
-
-
-def _number_field(request: Dict[str, Any], name: str) -> float:
-    value = request.get(name)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ProtocolError(f"{name!r} must be a number ({value!r})")
-    return float(value)

@@ -81,6 +81,12 @@ class TestGeometryCodecs:
         {"kind": "polyline", "coords": [[1, 2], [3]]},
         {"kind": "circle", "coords": [0, 0, 1]},
         {"coords": [0, 0, 1, 1]},
+        {"kind": "rect", "coords": [5, 0, 1, 1]},
+        {"kind": "rect", "coords": [0, 0, float("nan"), 1]},
+        {"kind": "polyline", "coords": [[1, 2], ["3", 4]]},
+        {"kind": "polygon", "coords": [[0, 0], [None, 1], [2, 0]]},
+        {"kind": "polyline", "coords": [[1, 2], [True, 4]]},
+        {"kind": "polyline", "coords": [[1, 2], [float("inf"), 4]]},
     ])
     def test_bad_geometry_rejected(self, bad):
         with pytest.raises(ProtocolError):

@@ -197,3 +197,21 @@ def test_malformed_line_gets_an_error_response(served):
             response = json.loads(rfile.readline())
     assert response["ok"] is False
     assert response["error"]["code"] == "bad_request"
+
+
+def test_non_finite_knn_point_is_a_structured_error(served):
+    import json
+    import socket
+    _, _, host, port = served
+    with socket.create_connection((host, port), timeout=10) as sock:
+        with sock.makefile("rb") as rfile:
+            # The raw line a non-Python client could send: NaN is not
+            # JSON, but json.loads accepts it.
+            sock.sendall(b'{"id":1,"op":"knn","relation":"streets",'
+                         b'"x":NaN,"y":1,"k":2}\n')
+            response = json.loads(rfile.readline())
+            assert response["ok"] is False
+            assert response["error"]["code"] == "query"
+            # The connection keeps answering.
+            sock.sendall(b'{"id":2,"op":"ping"}\n')
+            assert json.loads(rfile.readline())["result"] == "pong"

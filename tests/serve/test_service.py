@@ -208,6 +208,18 @@ class TestErrors:
                                   right="rivers", algorithm="sj9")
         assert response["error"]["code"] == "query"
 
+    @pytest.mark.parametrize("x, y", [
+        (float("nan"), 1.0), (1.0, float("inf")), (float("-inf"), 1.0)])
+    def test_non_finite_knn_point(self, client, x, y):
+        # json.loads parses NaN/Infinity; no distance can be computed
+        # from them, so they are a query error like a non-finite
+        # window, not an answer with NaN/0.0 distances.
+        response = client.request("knn", relation="streets",
+                                  x=x, y=y, k=2)
+        assert response["ok"] is False
+        assert response["error"]["code"] == "query"
+        assert "finite" in response["error"]["message"]
+
     def test_bad_timeout(self, client):
         response = client.request("ping")
         assert response["ok"]

@@ -10,7 +10,7 @@ import pytest
 from repro.core.spec import JoinSpec
 from repro.db import SpatialDatabase
 from repro.geometry import Rect
-from repro.serve import ServiceClient
+from repro.serve import QueryService, ServiceClient
 from repro.shard import ShardRouter, ShardTopology
 
 
@@ -129,14 +129,41 @@ def test_unknown_relation_maps_to_catalog_error(fleet):
     assert response["error"]["code"] == "catalog"
 
 
-def test_bad_algorithm_rejected_before_fanout(fleet):
+@pytest.fixture(scope="module")
+def reference():
+    """A single-process server over the same catalog: what the router
+    must answer a malformed request with, word for word."""
+    service = QueryService(build_db())
+    yield ServiceClient(service)
+    service.close()
+
+
+JOIN = dict(left="streets", right="rivers")
+
+
+@pytest.mark.parametrize("op, params", [
+    ("join", dict(JOIN, algorithm="quantum")),
+    ("join", dict(JOIN, refine="yes")),
+    ("join", dict(JOIN, predicate="bogus")),
+    ("join", dict(JOIN, buffer_kb=-1)),
+    ("window", dict(relation="streets", window=[0, 0, 1, 1],
+                    exact="yes")),
+    ("knn", dict(relation="streets", x=1.0, y=1.0, k=0)),
+    ("get", dict(relation="streets", oid=True)),
+    ("window", dict(relation="streets", window=[0, 0, 1, 1],
+                    timeout_ms=True)),
+], ids=["algorithm", "refine", "predicate", "buffer_kb", "exact", "k",
+        "oid", "timeout_ms"])
+def test_malformed_request_rejected_before_fanout(fleet, reference,
+                                                  op, params):
     _, router, client = fleet
     before = router.obs.metrics.counter("shard.subrequests")
-    response = client.request("join", left="streets", right="rivers",
-                              algorithm="quantum")
+    response = client.request(op, **params)
     assert response["ok"] is False
-    assert response["error"]["code"] == "query"
     assert router.obs.metrics.counter("shard.subrequests") == before
+    # Same parsers behind both servers: same code, same wording (no
+    # "shard N: ..." rewording of an error a worker raised).
+    assert response["error"] == reference.request(op, **params)["error"]
 
 
 # ----------------------------------------------------------------------
