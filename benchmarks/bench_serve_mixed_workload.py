@@ -1,9 +1,9 @@
-"""Mixed read/write serving: MVCC delta ingest vs direct mutation.
+"""Mixed read/write serving: MVCC write absorption vs read-only.
 
-One client drives a 90/10 read/write mix against a
-:class:`~repro.serve.QueryService` twice over the same data:
+One client drives a :class:`~repro.serve.QueryService` twice over the
+same data:
 
-1. **delta** — the default MVCC ingest: writes absorb into the
+1. **delta** — a 90/10 read/write mix.  Writes absorb into the
    relation's delta index and bump only the mutation epoch, so the
    epoch-stamped full-result cache entry dies but the ``<op>@base``
    entry (stamped with the *base* epoch) survives.  A read after a
@@ -12,20 +12,15 @@ One client drives a 90/10 read/write mix against a
    background-style rebuild (``force_rebuild``), which merges the
    delta into a fresh bulk-loaded tree exactly as the rebuilder
    thread would — deterministically, so the cache counters are stable.
-2. **direct** — the pre-MVCC behaviour: every write mutates the
-   R*-tree in place under the exclusive lock and bumps both epochs,
-   so *every* cached entry for the relation dies on every write.
-   With more popular queries than reads between writes, the cache
-   never gets a second look at a key: the invalidate-on-every-write
-   hit rate sits at zero.
+2. **read-only** — the same reads with no writes, wall-clock matched:
+   the latency floor the mixed run is held against.
 
 The read set cycles through more popular queries (windows on both
 relations plus one join) than there are reads between writes, so a
 cache that survives writes is the only way to a high hit rate.  The
-headline numbers: the delta-path hit rate (full + base hits over
-reads, must clear 0.5), the direct-path hit rate (near zero), and the
-delta-path p95 read latency against a read-only run of the same
-workload (must stay within 2x — the overlay replay is that cheap).
+headline numbers: the mixed run's hit rate (full + base hits over
+reads, must clear 0.5) and its p95 read latency against the read-only
+run (must stay within 2x — the overlay replay is that cheap).
 
 Run standalone::
 
@@ -59,9 +54,9 @@ WRITE_EVERY = 10
 
 #: Popular-read cycle length.  Writes alternate relations, so a given
 #: relation is written every ~2 * WRITE_EVERY requests; a cycle longer
-#: than that means direct (invalidate-on-every-write) ingest never
-#: revisits a key before a write kills it — its hit rate is honestly
-#: zero, not an artifact of a too-small working set.  The cycle is
+#: than that means no full-result key is revisited before a write
+#: kills it — every hit after the priming pass is owed to the
+#: base-epoch level, not to a too-small working set.  The cycle is
 #: also sized so the one join stays under 2% of reads: the join's
 #: full-result key dies on *every* write (either relation bumps it),
 #: so each join replays its delta overlay — correct, but two orders
@@ -74,7 +69,7 @@ POPULAR_READS = 56
 class MixResult:
     """One workload run: latencies plus the service's own accounting."""
 
-    ingest: str
+    label: str
     n: int
     ops: int
     reads: int = 0
@@ -120,7 +115,7 @@ def build_db(n: int) -> SpatialDatabase:
 def popular_reads(count: int) -> List[Dict]:
     """The cycling read set: *count* requests, mostly windows on both
     relations, one join.  More entries than reads between writes, so
-    direct mode never revisits a key before a write kills it."""
+    a full-result key is never revisited before a write kills it."""
     rng = random.Random(91)
     reads: List[Dict] = [{"op": "join", "left": "streets",
                           "right": "rivers", "buffer_kb": 64.0}]
@@ -133,7 +128,7 @@ def popular_reads(count: int) -> List[Dict]:
     return reads
 
 
-def run_mix(ingest: str, n: int, ops: int, *,
+def run_mix(n: int, ops: int, *,
             write_every: Optional[int] = WRITE_EVERY,
             rebuild_at_write: Optional[int] = None,
             db: Optional[SpatialDatabase] = None) -> MixResult:
@@ -155,9 +150,10 @@ def run_mix(ingest: str, n: int, ops: int, *,
     # One worker thread: the driver is a single client, and a lone
     # hot worker has a far tighter wakeup tail than a pool of idle
     # ones — p95 then measures the serving path, not futex depth.
-    service = QueryService(db, ingest=ingest, rebuild_threshold=None,
-                           workers=1, default_timeout=120.0)
-    result = MixResult(ingest=ingest, n=n, ops=ops)
+    service = QueryService(db, rebuild_threshold=None, workers=1,
+                           default_timeout=120.0)
+    result = MixResult(label="delta" if write_every else "read-only",
+                       n=n, ops=ops)
     reads = popular_reads(POPULAR_READS)
     try:
         client = ServiceClient(service)
@@ -203,8 +199,7 @@ def run_mix(ingest: str, n: int, ops: int, *,
                         inserted.append((relation,
                                          response["result"]["oid"]))
                 write_at += 1
-                if ingest == "delta" \
-                        and result.writes == rebuild_at_write:
+                if result.writes == rebuild_at_write:
                     result.rebuilds += service.force_rebuild()
             else:
                 request = reads[read_at % len(reads)]
@@ -232,7 +227,7 @@ def _aggregate(runs: List[MixResult]) -> MixResult:
     latency samples concatenate (so p95 is a several-thousand-sample
     statistic, not a few-hundred-sample one) and the deterministic
     counters simply add up."""
-    total = MixResult(ingest=runs[0].ingest, n=runs[0].n,
+    total = MixResult(label=runs[0].label, n=runs[0].n,
                       ops=sum(run.ops for run in runs))
     for run in runs:
         total.reads += run.reads
@@ -248,9 +243,8 @@ def _aggregate(runs: List[MixResult]) -> MixResult:
 
 def measure_matrix(n: int, ops: int,
                    repeats: int = 3) -> Dict[str, MixResult]:
-    """The three runs the exhibit contrasts: delta and direct at the
-    90/10 mix, plus the read-only latency baseline (delta service,
-    zero writes).
+    """The two runs the exhibit contrasts: the 90/10 mix and the
+    read-only latency baseline (same service, zero writes).
 
     The headline number is a ratio of two tail latencies, so both
     sides must sample the same machine conditions: every
@@ -263,37 +257,30 @@ def measure_matrix(n: int, ops: int,
     counts, never timer-driven."""
     repeats = max(1, repeats)
 
-    def pooled(ingest: str, per_run_ops: int,
-               **kwargs: object) -> MixResult:
-        return _aggregate([run_mix(ingest, n, per_run_ops, **kwargs)
+    def pooled(per_run_ops: int, **kwargs: object) -> MixResult:
+        return _aggregate([run_mix(n, per_run_ops, **kwargs)
                            for _ in range(repeats)])
 
     return {
-        "delta": pooled("delta", ops),
-        "direct": pooled("direct", ops),
-        "readonly": pooled("delta", 3 * ops, write_every=None),
+        "delta": pooled(ops),
+        "readonly": pooled(3 * ops, write_every=None),
     }
 
 
 def render(matrix: Dict[str, MixResult]) -> str:
-    delta, direct = matrix["delta"], matrix["direct"]
-    readonly = matrix["readonly"]
+    delta, readonly = matrix["delta"], matrix["readonly"]
     lines = [
         f"mixed-workload serving — n={delta.n} per relation, "
         f"{delta.ops} ops, {WRITE_EVERY - 1}:1 read/write mix",
         "-" * 66,
-        f"{'ingest':<10} {'hit rate':>9} {'p95 read':>10} "
+        f"{'run':<10} {'hit rate':>9} {'p95 read':>10} "
         f"{'req/s':>9} {'rebuilds':>9} {'errors':>7}",
     ]
-    for result in (delta, direct):
+    for result in (delta, readonly):
         lines.append(
-            f"{result.ingest:<10} {result.hit_rate:>9.3f} "
+            f"{result.label:<10} {result.hit_rate:>9.3f} "
             f"{result.p95_ms:>8.2f}ms {result.rps:>9.0f} "
             f"{result.rebuilds:>9} {result.errors:>7}")
-    lines.append(
-        f"{'read-only':<10} {readonly.hit_rate:>9.3f} "
-        f"{readonly.p95_ms:>8.2f}ms {readonly.rps:>9.0f} "
-        f"{'-':>9} {readonly.errors:>7}")
     slowdown = (delta.p95_ms / readonly.p95_ms
                 if readonly.p95_ms else 0.0)
     lines.append(f"delta p95 vs read-only: {slowdown:.2f}x")
@@ -308,14 +295,11 @@ def test_serve_mixed_workload_bench(benchmark):
     from emit import emit
     matrix = benchmark.pedantic(measure_matrix, args=(500, 3600),
                                 rounds=1, iterations=1)
-    delta, direct = matrix["delta"], matrix["direct"]
-    readonly = matrix["readonly"]
+    delta, readonly = matrix["delta"], matrix["readonly"]
     emit("serve_mixed_workload",
          {"n": delta.n, "ops": delta.ops, "write_every": WRITE_EVERY},
          {"delta_hit_rate": round(delta.hit_rate, 3),
-          "direct_hit_rate": round(direct.hit_rate, 3),
           "delta_rps": round(delta.rps, 1),
-          "direct_rps": round(direct.rps, 1),
           "delta_p95_ms": round(delta.p95_ms, 3),
           "readonly_p95_ms": round(readonly.p95_ms, 3),
           "rebuilds": delta.rebuilds},
@@ -324,14 +308,11 @@ def test_serve_mixed_workload_bench(benchmark):
     print("=" * 72)
     print(render(matrix))
 
-    assert delta.errors == 0 and direct.errors == 0
-    assert readonly.errors == 0
-    # The tentpole's contract: delta ingest keeps the cache useful
-    # under writes; invalidate-on-every-write does not.
+    assert delta.errors == 0 and readonly.errors == 0
+    # The contract: write absorption keeps the cache useful under
+    # writes.
     assert delta.hit_rate >= 0.5, (
         f"delta hit rate {delta.hit_rate:.3f} < 0.5")
-    assert direct.hit_rate <= 0.1, (
-        f"direct hit rate {direct.hit_rate:.3f} should be near zero")
     # Overlay replay must stay cheap: p95 within 2x of read-only.
     assert delta.p95_ms <= 2.0 * readonly.p95_ms, (
         f"delta p95 {delta.p95_ms:.2f} ms > "
@@ -345,15 +326,15 @@ def test_serve_mixed_workload_bench(benchmark):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark the MVCC delta ingest path against "
-                    "direct mutation under a mixed workload.")
+        description="Benchmark MVCC write absorption under a mixed "
+                    "workload against a read-only run.")
     parser.add_argument("--n", type=int, default=1_000,
                         help="objects per relation (default 1000)")
     parser.add_argument("--ops", type=int, default=3_600,
                         help="requests per run (default 3600)")
     parser.add_argument("--quick", action="store_true",
                         help="small smoke run (n=400, 900 ops); checks "
-                             "the hit-rate contrast but not the p95 "
+                             "the hit rate but not the p95 "
                              "bound, which needs the full sample size")
     args = parser.parse_args(argv)
 
@@ -363,14 +344,10 @@ def main(argv=None) -> int:
 
     matrix = measure_matrix(n, ops)
     print(render(matrix))
-    delta, direct = matrix["delta"], matrix["direct"]
-    readonly = matrix["readonly"]
+    delta, readonly = matrix["delta"], matrix["readonly"]
     failures = []
     if delta.hit_rate < 0.5:
         failures.append(f"delta hit rate {delta.hit_rate:.3f} < 0.5")
-    if direct.hit_rate > 0.1:
-        failures.append(
-            f"direct hit rate {direct.hit_rate:.3f} > 0.1")
     if not args.quick and readonly.p95_ms \
             and delta.p95_ms > 2.0 * readonly.p95_ms:
         failures.append(

@@ -174,8 +174,8 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
        note="WAL sync-mode insert throughput"),
     _E("serve_mixed_workload", "bench_serve_mixed_workload.py",
        tolerance=0.5, deterministic=("rebuilds",),
-       note="90/10 read/write mix: MVCC delta ingest (epoch-stamped "
-            "two-level cache) vs direct invalidate-on-every-write"),
+       note="90/10 read/write mix over MVCC write absorption "
+            "(epoch-stamped two-level cache) vs a read-only run"),
 )
 
 #: bench name -> Experiment.
@@ -214,10 +214,6 @@ COMPONENTS: Tuple[Component, ...] = (
               on="shards4_rps", off="shards1_rps", kind="rate",
               note="4 partition-parallel process shards behind the "
                    "fan-out/merge router vs one service process"),
-    Component("mvcc_ingest", "serve_mixed_workload",
-              on="delta_rps", off="direct_rps", kind="rate",
-              note="delta write absorption + base-epoch cache level "
-                   "vs in-place mutation under a 90/10 mix"),
 )
 
 

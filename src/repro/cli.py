@@ -277,12 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="log every request slower than this many "
                             "milliseconds (and count it in "
                             "serve.slow_requests)")
-    serve.add_argument("--ingest", choices=("delta", "direct"),
-                       default="delta",
-                       help="mutation path: 'delta' absorbs writes "
-                            "into MVCC buffers so reads run lock-free "
-                            "on snapshots (default); 'direct' mutates "
-                            "the trees in place under the write lock")
     serve.add_argument("--rebuild-threshold", type=int, default=512,
                        help="pending delta operations per relation "
                             "that trigger a background merge into a "
@@ -728,7 +722,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         db = SpatialDatabase.open(args.db)
     service = QueryService(
         db, max_retries=args.max_retries, durability=durability,
-        slow_ms=args.slow_ms, ingest=args.ingest,
+        slow_ms=args.slow_ms,
         rebuild_threshold=(args.rebuild_threshold or None),
         rebuild_every=args.rebuild_every,
         **_pipeline_options(args, obs))
@@ -738,8 +732,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     durable = (f", wal={args.wal_sync}" if args.data_dir else "")
     print(f"serving {len(db)} relation(s) from {source} on "
           f"{host}:{port} ({args.workers} workers, queue {args.queue}, "
-          f"cache {args.cache_mb:g} MB/{args.cache_entries} entries, "
-          f"ingest {args.ingest}{durable})", flush=True)
+          f"cache {args.cache_mb:g} MB/{args.cache_entries} entries"
+          f"{durable})", flush=True)
 
     def summarize():
         # The shutdown closed the service; with a data directory that

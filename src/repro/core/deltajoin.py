@@ -1,6 +1,6 @@
 """Delta-overlay spatial join: base-tree results + MVCC write buffers.
 
-A relation in delta ingest mode exposes an immutable
+A relation that absorbs its writes exposes an immutable
 :class:`~repro.db.snapshot.Snapshot` — base R*-tree plus a frozen
 :class:`~repro.db.delta.FrozenDelta`.  Joining two snapshots decomposes
 into four disjoint pair categories:
@@ -47,6 +47,9 @@ __all__ = ["overlay_join", "delta_probe_pairs", "delta_delta_pairs",
 
 
 def _mbr_of(geometry) -> Rect:
+    """The MBR of a stored geometry (a ``Rect`` is its own).  Defined
+    here because this module sits below the db layer, which imports
+    it."""
     if isinstance(geometry, Rect):
         return geometry
     return geometry.mbr()

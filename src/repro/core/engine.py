@@ -17,8 +17,8 @@ levels, the configured window-query policy (a)/(b)/(c) takes over.
 Concurrency contract: a traversal assumes both trees are **static for
 the duration of the join** (the paper's setting).  Callers with live
 write traffic must hand the engine immutable trees — the MVCC path
-does exactly that: relations in delta ingest mode absorb writes into
-a side buffer and expose frozen :class:`~repro.db.snapshot.Snapshot`
+does exactly that: served relations absorb writes into a side
+buffer and expose frozen :class:`~repro.db.snapshot.Snapshot`
 views, whose base trees this engine joins unchanged while
 :mod:`repro.core.deltajoin` overlays the unmerged writes on the
 result.  ``sort_mode="on_read"`` remains required for concurrent

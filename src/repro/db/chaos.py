@@ -148,10 +148,10 @@ def _snapshot(db: SpatialDatabase) -> Model:
 def _check_trees(db: SpatialDatabase, seed: int) -> None:
     for name, relation in db.relations.items():
         validate_rtree(relation.tree)
-        # Census through the read path: in direct mode this is the raw
-        # tree query; in delta mode the snapshot merges the base hits
-        # with the unmerged writes — either way it must agree with the
-        # visible object table.
+        # Census through the read path: with nothing absorbed this is
+        # the raw tree query; otherwise the snapshot merges the base
+        # hits with the unmerged writes — either way it must agree
+        # with the visible object table.
         indexed = sorted(relation.window(
             Rect(-1e12, -1e12, 1e12, 1e12)))
         if indexed != sorted(relation.objects):
@@ -177,9 +177,9 @@ class ScheduleResult:
     final_objects: int
     points: Dict[str, float]
     error: Optional[str] = None
-    #: Ingest mode the schedule drove ("direct" or "delta").
-    ingest: str = "direct"
-    #: Delta merges performed at random flush points (delta mode).
+    #: Whether the schedule armed MVCC write absorption.
+    mvcc: bool = False
+    #: Delta merges performed at random flush points (``mvcc`` only).
     rebuilds: int = 0
 
     @property
@@ -191,11 +191,11 @@ def run_schedule(seed: int, *, num_ops: int = 40,
                  sync: Optional[str] = None,
                  checkpoint_every: int = 8,
                  data_dir: Optional[str] = None,
-                 ingest: str = "direct") -> ScheduleResult:
+                 mvcc: bool = False) -> ScheduleResult:
     """Run one seeded schedule; returns its result (``error`` set
     instead of raising, so a sweep reports every failure).
 
-    ``ingest="delta"`` drives every incarnation in MVCC delta mode and
+    ``mvcc=True`` arms write absorption in every incarnation and
     interleaves random :meth:`~repro.db.SpatialDatabase.flush_deltas`
     rebuild points with the workload, so crashes land before, during
     accumulation of, and after background merges.
@@ -209,7 +209,7 @@ def run_schedule(seed: int, *, num_ops: int = 40,
     workload = generate_workload(seed, num_ops)
     result = ScheduleResult(seed=seed, sync=sync, ops=num_ops, kills=0,
                             incarnations=0, replayed=0, final_objects=0,
-                            points=points, ingest=ingest)
+                            points=points, mvcc=mvcc)
     own_dir = data_dir is None
     if own_dir:
         data_dir = tempfile.mkdtemp(prefix=f"chaos-{seed}-")
@@ -248,10 +248,10 @@ def _run_schedule(seed: int, workload: List[Op],
             data_dir, sync=sync, checkpoint_every=checkpoint_every,
             kill=kill)
         result.replayed += manager.recovery.replayed
-        if result.ingest != "direct":
-            # Recovery always lands in direct mode; re-arm the MVCC
-            # path so the rest of this incarnation absorbs into deltas.
-            db.set_ingest_mode(result.ingest)
+        if result.mvcc:
+            # Recovery replays in place; arm absorption (as a service
+            # would) so the rest of this incarnation lands in deltas.
+            db.absorb_writes()
         flush_rng = random.Random(seed * 7919 + result.incarnations)
 
         # --- verify the recovered state against the model -------------
@@ -282,8 +282,7 @@ def _run_schedule(seed: int, workload: List[Op],
                 _apply_to_model(model, op)
                 pending = None
                 applied += 1
-                if result.ingest != "direct" \
-                        and flush_rng.random() < 0.15:
+                if result.mvcc and flush_rng.random() < 0.15:
                     # Random rebuild point: merge pending deltas into
                     # fresh bulk-loaded trees mid-workload.
                     result.rebuilds += db.flush_deltas()
@@ -354,13 +353,13 @@ def _diff(expected: Model, actual: Model) -> str:
 
 def run_schedules(count: int, *, first_seed: int = 0, num_ops: int = 40,
                   sync: Optional[str] = None, checkpoint_every: int = 8,
-                  ingest: str = "direct",
+                  mvcc: bool = False,
                   verbose: bool = False) -> List[ScheduleResult]:
     results = []
     for seed in range(first_seed, first_seed + count):
         outcome = run_schedule(seed, num_ops=num_ops, sync=sync,
                                checkpoint_every=checkpoint_every,
-                               ingest=ingest)
+                               mvcc=mvcc)
         results.append(outcome)
         if verbose or not outcome.ok:
             status = "ok" if outcome.ok else "FAIL"
@@ -391,11 +390,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "alternate by seed)")
     parser.add_argument("--checkpoint-every", type=int, default=8,
                         help="records between checkpoints (default 8)")
-    parser.add_argument("--ingest", choices=("direct", "delta"),
-                        default="direct",
-                        help="drive mutations directly into the tree "
-                             "or through the MVCC delta path with "
-                             "random rebuild points (default direct)")
+    parser.add_argument("--mvcc", action="store_true",
+                        help="arm MVCC write absorption after every "
+                             "recovery and interleave random rebuild "
+                             "points (default: mutate the trees in "
+                             "place)")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print every schedule, not just failures")
     options = parser.parse_args(argv)
@@ -405,7 +404,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             num_ops=options.ops,
                             sync=options.sync,
                             checkpoint_every=options.checkpoint_every,
-                            ingest=options.ingest,
+                            mvcc=options.mvcc,
                             verbose=options.verbose)
     elapsed = time.perf_counter() - started
     failures = [outcome for outcome in results if not outcome.ok]

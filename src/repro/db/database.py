@@ -28,7 +28,7 @@ from ..geometry.rect import Rect
 from ..rtree.base import RTreeBase
 from ..rtree.persist import load_tree, save_tree
 from ..storage.atomic import atomic_write
-from .relation import INGEST_MODES, Geometry, SpatialRelation
+from .relation import Geometry, SpatialRelation
 
 _MANIFEST = "manifest.json"
 _MANIFEST_VERSION = 1
@@ -52,19 +52,18 @@ class SpatialDatabase:
         #: old name can never resurrect results computed against the
         #: dropped one (per-relation epochs restart at zero).
         self.epoch = 0
-        #: Ingest mode applied to newly created relations ("direct" or
-        #: "delta"; see :mod:`repro.db.relation`).
-        self.ingest_mode = "direct"
+        #: Set by :meth:`absorb_writes`; relations created afterwards
+        #: are armed too.
+        self._absorbing = False
 
-    def set_ingest_mode(self, mode: str) -> None:
-        """Switch every relation (and future creations) between direct
-        tree mutation and MVCC delta absorption."""
-        if mode not in INGEST_MODES:
-            raise ValueError(f"unknown ingest mode {mode!r}; "
-                             f"expected one of {INGEST_MODES}")
-        self.ingest_mode = mode
+    def absorb_writes(self) -> None:
+        """Arm MVCC write absorption on every relation, present and
+        future (see :meth:`SpatialRelation.absorb_writes`): what a
+        query service does to the database it adopts.  Idempotent,
+        one-way."""
+        self._absorbing = True
         for relation in self.relations.values():
-            relation.set_ingest_mode(mode)
+            relation.absorb_writes()
 
     def flush_deltas(self) -> int:
         """Synchronously merge every relation's pending delta into its
@@ -83,8 +82,8 @@ class SpatialDatabase:
         # Constructing first also validates the name — an invalid name
         # must raise before anything reaches the write-ahead log.
         relation = SpatialRelation(name, page_size=self.page_size)
-        if self.ingest_mode != "direct":
-            relation.set_ingest_mode(self.ingest_mode)
+        if self._absorbing:
+            relation.absorb_writes()
         durability = self._durability
         lsn = None
         if durability is not None:
@@ -145,9 +144,9 @@ class SpatialDatabase:
         rel_r = self.relation(right)
         spec = resolve_spec(spec)
         # One consistent snapshot per side: the base trees are static
-        # for the whole join (direct mode: the live tree; delta mode:
-        # the published MVCC view) and unmerged writes are overlaid on
-        # the base result by repro.core.deltajoin.
+        # for the whole join (the live tree until a service arms
+        # absorption, the published MVCC view after) and unmerged
+        # writes are overlaid on the base result by repro.core.deltajoin.
         snap_l = rel_l.snapshot()
         snap_r = rel_r.snapshot()
         base = self.join_base(snap_l, snap_r, spec, refine=refine)
@@ -281,8 +280,6 @@ class SpatialDatabase:
             relation.tree = tree
             relation.objects = _read_geometry(
                 os.path.join(directory, f"{name}.geom"))
-            relation._next_id = (max(relation.objects) + 1
-                                 if relation.objects else 0)
             if len(relation.objects) != len(tree):
                 raise ValueError(
                     f"relation {name!r}: geometry file holds "
@@ -337,10 +334,6 @@ def parse_geometry(line: str, context: str = "<line>",
     """Inverse of :func:`format_geometry`; raises ``ValueError`` with
     *context* in the message on a malformed line."""
     return _parse_geometry(line, context, line_number)
-
-
-#: Backwards-compatible private alias (pre-durability name).
-_format_geometry = format_geometry
 
 
 def _read_geometry(path: str) -> Dict[int, Geometry]:

@@ -1,12 +1,14 @@
 """The in-memory delta index: write absorption for MVCC relations.
 
-A relation in ``"delta"`` ingest mode does not mutate its R*-tree on
-``insert``/``delete``.  Mutations are absorbed into a small
-:class:`DeltaIndex` — a columnar insert buffer plus a deleted-oid set —
-and reads resolve through an immutable :class:`FrozenDelta` snapshot
-layered over the base tree.  A background rebuild periodically merges
-the accumulated delta into a fresh bulk-loaded tree
-(:func:`repro.rtree.bulk.str_pack`) and swaps it in atomically.
+A relation adopted by a query service (see
+:meth:`~repro.db.relation.SpatialRelation.absorb_writes`) does not
+mutate its R*-tree on ``insert``/``delete``.  Mutations are absorbed
+into a small :class:`DeltaIndex` — a columnar insert buffer plus a
+deleted-oid set — and reads resolve through an immutable
+:class:`FrozenDelta` snapshot layered over the base tree.  A
+background rebuild periodically merges the accumulated delta into a
+fresh bulk-loaded tree (:func:`repro.rtree.bulk.str_pack`) and swaps
+it in atomically.
 
 Visibility semantics (one rule, applied uniformly):
 
@@ -32,16 +34,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ..core.deltajoin import _mbr_of
 from ..geometry.rect import Rect
 from ..rtree.columns import NodeColumns
 
 __all__ = ["DeltaIndex", "FrozenDelta"]
-
-
-def _mbr_of(geometry) -> Rect:
-    if isinstance(geometry, Rect):
-        return geometry
-    return geometry.mbr()
 
 
 class FrozenDelta:
@@ -133,8 +130,8 @@ class FrozenDelta:
                 f"-{len(self.deleted)})")
 
 
-#: The shared empty delta: relations in direct mode (and freshly
-#: rebuilt ones) snapshot against this singleton.
+#: The shared empty delta: relations with nothing absorbed (never
+#: armed, or freshly rebuilt) snapshot against this singleton.
 FrozenDelta.EMPTY: "FrozenDelta" = FrozenDelta({}, ())
 
 

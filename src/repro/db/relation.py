@@ -6,19 +6,22 @@ their MBRs.  :class:`SpatialRelation` packages exactly that: inserts
 and deletes maintain both the object table and the index, queries go
 through the index, and the exact geometry feeds the refinement step.
 
-Two ingest modes govern how mutations land (see docs/ingestion.md):
+Mutations land in one of two places, decided by what the relation
+observes, never by a caller-supplied mode (see docs/ingestion.md):
 
-* ``"direct"`` (the default) — the historical behaviour: ``insert``/
-  ``delete`` mutate the R*-tree and object table in place.
-* ``"delta"`` — MVCC write absorption: mutations go into an in-memory
-  :class:`~repro.db.delta.DeltaIndex`; reads resolve through an
-  immutable :class:`~repro.db.snapshot.Snapshot` (base tree + frozen
-  delta + epoch) published atomically, so readers never hold a lock and
-  never observe a half-applied write; :meth:`rebuild` merges the delta
-  into a fresh STR bulk-loaded tree and swaps it in.
+* until a query service adopts the relation, ``insert``/``delete``
+  maintain the paper's dynamic R*-tree and the object table in place;
+* once :meth:`SpatialRelation.absorb_writes` has armed write absorption
+  (a service does that on construction; it cannot be undone),
+  mutations go into an in-memory :class:`~repro.db.delta.DeltaIndex`;
+  reads resolve through an immutable
+  :class:`~repro.db.snapshot.Snapshot` (base tree + frozen delta +
+  epoch) published atomically, so readers never hold a lock and never
+  observe a half-applied write; :meth:`rebuild` merges the delta into
+  a fresh STR bulk-loaded tree and swaps it in.
 
-In both modes ``epoch`` counts data mutations (result caches key on
-it) while ``base_epoch`` counts *base-tree* changes only — a delta
+Either way ``epoch`` counts data mutations (result caches key on it)
+while ``base_epoch`` counts *base-tree* changes only — an absorbed
 write bumps ``epoch`` but leaves ``base_epoch`` alone, which is what
 lets the serve layer keep base-tree computations cached across writes.
 """
@@ -28,11 +31,12 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from ..core.knn import NearestNeighborEngine
+from ..core.deltajoin import _mbr_of
 from ..errors import CatalogError, QueryError
 from ..geometry.polygon import Polygon
 from ..geometry.polyline import Polyline
 from ..geometry.rect import Rect
+from ..rtree.bulk import str_pack
 from ..rtree.params import RTreeParams
 from ..rtree.rstar import RStarTree
 from .delta import DeltaIndex, FrozenDelta
@@ -40,9 +44,6 @@ from .snapshot import Snapshot
 
 SpatialObject = Union[Polyline, Polygon]
 Geometry = Union[SpatialObject, Rect]
-
-#: Valid ingest modes (see module docstring).
-INGEST_MODES = ("direct", "delta")
 
 
 class SpatialRelation:
@@ -53,7 +54,7 @@ class SpatialRelation:
     #: is appended to the write-ahead log *before* the object table and
     #: index mutate — so an acknowledged write is durable and a crashed
     #: one is either fully replayed or fully absent after recovery.
-    #: Delta-mode mutations log the identical records: the WAL does not
+    #: Absorbed mutations log the identical records: the WAL does not
     #: know (or care) whether a record was applied to the tree or
     #: absorbed into the delta.
     _durability = None
@@ -65,8 +66,8 @@ class SpatialRelation:
         self.params = RTreeParams.from_page_size(page_size)
         self.tree = RStarTree(self.params)
         #: Object id -> exact geometry; Rect-only inserts are stored as
-        #: their MBR (the geometry *is* the rectangle then).  In delta
-        #: mode this is the *base* table; the merged view is
+        #: their MBR (the geometry *is* the rectangle then).  With a
+        #: pending delta this is the *base* table; the merged view is
         #: :attr:`objects`.
         self._objects: Dict[int, Geometry] = {}
         self._next_id = 0
@@ -76,11 +77,12 @@ class SpatialRelation:
         #: previously cached results for this relation unreachable.
         self.epoch = 0
         #: Base-tree version: bumped when the tree itself changes (any
-        #: direct-mode mutation, and every rebuild swap).  Base-keyed
+        #: in-place mutation, and every rebuild swap).  Base-keyed
         #: cache entries (see ``repro.serve.service``) stamp this.
         self.base_epoch = 0
-        self.ingest_mode = "direct"
-        #: Active write-absorption buffer (delta mode only).
+        #: Active write-absorption buffer; ``None`` until
+        #: :meth:`absorb_writes`, and that is what routes a mutation to
+        #: the tree or to the buffer.
         self._delta: Optional[DeltaIndex] = None
         #: Delta frozen by an in-flight rebuild, still part of reads.
         self._merging: Optional[FrozenDelta] = None
@@ -90,34 +92,25 @@ class SpatialRelation:
         self._snapshot: Optional[Snapshot] = None
 
     # ------------------------------------------------------------------
-    # Ingest mode / snapshots
+    # Write absorption / snapshots
     # ------------------------------------------------------------------
 
-    def set_ingest_mode(self, mode: str) -> None:
-        """Switch write absorption on (``"delta"``) or off
-        (``"direct"``, flushing any pending delta synchronously)."""
-        if mode not in INGEST_MODES:
-            raise ValueError(f"unknown ingest mode {mode!r}; "
-                             f"expected one of {INGEST_MODES}")
-        if mode == self.ingest_mode:
-            return
-        if mode == "delta":
-            with self._mutex:
-                self.ingest_mode = "delta"
+    def absorb_writes(self) -> None:
+        """Arm write absorption: from here on mutations land in the
+        delta buffer instead of the tree.  Idempotent (a pending delta
+        is left alone) and one-way — a served relation never goes back
+        to in-place mutation under its readers."""
+        with self._mutex:
+            if self._delta is None:
                 self._delta = DeltaIndex()
                 self._publish()
-        else:
-            self.rebuild()                # merge anything pending
-            with self._mutex:
-                self.ingest_mode = "direct"
-                self._delta = None
-                self._snapshot = None
 
     def snapshot(self) -> Snapshot:
         """The current immutable view of this relation.
 
-        Delta mode publishes eagerly on every mutation, so this is one
-        attribute read; direct mode (re)builds lazily per epoch.
+        Every mutation publishes eagerly, so this is one attribute
+        read; only a base loaded by assignment (``tree`` +
+        :attr:`objects`) is published lazily here.
         """
         snap = self._snapshot
         if (snap is not None and snap.epoch == self.epoch
@@ -148,9 +141,8 @@ class SpatialRelation:
     def objects(self):
         """The visible object table.
 
-        Direct mode hands back the real dict (unchanged legacy
-        behaviour); delta mode hands back the snapshot's read-only
-        merged mapping.
+        With nothing absorbed this is the real dict; otherwise the
+        snapshot's read-only merged mapping.
         """
         if self._delta is None and self._merging is None:
             return self._objects
@@ -158,8 +150,10 @@ class SpatialRelation:
 
     @objects.setter
     def objects(self, value: Dict[int, Geometry]) -> None:
-        """Replace the base table outright (persistence load path)."""
+        """Replace the base table outright (persistence load path);
+        auto-assigned ids continue past the largest one loaded."""
         self._objects = dict(value)
+        self._next_id = max(self._objects, default=-1) + 1
         self._snapshot = None
 
     @property
@@ -176,59 +170,10 @@ class SpatialRelation:
 
     def insert(self, geometry: Geometry,
                oid: Optional[int] = None) -> int:
-        """Add an object; returns its id (auto-assigned when omitted)."""
-        if self.ingest_mode == "delta":
-            return self._insert_delta(geometry, oid)
-        if oid is None:
-            oid = self._next_id
-        if oid in self._objects:
-            raise CatalogError(f"object id {oid} already exists in "
-                               f"{self.name!r}")
-        durability = self._durability
-        lsn = None
-        if durability is not None:
-            # Validation above ran first: only applicable operations
-            # may enter the log.  The append (and its fsync) happens
-            # before any in-memory mutation, so a crash leaves either
-            # a logged record recovery will replay or nothing at all.
-            lsn = durability.log_insert(self.name, oid, geometry)
-        self._next_id = max(self._next_id, oid + 1)
-        self._objects[oid] = geometry
-        self.tree.insert(_mbr_of(geometry), oid)
-        self.epoch += 1
-        self.base_epoch += 1
-        self._snapshot = None
-        if durability is not None:
-            durability.committed(lsn)
-        return oid
+        """Add an object; returns its id (auto-assigned when omitted).
 
-    def delete(self, oid: int) -> None:
-        """Remove an object by id."""
-        if self.ingest_mode == "delta":
-            self._delete_delta(oid)
-            return
-        if oid not in self._objects:
-            raise CatalogError(f"no object {oid} in {self.name!r}")
-        durability = self._durability
-        lsn = None
-        if durability is not None:
-            lsn = durability.log_delete(self.name, oid)
-        geometry = self._objects.pop(oid)
-        removed = self.tree.delete(_mbr_of(geometry), oid)
-        assert removed, "object table and index diverged"
-        self.epoch += 1
-        self.base_epoch += 1
-        self._snapshot = None
-        if durability is not None:
-            durability.committed(lsn)
-
-    def _insert_delta(self, geometry: Geometry,
-                      oid: Optional[int]) -> int:
-        """Delta-mode insert: WAL append + delta absorb + publish.
-
-        The in-memory critical section is microseconds (no tree
-        descent); ``committed`` runs after the mutex is released so a
-        checkpoint it triggers can read this relation's snapshot.
+        ``committed`` runs after the mutex is released so a checkpoint
+        it triggers can read this relation's snapshot.
         """
         durability = self._durability
         lsn = None
@@ -239,16 +184,27 @@ class SpatialRelation:
                 raise CatalogError(f"object id {oid} already exists in "
                                    f"{self.name!r}")
             if durability is not None:
+                # Validation above ran first: only applicable operations
+                # may enter the log.  The append (and its fsync) happens
+                # before any in-memory mutation, so a crash leaves either
+                # a logged record recovery will replay or nothing at all.
                 lsn = durability.log_insert(self.name, oid, geometry)
             self._next_id = max(self._next_id, oid + 1)
-            self._delta.insert(oid, geometry)
+            if self._delta is not None:
+                # Absorbed: microseconds, no tree descent.
+                self._delta.insert(oid, geometry)
+            else:
+                self._objects[oid] = geometry
+                self.tree.insert(_mbr_of(geometry), oid)
+                self.base_epoch += 1
             self.epoch += 1
             self._publish()
         if durability is not None:
             durability.committed(lsn)
         return oid
 
-    def _delete_delta(self, oid: int) -> None:
+    def delete(self, oid: int) -> None:
+        """Remove an object by id."""
         durability = self._durability
         lsn = None
         with self._mutex:
@@ -256,19 +212,27 @@ class SpatialRelation:
                 raise CatalogError(f"no object {oid} in {self.name!r}")
             if durability is not None:
                 lsn = durability.log_delete(self.name, oid)
-            self._delta.delete(oid)
+            if self._delta is not None:
+                self._delta.delete(oid)
+            else:
+                geometry = self._objects.pop(oid)
+                removed = self.tree.delete(_mbr_of(geometry), oid)
+                assert removed, "object table and index diverged"
+                self.base_epoch += 1
             self.epoch += 1
             self._publish()
         if durability is not None:
             durability.committed(lsn)
 
     def _visible_unlocked(self, oid: int) -> bool:
-        """Visibility under :attr:`_mutex` (delta mode)."""
+        """Visibility under :attr:`_mutex`; with nothing absorbed this
+        is membership in the base table."""
         delta = self._delta
-        if oid in delta.added:
-            return True
-        if oid in delta.deleted:
-            return False
+        if delta is not None:
+            if oid in delta.added:
+                return True
+            if oid in delta.deleted:
+                return False
         if self._merging is not None:
             if oid in self._merging.added:
                 return True
@@ -304,19 +268,22 @@ class SpatialRelation:
         writes land in the fresh active delta.  Returns
         ``(tree, objects)`` for :meth:`commit_rebuild`.
         """
-        from ..rtree.bulk import str_pack
         merging = self._merging
         assert merging is not None, "begin_rebuild was not called"
         objects = {oid: g for oid, g in self._objects.items()
                    if oid not in merging.hidden}
         objects.update(merging.added)
+        return self._bulk_load(objects, fill=fill), objects
+
+    def _bulk_load(self, objects: Dict[int, Geometry], **pack):
+        """STR bulk-load *objects* in id order (*pack* goes to
+        :func:`~repro.rtree.bulk.str_pack`); an empty table gets an
+        empty R*-tree, which ``str_pack`` refuses to build."""
         records = [(_mbr_of(g), oid)
                    for oid, g in sorted(objects.items())]
-        if records:
-            tree = str_pack(records, self.params, fill=fill)
-        else:
-            tree = RStarTree(self.params)
-        return tree, objects
+        if not records:
+            return RStarTree(self.params)
+        return str_pack(records, self.params, **pack)
 
     def commit_rebuild(self, tree, objects: Dict[int, Geometry]) -> None:
         """Swap the merged tree in atomically.
@@ -357,14 +324,8 @@ class SpatialRelation:
         snap = self.snapshot()
         if not snap.delta:
             return self.tree, self._objects
-        from ..rtree.bulk import str_pack
-        objects = dict(sorted(snap.objects.items()))
-        records = [(_mbr_of(g), oid) for oid, g in objects.items()]
-        if records:
-            tree = str_pack(records, self.params)
-        else:
-            tree = RStarTree(self.params)
-        return tree, objects
+        objects = dict(snap.objects)
+        return self._bulk_load(objects), objects
 
     # ------------------------------------------------------------------
     # Queries
@@ -385,9 +346,7 @@ class SpatialRelation:
     def nearest(self, x: float, y: float, k: int = 1,
                 buffer_kb: float = 0.0) -> List[Tuple[int, float]]:
         """The k objects whose MBRs are nearest to a point."""
-        snap = self.snapshot()
-        engine = NearestNeighborEngine(snap.tree, buffer_kb=buffer_kb)
-        return engine.query(x, y, k, delta=snap.delta).neighbors
+        return self.snapshot().nearest(x, y, k, buffer_kb=buffer_kb)
 
     def get(self, oid: int) -> Geometry:
         """The exact geometry of one object."""
@@ -404,8 +363,7 @@ class SpatialRelation:
     @property
     def records(self) -> List[Tuple[Rect, int]]:
         """(MBR, id) records of every visible object, id-ordered."""
-        return [(_mbr_of(geometry), oid)
-                for oid, geometry in sorted(self.objects.items())]
+        return self.snapshot().records
 
     def mbr(self) -> Optional[Rect]:
         """MBR of the whole relation."""
@@ -423,12 +381,6 @@ class SpatialRelation:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SpatialRelation({self.name!r}, {len(self)} objects, "
                 f"height {self.tree.height})")
-
-
-def _mbr_of(geometry: Geometry) -> Rect:
-    if isinstance(geometry, Rect):
-        return geometry
-    return geometry.mbr()
 
 
 def exact_window_survivors(candidates: List[int], objects,

@@ -7,11 +7,11 @@ identifies the view:
 * ``epoch`` — the relation's mutation counter; two snapshots with the
   same epoch see exactly the same data.  Result caches key on it.
 * ``base_epoch`` — bumped whenever the *base tree itself* changes
-  (direct-mode mutation or a background rebuild).  Cached base-tree
+  (in-place mutation or a background rebuild).  Cached base-tree
   computations key on it, so they survive delta-only writes.
 
 Readers grab one snapshot and use it for the whole query: nothing a
-snapshot references is ever mutated in place (delta-mode writers build
+snapshot references is ever mutated in place (absorbed writes build
 new frozen deltas; rebuilds swap in a new tree + table), so queries
 run without holding any lock.  The snapshot also serves as the merged
 object table: :attr:`objects` is a read-only mapping implementing the
@@ -23,18 +23,14 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..core.deltajoin import _mbr_of
+from ..core.knn import NearestNeighborEngine
 from ..errors import CatalogError
 from ..geometry.rect import Rect
 from ..rtree.base import RTreeBase
 from .delta import FrozenDelta
 
 __all__ = ["Snapshot", "SnapshotObjects"]
-
-
-def _mbr_of(geometry) -> Rect:
-    if isinstance(geometry, Rect):
-        return geometry
-    return geometry.mbr()
 
 
 class SnapshotObjects(Mapping):
@@ -147,7 +143,6 @@ class Snapshot:
     def nearest(self, x: float, y: float, k: int = 1,
                 buffer_kb: float = 0.0) -> List[Tuple[int, float]]:
         """The k visible objects whose MBRs are nearest to a point."""
-        from ..core.knn import NearestNeighborEngine
         engine = NearestNeighborEngine(self.tree, buffer_kb=buffer_kb)
         return engine.query(x, y, k, delta=self.delta).neighbors
 

@@ -13,17 +13,14 @@ speak to this class.
 Concurrency model
 -----------------
 
-The service runs the database in MVCC delta ingest mode by default
-(``ingest="delta"``, see :mod:`repro.db.relation`): mutations absorb
-into per-relation write buffers and queries read immutable snapshots,
-so **reads take no lock at all** — the :class:`ReadWriteLock` shrinks
-to guarding the write-side critical sections (mutations, snapshot
-swaps by the background rebuilder, the shutdown checkpoint).  Every
-lock acquisition is timed into the ``serve.lock.read_wait_ms`` /
-``serve.lock.write_wait_ms`` histograms; an empty read histogram under
-MVCC is the expected steady state.  With ``ingest="direct"`` the
-pre-MVCC regime applies: queries (``join``/``window``/``knn``/``get``)
-hold the shared read lock, mutations the exclusive write lock.
+Serving is MVCC: on construction the service arms write absorption on
+its database (:meth:`~repro.db.database.SpatialDatabase.absorb_writes`,
+see :mod:`repro.db.relation`), so mutations absorb into per-relation
+write buffers and queries read immutable snapshots.  **Reads take no
+lock at all** — the :class:`ReadWriteLock` only guards the write-side
+critical sections (mutations, snapshot swaps by the background
+rebuilder, the shutdown checkpoint), and every acquisition is timed
+into the ``serve.lock.write_wait_ms`` histogram.
 
 A background rebuilder thread merges accumulated deltas into fresh STR
 bulk-loaded trees (``rebuild_threshold`` pending ops, or every
@@ -65,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..core.spec import JoinSpec
 from ..core.stats import JoinResult, JoinStatistics
 from ..db.database import SpatialDatabase
-from ..db.relation import INGEST_MODES, exact_window_survivors
+from ..db.relation import exact_window_survivors
 from ..obs.core import Observability
 from .cache import normalized_key
 from .fields import (bool_field, join_fields, k_field, number_field,
@@ -74,8 +71,8 @@ from .pipeline import RequestPipeline, latency_section
 from .protocol import geometry_from_json, geometry_to_json
 
 
-#: What an MVCC read runs under (stateless, so one instance serves
-#: every thread).
+#: What a read runs under (stateless, so one instance serves every
+#: thread).
 _UNGUARDED = contextlib.nullcontext()
 
 
@@ -139,13 +136,9 @@ class QueryService(RequestPipeline):
                  durability: Optional["DurabilityManager"] = None,
                  slow_ms: Optional[float] = None,
                  slow_log: Optional[Callable[[str], None]] = None,
-                 ingest: str = "delta",
                  rebuild_threshold: Optional[int] = 512,
                  rebuild_every: Optional[float] = None
                  ) -> None:
-        if ingest not in INGEST_MODES:
-            raise ValueError(f"unknown ingest mode {ingest!r}; "
-                             f"expected one of {INGEST_MODES}")
         if rebuild_threshold is not None and rebuild_threshold < 1:
             raise ValueError("rebuild_threshold must be >= 1 (or None)")
         if rebuild_every is not None and rebuild_every <= 0:
@@ -154,12 +147,8 @@ class QueryService(RequestPipeline):
                          cache_bytes, default_timeout, obs,
                          max_retries=max_retries)
         self.db = db
-        #: Ingest regime (see the module docstring): ``"delta"`` runs
-        #: reads lock-free over MVCC snapshots, ``"direct"`` restores
-        #: the read-locked in-place-mutation behaviour.
-        self.ingest = ingest
-        self._mvcc = ingest == "delta"
-        db.set_ingest_mode(ingest)
+        # Serving is MVCC: from here on the database absorbs writes.
+        db.absorb_writes()
         #: Pending delta operations that trigger a background merge.
         self.rebuild_threshold = rebuild_threshold
         #: Periodic merge interval in seconds (None: threshold only).
@@ -181,8 +170,7 @@ class QueryService(RequestPipeline):
         self._lock = ReadWriteLock()
         self._rebuild_stop = threading.Event()
         self._rebuilder: Optional[threading.Thread] = None
-        if self._mvcc and (rebuild_threshold is not None
-                           or rebuild_every is not None):
+        if rebuild_threshold is not None or rebuild_every is not None:
             self._rebuilder = threading.Thread(
                 target=self._rebuild_loop, name="repro-rebuild",
                 daemon=True)
@@ -200,28 +188,26 @@ class QueryService(RequestPipeline):
         return self.db.epoch
 
     def _guard(self, cacheable: bool) -> ContextManager:
-        if cacheable and self._mvcc:
-            # MVCC read path: no lock at all.  The handler grabs one
+        if cacheable:
+            # Read path: no lock at all.  The handler grabs one
             # immutable snapshot per relation (a single reference
             # read) and never touches shared mutable state.
             return _UNGUARDED
-        return self._locked(write=not cacheable)
+        return self._locked()
 
     @contextlib.contextmanager
-    def _locked(self, write: bool):
-        """Acquire the service lock, timing how long the acquisition
-        blocked into ``serve.lock.read_wait_ms`` /
-        ``serve.lock.write_wait_ms`` (lock contention is invisible in
-        request latency alone — these histograms are how ``repro
-        report`` shows where waiting went)."""
-        guard = self._lock.write() if write else self._lock.read()
+    def _locked(self):
+        """Acquire the write lock, timing how long the acquisition
+        blocked into ``serve.lock.write_wait_ms`` (lock contention is
+        invisible in request latency alone — this histogram is how
+        ``repro report`` shows where waiting went)."""
+        guard = self._lock.write()
         started = time.perf_counter()
         guard.__enter__()
         if self.obs.enabled:
             waited_ms = (time.perf_counter() - started) * 1e3
-            name = ("serve.lock.write_wait_ms" if write
-                    else "serve.lock.read_wait_ms")
-            self.obs.metrics.observe(name, waited_ms)
+            self.obs.metrics.observe("serve.lock.write_wait_ms",
+                                     waited_ms)
         try:
             yield
         finally:
@@ -236,11 +222,8 @@ class QueryService(RequestPipeline):
         invalidate the full-key entry but leave these intact, so a
         read after a write replays only the delta overlay on top of
         the cached base result.  Shares the one :class:`ResultCache`
-        (and its hit/miss accounting) with the full-key level.  Direct
-        ingest has no second level (every write changes the base).
+        (and its hit/miss accounting) with the full-key level.
         """
-        if not self._mvcc:
-            return compute()
         epochs = [(snap.name, snap.base_epoch) for snap in snapshots]
         key = normalized_key(f"{op}@base", None, epochs, self.db.epoch,
                              params_json=request["_params_json"])
@@ -438,12 +421,12 @@ class QueryService(RequestPipeline):
         records absorbed by the merge can be dropped.
         """
         started = time.perf_counter()
-        with self._locked(write=True):
+        with self._locked():
             begun = relation.begin_rebuild()
         if not begun:
             return False
         tree, objects = relation.build_merged()
-        with self._locked(write=True):
+        with self._locked():
             relation.commit_rebuild(tree, objects)
             if self.durability is not None:
                 self.durability.checkpoint()
@@ -468,20 +451,14 @@ class QueryService(RequestPipeline):
     def _stats_sections(self) -> Dict[str, Any]:
         sections: Dict[str, Any] = {
             "ingest": {
-                "mode": self.ingest,
                 "pending_delta_ops": sum(
                     r.delta_ops_pending
                     for r in self.db.relations.values()),
                 "rebuilds": self.rebuilds,
             }}
-        lock_waits = {}
-        for mode in ("read", "write"):
-            section = latency_section(self.obs,
-                                      f"serve.lock.{mode}_wait_ms")
-            if section is not None:
-                lock_waits[mode] = section
-        if lock_waits:
-            sections["lock_wait_ms"] = lock_waits
+        write_wait = latency_section(self.obs, "serve.lock.write_wait_ms")
+        if write_wait is not None:
+            sections["lock_wait_ms"] = {"write": write_wait}
         if self.durability is not None:
             sections["durability"] = self.durability.status()
         return sections
@@ -496,7 +473,7 @@ class QueryService(RequestPipeline):
             self._rebuilder = None
         super().close()
         if self.durability is not None:
-            with self._locked(write=True):
+            with self._locked():
                 self.durability.close(checkpoint=True)
 
 

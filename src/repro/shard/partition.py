@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
+from ..core.deltajoin import _mbr_of
 from ..geometry.rect import Rect
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -304,8 +305,6 @@ def partition_database(db: "SpatialDatabase",
         pmap.create_relation(name)
         locals_ = [shard.create_relation(name) for shard in shards]
         for oid, geometry in sorted(relation.objects.items()):
-            mbr = geometry if isinstance(geometry, Rect) \
-                else geometry.mbr()
-            for cell in pmap.add(name, oid, mbr):
+            for cell in pmap.add(name, oid, _mbr_of(geometry)):
                 locals_[cell].insert(geometry, oid=oid)
     return shards, pmap

@@ -24,7 +24,8 @@ def build_db(n=80, seed=21, ingest="delta"):
         relation = db.create_relation(name)
         for _ in range(n):
             relation.insert(rect(rng))
-    db.set_ingest_mode(ingest)
+    if ingest == "delta":
+        db.absorb_writes()
     return db
 
 

@@ -66,17 +66,17 @@ class TestSchedules:
 
 
 class TestDeltaIngest:
-    """The same kill/recover schedules with MVCC delta ingest active:
-    crashes land before, during accumulation of, and after background
-    merges, and recovery must still converge on the direct-mode model."""
+    """The same kill/recover schedules with MVCC write absorption
+    armed: crashes land before, during accumulation of, and after
+    background merges, and recovery must still converge on the model."""
 
     def test_single_delta_schedule_passes(self):
-        outcome = run_schedule(2, num_ops=30, ingest="delta")
+        outcome = run_schedule(2, num_ops=30, mvcc=True)
         assert outcome.ok, outcome.error
-        assert outcome.ingest == "delta"
+        assert outcome.mvcc
 
     def test_delta_sweep_passes_and_merges(self):
-        results = run_schedules(8, num_ops=25, ingest="delta")
+        results = run_schedules(8, num_ops=25, mvcc=True)
         assert all(outcome.ok for outcome in results), \
             [outcome.error for outcome in results if not outcome.ok]
         # Kills and mid-workload rebuild points both actually happened,
@@ -85,14 +85,25 @@ class TestDeltaIngest:
         assert sum(outcome.rebuilds for outcome in results) > 0
 
     def test_delta_schedules_are_reproducible(self):
-        first = run_schedule(5, num_ops=30, ingest="delta")
-        second = run_schedule(5, num_ops=30, ingest="delta")
+        first = run_schedule(5, num_ops=30, mvcc=True)
+        second = run_schedule(5, num_ops=30, mvcc=True)
         assert (first.kills, first.incarnations, first.replayed,
                 first.rebuilds, first.final_objects) \
             == (second.kills, second.incarnations, second.replayed,
                 second.rebuilds, second.final_objects)
 
     def test_cli_delta_mode(self, capsys):
-        assert main(["--schedules", "2", "--ops", "15",
-                     "--ingest", "delta"]) == 0
+        assert main(["--schedules", "2", "--ops", "15", "--mvcc"]) == 0
         assert "0 failures" in capsys.readouterr().out
+
+    def test_outcomes_match_the_mode_string_harness(self):
+        """Seed 5 as recorded from ``ingest="direct"`` / ``"delta"``
+        before the harness took a boolean: the arming call changes how
+        a schedule is selected, not what it does."""
+        plain = run_schedule(5, num_ops=30)
+        armed = run_schedule(5, num_ops=30, mvcc=True)
+        assert not plain.mvcc
+        assert (plain.kills, plain.incarnations, plain.rebuilds) \
+            == (1, 2, 0)
+        assert (armed.kills, armed.incarnations, armed.rebuilds) \
+            == (1, 2, 2)

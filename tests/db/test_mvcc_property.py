@@ -41,7 +41,8 @@ def _build(ingest, seed=17, n=15):
         relation = db.create_relation(name)
         for _ in range(n):
             relation.insert(_rect(rng))
-    db.set_ingest_mode(ingest)
+    if ingest == "delta":
+        db.absorb_writes()
     return db
 
 

@@ -227,7 +227,7 @@ class TestDeltaModeRecovery:
 
     def _mutate(self, db):
         rel = db.create_relation("roads")
-        db.set_ingest_mode("delta")
+        db.absorb_writes()
         oids = [rel.insert(Rect(i, i, i + 1, i + 1)) for i in range(9)]
         rel.delete(oids[4])
         return [oid for oid in oids if oid != oids[4]]
@@ -279,14 +279,14 @@ class TestDeltaModeRecovery:
         assert snapshot1 == snapshot2
 
     def test_recovered_database_resumes_delta_ingest(self, tmp_path):
-        # Recovery lands in direct mode; the service layer re-arms the
+        # Recovery replays in place; the service layer then arms the
         # delta path, and further MVCC writes keep working on top of
         # the recovered base trees.
         db, manager = _open(tmp_path / "data", checkpoint_every=1000)
         live = self._mutate(db)
         _abandon(manager)
         db2, manager2 = _open(tmp_path / "data")
-        db2.set_ingest_mode("delta")
+        db2.absorb_writes()
         rel = db2.relations["roads"]
         new_oid = rel.insert(Rect(30, 30, 31, 31))
         assert sorted(rel.objects) == sorted(live + [new_oid])

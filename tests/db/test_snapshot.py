@@ -13,12 +13,13 @@ def rect(x, y, w=5.0, h=5.0):
     return Rect(x, y, x + w, y + h)
 
 
-def build_relation(n=60, seed=3, ingest="delta"):
+def build_relation(n=60, seed=3, armed=True):
     relation = SpatialRelation("roads", page_size=1024)
     rng = random.Random(seed)
     for _ in range(n):
         relation.insert(rect(rng.uniform(0, 200), rng.uniform(0, 200)))
-    relation.set_ingest_mode(ingest)
+    if armed:
+        relation.absorb_writes()
     return relation
 
 
@@ -125,7 +126,7 @@ class TestEpochs:
         assert relation.delta_ops_pending == 0
 
     def test_direct_write_bumps_both(self):
-        relation = build_relation(ingest="direct")
+        relation = build_relation(armed=False)
         epoch, base = relation.epoch, relation.base_epoch
         relation.insert(rect(1, 1))
         assert relation.epoch == epoch + 1
@@ -135,11 +136,11 @@ class TestEpochs:
         relation = build_relation()
         assert relation.rebuild() is False
 
-    def test_switching_to_direct_flushes(self):
+    def test_flush_merges_the_pending_delta_into_the_tree(self):
         relation = build_relation(n=10)
         added = relation.insert(rect(70, 70))
         relation.delete(0)
-        relation.set_ingest_mode("direct")
+        assert relation.flush()
         assert relation.delta_ops_pending == 0
         assert added in relation.objects and 0 not in relation.objects
         # The tree itself now holds the merged records.

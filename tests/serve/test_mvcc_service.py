@@ -154,7 +154,8 @@ class TestRebuilder:
             client.insert("rivers", rect_json(5, 5))
             assert service.force_rebuild() == 2
             snapshot = service.metrics_snapshot()
-            assert snapshot["ingest"]["mode"] == "delta"
+            # One possible state is not a statistic.
+            assert "mode" not in snapshot["ingest"]
             assert snapshot["ingest"]["pending_delta_ops"] == 0
             assert snapshot["ingest"]["rebuilds"] == 2
         finally:
@@ -187,14 +188,27 @@ class TestLockHistograms:
         finally:
             service.close()
 
-    def test_direct_mode_reads_time_the_read_lock(self):
-        service = QueryService(build_db(), workers=2, ingest="direct",
-                               default_timeout=30.0)
+
+class TestServingIsMvcc:
+    """A served database always absorbs writes: there is no mode to
+    pass, and nothing a client creates later escapes the arming."""
+
+    def test_ingest_is_not_a_constructor_parameter(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            QueryService(build_db(), ingest="direct")
+
+    def test_relation_created_by_verb_absorbs_its_first_write(self):
+        service = make_service()
         client = ServiceClient(service)
         try:
-            client.window("streets", [0, 0, 100, 100])
-            stats = client.call("stats")
-            assert stats["lock_wait_ms"]["read"]["count"] >= 1
+            client.call("create", relation="parks")
+            parks = service.db.relation("parks")
+            base = parks.base_epoch
+            oid = client.insert("parks", rect_json(10, 10))["oid"]
+            assert parks.delta_ops_pending == 1
+            assert parks.base_epoch == base
+            assert len(parks.tree) == 0         # nothing reached the tree
+            assert client.window("parks", [0, 0, 50, 50])["refs"] == [oid]
         finally:
             service.close()
 

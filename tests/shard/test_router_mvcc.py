@@ -47,9 +47,22 @@ def force_rebuild_everywhere(topology):
 
 
 def test_shard_services_run_mvcc_ingest(fleet):
-    _, topology, _, _ = fleet
-    for service in shard_services(topology):
-        assert service.ingest == "delta"
+    """Absorption by effect: with the rebuilder out of the way, one
+    routed write is pending in exactly the shards it reached and moved
+    nobody's base tree."""
+    _, topology, _, client = fleet
+    services = shard_services(topology)
+    for service in services:
+        service.rebuild_threshold = None
+    before = [service.db.relation("streets").base_epoch
+              for service in services]
+    client.insert("streets", {"kind": "rect",
+                              "coords": [10.0, 10.0, 12.0, 12.0]})
+    pending = [service.db.relation("streets").delta_ops_pending
+               for service in services]
+    assert sorted(pending) == [0, 0, 0, 1]
+    assert [service.db.relation("streets").base_epoch
+            for service in services] == before
 
 
 def test_router_joins_coherent_across_rebuilds(fleet):

@@ -433,6 +433,13 @@ class TestServeArgs:
         assert main(["serve", "--port", "0"]) == 2
         assert "--db or --data-dir" in capsys.readouterr().err
 
+    def test_serve_has_no_ingest_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--db", str(tmp_path), "--ingest", "direct"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --ingest direct" \
+            in capsys.readouterr().err
+
 
 class TestBenchMatrix:
     """The run/compare/gate/rank verbs, on synthetic row files."""
