@@ -2,7 +2,7 @@
 
 Timed operation: one full prediction on the timing trees plus the
 measured join it is checked against (so the row carries real join
-counters for the planner's ``Calibration.from_bench`` refresh).
+counters next to the predicted ones).
 """
 
 from conftest import show

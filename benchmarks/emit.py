@@ -1,13 +1,12 @@
 """Machine-readable benchmark results.
 
 Every ``bench_*`` script routes its timed operation through
-:func:`timed`, which runs it once under pytest-benchmark, measures the
-wall clock, extracts whatever counters the operation's return value
-carries, and upserts one row ::
+:func:`timed`, which runs it once under pytest-benchmark, extracts
+whatever counters the operation's return value carries, and upserts
+one row ::
 
-    {"schema": 2, "created": "2026-08-06T00:00:00Z",
-     "bench": ..., "params": {...}, "counters": {...},
-     "wall_ms": ..., "env": {...}}
+    {"schema": 3, "created": "2026-08-06T00:00:00Z",
+     "bench": ..., "params": {...}, "counters": {...}, "env": {...}}
 
 into ``BENCH_join.json`` at the repository root (override the path with
 the ``REPRO_BENCH_OUT`` environment variable).  The file is a sorted
@@ -16,37 +15,34 @@ JSON array upserted on the key ``(bench, canonical params)`` — where
 collide onto one key) and then serializes with sorted keys, so two
 parameter dicts that differ only in key order or int-vs-float spelling
 collide onto one row.  Re-running a bench replaces its row (refreshing
-``created``, ``counters``, ``wall_ms`` and ``env``), so the committed
-file stays a stable snapshot of the whole suite while those columns
-track the perf trajectory across changes.
+``created``, ``counters`` and ``env``), so the committed file stays a
+stable snapshot of the whole suite.
 
 ``schema`` versions the row shape itself; bump it when adding or
 renaming row fields.  Schema 2 added ``env`` — the environment
-fingerprint (python, platform, kernel backend, git sha) that lets the
-regression gate (``repro bench gate``) refuse to compare rows measured
-on incomparable machines.
+fingerprint (python, platform, kernel backend, git sha), provenance
+for whoever reads the row.  Schema 3 dropped the wall-clock field: a
+row holds what the bench *counted*; wall time is measured by ``perf/``.
 
 Rows loaded from an existing file are validated: a parseable file that
-contains rows missing ``schema``/``created``/``bench`` is rejected with
-a :class:`ValueError` instead of being silently rewritten (an
-unparseable file is still treated as absent — half-written scratch
-files must not wedge a bench run).
+contains rows missing ``schema``/``created``/``bench``, or rows of an
+older schema, is rejected with a :class:`ValueError` instead of being
+silently rewritten (an unparseable file is still treated as absent —
+half-written scratch files must not wedge a bench run).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from datetime import datetime, timezone
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 #: Row-shape version; bump when adding or renaming row fields.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Fields every row must carry (validated on load and emit).
-REQUIRED_FIELDS = ("schema", "created", "bench", "params", "counters",
-                   "wall_ms")
+REQUIRED_FIELDS = ("schema", "created", "bench", "params", "counters")
 
 #: Default output file, next to the repository's README.
 _DEFAULT_PATH = os.path.join(
@@ -92,6 +88,11 @@ def validate_row(row: Any) -> Optional[str]:
     if missing:
         return (f"row for bench {row.get('bench')!r} is missing "
                 f"{', '.join(missing)}")
+    if row["schema"] != SCHEMA_VERSION:
+        return (f"row for bench {row.get('bench')!r} has schema "
+                f"{row['schema']!r}, expected {SCHEMA_VERSION} — "
+                f"delete the file and regenerate it with "
+                f"`repro bench run --update-baseline`")
     if not isinstance(row.get("bench"), str) or not row["bench"]:
         return f"row has a non-string bench name: {row.get('bench')!r}"
     if not isinstance(row.get("params"), dict):
@@ -125,14 +126,23 @@ def environment_fingerprint() -> Dict[str, Any]:
     return _fp()
 
 
-def emit(bench: str, params: Dict[str, Any], counters: Dict[str, Any],
-         wall_ms: float) -> Dict[str, Any]:
+def write_rows(path: str, rows: Iterable[Dict[str, Any]]) -> None:
+    """Write *rows* to *path* in the file's one layout: sorted on the
+    upsert key, indented, keys sorted."""
+    ordered = sorted(rows, key=lambda r: row_key(r.get("bench", ""),
+                                                 r.get("params", {})))
+    with open(path, "w") as handle:
+        json.dump(ordered, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def emit(bench: str, params: Dict[str, Any],
+         counters: Dict[str, Any]) -> Dict[str, Any]:
     """Upsert one result row keyed on ``(bench, canonical params)``."""
     created = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     row = {"schema": SCHEMA_VERSION, "created": created,
            "bench": bench, "params": canonical_params(params),
            "counters": counters,
-           "wall_ms": round(float(wall_ms), 3),
            "env": environment_fingerprint()}
     path = bench_path()
     rows: List[Dict[str, Any]] = []
@@ -147,11 +157,7 @@ def emit(bench: str, params: Dict[str, Any], counters: Dict[str, Any],
     rows = [r for r in rows
             if row_key(r.get("bench"), r.get("params", {})) != key]
     rows.append(row)
-    rows.sort(key=lambda r: row_key(r.get("bench", ""),
-                                    r.get("params", {})))
-    with open(path, "w") as handle:
-        json.dump(rows, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_rows(path, rows)
     return row
 
 
@@ -163,8 +169,7 @@ def counters_of(result: Any) -> Dict[str, Any]:
     raw pair list) carries no ``stats``: they return the counters they
     want on the row.  Join results carry the paper's two counters plus
     the output size; query results carry their I/O statistics; trees
-    report their shape; anything else contributes no counters (the
-    wall clock still does).
+    report their shape; anything else contributes no counters.
     """
     if isinstance(result, dict):
         return {key: value for key, value in result.items()
@@ -191,29 +196,7 @@ def counters_of(result: Any) -> Dict[str, Any]:
 
 def timed(benchmark, fn: Callable[[], Any], bench: str,
           **params: Any) -> Any:
-    """Run *fn* under pytest-benchmark and emit its row.
-
-    ``REPRO_BENCH_ROUNDS`` (default 1) repeats the op in-process and
-    the row keeps the *minimum* wall across rounds — on a shared
-    machine a measurement is only ever noisy high, so the minimum is
-    the stable statistic.  The regression gate and baseline refreshes
-    (``repro bench run/gate``) set it to 3 so both sides of a
-    comparison carry the same statistic.  Counters come from the last
-    round; every timed op reads fixed inputs, so rounds are
-    counter-identical.
-    """
-    rounds = max(1, int(os.environ.get("REPRO_BENCH_ROUNDS", "1")))
-    cell: Dict[str, Any] = {}
-
-    def run():
-        start = time.perf_counter()
-        cell["result"] = fn()
-        elapsed_ms = (time.perf_counter() - start) * 1e3
-        cell["wall_ms"] = min(cell.get("wall_ms", elapsed_ms),
-                              elapsed_ms)
-        return cell["result"]
-
-    benchmark.pedantic(run, rounds=rounds, iterations=1)
-    result = cell.get("result")
-    emit(bench, params, counters_of(result), cell.get("wall_ms", 0.0))
+    """Run *fn* once under pytest-benchmark and emit its row."""
+    result = benchmark.pedantic(fn, rounds=1, iterations=1)
+    emit(bench, params, counters_of(result))
     return result

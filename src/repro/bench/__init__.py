@@ -1,20 +1,19 @@
 """Benchmark harness: experiment runners for every paper exhibit.
 
-``python -m repro.bench table2`` prints one exhibit;
-``python -m repro.bench all`` prints everything.  The pytest-benchmark
+``repro bench table2`` (or ``python -m repro.bench table2``) prints one
+exhibit; ``repro bench all`` prints everything.  The pytest-benchmark
 modules under ``benchmarks/`` call the same functions.
 """
 
 from .ablations import ABLATIONS
-from .envinfo import COMPARABLE_FIELDS, comparable, environment_fingerprint
+from .envinfo import environment_fingerprint
 from .experiments import (BUFFER_SIZES_KB, EXHIBITS, PAGE_SIZES, TESTS,
                           figure2, figure8, figure9, figure10, table1,
                           table2, table3, table4, table5, table6, table7,
                           table8)
-from .gate import (Comparison, Delta, compare_rows, keep_min_wall,
-                   merge_into_baseline, rank_components,
-                   render_delta_table, render_rank_table,
-                   run_experiments)
+from .gate import (Comparison, Delta, compare_rows, merge_into_baseline,
+                   rank_components, render_delta_table,
+                   render_rank_table, run_experiments)
 from .registry import (COMPONENTS, EXPERIMENTS, Component, Experiment,
                        experiments_for)
 from .runner import (JoinOutcome, build_tree, optimum_accesses,
@@ -25,7 +24,6 @@ from .tables import ExperimentReport, format_table
 __all__ = [
     "ABLATIONS",
     "BUFFER_SIZES_KB",
-    "COMPARABLE_FIELDS",
     "COMPONENTS",
     "Comparison",
     "Component",
@@ -33,11 +31,9 @@ __all__ = [
     "EXPERIMENTS",
     "EXHIBITS",
     "Experiment",
-    "comparable",
     "compare_rows",
     "environment_fingerprint",
     "experiments_for",
-    "keep_min_wall",
     "merge_into_baseline",
     "rank_components",
     "render_delta_table",

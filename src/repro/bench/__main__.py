@@ -1,56 +1,14 @@
-"""CLI for the benchmark harness.
-
-Examples::
-
-    python -m repro.bench table2
-    python -m repro.bench figure10 --scale 0.25
-    python -m repro.bench all
-    python -m repro.bench ablation-pinning
-"""
+"""``python -m repro.bench …`` is ``repro bench …``."""
 
 from __future__ import annotations
 
-import argparse
 import sys
-import time
 
-from .ablations import ABLATIONS
-from .experiments import EXHIBITS
+from ..cli import main as cli_main
 
 
 def main(argv: list[str] | None = None) -> int:
-    registry = {**EXHIBITS, **ABLATIONS}
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="Regenerate the paper's tables and figures.")
-    parser.add_argument(
-        "exhibit",
-        choices=sorted(registry) + ["all", "all-ablations"],
-        help="which exhibit to run")
-    parser.add_argument(
-        "--scale", type=float, default=None,
-        help="fraction of the paper's cardinalities "
-             "(default: REPRO_SCALE or 0.125)")
-    args = parser.parse_args(argv)
-
-    if args.exhibit == "all":
-        names = sorted(EXHIBITS)
-    elif args.exhibit == "all-ablations":
-        names = sorted(ABLATIONS)
-    else:
-        names = [args.exhibit]
-
-    for name in names:
-        function = registry[name]
-        started = time.time()
-        if args.scale is not None:
-            report = function(scale=args.scale)
-        else:
-            report = function()
-        print(report.render())
-        print(f"  [{name}: {time.time() - started:.1f}s]")
-        print()
-    return 0
+    return cli_main(["bench", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

@@ -1,17 +1,10 @@
 """Environment fingerprints for benchmark-row provenance.
 
 Every row ``benchmarks/emit.py`` writes carries the fingerprint of the
-machine that measured it, so the regression gate (``repro bench
-gate``) can refuse to compare wall clocks across incomparable setups
-and :meth:`repro.plan.Calibration.from_bench` can ignore rows measured
-with a different kernel backend.
-
-Two fingerprints are *comparable* when the fields in
-:data:`COMPARABLE_FIELDS` agree: the OS platform and the kernel
-backend (numpy vs stdlib ``array``) change what a wall-ms or counter
-number means; python patch versions, machine speed, and the git sha do
-not — machine speed is normalized away by the gate's median machine
-factor, and the sha is pure provenance.
+machine that produced it — python, platform, kernel backend (numpy vs
+stdlib ``array``), git sha.  It is provenance only: the counters
+``repro bench gate`` compares are identical on both backends and on
+every platform, so no verdict reads it.
 """
 
 from __future__ import annotations
@@ -21,9 +14,6 @@ import subprocess
 import sys
 from functools import lru_cache
 from typing import Any, Dict, Optional
-
-#: Fingerprint fields that must agree for two rows to be comparable.
-COMPARABLE_FIELDS = ("platform", "backend")
 
 
 def _git_sha() -> Optional[str]:
@@ -65,20 +55,6 @@ def _cached_fingerprint() -> Dict[str, Any]:
 def environment_fingerprint() -> Dict[str, Any]:
     """This process's fingerprint (fresh dict; safe to mutate)."""
     return dict(_cached_fingerprint())
-
-
-def comparable(a: Optional[Dict[str, Any]],
-               b: Optional[Dict[str, Any]]) -> bool:
-    """Whether two fingerprints are measurement-comparable.
-
-    A missing fingerprint (schema-1 legacy row) is treated as
-    comparable — there is nothing to contradict; the gate surfaces the
-    absence separately.
-    """
-    if not a or not b:
-        return True
-    return all(a.get(field) == b.get(field)
-               for field in COMPARABLE_FIELDS)
 
 
 def describe(env: Optional[Dict[str, Any]]) -> str:

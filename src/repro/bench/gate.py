@@ -4,31 +4,22 @@ The four verbs behind ``repro bench``:
 
 * :func:`run_experiments` — execute selected ``benchmarks/bench_*.py``
   modules through pytest-benchmark in subprocesses, collecting their
-  rows into a scratch file (or upserting the committed baseline with
-  ``update_baseline=True``).
+  rows into a scratch file (:func:`merge_into_baseline` upserts them
+  into the committed baseline).
 * :func:`compare_rows` — diff a fresh row file against the committed
   ``BENCH_join.json`` baseline, producing one :class:`Delta` per
   matched row.
-* :func:`gate` exit code — nonzero when any delta regressed: a wall-ms
-  ratio beyond tolerance, a drifted deterministic counter, an
-  incomparable environment, or a selected row that went missing.
+* gate exit code — nonzero when a declared deterministic counter
+  differs from (or is absent on either side of) the baseline, a
+  selected row went missing, or a module run failed.
 * :func:`rank_components` — the component-impact report: every
   :data:`~repro.bench.registry.COMPONENTS` contrast found in the
   committed rows, ranked by measured impact factor.
 
-Wall-clock comparisons are *machine-normalized*: the median ratio of
-fresh over baseline wall-ms across all compared rows is the run's
-machine factor.  The normalized ratio is the verdict — a row
-regresses when it exceeds ``1 + tolerance`` with more than
-:data:`WALL_SLACK_MS` of normalized delta — guarded by the raw
-reading at half tolerance, so a row whose own time barely moved is
-never flagged just because the rest of the suite sped up.  That keeps
-the gate meaningful on CI runners whose speed differs from the
-machine that produced the baseline, while a single bench that got 50%
-slower still stands out.  With fewer than
-:data:`MIN_PAIRS_FOR_FACTOR` compared rows the factor falls back to
-1.0 (absolute comparison) — a median over two points would normalize
-every real regression away.
+The gate judges *counts*, never milliseconds: a deterministic counter
+is identical on every run of the same code over the same seeds, on
+either kernel backend, so the comparison is plain equality.
+Wall time is measured by ``perf/`` (see ``perf/README.md``).
 """
 
 from __future__ import annotations
@@ -36,38 +27,29 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
-import statistics
 import subprocess
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .envinfo import comparable, describe, environment_fingerprint
+from .envinfo import describe, environment_fingerprint
 from .registry import (BY_BENCH, COMPONENTS, Component, Experiment,
                        benchmarks_dir)
-
-#: Absolute wall-ms slack: a row never regresses on a normalized
-#: delta smaller than this, whatever the ratio — sub-millisecond rows
-#: are all noise.  Kept tight (rows are min-of-rounds minimums and
-#: the gate retries a regressed bench once before believing it) so a
-#: +50% regression on a ~10 ms smoke row still clears the bar.
-WALL_SLACK_MS = 2.0
-
-#: Minimum compared rows before the median machine factor engages.
-MIN_PAIRS_FOR_FACTOR = 4
 
 #: Default REPRO_SCALE for gate runs: exhibits regenerate quickly and
 #: the timed counters do not depend on it (timing trees are fixed).
 DEFAULT_RUN_SCALE = 0.02
 
-_OK_STATUSES = ("ok", "improved", "new")
+_OK_STATUSES = ("ok", "new")
 
 
 # ----------------------------------------------------------------------
 # Row plumbing
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def _emit_module():
     """Load ``benchmarks/emit.py`` (not a package; load by path)."""
     path = os.path.join(benchmarks_dir(), "emit.py")
@@ -84,21 +66,9 @@ def load_rows(path: str) -> List[Dict[str, Any]]:
 
 
 def _row_key(row: Dict[str, Any]) -> Tuple[str, str]:
-    params = json.dumps(_canonical(row.get("params", {})),
-                        sort_keys=True)
-    return (row.get("bench", ""), params)
-
-
-def _canonical(value: Any) -> Any:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, dict):
-        return {k: _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    return value
+    """``(bench, canonical params JSON)`` — the emitter's upsert key."""
+    return _emit_module().row_key(row.get("bench", ""),
+                                  row.get("params", {}))
 
 
 def default_baseline_path() -> str:
@@ -131,23 +101,20 @@ def run_experiments(experiments: Sequence[Experiment], out_path: str,
                     timeout: float = 600.0,
                     bench_dir: Optional[str] = None,
                     log: Callable[[str], None] = lambda s: None,
-                    passes: int = 1) -> List[RunOutcome]:
+                    cache: bool = True) -> List[RunOutcome]:
     """Execute experiment modules under pytest-benchmark, emitting
     rows into *out_path*.
 
-    Each module runs in its own subprocess (the bench modules expect a
-    fresh interpreter: layout env vars, numpy detection, worker spawn)
-    with ``REPRO_BENCH_OUT`` pointed at *out_path* and ``REPRO_SCALE``
+    Each module runs once, in its own subprocess (the bench modules
+    expect a fresh interpreter: numpy detection, worker spawn) with
+    ``REPRO_BENCH_OUT`` pointed at *out_path* and ``REPRO_SCALE``
     pinned.  A module that exceeds *timeout* seconds or exits nonzero
     is reported, not raised — the gate turns it into a failure.
 
-    With ``passes > 1`` every module runs that many times and each
-    row keeps its *minimum* wall-ms across passes: the timed ops are
-    single-round, and on a shared machine a measurement is only ever
-    noisy *high* — the minimum is the stable statistic.  The gate
-    measures with two passes, and a baseline refreshed with the same
-    ``passes`` compares like-for-like.  A module that fails in any
-    pass is reported as failed.
+    ``cache=False`` runs the modules with ``REPRO_NO_CACHE=1``: the
+    ``.bench_cache/`` memo is keyed by configuration, not by code, so
+    the gate must recompute every exhibit counter from the code under
+    test instead of reading what an earlier commit computed.
     """
     directory = bench_dir or benchmarks_dir()
     src_root = os.path.dirname(
@@ -156,127 +123,73 @@ def run_experiments(experiments: Sequence[Experiment], out_path: str,
     env["REPRO_BENCH_OUT"] = os.path.abspath(out_path)
     env["PYTHONPATH"] = src_root + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    # Each timed op repeats in-process and keeps its minimum wall —
-    # the single biggest noise reducer (warm caches, no subprocess
-    # startup between rounds).  Overridable from the outside.
-    env.setdefault("REPRO_BENCH_ROUNDS", "3")
-    merged: Dict[str, RunOutcome] = {}
-    for attempt in range(max(1, int(passes))):
-        before: List[Dict[str, Any]] = []
-        if attempt:
-            if os.path.exists(out_path):
-                before = load_rows(out_path)
-            log(f"  measurement pass {attempt + 1}/{passes} "
-                f"(keeping the faster wall per row)")
-        for experiment in experiments:
-            module_path = os.path.join(directory, experiment.module)
-            command = [sys.executable, "-m", "pytest", module_path,
-                       "-q", "--benchmark-only", "-p",
-                       "no:cacheprovider"]
-            start = time.perf_counter()
-            returncode, output = 0, ""
-            for extra in experiment.variants:
-                run_env = dict(env)
-                run_env["REPRO_SCALE"] = str(
-                    experiment.scale if experiment.scale is not None
-                    else scale)
-                run_env.update(extra)
-                try:
-                    proc = subprocess.run(command, env=run_env,
-                                          text=True,
-                                          capture_output=True,
-                                          timeout=timeout,
-                                          cwd=os.path.dirname(directory))
-                    output += proc.stdout + proc.stderr
-                    returncode = returncode or proc.returncode
-                except subprocess.TimeoutExpired as exc:
-                    returncode = returncode or -1
-                    output += (f"{exc}\n" + (exc.stdout or "")
-                               + (exc.stderr or ""))
-            seconds = time.perf_counter() - start
-            # Present-after-run count (not a delta): re-running a
-            # bench upserts its existing keys, which is still success.
-            rows = _count_rows(out_path, experiment.bench)
-            outcome = RunOutcome(experiment, returncode, seconds, rows,
-                                 output_tail="\n".join(
-                                     output.splitlines()[-25:]))
-            prior = merged.get(experiment.bench)
-            if prior is not None:
-                outcome = RunOutcome(
-                    experiment, prior.returncode or outcome.returncode,
-                    prior.seconds + outcome.seconds, outcome.rows,
-                    outcome.output_tail if not outcome.ok
-                    else prior.output_tail)
-            merged[experiment.bench] = outcome
-            status = "ok" if outcome.ok else "FAILED"
-            log(f"  {experiment.bench:<28} {seconds:7.1f}s  "
-                f"{rows} row(s)  {status}")
-            if not outcome.ok:
-                log(outcome.output_tail)
-        if attempt:
-            keep_min_wall(out_path, before,
-                          [e.bench for e in experiments])
-    return [merged[e.bench] for e in experiments]
+    if not cache:
+        env["REPRO_NO_CACHE"] = "1"
+    outcomes: List[RunOutcome] = []
+    for experiment in experiments:
+        module_path = os.path.join(directory, experiment.module)
+        command = [sys.executable, "-m", "pytest", module_path,
+                   "-q", "--benchmark-only", "-p",
+                   "no:cacheprovider"]
+        start = time.perf_counter()
+        returncode, output = 0, ""
+        for extra in experiment.variants:
+            run_env = dict(env)
+            run_env["REPRO_SCALE"] = str(
+                experiment.scale if experiment.scale is not None
+                else scale)
+            run_env.update(extra)
+            try:
+                proc = subprocess.run(command, env=run_env,
+                                      text=True,
+                                      capture_output=True,
+                                      timeout=timeout,
+                                      cwd=os.path.dirname(directory))
+                output += proc.stdout + proc.stderr
+                returncode = returncode or proc.returncode
+            except subprocess.TimeoutExpired as exc:
+                returncode = returncode or -1
+                output += (f"{exc}\n" + (exc.stdout or "")
+                           + (exc.stderr or ""))
+        seconds = time.perf_counter() - start
+        # Present-after-run count (not a delta): re-running a
+        # bench upserts its existing keys, which is still success.
+        rows = _count_rows(out_path, experiment.bench)
+        outcome = RunOutcome(experiment, returncode, seconds, rows,
+                             output_tail="\n".join(
+                                 output.splitlines()[-25:]))
+        outcomes.append(outcome)
+        status = "ok" if outcome.ok else "FAILED"
+        log(f"  {experiment.bench:<28} {seconds:7.1f}s  "
+            f"{rows} row(s)  {status}")
+        if not outcome.ok:
+            log(outcome.output_tail)
+    return outcomes
 
 
 def _count_rows(path: str, bench: str) -> int:
     if not os.path.exists(path):
         return 0
     try:
-        rows = json.load(open(path))
+        with open(path) as handle:
+            rows = json.load(handle)
     except (json.JSONDecodeError, OSError):
         return 0
     return sum(1 for r in rows if isinstance(r, dict)
                and r.get("bench") == bench)
 
 
-def keep_min_wall(fresh_path: str, before: Sequence[Dict[str, Any]],
-                  benches: Sequence[str]) -> int:
-    """After a retry run, keep the *minimum* wall-ms per retried row.
-
-    The retry exists to absorb load spikes: a real regression is slow
-    on both runs, while noise only needs one clean measurement — so
-    the verdict should see the faster of the two.  Everything else in
-    the row (counters, env, created) comes from the re-run;
-    deterministic counters are identical across runs by definition,
-    and drift fails the gate before any retry is attempted.  Returns
-    how many rows kept their earlier, lower measurement.
-    """
-    wanted = set(benches)
-    prior = {_row_key(row): row.get("wall_ms") for row in before
-             if row.get("bench") in wanted}
-    rows = load_rows(fresh_path)
-    lowered = 0
-    for row in rows:
-        earlier = prior.get(_row_key(row))
-        wall = row.get("wall_ms")
-        if isinstance(earlier, (int, float)) \
-                and isinstance(wall, (int, float)) and earlier < wall:
-            row["wall_ms"] = earlier
-            lowered += 1
-    if lowered:
-        with open(fresh_path, "w") as handle:
-            json.dump(sorted(rows, key=_row_key), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-    return lowered
-
-
 def merge_into_baseline(fresh_path: str, baseline_path: str) -> int:
     """Upsert every fresh row into the baseline file (the documented
     way to refresh the committed snapshot after a gated run); returns
     the number of rows upserted."""
-    emit = _emit_module()
-    fresh = emit.load_rows(fresh_path)
-    baseline = (emit.load_rows(baseline_path)
+    fresh = load_rows(fresh_path)
+    baseline = (load_rows(baseline_path)
                 if os.path.exists(baseline_path) else [])
     by_key = {_row_key(row): row for row in baseline}
     for row in fresh:
         by_key[_row_key(row)] = row
-    merged = sorted(by_key.values(), key=_row_key)
-    with open(baseline_path, "w") as handle:
-        json.dump(merged, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _emit_module().write_rows(baseline_path, by_key.values())
     return len(fresh)
 
 
@@ -290,11 +203,7 @@ class Delta:
 
     bench: str
     params: str                      # canonical params JSON
-    status: str                      # ok|improved|regressed|counter-drift|env-mismatch|missing|new
-    base_wall_ms: Optional[float] = None
-    fresh_wall_ms: Optional[float] = None
-    ratio: Optional[float] = None    # fresh / base
-    normalized: Optional[float] = None   # ratio / machine factor
+    status: str                      # ok|counter-drift|missing|new
     detail: str = ""
 
     @property
@@ -304,11 +213,9 @@ class Delta:
 
 @dataclass
 class Comparison:
-    """The full diff: deltas plus the run-level machine factor."""
+    """The full diff: one delta per compared, missing or new row."""
 
     deltas: List[Delta]
-    machine_factor: float
-    tolerance: float
 
     @property
     def failures(self) -> List[Delta]:
@@ -321,16 +228,13 @@ class Comparison:
 
 def compare_rows(baseline: Sequence[Dict[str, Any]],
                  fresh: Sequence[Dict[str, Any]],
-                 tolerance: Optional[float] = None,
-                 ignore_env: bool = False,
                  benches: Optional[Sequence[str]] = None) -> Comparison:
     """Diff fresh rows against the baseline.
 
     Only rows whose bench appears in *fresh* (or in *benches*, when
     given) are considered — the baseline holds the full matrix while a
-    smoke run refreshes a subset.  Each matched row gets a wall-ms
-    verdict (machine-normalized, see module docstring) and an exact
-    comparison of the experiment's declared deterministic counters.
+    smoke run refreshes a subset.  Each matched row gets an exact
+    comparison of its experiment's declared deterministic counters.
     """
     scope = set(benches) if benches is not None else \
         {row.get("bench") for row in fresh}
@@ -339,138 +243,64 @@ def compare_rows(baseline: Sequence[Dict[str, Any]],
     fresh_by_key = {_row_key(row): row for row in fresh
                     if row.get("bench") in scope}
 
-    pairs: List[Tuple[Tuple[str, str], Dict, Dict]] = []
-    for key, fresh_row in sorted(fresh_by_key.items()):
-        base_row = base_by_key.get(key)
-        if base_row is not None:
-            pairs.append((key, base_row, fresh_row))
-
-    ratios = [f["wall_ms"] / b["wall_ms"] for _, b, f in pairs
-              if isinstance(b.get("wall_ms"), (int, float))
-              and isinstance(f.get("wall_ms"), (int, float))
-              and b["wall_ms"] > 0 and f["wall_ms"] > 0]
-    factor = (statistics.median(ratios)
-              if len(ratios) >= MIN_PAIRS_FOR_FACTOR else 1.0)
-
     deltas: List[Delta] = []
-    for key, base_row, fresh_row in pairs:
-        deltas.append(_delta_of(key, base_row, fresh_row, factor,
-                                tolerance, ignore_env))
-    for key in sorted(set(base_by_key) - set(fresh_by_key)):
+    for key, fresh_row in fresh_by_key.items():
+        base_row = base_by_key.get(key)
+        if base_row is None:
+            deltas.append(Delta(key[0], key[1], "new",
+                                detail="no baseline row yet"))
+        else:
+            deltas.append(_delta_of(key, base_row, fresh_row))
+    for key in set(base_by_key) - set(fresh_by_key):
         deltas.append(Delta(key[0], key[1], "missing",
-                            base_wall_ms=base_by_key[key].get("wall_ms"),
                             detail="baseline row not re-emitted"))
-    for key in sorted(set(fresh_by_key) - set(base_by_key)):
-        deltas.append(Delta(key[0], key[1], "new",
-                            fresh_wall_ms=fresh_by_key[key].get(
-                                "wall_ms"),
-                            detail="no baseline row yet"))
     deltas.sort(key=lambda d: (d.failed is False, d.bench, d.params))
-    return Comparison(deltas, factor,
-                      tolerance if tolerance is not None
-                      else -1.0)
+    return Comparison(deltas)
 
 
 def _delta_of(key: Tuple[str, str], base: Dict[str, Any],
-              fresh: Dict[str, Any], factor: float,
-              tolerance: Optional[float], ignore_env: bool) -> Delta:
+              fresh: Dict[str, Any]) -> Delta:
     bench, params = key
     experiment = BY_BENCH.get(bench)
-    tol = tolerance if tolerance is not None else (
-        experiment.tolerance if experiment else 0.25)
-    base_wall = base.get("wall_ms")
-    fresh_wall = fresh.get("wall_ms")
-    ratio = (fresh_wall / base_wall
-             if isinstance(base_wall, (int, float))
-             and isinstance(fresh_wall, (int, float)) and base_wall > 0
-             else None)
-    normalized = ratio / factor if ratio is not None else None
-    delta = Delta(bench, params, "ok", base_wall, fresh_wall, ratio,
-                  normalized)
-
-    if not ignore_env and not comparable(base.get("env"),
-                                         fresh.get("env")):
-        delta.status = "env-mismatch"
-        delta.detail = (f"baseline {describe(base.get('env'))} vs "
-                        f"fresh {describe(fresh.get('env'))} — refresh "
-                        f"the baseline on this environment or pass "
-                        f"--ignore-env")
-        return delta
-
+    base_counters = base.get("counters") or {}
+    fresh_counters = fresh.get("counters") or {}
     drifted = []
-    if experiment is not None and comparable(base.get("env"),
-                                             fresh.get("env")):
-        base_counters = base.get("counters") or {}
-        fresh_counters = fresh.get("counters") or {}
-        for name in experiment.deterministic:
-            if name in base_counters and name in fresh_counters \
-                    and base_counters[name] != fresh_counters[name]:
-                drifted.append(f"{name} {base_counters[name]} -> "
-                               f"{fresh_counters[name]}")
+    # An absent declared counter is drift too: renaming or dropping a
+    # counter must not silently un-gate it.
+    for name in experiment.deterministic if experiment else ():
+        if name not in base_counters:
+            drifted.append(f"{name} missing from the baseline row")
+        elif name not in fresh_counters:
+            drifted.append(f"{name} missing from the fresh row")
+        elif base_counters[name] != fresh_counters[name]:
+            drifted.append(f"{name} {base_counters[name]} -> "
+                           f"{fresh_counters[name]}")
     if drifted:
-        delta.status = "counter-drift"
-        delta.detail = "; ".join(drifted)
-        return delta
-
-    if normalized is not None and fresh_wall is not None \
-            and base_wall is not None:
-        # The normalized reading is the verdict (it cancels machine
-        # drift between baseline and fresh runs); the raw reading is
-        # a direction guard at half tolerance — a row whose own time
-        # barely moved must not be flagged just because the rest of
-        # the suite sped up, but normalization still catches a real
-        # regression partially masked by a faster machine.
-        raw_slack = fresh_wall - base_wall
-        norm_slack = fresh_wall - base_wall * factor
-        if normalized > 1.0 + tol and ratio > 1.0 + tol / 2 \
-                and norm_slack > WALL_SLACK_MS and raw_slack > 0:
-            delta.status = "regressed"
-            delta.detail = (f"wall {base_wall:.1f} -> {fresh_wall:.1f} "
-                            f"ms ({ratio:.2f}x raw, {normalized:.2f}x "
-                            f"normalized, tolerance {1 + tol:.2f}x)")
-        elif normalized < 1.0 - tol and ratio < 1.0 - tol / 2 \
-                and -norm_slack > WALL_SLACK_MS and raw_slack < 0:
-            delta.status = "improved"
-            delta.detail = (f"wall {base_wall:.1f} -> {fresh_wall:.1f} "
-                            f"ms ({normalized:.2f}x normalized)")
-    return delta
+        return Delta(bench, params, "counter-drift", "; ".join(drifted))
+    return Delta(bench, params, "ok")
 
 
 def render_delta_table(comparison: Comparison) -> str:
     """The human delta table the gate prints (and CI uploads)."""
-    lines = [f"{'bench':<28} {'base ms':>10} {'fresh ms':>10} "
-             f"{'ratio':>7} {'norm':>7}  status",
+    lines = [f"{'bench':<28} {'status':<14} params",
              "-" * 80]
     for d in comparison.deltas:
-        base = f"{d.base_wall_ms:.1f}" if d.base_wall_ms is not None \
-            else "-"
-        fresh = f"{d.fresh_wall_ms:.1f}" \
-            if d.fresh_wall_ms is not None else "-"
-        ratio = f"{d.ratio:.2f}x" if d.ratio is not None else "-"
-        norm = f"{d.normalized:.2f}x" if d.normalized is not None \
-            else "-"
-        lines.append(f"{d.bench:<28} {base:>10} {fresh:>10} "
-                     f"{ratio:>7} {norm:>7}  {d.status}")
-        if d.detail and d.status not in ("ok",):
+        lines.append(f"{d.bench:<28} {d.status:<14} {d.params}")
+        if d.detail and d.status != "ok":
             lines.append(f"    {d.detail}")
-    lines.append(
-        f"machine factor (median fresh/base): "
-        f"{comparison.machine_factor:.3f} over "
-        f"{len([d for d in comparison.deltas if d.ratio is not None])} "
-        f"compared row(s); {len(comparison.failures)} failure(s)")
+    lines.append(f"{len(comparison.deltas)} row(s) compared on their "
+                 f"declared deterministic counters; "
+                 f"{len(comparison.failures)} failure(s)")
     return "\n".join(lines)
 
 
 def comparison_to_json(comparison: Comparison) -> Dict[str, Any]:
     return {
-        "machine_factor": comparison.machine_factor,
         "failures": len(comparison.failures),
         "deltas": [{
             "bench": d.bench, "params": json.loads(d.params)
             if d.params else {},
-            "status": d.status, "base_wall_ms": d.base_wall_ms,
-            "fresh_wall_ms": d.fresh_wall_ms, "ratio": d.ratio,
-            "normalized": d.normalized, "detail": d.detail,
+            "status": d.status, "detail": d.detail,
         } for d in comparison.deltas],
     }
 
@@ -519,10 +349,8 @@ def rank_components(rows: Sequence[Dict[str, Any]]
             if isinstance(on, (int, float)) \
                     and isinstance(off, (int, float)) and on and off:
                 impacts.append(ComponentImpact(
-                    component,
-                    json.dumps(_canonical(row.get("params", {})),
-                               sort_keys=True),
-                    float(on), float(off)))
+                    component, _row_key(row)[1], float(on),
+                    float(off)))
                 found = True
         if not found:
             missing.append(component)
@@ -565,26 +393,6 @@ def rank_to_json(impacts: Sequence[ComponentImpact],
         } for i in impacts],
         "missing": [c.key for c in missing],
     }
-
-
-# ----------------------------------------------------------------------
-# calibration drift (provenance for the planner)
-# ----------------------------------------------------------------------
-
-def calibration_note(baseline_path: str,
-                     fresh_path: Optional[str]) -> str:
-    """One line on what the fresh rows would do to the planner's
-    bench-derived calibration (kept honest by the same env filter)."""
-    from ..plan.calibration import Calibration
-    current = Calibration.from_bench(baseline_path)
-    note = (f"calibration: t_compare {current.t_compare:.3e}s "
-            f"({current.source})")
-    if fresh_path and os.path.exists(fresh_path):
-        refreshed = Calibration.from_bench(fresh_path)
-        if refreshed.source != "paper":
-            note += (f" -> {refreshed.t_compare:.3e}s after "
-                     f"--update-baseline")
-    return note
 
 
 def current_environment_line() -> str:

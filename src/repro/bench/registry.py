@@ -5,22 +5,23 @@ ablation; each emits one or more rows into ``BENCH_join.json`` through
 ``benchmarks/emit.py``.  This registry is the declarative index over
 that matrix: for every bench it records the module that produces it,
 the tier it runs in (``smoke`` is the quick CI gate subset, ``full``
-is everything), the wall-clock tolerance the regression gate applies,
-and which of its counters are *deterministic* — identical on every
-run of the same code over the same seeds, and therefore compared
-exactly by ``repro bench gate`` (a drifted deterministic counter is a
-correctness regression, not noise).
+is everything), and which of its counters are *deterministic* —
+identical on every run of the same code over the same seeds, and
+therefore compared exactly by ``repro bench gate`` (a drifted
+deterministic counter is a correctness regression, not noise).
 
 :data:`COMPONENTS` is the second half of the matrix: which committed
 rows carry an on/off contrast for each optimization the paper (and
 this repo) layers onto the join — restriction, sweep layout, presort,
-path buffer, pinning, planner, parallel workers, WAL sync.  ``repro
-bench rank`` turns those contrasts into the ranked component-impact
-report.
+path buffer, pinning, planner, WAL sync.  ``repro bench rank`` turns
+those contrasts into the ranked component-impact report
+(informational: the contrasts are wall-clock readings of small
+in-row runs and are never gated).
 
-A registry completeness test (``tests/bench/test_registry.py``)
-asserts every ``benchmarks/bench_*.py`` has an entry, so adding a
-bench without declaring it fails CI.
+Registry completeness tests (``tests/bench/test_registry.py``) assert
+every ``benchmarks/bench_*.py`` has an entry and that the committed
+``BENCH_join.json`` and this registry agree both ways, so adding a
+bench without declaring it — or retiring one half-way — fails CI.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ from typing import Dict, Optional, Tuple
 
 #: Counter triple shared by most join benches (see JoinStatistics).
 JOIN_COUNTERS = ("pairs", "comparisons", "disk_accesses")
-
-#: Default relative wall-clock tolerance of the regression gate (on
-#: top of the run's median machine factor).
-DEFAULT_TOLERANCE = 0.25
 
 
 @dataclass(frozen=True)
@@ -47,8 +44,6 @@ class Experiment:
     module: str
     #: ``smoke`` (runs in the CI gate) or ``full``.
     tier: str = "full"
-    #: Relative wall-ms tolerance for the gate (default 25%).
-    tolerance: float = DEFAULT_TOLERANCE
     #: Counters compared exactly between baseline and fresh rows.
     deterministic: Tuple[str, ...] = ()
     #: Pinned ``REPRO_SCALE`` for this module, when its exhibit
@@ -159,23 +154,13 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
        note="distance join workload"),
     _E("ablation_planner", "bench_ablation_planner.py", tier="smoke",
        note="cost-based planner regret vs fixed algorithms"),
-    _E("parallel_join", "bench_parallel_join.py",
-       deterministic=("pairs", "serial_disk_accesses"),
-       note="partitioned multiprocessing executor vs serial SJ4"),
     _E("sweep_kernel", "bench_sweep_kernel.py",
        deterministic=("pairs", "comparisons"),
        variants=({}, {"REPRO_NO_NUMPY": "1"}),
        note="columnar sweep kernel vs per-Entry object loop"),
-    _E("serve_throughput", "bench_serve_throughput.py", tolerance=0.5,
-       note="query service cold vs cached throughput, plus the "
-            "1/2/4/8-shard scaling row"),
-    _E("wal_overhead", "bench_wal_overhead.py", tolerance=0.5,
+    _E("wal_overhead", "bench_wal_overhead.py",
        deterministic=("always_syncs", "batch_syncs"),
        note="WAL sync-mode insert throughput"),
-    _E("serve_mixed_workload", "bench_serve_mixed_workload.py",
-       tolerance=0.5, deterministic=("rebuilds",),
-       note="90/10 read/write mix over MVCC write absorption "
-            "(epoch-stamped two-level cache) vs a read-only run"),
 )
 
 #: bench name -> Experiment.
@@ -204,16 +189,9 @@ COMPONENTS: Tuple[Component, ...] = (
     Component("planner", "ablation_planner",
               on="auto_ms", off="worst_ms",
               note="cost-based auto choice vs worst fixed algorithm"),
-    Component("workers", "parallel_join",
-              on="parallel_ms", off="serial_ms",
-              note="partitioned parallel executor vs serial SJ4"),
     Component("wal_sync", "wal_overhead",
               on="batch_rps", off="always_rps", kind="rate",
               note="WAL group commit vs fsync-per-ack"),
-    Component("sharding", "serve_throughput",
-              on="shards4_rps", off="shards1_rps", kind="rate",
-              note="4 partition-parallel process shards behind the "
-                   "fan-out/merge router vs one service process"),
 )
 
 

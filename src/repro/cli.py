@@ -22,10 +22,10 @@ Usage examples::
     repro scrub streets.rtree
     repro scrub damaged.rtree --repair -o repaired.rtree
     repro bench table2
-    repro bench gate --tier smoke --tolerance 0.25
+    repro bench all
+    repro bench gate --tier smoke
     repro bench run --tier full --update-baseline
     repro bench rank
-    repro report --bench
     repro serve --db catalog/ --slow-ms 250
     repro shard plan --db catalog/ --shards 4
     repro shard serve --db catalog/ --shards 4 --port 7500
@@ -41,6 +41,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from typing import List, Optional
 
 from .bench.ablations import ABLATIONS
@@ -232,21 +233,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     report = commands.add_parser(
         "report", help="render the phase-time and cost-model drift "
-                       "report of a JSONL trace file, or the "
-                       "component-impact report of the committed "
-                       "benchmark baseline (--bench)")
-    report.add_argument("trace", nargs="?",
+                       "report of a JSONL trace file")
+    report.add_argument("trace",
                         help="trace file written by repro join --trace")
     report.add_argument("--json", action="store_true",
                         help="emit the report data as JSON")
     report.add_argument("--validate", action="store_true",
                         help="only check the trace against the schema")
-    report.add_argument("--bench", nargs="?", const="", default=None,
-                        metavar="FILE",
-                        help="render the ranked component-impact "
-                             "report from a BENCH_join.json file "
-                             "(default: the committed baseline) "
-                             "instead of a trace")
     report.set_defaults(handler=_cmd_report)
 
     serve = commands.add_parser(
@@ -356,12 +349,15 @@ def _build_parser() -> argparse.ArgumentParser:
                       "gate / rank")
     bench.add_argument("target",
                        choices=sorted({**EXHIBITS, **ABLATIONS})
-                       + ["run", "compare", "gate", "rank"],
-                       help="an exhibit name, or a matrix verb: 'run' "
+                       + ["all", "all-ablations",
+                          "run", "compare", "gate", "rank"],
+                       help="an exhibit name ('all' / 'all-ablations' "
+                            "for every one), or a matrix verb: 'run' "
                             "executes registered benchmarks, "
-                            "'compare' diffs fresh rows against the "
+                            "'compare' diffs fresh rows' "
+                            "deterministic counters against the "
                             "baseline, 'gate' runs + compares and "
-                            "exits nonzero on regressions, 'rank' "
+                            "exits nonzero on counter drift, 'rank' "
                             "prints the component-impact report")
     bench.add_argument("--scale", type=float, default=None,
                        help="REPRO_SCALE for exhibits and matrix runs "
@@ -384,24 +380,13 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", default=None, metavar="FILE",
                        help="where run/gate write fresh rows (default "
                             "a scratch file)")
-    bench.add_argument("--tolerance", type=float, default=None,
-                       help="wall-ms tolerance overriding each "
-                            "experiment's registry value (e.g. 0.25)")
-    bench.add_argument("--ignore-env", action="store_true",
-                       help="compare rows even when environment "
-                            "fingerprints are incomparable")
     bench.add_argument("--table", default=None, metavar="FILE",
                        help="also write the delta table to FILE "
                             "(CI artifact)")
     bench.add_argument("--update-baseline", action="store_true",
                        help="with 'run': upsert the fresh rows into "
                             "the baseline file (refreshes the "
-                            "committed snapshot and the planner's "
-                            "bench calibration)")
-    bench.add_argument("--passes", type=int, default=None,
-                       help="measurement passes per experiment, "
-                            "keeping the minimum wall-ms per row "
-                            "(default 2 for gate, 1 for run)")
+                            "committed snapshot)")
     bench.add_argument("--timeout", type=float, default=600.0,
                        help="per-experiment subprocess timeout in "
                             "seconds (default 600)")
@@ -983,20 +968,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    if args.bench is not None:
-        from .bench.gate import (default_baseline_path, load_rows,
-                                 rank_components, rank_to_json,
-                                 render_rank_table)
-        path = args.bench or default_baseline_path()
-        impacts, missing = rank_components(load_rows(path))
-        if args.json:
-            print(json.dumps(rank_to_json(impacts, missing), indent=2,
-                             sort_keys=True))
-        else:
-            print(render_rank_table(impacts, missing))
-        return 0
-    if args.trace is None:
-        raise ValueError("a trace file is required without --bench")
     if args.validate:
         with open(args.trace) as handle:
             errors = validate_trace(handle.read().splitlines())
@@ -1058,22 +1029,33 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.target in ("run", "compare", "gate", "rank"):
         return _cmd_bench_matrix(args)
     registry = {**EXHIBITS, **ABLATIONS}
-    function = registry[args.target]
-    if args.scale is not None:
-        report = function(scale=args.scale)
-    else:
-        report = function()
+    groups = {"all": sorted(EXHIBITS),
+              "all-ablations": sorted(ABLATIONS)}
+    names = groups.get(args.target, [args.target])
+    payloads = []
+    for name in names:
+        started = time.perf_counter()
+        if args.scale is not None:
+            report = registry[name](scale=args.scale)
+        else:
+            report = registry[name]()
+        if args.json:
+            payloads.append({
+                "exhibit": report.exhibit,
+                "title": report.title,
+                "headers": report.headers,
+                "rows": report.rows,
+                "data": _jsonable(report.data),
+                "notes": report.notes,
+            })
+        else:
+            print(report.render())
+            print(f"  [{name}: {time.perf_counter() - started:.1f}s]")
+            print()
     if args.json:
-        print(json.dumps({
-            "exhibit": report.exhibit,
-            "title": report.title,
-            "headers": report.headers,
-            "rows": report.rows,
-            "data": _jsonable(report.data),
-            "notes": report.notes,
-        }, indent=2))
-    else:
-        print(report.render())
+        # One exhibit is one object (as ever); a group is their array.
+        print(json.dumps(payloads if args.target in groups
+                         else payloads[0], indent=2))
     return 0
 
 
@@ -1100,10 +1082,8 @@ def _cmd_bench_matrix(args: argparse.Namespace) -> int:
         comparison = harness.compare_rows(
             harness.load_rows(baseline),
             harness.load_rows(args.fresh),
-            tolerance=args.tolerance, ignore_env=args.ignore_env,
             benches=args.only or None)
-        return _finish_comparison(args, comparison, baseline,
-                                  args.fresh)
+        return _finish_comparison(args, comparison)
 
     # run / gate both execute experiments first.
     experiments = experiments_for(args.tier or "smoke",
@@ -1114,24 +1094,21 @@ def _cmd_bench_matrix(args: argparse.Namespace) -> int:
         os.remove(out)
     scale = args.scale if args.scale is not None \
         else harness.DEFAULT_RUN_SCALE
-    # The gate measures twice and keeps the faster wall per row: the
-    # timed ops are single-round, so noise is only ever noisy high.
-    passes = args.passes if args.passes is not None \
-        else (2 if args.target == "gate" else 1)
     print(harness.current_environment_line())
     print(f"running {len(experiments)} experiment(s) "
-          f"[tier {args.tier or 'smoke'}, scale {scale:g}, "
-          f"{passes} pass(es)] -> {out}")
+          f"[tier {args.tier or 'smoke'}, scale {scale:g}] -> {out}")
+    # The gate recomputes every exhibit counter from the code under
+    # test; .bench_cache/ is keyed by configuration, not by code.
     outcomes = harness.run_experiments(
         experiments, out, scale=scale, timeout=args.timeout,
-        bench_dir=args.benchmarks_dir, log=print, passes=passes)
+        bench_dir=args.benchmarks_dir, log=print,
+        cache=args.target != "gate")
     failed_runs = [o for o in outcomes if not o.ok]
 
     if args.target == "run":
         if args.update_baseline and not failed_runs:
             merged = harness.merge_into_baseline(out, baseline)
             print(f"upserted {merged} row(s) into {baseline}")
-            print(harness.calibration_note(baseline, None))
         for outcome in failed_runs:
             print(f"FAILED: {outcome.experiment.bench} "
                   f"(exit {outcome.returncode}, "
@@ -1141,31 +1118,8 @@ def _cmd_bench_matrix(args: argparse.Namespace) -> int:
     # gate: compare the fresh rows against the baseline.
     comparison = harness.compare_rows(
         harness.load_rows(baseline), harness.load_rows(out),
-        tolerance=args.tolerance, ignore_env=args.ignore_env,
         benches=[e.bench for e in experiments])
-    # One retry for wall-clock regressions only: the timed ops are
-    # single-round and a loaded machine can push a small row past
-    # tolerance once.  A real code regression survives the re-run;
-    # counter drift and env mismatches are deterministic and final.
-    retry = sorted({d.bench for d in comparison.failures
-                    if d.status == "regressed"})
-    if retry:
-        print(f"retrying {len(retry)} regressed bench(es) once: "
-              f"{', '.join(retry)}")
-        before_rows = harness.load_rows(out)
-        harness.run_experiments(
-            [e for e in experiments if e.bench in retry], out,
-            scale=scale, timeout=args.timeout,
-            bench_dir=args.benchmarks_dir, log=print)
-        lowered = harness.keep_min_wall(out, before_rows, retry)
-        if lowered:
-            print(f"kept the faster of the two measurements for "
-                  f"{lowered} row(s)")
-        comparison = harness.compare_rows(
-            harness.load_rows(baseline), harness.load_rows(out),
-            tolerance=args.tolerance, ignore_env=args.ignore_env,
-            benches=[e.bench for e in experiments])
-    code = _finish_comparison(args, comparison, baseline, out)
+    code = _finish_comparison(args, comparison)
     if failed_runs:
         for outcome in failed_runs:
             print(f"FAILED run: {outcome.experiment.bench} "
@@ -1174,8 +1128,7 @@ def _cmd_bench_matrix(args: argparse.Namespace) -> int:
     return code
 
 
-def _finish_comparison(args, comparison, baseline: str,
-                       fresh_path: str) -> int:
+def _finish_comparison(args, comparison) -> int:
     from .bench import gate as harness
     table = harness.render_delta_table(comparison)
     if args.json:
@@ -1184,12 +1137,11 @@ def _finish_comparison(args, comparison, baseline: str,
         print(table, file=sys.stderr)
     else:
         print(table)
-        print(harness.calibration_note(baseline, fresh_path))
     if args.table:
         with open(args.table, "w") as handle:
             handle.write(table + "\n")
     if not comparison.ok:
-        print(f"gate: {len(comparison.failures)} regression(s) — see "
+        print(f"gate: {len(comparison.failures)} failure(s) — see "
               f"the delta table above", file=sys.stderr)
         return 1
     return 0

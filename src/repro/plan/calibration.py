@@ -5,17 +5,10 @@ positioning, 5e-3 s per transferred KByte, and 3.9e-6 s per comparison
 — 1993 HP720 hardware.  The *ratios* between candidate algorithms are
 what the planner ranks on, so the paper constants are a sound default;
 but absolute estimates (and the CPU/I-O balance) can be refreshed from
-two sources of measured truth:
-
-* :meth:`Calibration.from_bench` — the committed ``BENCH_join.json``
-  rows: the median wall-time-per-comparison of the join benches
-  rescales all three constants by one machine-speed factor (the
-  CPU:I/O balance of the model is preserved; the magnitudes become
-  this machine's).
-* :meth:`Calibration.from_document` / :meth:`Calibration.from_obs` —
-  a live :mod:`repro.obs` trace: the drift report already splits a
-  traced run into measured CPU and I/O seconds, so each side is
-  rescaled independently.
+measured truth: :meth:`Calibration.from_document` /
+:meth:`Calibration.from_obs` read a live :mod:`repro.obs` trace — the
+drift report already splits a traced run into measured CPU and I/O
+seconds, so each side is rescaled independently.
 
 Beyond the three time constants the calibration carries the behavioral
 factors of the candidate scorer (see ``docs/planner.md`` for the
@@ -26,11 +19,7 @@ repeat-factor threshold of the Section 3 presort rule.
 
 from __future__ import annotations
 
-import json
-import os
-import statistics
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from ..costmodel.model import T_COMPARE, T_POSITION, T_TRANSFER_PER_KB
 
@@ -73,7 +62,7 @@ class Calibration:
     #: SJ1 performs about 1.5 reads per page; repeated visits are what
     #: make eager sorting pay).
     presort_threshold: float = 1.25
-    #: Provenance tag surfaced in plans ("paper", "bench:<path>", "obs").
+    #: Provenance tag surfaced in plans ("paper", "obs").
     source: str = "paper"
 
     def locality(self, algorithm: str) -> float:
@@ -84,52 +73,6 @@ class Calibration:
     # ------------------------------------------------------------------
     # Refresh sources
     # ------------------------------------------------------------------
-
-    @classmethod
-    def from_bench(cls, path: Optional[str] = None) -> "Calibration":
-        """Calibration from committed ``BENCH_join.json`` rows.
-
-        Join rows carry ``counters.comparisons`` and a measured
-        ``wall_ms``; the median seconds-per-comparison across them is
-        this machine's effective comparison cost.  All three time
-        constants are scaled by the same machine-speed factor, so the
-        model's CPU:I/O balance (and therefore the candidate ranking)
-        is preserved while absolute estimates match the hardware.
-        Rows stamped with an environment fingerprint (bench schema 2)
-        only participate when that environment is comparable with the
-        current one — a baseline measured with a different geometry
-        backend or platform must not masquerade as this machine's
-        speed.  Falls back to the paper constants when the file is
-        missing or holds no usable rows.
-        """
-        if path is None:
-            path = os.path.join(os.getcwd(), "BENCH_join.json")
-        try:
-            with open(path) as handle:
-                rows = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return cls()
-        from ..bench.envinfo import comparable, environment_fingerprint
-        here = environment_fingerprint()
-        ratios = []
-        for row in rows:
-            if not isinstance(row, dict):
-                continue
-            if not comparable(row.get("env"), here):
-                continue
-            comparisons = (row.get("counters") or {}).get("comparisons")
-            wall_ms = row.get("wall_ms")
-            if (isinstance(comparisons, (int, float)) and comparisons > 0
-                    and isinstance(wall_ms, (int, float)) and wall_ms > 0):
-                ratios.append((wall_ms / 1e3) / comparisons)
-        if not ratios:
-            return cls()
-        t_compare = statistics.median(ratios)
-        scale = t_compare / T_COMPARE
-        return cls(t_position=T_POSITION * scale,
-                   t_transfer_per_kb=T_TRANSFER_PER_KB * scale,
-                   t_compare=t_compare,
-                   source=f"bench:{os.path.basename(path)}")
 
     @classmethod
     def from_document(cls, document) -> "Calibration":

@@ -110,7 +110,7 @@ class ExecutionPlan:
     repeat_factor: float = 0.0
     est_output_pairs: float = 0.0
     candidates: Tuple[PlanCandidate, ...] = ()
-    #: Where the cost constants came from ("paper", "bench:...", "obs").
+    #: Where the cost constants came from ("paper", "obs").
     calibration_source: str = "paper"
 
     def __post_init__(self) -> None:

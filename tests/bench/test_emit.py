@@ -22,7 +22,7 @@ def emit_module(tmp_path, monkeypatch):
 
 def test_emit_writes_a_row(emit_module):
     emit_module.emit("table2", {"algorithm": "sj1"},
-                     {"disk_accesses": 10}, 12.3456)
+                     {"disk_accesses": 10})
     rows = json.load(open(emit_module.bench_path()))
     assert len(rows) == 1
     created = rows[0].pop("created")
@@ -32,19 +32,18 @@ def test_emit_writes_a_row(emit_module):
     assert rows[0] == {"schema": emit_module.SCHEMA_VERSION,
                        "bench": "table2",
                        "params": {"algorithm": "sj1"},
-                       "counters": {"disk_accesses": 10},
-                       "wall_ms": 12.346}
+                       "counters": {"disk_accesses": 10}}
 
 
 def test_emit_upserts_on_bench_and_params(emit_module):
-    emit_module.emit("table2", {"algorithm": "sj1"}, {}, 1.0)
-    emit_module.emit("table2", {"algorithm": "sj1"}, {}, 2.0)
-    emit_module.emit("table2", {"algorithm": "sj4"}, {}, 3.0)
-    emit_module.emit("table6", {}, {}, 4.0)
+    emit_module.emit("table2", {"algorithm": "sj1"}, {"pairs": 1})
+    emit_module.emit("table2", {"algorithm": "sj1"}, {"pairs": 2})
+    emit_module.emit("table2", {"algorithm": "sj4"}, {"pairs": 3})
+    emit_module.emit("table6", {}, {"pairs": 4})
     rows = json.load(open(emit_module.bench_path()))
     assert len(rows) == 3
     sj1 = [row for row in rows if row["params"] == {"algorithm": "sj1"}]
-    assert sj1[0]["wall_ms"] == 2.0            # replaced, not appended
+    assert sj1[0]["counters"] == {"pairs": 2}  # replaced, not appended
     assert [row["bench"] for row in rows] == sorted(
         row["bench"] for row in rows)
 
@@ -52,12 +51,12 @@ def test_emit_upserts_on_bench_and_params(emit_module):
 def test_upsert_key_is_stable_across_param_spelling(emit_module):
     """128 vs 128.0 and key order must collide onto one row."""
     emit_module.emit("t", {"buffer_kb": 128.0, "algorithm": "sj2"},
-                     {}, 1.0)
+                     {"pairs": 1})
     emit_module.emit("t", {"algorithm": "sj2", "buffer_kb": 128},
-                     {}, 2.0)
+                     {"pairs": 2})
     rows = json.load(open(emit_module.bench_path()))
     assert len(rows) == 1
-    assert rows[0]["wall_ms"] == 2.0
+    assert rows[0]["counters"] == {"pairs": 2}
     assert rows[0]["params"] == {"algorithm": "sj2", "buffer_kb": 128}
 
 
@@ -75,7 +74,7 @@ def test_committed_rows_carry_schema_created_and_env():
     rows = json.load(open(path))
     assert rows, "committed benchmark snapshot must not be empty"
     for row in rows:
-        assert row["schema"] == 2
+        assert row["schema"] == 3
         assert row["created"].endswith("Z")
         assert row["env"]["platform"]
         assert row["env"]["backend"] in ("numpy", "stdlib")
@@ -84,7 +83,7 @@ def test_committed_rows_carry_schema_created_and_env():
 def test_load_rows_rejects_malformed_rows(emit_module, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps([{"bench": "x", "params": {},
-                                 "counters": {}, "wall_ms": 1.0}]))
+                                 "counters": {}}]))
     with pytest.raises(ValueError, match="missing"):
         emit_module.load_rows(str(path))
     path.write_text(json.dumps({"not": "a list"}))
@@ -92,18 +91,30 @@ def test_load_rows_rejects_malformed_rows(emit_module, tmp_path):
         emit_module.load_rows(str(path))
 
 
+def test_load_rows_rejects_an_older_schema(emit_module, tmp_path):
+    """A schema-2 file (rows with a wall-clock field) is regenerated,
+    not silently re-read as if it were current."""
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps([{
+        "schema": 2, "created": "2026-08-08T00:00:00Z", "bench": "x",
+        "params": {}, "counters": {}, "wall_ms": 1.0}]))
+    with pytest.raises(ValueError,
+                       match="repro bench run --update-baseline"):
+        emit_module.load_rows(str(path))
+
+
 def test_emit_refuses_to_clobber_malformed_rows(emit_module):
     """Parseable-but-invalid rows raise instead of being rewritten."""
     with open(emit_module.bench_path(), "w") as handle:
-        json.dump([{"bench": "x", "wall_ms": 1.0}], handle)
+        json.dump([{"bench": "x", "counters": {}}], handle)
     with pytest.raises(ValueError):
-        emit_module.emit("table2", {}, {}, 1.0)
+        emit_module.emit("table2", {}, {})
 
 
 def test_emit_survives_a_corrupt_file(emit_module):
     with open(emit_module.bench_path(), "w") as handle:
         handle.write("not json")
-    emit_module.emit("table2", {}, {}, 1.0)
+    emit_module.emit("table2", {}, {})
     assert len(json.load(open(emit_module.bench_path()))) == 1
 
 
@@ -148,5 +159,5 @@ def test_timed_runs_once_and_emits(emit_module):
     assert rows[0]["bench"] == "sample"
     assert rows[0]["params"] == {"knob": 7}
     assert rows[0]["counters"] == {"value": 42}
-    assert rows[0]["wall_ms"] >= 0.0
+    assert "wall_ms" not in rows[0]
     assert rows[0]["env"] == emit_module.environment_fingerprint()

@@ -1,5 +1,6 @@
 """The experiment registry: completeness and selection semantics."""
 
+import json
 import os
 
 import pytest
@@ -73,9 +74,28 @@ def test_component_contrasts_reference_registered_benches():
             "planner", "wal_sync"} <= keys
 
 
-def test_tolerances_are_sane():
-    for experiment in EXPERIMENTS:
-        assert 0.0 < experiment.tolerance <= 1.0, experiment.bench
+def test_committed_baseline_and_registry_agree_both_ways():
+    """An orphan row, a registered bench without a row, a declared
+    counter the row lacks, a leftover wall-clock field or a component
+    whose contrast is gone — each means a bench was retired or renamed
+    half-way."""
+    with open(os.path.join(_BENCH_DIR, "..", "BENCH_join.json")) as f:
+        rows = json.load(f)
+    by_bench = {}
+    for row in rows:
+        assert row["bench"] in BY_BENCH, f"orphan row {row['bench']!r}"
+        assert "wall_ms" not in row, row["bench"]
+        declared = BY_BENCH[row["bench"]].deterministic
+        absent = [name for name in declared
+                  if name not in row["counters"]]
+        assert not absent, f"{row['bench']} row lacks {absent}"
+        by_bench.setdefault(row["bench"], []).append(row)
+    rowless = [e.bench for e in EXPERIMENTS if e.bench not in by_bench]
+    assert not rowless, f"registered but never emitted: {rowless}"
+    for component in COMPONENTS:
+        assert any(component.on in row["counters"]
+                   and component.off in row["counters"]
+                   for row in by_bench[component.bench]), component.key
 
 
 def test_benchmarks_dir_resolves():

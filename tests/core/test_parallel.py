@@ -9,10 +9,11 @@ the partitioning counters plus the sum of the per-worker counters.
 import pytest
 
 from repro.core import (JoinContext, JoinSpec, ParallelJoinResult,
-                        cluster_tasks, make_algorithm,
+                        build_context, cluster_tasks, make_algorithm,
                         parallel_spatial_join, partition_tasks,
                         spatial_join)
 from repro.core.parallel import _world_rect
+from repro.costmodel.parallel import estimate_parallel_io
 from repro.geometry import SpatialPredicate
 
 ALGORITHMS = ("sj1", "sj2", "sj3", "sj4", "sj5")
@@ -106,6 +107,30 @@ def test_workers_field_and_batches(medium_trees):
     assert sum(result.batch_sizes) >= len(result.batch_sizes)
     # Contiguous z-order cuts are balanced to within one task.
     assert max(result.batch_sizes) - min(result.batch_sizes) <= 1
+
+
+def test_worker_reads_balance_near_the_round_robin_estimate(medium_trees):
+    """The executor partitions *subtree pairs* over workers; the cost
+    model stripes *pages* of the serial access trace over disks.
+    Spatial batching must keep the busiest worker within a small
+    factor of that even-spread ideal."""
+    tree_r, tree_s = medium_trees
+    spec = JoinSpec(algorithm="sj4", buffer_kb=64)
+    ctx = build_context(tree_r, tree_s, spec, record_trace=True)
+    make_algorithm(spec.algorithm).run(ctx)
+    estimate = estimate_parallel_io(ctx.manager.trace, 4,
+                                    tree_r.params.page_size)
+    estimated = (estimate.busiest_disk_accesses
+                 / (estimate.total_accesses / estimate.disks))
+
+    result = parallel_spatial_join(
+        tree_r, tree_s, JoinSpec(algorithm="sj4", buffer_kb=64,
+                                 workers=4))
+    reads = [part.io.disk_reads for part in result.worker_stats]
+    assert 1 <= len(reads) <= 4 and sum(reads) > 0
+    measured = max(reads) / (sum(reads) / len(reads))
+    assert 1.0 <= estimated
+    assert 1.0 <= measured <= 3.0 * estimated
 
 
 def test_statistics_identify_the_algorithm(medium_trees):

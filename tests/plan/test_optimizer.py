@@ -1,7 +1,5 @@
 """The cost-based optimizer: scoring, choice, presort, calibration."""
 
-import json
-
 import pytest
 
 from repro.core.spec import JoinSpec
@@ -119,69 +117,6 @@ class TestCalibration:
         assert PAPER_CALIBRATION.source == "paper"
         assert set(SCHEDULE_LOCALITY) >= {"sj1", "sj2", "sj3", "sj4",
                                           "sj5"}
-
-    def test_from_bench_scales_uniformly(self, tmp_path):
-        rows = [{"benchmark": "join", "wall_ms": 78.0,
-                 "counters": {"comparisons": 10_000}}]
-        path = tmp_path / "BENCH_join.json"
-        path.write_text(json.dumps(rows))
-        cal = Calibration.from_bench(str(path))
-        assert cal.source == "bench:BENCH_join.json"
-        assert cal.t_compare == pytest.approx(7.8e-6)
-        # One machine factor for all three constants: the CPU:I/O
-        # balance (and hence the ranking) is preserved.
-        scale = cal.t_compare / PAPER_CALIBRATION.t_compare
-        assert cal.t_position == pytest.approx(
-            PAPER_CALIBRATION.t_position * scale)
-        assert cal.t_transfer_per_kb == pytest.approx(
-            PAPER_CALIBRATION.t_transfer_per_kb * scale)
-
-    def test_from_bench_missing_file_falls_back(self, tmp_path):
-        cal = Calibration.from_bench(str(tmp_path / "nope.json"))
-        assert cal == Calibration()
-
-    def test_from_bench_ignores_unusable_rows(self, tmp_path):
-        path = tmp_path / "BENCH_join.json"
-        path.write_text(json.dumps([{"wall_ms": 0.0}, "junk",
-                                    {"counters": {}}]))
-        assert Calibration.from_bench(str(path)) == Calibration()
-
-    def test_from_bench_skips_incomparable_env_rows(self, tmp_path):
-        """Rows measured under another backend/platform must not feed
-        this machine's calibration (schema-2 env filter)."""
-        from repro.bench.envinfo import environment_fingerprint
-        here = environment_fingerprint()
-        other = dict(here, backend=("stdlib"
-                                    if here["backend"] == "numpy"
-                                    else "numpy"))
-        path = tmp_path / "BENCH_join.json"
-        path.write_text(json.dumps([
-            {"wall_ms": 78.0, "counters": {"comparisons": 10_000},
-             "env": here},
-            {"wall_ms": 99999.0, "counters": {"comparisons": 10},
-             "env": other},
-        ]))
-        cal = Calibration.from_bench(str(path))
-        assert cal.t_compare == pytest.approx(7.8e-6)
-        # A file holding only foreign rows falls back to the paper.
-        path.write_text(json.dumps([
-            {"wall_ms": 99999.0, "counters": {"comparisons": 10},
-             "env": other}]))
-        assert Calibration.from_bench(str(path)) == Calibration()
-
-    def test_ranking_stable_under_bench_calibration(self, tmp_path):
-        trees = (build_rstar(make_rects(600, seed=7)),
-                 build_rstar(make_rects(600, seed=8)))
-        rows = [{"wall_ms": 50.0, "counters": {"comparisons": 1_000}}]
-        path = tmp_path / "BENCH_join.json"
-        path.write_text(json.dumps(rows))
-        cal = Calibration.from_bench(str(path))
-        spec = JoinSpec(algorithm="auto")
-        paper = [c.algorithm for c in score_candidates(*trees, spec)]
-        scaled = [c.algorithm
-                  for c in score_candidates(*trees, spec,
-                                            calibration=cal)]
-        assert paper == scaled
 
 
 class TestRecordPlan:

@@ -109,6 +109,61 @@ class TestBaseCacheLevel:
         finally:
             service.close()
 
+    def test_hit_rate_survives_a_write_every_tenth_op(self):
+        """The mixed-workload contract, counted: the popular read set
+        (55 windows + 1 join) is longer than the reads between two
+        writes to one relation, so no full-result key is revisited
+        before a write kills it — every hit after priming is owed to
+        the base-epoch level, across one late forced rebuild."""
+        service = make_service(workers=1)
+        client = ServiceClient(service)
+        rng = random.Random(91)
+        reads = [{"op": "join", "left": "streets", "right": "rivers"}]
+        for i in range(55):
+            x, y = rng.uniform(0, 420), rng.uniform(0, 420)
+            reads.append({"op": "window",
+                          "relation": ("streets", "rivers")[i % 2],
+                          "window": [x, y, x + 80.0, y + 80.0]})
+
+        def hits():
+            counters = service.obs.metrics.counters
+            return (counters.get("serve.cache.hits", 0)
+                    + counters.get("serve.cache.base_hits", 0))
+
+        try:
+            for request in reads:
+                client.request(**request)
+            primed = hits()
+            served = writes = 0
+            inserted = []
+            for op in range(600):
+                if op % 10 == 9:
+                    relation = ("streets", "rivers")[writes % 2]
+                    writes += 1
+                    mine = [pair for pair in inserted
+                            if pair[0] == relation]
+                    if mine and writes % 3 == 0:
+                        inserted.remove(mine[0])
+                        response = client.request(
+                            "delete", relation=relation, oid=mine[0][1])
+                    else:
+                        response = client.request(
+                            "insert", relation=relation,
+                            geometry=rect_json(rng.uniform(0, 490),
+                                               rng.uniform(0, 490)))
+                        inserted.append(
+                            (relation, response["result"]["oid"]))
+                    if writes == 56:
+                        assert service.force_rebuild() >= 1
+                else:
+                    response = client.request(
+                        **reads[served % len(reads)])
+                    served += 1
+                assert response["ok"], response
+            assert (hits() - primed) / served >= 0.5
+        finally:
+            service.close()
+
 
 class TestRebuilder:
     def test_threshold_triggers_background_merge(self):

@@ -444,61 +444,79 @@ class TestServeArgs:
 class TestBenchMatrix:
     """The run/compare/gate/rank verbs, on synthetic row files."""
 
-    @staticmethod
-    def _row(bench, wall_ms, counters=None, params=None):
-        return {"schema": 2, "created": "2026-08-08T00:00:00Z",
-                "bench": bench, "params": params or {},
-                "counters": counters or {}, "wall_ms": wall_ms}
+    JOIN = {"pairs": 91, "comparisons": 1000, "disk_accesses": 57}
 
-    def _files(self, tmp_path, fresh_wall):
+    def _files(self, tmp_path, fresh_comparisons=1000,
+               fresh_restrict_ms=5.0):
         baseline = tmp_path / "baseline.json"
         fresh = tmp_path / "fresh.json"
-        rows = [self._row(b, 100.0) for b in
+        rows = [{"schema": 3, "created": "2026-08-08T00:00:00Z",
+                 "bench": bench, "params": {},
+                 "counters": dict(self.JOIN, restrict_ms=5.0)}
+                for bench in
                 ("table2_sj1", "table3_restriction", "table4_sorting",
                  "table5_io_policies", "figure8_sj4_time")]
         baseline.write_text(json.dumps(rows))
         fresh_rows = json.loads(json.dumps(rows))
-        fresh_rows[1]["wall_ms"] = fresh_wall
+        fresh_rows[1]["counters"]["comparisons"] = fresh_comparisons
+        fresh_rows[1]["counters"]["restrict_ms"] = fresh_restrict_ms
         fresh.write_text(json.dumps(fresh_rows))
         return str(baseline), str(fresh)
 
     def test_compare_clean_passes(self, tmp_path, capsys):
-        baseline, fresh = self._files(tmp_path, 100.0)
+        baseline, fresh = self._files(tmp_path)
         assert main(["bench", "compare", "--baseline", baseline,
                      "--fresh", fresh]) == 0
         assert "0 failure(s)" in capsys.readouterr().out
 
-    def test_compare_regression_exits_nonzero(self, tmp_path, capsys,
-                                              tmp_path_factory):
-        baseline, fresh = self._files(tmp_path, 150.0)
+    def test_compare_ignores_a_tenfold_timing_contrast(self, tmp_path,
+                                                       capsys):
+        baseline, fresh = self._files(tmp_path, fresh_restrict_ms=50.0)
+        assert main(["bench", "compare", "--baseline", baseline,
+                     "--fresh", fresh]) == 0
+        assert "0 failure(s)" in capsys.readouterr().out
+
+    def test_compare_regression_exits_nonzero(self, tmp_path, capsys):
+        baseline, fresh = self._files(tmp_path, fresh_comparisons=1001)
         table = str(tmp_path / "delta.txt")
         assert main(["bench", "compare", "--baseline", baseline,
                      "--fresh", fresh, "--table", table]) == 1
         captured = capsys.readouterr()
-        assert "regressed" in captured.out
+        assert "counter-drift" in captured.out
+        assert "comparisons 1000 -> 1001" in captured.out
         assert "table3_restriction" in open(table).read()
 
     def test_compare_json_emits_machine_readable_deltas(self, tmp_path,
                                                         capsys):
-        baseline, fresh = self._files(tmp_path, 150.0)
+        baseline, fresh = self._files(tmp_path, fresh_comparisons=1001)
         assert main(["bench", "compare", "--baseline", baseline,
                      "--fresh", fresh, "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["failures"] == 1
-        regressed = [d for d in payload["deltas"]
-                     if d["status"] == "regressed"]
-        assert regressed[0]["bench"] == "table3_restriction"
+        drifted = [d for d in payload["deltas"]
+                   if d["status"] == "counter-drift"]
+        assert drifted[0]["bench"] == "table3_restriction"
+
+    @pytest.mark.parametrize("flag", [["--tolerance", "0.25"],
+                                      ["--passes", "2"],
+                                      ["--ignore-env"]])
+    def test_wall_clock_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "gate", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_compare_requires_fresh(self, tmp_path):
-        baseline, _ = self._files(tmp_path, 100.0)
+        baseline, _ = self._files(tmp_path)
         assert main(["bench", "compare", "--baseline", baseline]) == 1
 
     def test_rank_on_committed_baseline(self, capsys):
         assert main(["bench", "rank"]) == 0
         out = capsys.readouterr().out
         for key in ("restriction", "sweep_layout", "presort",
-                    "pinning", "planner", "wal_sync"):
+                    "path_buffer", "pinning", "planner", "wal_sync"):
             assert key in out
+        assert "n/a" not in out     # every declared contrast has a row
 
     def test_rank_json(self, capsys):
         assert main(["bench", "rank", "--json"]) == 0
@@ -507,14 +525,17 @@ class TestBenchMatrix:
         impacts = [c["impact"] for c in payload["components"]]
         assert impacts == sorted(impacts, reverse=True)
 
-    def test_report_bench_flag(self, capsys):
-        assert main(["report", "--bench"]) == 0
-        assert "component impact" in capsys.readouterr().out
+    def test_report_without_trace_fails(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report"])
+        assert excinfo.value.code == 2
+        assert "required: trace" in capsys.readouterr().err
 
-    def test_report_without_trace_or_bench_fails(self, capsys):
-        assert main(["report"]) == 1
+    def test_report_has_no_bench_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "--bench"])
+        assert excinfo.value.code == 2
 
     def test_unknown_only_name_fails(self, tmp_path):
         assert main(["bench", "gate", "--only", "no_such_bench",
-                     "--baseline",
-                     self._files(tmp_path, 100.0)[0]]) == 1
+                     "--baseline", self._files(tmp_path)[0]]) == 1
