@@ -15,8 +15,8 @@ Quickstart::
 
 (Configuration is spec-first: every knob lives on ``JoinSpec`` —
 ``JoinSpec(algorithm="sj4", buffer_kb=128, workers=4)`` for the
-parallel executor — and an already-resolved ``ExecutionPlan`` can be
-passed as ``spec=`` to skip planning.)
+parallel executor — and an already-resolved ``ExecutionPlan`` is run,
+without planning again, by ``repro.core.execute_plan``.)
 
 Package map:
 

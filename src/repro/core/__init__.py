@@ -18,8 +18,9 @@ Public surface:
   :func:`index_nested_loop_join`.
 """
 
-from .context import (JoinContext, R_SIDE, S_SIDE, counted_sort_cost,
-                      counted_sort_inplace, presort_trees)
+from .context import (JoinContext, R_SIDE, S_SIDE, build_context,
+                      counted_sort_cost, counted_sort_inplace,
+                      presort_trees)
 from .engine import JoinAlgorithm
 from .knn import (NearestNeighborEngine, NearestNeighborResult, mindist,
                   nearest_neighbors)
@@ -32,8 +33,7 @@ from .joinindex import SpatialJoinIndex
 from .parallel import (PairTask, ParallelJoinResult, cluster_tasks,
                        parallel_spatial_join, partition_tasks)
 from ..plan.registry import ALGORITHMS, make_algorithm
-from .planner import (build_context, execute_plan, spatial_join,
-                      spatial_join_stream)
+from .planner import execute_plan, spatial_join, spatial_join_stream
 from .spec import JoinSpec, resolve_spec
 from .refinement import (ObjectIntersection, RefinementStats,
                          id_spatial_join, object_spatial_join)

@@ -19,6 +19,7 @@ from ..rtree.columns import NodeColumns
 from ..rtree.entry import Entry
 from ..rtree.node import Node
 from ..storage.manager import BufferManager
+from .spec import JoinSpec
 from .stats import JoinStatistics
 
 #: Side indices for readability.
@@ -184,3 +185,35 @@ def presort_trees(ctx: JoinContext) -> None:
                     ctx.stats.presort_comparisons += counted_sort_cost(
                         node.entries)
                     node.sort_by_xl()
+
+
+def resolve_obs(obs: Optional[Observability],
+                spec: JoinSpec) -> Observability:
+    """The observability handle a join runs under: the caller's when
+    given, a fresh enabled one when ``spec.trace`` asks for tracing,
+    the shared no-op otherwise."""
+    if obs is not None:
+        return obs
+    if spec.trace:
+        return Observability()
+    return NULL_OBS
+
+
+def build_context(tree_r: RTreeBase, tree_s: RTreeBase, spec: JoinSpec,
+                  record_trace: bool = False,
+                  obs: Optional[Observability] = None) -> JoinContext:
+    """Materialize a :class:`JoinContext` (and run the eager presort,
+    when configured) for *spec* — the one place a spec's buffering,
+    sorting, retry and deadline fields are interpreted.  The serial
+    engine, the parallel coordinator and every worker batch all come
+    down from their spec through here, so none can drop a field."""
+    ctx = JoinContext(tree_r, tree_s, buffer_kb=spec.buffer_kb,
+                      use_path_buffer=spec.use_path_buffer,
+                      sort_mode=spec.sort_mode,
+                      record_trace=record_trace,
+                      max_retries=spec.max_retries,
+                      timeout=spec.timeout,
+                      obs=resolve_obs(obs, spec))
+    if spec.presort and spec.sort_mode == "maintained":
+        presort_trees(ctx)
+    return ctx

@@ -12,8 +12,8 @@ Joins" (SIGSPATIAL 2019):
    (reusing the configured algorithm's ``_find_pairs``, so the
    search-space restriction of Section 4.2 prunes exactly like the
    serial engine) until the frontier of qualifying subtree-root pairs
-   is large enough: ``workers * oversubscribe`` tasks by default, or a
-   fixed number of levels when ``fanout_level`` is given.
+   is large enough: :data:`OVERSUBSCRIBE` tasks per worker by default,
+   or a fixed number of levels when ``fanout_level`` is given.
 2. **Cluster** — tasks are sorted by the z-value of their restriction
    rectangle's center (the same :class:`~repro.curves.zorder.ZGrid`
    SJ5 uses) and cut into ``workers`` contiguous, spatially-clustered
@@ -58,6 +58,12 @@ Retries, degradations, and injected faults are surfaced in the merged
 degraded *wholesale* — partial output is discarded with its worker —
 the pair multiset stays exactly the serial engine's even under injected
 faults.
+
+A deadline is not a fault.  ``spec.timeout`` is enforced in the
+coordinator's partitioning descent and in every batch (each relative
+to its own start); a :class:`~repro.errors.QueryTimeout` from any of
+them is re-raised at once — it never climbs the ladder, so a timed-out
+join is not re-run in a fresh pool or serially.
 """
 
 from __future__ import annotations
@@ -67,19 +73,21 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 from ..curves.zorder import ZGrid
+from ..errors import QueryTimeout
 from ..geometry.rect import Rect
 from ..obs.core import Observability
 from ..plan.registry import make_algorithm
 from ..rtree.base import RTreeBase
 from ..storage.faults import FaultInjectingPageStore, pristine_store
-from .context import JoinContext, R_SIDE, S_SIDE, presort_trees
+from .context import (JoinContext, R_SIDE, S_SIDE, build_context,
+                      resolve_obs)
 from .engine import JoinAlgorithm, common_rect
 from .pairs import iter_index_pairs
-from .spec import JoinSpec
+from .spec import JoinSpec, resolve_spec
 from .stats import JoinResult, JoinStatistics
 
-#: Default number of tasks per worker the partitioner aims for; spare
-#: tasks let the batch cut even out skewed subtree sizes.
+#: Number of tasks per worker the partitioner aims for; spare tasks let
+#: the batch cut even out skewed subtree sizes.
 OVERSUBSCRIBE = 4
 
 RectTuple = Tuple[float, float, float, float]
@@ -304,11 +312,7 @@ def _execute_batch(tree_r: RTreeBase, tree_s: RTreeBase, spec: JoinSpec,
     injectors = _fault_injectors(tree_r, tree_s)
     faults_before = sum(s.stats.total_injected for s in injectors)
     obs = Observability(enabled=spec.trace)
-    ctx = JoinContext(tree_r, tree_s, buffer_kb=spec.buffer_kb,
-                      use_path_buffer=spec.use_path_buffer,
-                      sort_mode=spec.sort_mode,
-                      max_retries=spec.max_retries,
-                      obs=obs)
+    ctx = build_context(tree_r, tree_s, spec, obs=obs)
     algo = make_algorithm(spec.algorithm,
                           height_policy=spec.height_policy,
                           predicate=spec.predicate)
@@ -356,9 +360,7 @@ def _degraded_batch(tree_r: RTreeBase, tree_s: RTreeBase, spec: JoinSpec,
 
 def parallel_spatial_join(tree_r: RTreeBase, tree_s: RTreeBase,
                           spec: Optional[JoinSpec] = None,
-                          *, plan=None,
-                          fanout_level: Optional[int] = None,
-                          oversubscribe: Optional[int] = None,
+                          *, fanout_level: Optional[int] = None,
                           obs: Optional[Observability] = None,
                           ) -> ParallelJoinResult:
     """MBR-spatial-join executed by ``spec.workers`` processes.
@@ -374,33 +376,19 @@ def parallel_spatial_join(tree_r: RTreeBase, tree_s: RTreeBase,
     Parameters
     ----------
     spec:
-        The join configuration; ``spec.workers`` determines the degree
-        of parallelism (a missing spec defaults to ``JoinSpec()``,
-        i.e. one worker).  ``algorithm="auto"`` is resolved through
-        :func:`repro.plan.plan_join` first.
-    plan:
-        A resolved :class:`~repro.plan.ExecutionPlan` to execute
-        instead of planning *spec* here; this is how
-        :func:`repro.core.planner.execute_plan` hands over.  Mutually
-        exclusive with *spec*.
+        The join configuration, with a concrete algorithm ("auto" is
+        resolved by :func:`repro.plan.plan_join`, whose plan
+        :func:`repro.core.planner.execute_plan` runs through here);
+        ``spec.workers`` determines the degree of parallelism (a
+        missing spec defaults to ``JoinSpec()``, i.e. one worker).
     fanout_level:
         Descend exactly this many levels below the roots when
         partitioning instead of auto-sizing the frontier.
-    oversubscribe:
-        Tasks per worker the auto-sized partitioning aims for; default
-        is the plan's (4 unless the plan says otherwise).
     """
-    if plan is None:
-        from ..plan.optimizer import plan_join
-        plan = plan_join(tree_r, tree_s, spec)
-    elif spec is not None:
-        raise TypeError("pass either spec or plan, not both")
-    spec = plan.to_spec()
-    if oversubscribe is None:
-        oversubscribe = plan.oversubscribe
-    if oversubscribe < 1:
-        raise ValueError(f"oversubscribe must be >= 1 ({oversubscribe})")
-    from .planner import resolve_obs
+    spec = resolve_spec(spec)
+    algo = make_algorithm(spec.algorithm,
+                          height_policy=spec.height_policy,
+                          predicate=spec.predicate)
     obs = resolve_obs(obs, spec)
     # The root span wraps partitioning, dispatch, recovery, and merge.
     # Entered explicitly (not ``with``) to keep the long body flat; a
@@ -409,20 +397,11 @@ def parallel_spatial_join(tree_r: RTreeBase, tree_s: RTreeBase,
                                 workers=spec.workers)
     root_span.__enter__()
     try:
-        ctx = JoinContext(tree_r, tree_s, buffer_kb=spec.buffer_kb,
-                          use_path_buffer=spec.use_path_buffer,
-                          sort_mode=spec.sort_mode,
-                          max_retries=spec.max_retries,
-                          obs=obs)
-        algo = make_algorithm(spec.algorithm,
-                              height_policy=spec.height_policy,
-                              predicate=spec.predicate)
+        # Presort (inside build_context) before any tree state is
+        # shipped to workers, so the one-time sorting cost is charged
+        # once, in the coordinator, like the serial path does.
+        ctx = build_context(tree_r, tree_s, spec, obs=obs)
         ctx.stats.algorithm = algo.name
-        # Presort before any tree state is shipped to workers, so the
-        # one-time sorting cost is charged once, in the coordinator,
-        # like the serial path does.
-        if spec.presort and spec.sort_mode == "maintained":
-            presort_trees(ctx)
         algo._prepare(ctx)
 
         coordinator_injectors = _fault_injectors(tree_r, tree_s)
@@ -430,7 +409,7 @@ def parallel_spatial_join(tree_r: RTreeBase, tree_s: RTreeBase,
                             for s in coordinator_injectors)
         with obs.tracer.span("partition"):
             tasks = partition_tasks(ctx, algo,
-                                    target=spec.workers * oversubscribe,
+                                    target=spec.workers * OVERSUBSCRIBE,
                                     fanout_level=fanout_level)
         ctx.stats.faults_injected = (
             sum(s.stats.total_injected for s in coordinator_injectors)
@@ -445,9 +424,10 @@ def parallel_spatial_join(tree_r: RTreeBase, tree_s: RTreeBase,
                 obs.metrics.observe("parallel.batch_size", len(batch))
         # Split the serial buffer budget so aggregate memory stays
         # equal; workers trace whenever the coordinator does and ship
-        # their observations back in the batch result.
+        # their observations back in the batch result.  The trees are
+        # already sorted here, so no worker re-walks them.
         worker_spec = replace(
-            spec, workers=1, trace=obs.enabled,
+            spec, workers=1, trace=obs.enabled, presort=False,
             buffer_kb=spec.buffer_kb / max(1, len(batches)))
 
         results: List[Optional[tuple]] = [None] * len(batches)
@@ -457,6 +437,8 @@ def parallel_spatial_join(tree_r: RTreeBase, tree_s: RTreeBase,
                 try:
                     results[index] = _execute_batch(tree_r, tree_s,
                                                     worker_spec, batch)
+                except QueryTimeout:
+                    raise
                 except Exception:
                     failed.append(index)
         else:
@@ -477,6 +459,8 @@ def parallel_spatial_join(tree_r: RTreeBase, tree_s: RTreeBase,
                     try:
                         results[index] = handle.get(
                             timeout=spec.batch_timeout)
+                    except QueryTimeout:
+                        raise
                     except Exception:
                         failed.append(index)
 
@@ -510,6 +494,8 @@ def parallel_spatial_join(tree_r: RTreeBase, tree_s: RTreeBase,
                                 timeout=spec.batch_timeout)
                     recovered = True
                     break
+                except QueryTimeout:
+                    raise
                 except Exception:
                     continue
             if not recovered:
@@ -538,4 +524,4 @@ def parallel_spatial_join(tree_r: RTreeBase, tree_s: RTreeBase,
         batch_sizes=[len(batch) for batch in batches],
         partition_stats=partition_stats, worker_stats=worker_stats,
         retried_batch_ids=retried_ids, degraded_batch_ids=degraded_ids,
-        obs=obs if obs.enabled else None, plan=plan)
+        obs=obs if obs.enabled else None)

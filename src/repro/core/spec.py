@@ -112,6 +112,12 @@ class JoinSpec:
         if not isinstance(self.predicate, SpatialPredicate):
             object.__setattr__(self, "predicate",
                                SpatialPredicate(self.predicate))
+        # One value, one spelling: 128 and 128.0 are the same budget
+        # and must serialize (and digest) identically.
+        for name in ("buffer_kb", "timeout", "batch_timeout"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, float(value))
         # Deferred: the plan package's optimizer imports us back.
         from ..plan.registry import validate_algorithm
         object.__setattr__(self, "algorithm",

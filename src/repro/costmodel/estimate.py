@@ -23,7 +23,7 @@ quantifying *how much* is the point of the accuracy benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterator, List, Tuple
 
 from ..rtree.base import RTreeBase
 
@@ -114,22 +114,32 @@ class JoinCardinalityEstimator:
         py = min(1.0, (a.avg_height + b.avg_height) / self.world_height)
         return px * py
 
-    def predict(self) -> JoinPrediction:
-        """Expected qualifying pairs per level, output size, and a
-        no-buffer disk-access estimate."""
-        per_level: Dict[int, float] = {}
-        # The traversal aligns levels top-down from the roots: depth d
-        # pairs entries at level (root_level - d) on each side, clamped
-        # at the data level for the shallower tree (window mode).
-        max_depth = max(self.height_r, self.height_s)
-        for depth in range(max_depth):
+    def aligned_levels(self) -> Iterator[Tuple[int, int, LevelProfile,
+                                               LevelProfile, float]]:
+        """The traversal's top-down level alignment, one row per depth:
+        ``(level_r, level_s, prof_r, prof_s, probability)``.
+
+        Depth d pairs entries at level (root_level - d) on each side,
+        clamped at the data level for the shallower tree (the window
+        mode of Section 4.4); *probability* is
+        :meth:`intersect_probability` of the two profiles.
+        """
+        for depth in range(max(self.height_r, self.height_s)):
             level_r = max(0, self.height_r - 1 - depth)
             level_s = max(0, self.height_s - 1 - depth)
             prof_r = self.profiles_r.get(level_r)
             prof_s = self.profiles_s.get(level_s)
             if prof_r is None or prof_s is None:
                 continue
-            probability = self.intersect_probability(prof_r, prof_s)
+            yield (level_r, level_s, prof_r, prof_s,
+                   self.intersect_probability(prof_r, prof_s))
+
+    def predict(self) -> JoinPrediction:
+        """Expected qualifying pairs per level, output size, and a
+        no-buffer disk-access estimate."""
+        per_level: Dict[int, float] = {}
+        for level_r, level_s, prof_r, prof_s, probability \
+                in self.aligned_levels():
             expected = prof_r.count * prof_s.count * probability
             key = max(level_r, level_s)
             per_level[key] = per_level.get(key, 0.0) + expected

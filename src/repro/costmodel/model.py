@@ -48,17 +48,19 @@ class CostEstimate:
         return self.io_seconds / total
 
 
+@dataclass(frozen=True)
 class CostModel:
-    """Turns counters into the paper's time estimates."""
+    """Turns counters into the paper's time estimates (immutable; the
+    three Section 4.1 constants above are the defaults)."""
 
-    def __init__(self, t_position: float = T_POSITION,
-                 t_transfer_per_kb: float = T_TRANSFER_PER_KB,
-                 t_compare: float = T_COMPARE) -> None:
-        if min(t_position, t_transfer_per_kb, t_compare) < 0.0:
+    t_position: float = T_POSITION
+    t_transfer_per_kb: float = T_TRANSFER_PER_KB
+    t_compare: float = T_COMPARE
+
+    def __post_init__(self) -> None:
+        if min(self.t_position, self.t_transfer_per_kb,
+               self.t_compare) < 0.0:
             raise ValueError("cost constants cannot be negative")
-        self.t_position = t_position
-        self.t_transfer_per_kb = t_transfer_per_kb
-        self.t_compare = t_compare
 
     def io_seconds(self, disk_accesses: int, page_size: int) -> float:
         """Time to position and transfer *disk_accesses* pages."""

@@ -1,13 +1,13 @@
 """repro.plan — the cost-based adaptive query planner.
 
-Every join runs through an :class:`ExecutionPlan`: the fully-resolved
-algorithm, height policy, presort decision, buffer layout, worker
-count, partitioning choice, deadline, and cache key.  With
+Every join runs through an :class:`ExecutionPlan`: the resolved
+:class:`~repro.core.spec.JoinSpec` (concrete algorithm, presort
+decided) plus the record of how it was chosen.  With
 ``JoinSpec(algorithm="auto")`` the optimizer (:func:`plan_join`) scores
 the candidate algorithms against tree statistics using the Günther
-cardinality model plus the paper's CPU/I-O time constants, refreshable
-from committed ``BENCH_join.json`` rows or live :mod:`repro.obs`
-traces (:class:`Calibration`).
+cardinality model priced with a :class:`Calibration`'s
+:class:`~repro.costmodel.CostModel` — the paper's CPU/I-O time
+constants by default.
 
 This package is also the single authoritative algorithm registry —
 CLI ``--algorithm`` choices and serve-protocol validation are
@@ -17,10 +17,11 @@ See ``docs/planner.md`` for the cost formulas, calibration sources,
 and the explain output format.
 """
 
-# Import order matters: registry and plan are cycle-free leaves that
-# repro.core.planner pulls in mid-import; optimizer (which imports
-# repro.core.spec and can re-enter repro.core's __init__) must come
-# last so the submodules it needs are already in sys.modules.
+# Import order matters: registry is the leaf that repro.core.parallel
+# and repro.core.planner pull in mid-import, and plan needs only the
+# equally cycle-free repro.core.spec; optimizer (which can re-enter
+# repro.core's __init__) must come last so the submodules it needs are
+# already in sys.modules.
 from .registry import (ALGORITHMS, AUTO, AUTO_CANDIDATES,
                        DEFAULT_ALGORITHM, SpatialJoin4NoRestrict,
                        SweepJoinNoRestrict, algorithm_choices,

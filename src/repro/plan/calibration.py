@@ -2,26 +2,26 @@
 
 The paper's time model (Section 4.1) charges 1.5e-2 s per disk-arm
 positioning, 5e-3 s per transferred KByte, and 3.9e-6 s per comparison
-— 1993 HP720 hardware.  The *ratios* between candidate algorithms are
-what the planner ranks on, so the paper constants are a sound default;
-but absolute estimates (and the CPU/I-O balance) can be refreshed from
-measured truth: :meth:`Calibration.from_document` /
-:meth:`Calibration.from_obs` read a live :mod:`repro.obs` trace — the
-drift report already splits a traced run into measured CPU and I/O
-seconds, so each side is rescaled independently.
+— 1993 HP720 hardware.  Those three constants live in one place,
+:class:`repro.costmodel.CostModel`; a :class:`Calibration` carries the
+price list it scores with as ``cost`` (the paper's by default), so the
+planner prices *predicted* counters with the same two functions the
+drift report and Figures 2/8/9 price *measured* counters with.  The
+*ratios* between candidate algorithms are what the planner ranks on,
+so the paper constants are a sound default.
 
-Beyond the three time constants the calibration carries the behavioral
-factors of the candidate scorer (see ``docs/planner.md`` for the
-formulas): comparisons per rectangle intersection test, the fraction
-of entries surviving the Section 4.2 search-space restriction, and the
+Beyond the price list the calibration carries the behavioral factors
+of the candidate scorer (see ``docs/planner.md`` for the formulas):
+comparisons per rectangle intersection test, the fraction of entries
+surviving the Section 4.2 search-space restriction, and the
 repeat-factor threshold of the Section 3 presort rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from ..costmodel.model import T_COMPARE, T_POSITION, T_TRANSFER_PER_KB
+from ..costmodel.model import CostModel, PAPER_COST_MODEL
 
 #: Fraction of potential page re-reads each algorithm's read schedule
 #: avoids (0 = every re-visit is a disk read, 1 = perfect locality).
@@ -45,12 +45,9 @@ SCHEDULE_LOCALITY = {
 class Calibration:
     """Constants the candidate scorer runs on (immutable)."""
 
-    #: Seconds per disk-arm positioning.
-    t_position: float = T_POSITION
-    #: Seconds per transferred KByte.
-    t_transfer_per_kb: float = T_TRANSFER_PER_KB
-    #: Seconds per counted comparison.
-    t_compare: float = T_COMPARE
+    #: The price list: seconds per positioning, per transferred KByte
+    #: and per counted comparison.
+    cost: CostModel = PAPER_COST_MODEL
     #: Counted comparisons per rectangle-pair intersection test (the
     #: test short-circuits, so the average sits between 1 and 4).
     cmp_per_test: float = 2.5
@@ -62,51 +59,13 @@ class Calibration:
     #: SJ1 performs about 1.5 reads per page; repeated visits are what
     #: make eager sorting pay).
     presort_threshold: float = 1.25
-    #: Provenance tag surfaced in plans ("paper", "obs").
+    #: Provenance tag surfaced in plans ("paper" for the default).
     source: str = "paper"
 
     def locality(self, algorithm: str) -> float:
         """Schedule locality factor of *algorithm* (see
         :data:`SCHEDULE_LOCALITY`)."""
         return SCHEDULE_LOCALITY.get(algorithm, 0.15)
-
-    # ------------------------------------------------------------------
-    # Refresh sources
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_document(cls, document) -> "Calibration":
-        """Calibration from one :class:`~repro.obs.TraceDocument`.
-
-        Uses the drift report's measured-vs-predicted split: the CPU
-        constant scales by the measured CPU drift, the two I/O
-        constants by the measured I/O drift.  Falls back to the paper
-        constants when the trace has no stats record or a predicted
-        side is zero.
-        """
-        from ..obs.report import drift_report
-        drift = drift_report(document)
-        if drift is None:
-            return cls()
-        calibrated = cls(source="obs")
-        if drift.predicted_cpu_s > 0.0:
-            cpu_scale = drift.measured_cpu_s / drift.predicted_cpu_s
-            calibrated = replace(calibrated,
-                                 t_compare=T_COMPARE * cpu_scale)
-        if drift.predicted_io_s > 0.0:
-            io_scale = drift.measured_io_s / drift.predicted_io_s
-            calibrated = replace(
-                calibrated,
-                t_position=T_POSITION * io_scale,
-                t_transfer_per_kb=T_TRANSFER_PER_KB * io_scale)
-        return calibrated
-
-    @classmethod
-    def from_obs(cls, obs, stats) -> "Calibration":
-        """Calibration from a live traced run: the observability handle
-        plus the run's :class:`~repro.core.stats.JoinStatistics`."""
-        from ..obs.trace_io import document_from
-        return cls.from_document(document_from(obs, stats=stats))
 
 
 #: The paper-constant calibration (module-level singleton).

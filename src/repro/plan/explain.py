@@ -18,14 +18,13 @@ def render_plan(plan: ExecutionPlan) -> str:
              + (f" (requested {plan.requested})"
                 if plan.requested != plan.algorithm else "")]
     lines.append(f"  {plan.reason}")
-    knobs = (f"  height_policy={plan.height_policy} "
-             f"sort_mode={plan.sort_mode} presort={plan.presort} "
-             f"path_buffer={plan.use_path_buffer} "
-             f"buffer_kb={plan.buffer_kb:g} workers={plan.workers}")
-    if plan.workers > 1:
-        knobs += f" oversubscribe={plan.oversubscribe}"
-    if plan.timeout is not None:
-        knobs += f" timeout={plan.timeout:g}s"
+    spec = plan.spec
+    knobs = (f"  height_policy={spec.height_policy} "
+             f"sort_mode={spec.sort_mode} presort={spec.presort} "
+             f"path_buffer={spec.use_path_buffer} "
+             f"buffer_kb={spec.buffer_kb:g} workers={spec.workers}")
+    if spec.timeout is not None:
+        knobs += f" timeout={spec.timeout:g}s"
     lines.append(knobs)
     lines.append(f"  cache_key={plan.cache_key[:16]}  "
                  f"calibration={plan.calibration_source}")

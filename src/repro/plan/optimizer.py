@@ -27,7 +27,7 @@ paper's own measurements:
   discounted by the algorithm's schedule locality (Table 5: pinning >
   z-order > sweep order > none) and by LRU-buffer coverage.
 
-A fixed-algorithm spec takes the fast path: the plan mirrors the spec
+A fixed-algorithm spec takes the fast path: the plan carries the spec
 verbatim and nothing is scored (``score=True`` forces the scored table
 for ``--explain``).  The planner also makes the presort decision for
 auto plans: eager sorting is enabled when the chosen algorithm sweeps,
@@ -38,6 +38,7 @@ distinct page, Section 3) clears the calibration threshold.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from ..costmodel.estimate import JoinCardinalityEstimator
@@ -60,7 +61,11 @@ _SWEEP_FAMILY = ("sj3", "sj4", "sj5", "sj3-norestrict", "sj4-norestrict")
 _RESTRICTING = ("sj2", "sj3", "sj4", "sj5")
 
 
-def _pages_of(profiles: Dict[int, object], height: int) -> float:
+#: ``reason`` of a plan whose algorithm the caller fixed.
+_FIXED_BY_SPEC = "algorithm fixed by spec"
+
+
+def _pages_of(profiles: Dict[int, object]) -> float:
     """Number of pages of a tree from its level profiles: one root
     plus one page per directory entry (entries at level >= 1 each
     reference a child page)."""
@@ -68,29 +73,26 @@ def _pages_of(profiles: Dict[int, object], height: int) -> float:
     for level, profile in profiles.items():
         if level >= 1:
             pages += profile.count
-    del height
     return pages
 
 
 class _Workload:
     """Per-depth traversal volume shared by all candidates.
 
-    Mirrors the estimator's top-down level alignment (clamping the
-    shallower side at its data level, like the window mode of Section
-    4.4) but tracks the *conditional* cascade: the expected qualifying
-    node pairs at depth d are the visited pairs of depth d+1.
+    Walks the estimator's top-down level alignment
+    (:meth:`JoinCardinalityEstimator.aligned_levels`) but tracks the
+    *conditional* cascade: the expected qualifying node pairs at depth
+    d are the visited pairs of depth d+1.
     """
 
     def __init__(self, tree_r: RTreeBase, tree_s: RTreeBase) -> None:
         self.estimator = JoinCardinalityEstimator(tree_r, tree_s)
         est = self.estimator
         self.page_size = tree_r.params.page_size
-        self.pages = (_pages_of(est.profiles_r, est.height_r)
-                      + _pages_of(est.profiles_s, est.height_s))
+        self.pages = _pages_of(est.profiles_r) + _pages_of(est.profiles_s)
         #: rows: (visited_pairs, entries_r, entries_s, qualifying,
-        #:        child_reads, is_leaf_depth)
-        self.depths: List[Tuple[float, float, float, float, float,
-                                bool]] = []
+        #:        child_reads)
+        self.depths: List[Tuple[float, float, float, float, float]] = []
         self.output_pairs = 0.0
 
         def nodes_at(profiles, height: int, level: int) -> float:
@@ -100,25 +102,18 @@ class _Workload:
             return max(1.0, float(above.count) if above else 1.0)
 
         visited = 1.0
-        for depth in range(max(est.height_r, est.height_s)):
-            level_r = max(0, est.height_r - 1 - depth)
-            level_s = max(0, est.height_s - 1 - depth)
-            prof_r = est.profiles_r.get(level_r)
-            prof_s = est.profiles_s.get(level_s)
-            if prof_r is None or prof_s is None:
-                continue
+        for level_r, level_s, prof_r, prof_s, probability \
+                in est.aligned_levels():
             entries_r = prof_r.count / nodes_at(est.profiles_r,
                                                 est.height_r, level_r)
             entries_s = prof_s.count / nodes_at(est.profiles_s,
                                                 est.height_s, level_s)
-            probability = est.intersect_probability(prof_r, prof_s)
             qualifying = visited * entries_r * entries_s * probability
             reads = qualifying * ((1.0 if level_r > 0 else 0.0)
                                   + (1.0 if level_s > 0 else 0.0))
-            leaf = level_r == 0 and level_s == 0
             self.depths.append((visited, entries_r, entries_s,
-                                qualifying, reads, leaf))
-            if leaf:
+                                qualifying, reads))
+            if level_r == 0 and level_s == 0:
                 self.output_pairs += qualifying
             visited = qualifying
 
@@ -131,8 +126,7 @@ def _score_candidate(name: str, work: _Workload, spec: JoinSpec,
     survival = cal.restriction_survival
     comparisons = 0.0
     naive_reads = 2.0  # both roots
-    for visited, entries_r, entries_s, qualifying, reads, leaf \
-            in work.depths:
+    for visited, entries_r, entries_s, qualifying, reads in work.depths:
         tested = visited * entries_r * entries_s
         if restricts:
             # Linear filter pass against the intersection rectangle,
@@ -154,7 +148,6 @@ def _score_candidate(name: str, work: _Workload, spec: JoinSpec,
                             + qualifying) * cal.cmp_per_test
         else:
             comparisons += tested * cal.cmp_per_test
-        del leaf
         naive_reads += reads
 
     # Pages touched at least once vs re-reads: the schedule's locality
@@ -166,14 +159,12 @@ def _score_candidate(name: str, work: _Workload, spec: JoinSpec,
     accesses = touched + rereads * (1.0 - cal.locality(name)) \
         * (1.0 - coverage)
 
-    page_kb = work.page_size / KILOBYTE
     return PlanCandidate(
         algorithm=name,
         est_comparisons=comparisons,
         est_disk_accesses=accesses,
-        est_cpu_s=comparisons * cal.t_compare,
-        est_io_s=accesses * (cal.t_position
-                             + page_kb * cal.t_transfer_per_kb),
+        est_cpu_s=cal.cost.cpu_seconds(comparisons),
+        est_io_s=cal.cost.io_seconds(accesses, work.page_size),
     )
 
 
@@ -195,26 +186,26 @@ def _score_all(work: _Workload, spec: JoinSpec,
 def score_candidates(tree_r: RTreeBase, tree_s: RTreeBase,
                      spec: JoinSpec,
                      names: Tuple[str, ...] = AUTO_CANDIDATES,
-                     calibration: Optional[Calibration] = None,
+                     calibration: Calibration = PAPER_CALIBRATION,
                      ) -> Tuple[PlanCandidate, ...]:
     """Score *names* on the two trees, cheapest first (ties broken by
     the paper's preference order).  Raises ``ValueError`` for empty
     trees, like the estimator."""
-    cal = calibration if calibration is not None else PAPER_CALIBRATION
-    return _score_all(_Workload(tree_r, tree_s), spec, names, cal)
+    return _score_all(_Workload(tree_r, tree_s), spec, names, calibration)
 
 
 def plan_join(tree_r: RTreeBase, tree_s: RTreeBase,
               spec: Optional[JoinSpec] = None, *,
-              calibration: Optional[Calibration] = None,
+              calibration: Calibration = PAPER_CALIBRATION,
               score: Optional[bool] = None) -> ExecutionPlan:
     """Produce the :class:`~repro.plan.ExecutionPlan` for joining
     *tree_r* and *tree_s* under *spec*.
 
     * ``spec.algorithm == "auto"`` — score the candidates, choose the
-      cheapest, and decide presort via the repeat-factor rule.
-    * concrete algorithm — mirror the spec verbatim (fast path: no
-      tree statistics are gathered).  Pass ``score=True`` to attach
+      cheapest, and decide presort via the repeat-factor rule; the
+      plan's spec is *spec* with those two fields resolved.
+    * concrete algorithm — the plan carries *spec* itself (fast path:
+      no tree statistics are gathered).  Pass ``score=True`` to attach
       the scored candidate table anyway (the ``--explain`` path); the
       spec's own knobs are never overridden.
 
@@ -222,81 +213,58 @@ def plan_join(tree_r: RTreeBase, tree_s: RTreeBase,
     (:data:`~repro.plan.PAPER_CALIBRATION`).
     """
     spec = resolve_spec(spec)
-    cal = calibration if calibration is not None else PAPER_CALIBRATION
     auto = spec.algorithm == AUTO
     if score is None:
         score = auto
     if not auto and not score:
-        return ExecutionPlan.from_spec(spec)
+        return ExecutionPlan(spec, requested=spec.algorithm,
+                             reason=_FIXED_BY_SPEC)
 
     if tree_r.mbr() is None or tree_s.mbr() is None:
         # Nothing to score on an empty input; any algorithm returns
         # the empty result, so fall back to the paper's default.
-        fallback = spec.algorithm if not auto else DEFAULT_ALGORITHM
-        return ExecutionPlan.from_spec(
-            _concrete(spec, fallback),
-            requested=spec.algorithm,
+        if not auto:
+            return ExecutionPlan(spec, requested=spec.algorithm,
+                                 reason=_FIXED_BY_SPEC)
+        return ExecutionPlan(
+            replace(spec, algorithm=DEFAULT_ALGORITHM), requested=AUTO,
             reason="empty input: nothing to score, using "
-                   f"{fallback} (paper default)"
-            if auto else "algorithm fixed by spec")
+                   f"{DEFAULT_ALGORITHM} (paper default)")
 
     names = AUTO_CANDIDATES
     if not auto and spec.algorithm not in names:
         names = names + (spec.algorithm,)
     work = _Workload(tree_r, tree_s)
-    ranked = _score_all(work, spec, names, cal)
+    ranked = _score_all(work, spec, names, calibration)
     chosen_name = ranked[0].algorithm if auto else spec.algorithm
-    candidates = tuple(
-        PlanCandidate(algorithm=c.algorithm,
-                      est_comparisons=c.est_comparisons,
-                      est_disk_accesses=c.est_disk_accesses,
-                      est_cpu_s=c.est_cpu_s, est_io_s=c.est_io_s,
-                      chosen=c.algorithm == chosen_name)
-        for c in ranked)
+    candidates = tuple(replace(c, chosen=c.algorithm == chosen_name)
+                       for c in ranked)
     chosen = next(c for c in candidates if c.chosen)
 
     repeat_factor = chosen.est_disk_accesses / max(work.pages, 1.0)
     presort = spec.presort
-    reason = "algorithm fixed by spec"
+    reason = _FIXED_BY_SPEC
     if auto:
         presort = (chosen_name in _SWEEP_FAMILY
                    and spec.sort_mode == "maintained"
-                   and repeat_factor >= cal.presort_threshold)
+                   and repeat_factor >= calibration.presort_threshold)
         runner_up = candidates[1] if len(candidates) > 1 else None
         margin = ("" if runner_up is None or chosen.est_total_s <= 0.0
                   else f", {runner_up.est_total_s / chosen.est_total_s:.2f}x"
                        f" cheaper than {runner_up.algorithm}")
         reason = (f"cost-based: {chosen_name} estimated "
                   f"{chosen.est_total_s:.3g}s "
-                  f"({cal.source} constants){margin}")
+                  f"({calibration.source} constants){margin}")
 
     return ExecutionPlan(
-        algorithm=chosen_name,
+        replace(spec, algorithm=chosen_name, presort=presort),
         requested=spec.algorithm,
-        height_policy=spec.height_policy,
-        sort_mode=spec.sort_mode,
-        presort=presort,
-        use_path_buffer=spec.use_path_buffer,
-        buffer_kb=spec.buffer_kb,
-        predicate=spec.predicate,
-        workers=spec.workers,
-        max_retries=spec.max_retries,
-        batch_timeout=spec.batch_timeout,
-        batch_retries=spec.batch_retries,
-        timeout=spec.timeout,
-        trace=spec.trace,
         reason=reason,
         repeat_factor=repeat_factor,
         est_output_pairs=work.output_pairs,
         candidates=candidates,
-        calibration_source=cal.source,
+        calibration_source=calibration.source,
     )
-
-
-def _concrete(spec: JoinSpec, algorithm: str) -> JoinSpec:
-    """*spec* with a concrete algorithm substituted."""
-    from dataclasses import replace
-    return replace(spec, algorithm=algorithm)
 
 
 def record_plan(obs, plan: ExecutionPlan) -> None:
@@ -309,7 +277,7 @@ def record_plan(obs, plan: ExecutionPlan) -> None:
     metrics.inc(f"plan.chosen.{plan.algorithm}")
     if plan.requested == AUTO:
         metrics.inc("plan.auto")
-    if plan.presort:
+    if plan.spec.presort:
         metrics.inc("plan.presort")
     if plan.candidates:
         metrics.inc("plan.candidates", len(plan.candidates))

@@ -1,19 +1,16 @@
 """The frozen :class:`ExecutionPlan` — one fully-resolved join.
 
-A plan is what the optimizer hands to the executors: the concrete
-algorithm (never "auto"), the height policy, the presort decision, the
-buffer layout, the worker count and partitioning oversubscription, the
-deadline, and — for a scored plan — the candidate table the choice was
-made from.  Every entry point (:func:`repro.core.planner.spatial_join`,
-:func:`repro.core.parallel.parallel_spatial_join`,
-:meth:`repro.db.SpatialDatabase.join`, the serve layer) executes a
-plan; none of them re-derives algorithm lookup, presort, or worker
-routing on its own anymore.
+A plan is what the optimizer hands to the executors: the resolved
+:class:`~repro.core.spec.JoinSpec` (concrete algorithm — never "auto"
+— with the presort decision applied; every other option exactly as the
+caller wrote it) plus the record of the decision — what was requested,
+why this algorithm, and, for a scored plan, the candidate table the
+choice was made from.  A join's options are spelled once, on the spec;
+the executors read ``plan.spec``.
 
 Plans are immutable, picklable, and JSON-serializable
 (:meth:`ExecutionPlan.to_dict` / :meth:`ExecutionPlan.from_dict`), so
-they travel into worker processes, JSONL traces, and serve-protocol
-responses unchanged.
+they travel into JSONL traces and serve-protocol responses unchanged.
 """
 
 from __future__ import annotations
@@ -23,13 +20,8 @@ import json
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
-from ..geometry.predicates import SpatialPredicate
-from .registry import ALGORITHMS
-
-#: Default tasks-per-worker the partitioner aims for (mirrors
-#: :data:`repro.core.parallel.OVERSUBSCRIBE`; duplicated as a literal to
-#: keep this module import-light).
-DEFAULT_OVERSUBSCRIBE = 4
+from ..core.spec import JoinSpec
+from .registry import AUTO
 
 
 @dataclass(frozen=True)
@@ -63,44 +55,29 @@ class PlanCandidate:
         return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
-#: Fields whose values determine the result and cost profile of the
-#: execution — exactly these feed the cache key.  Deliberately absent:
-#: ``timeout`` (a deadline does not change the answer), ``trace``
-#: (observability never changes results), and the advisory fields
-#: (candidates, reason, estimates).
-_CACHE_KEY_FIELDS = (
-    "algorithm", "height_policy", "sort_mode", "presort",
-    "use_path_buffer", "buffer_kb", "predicate", "workers",
-    "oversubscribe", "max_retries", "batch_timeout", "batch_retries",
-)
+def _spec_dict(spec: JoinSpec) -> Dict[str, Any]:
+    """*spec* as flat JSON-ready data: every field by name, the
+    predicate as its string value."""
+    data = asdict(spec)
+    data["predicate"] = spec.predicate.value
+    return data
 
 
 @dataclass(frozen=True)
 class ExecutionPlan:
     """A fully-resolved, immutable description of how one join runs.
 
-    ``algorithm`` is always concrete; ``requested`` records what the
-    caller asked for ("auto" or a fixed name).  ``candidates`` is empty
-    for a plan that mirrors a fixed spec (nothing was scored) and holds
-    the full scored table for an auto or ``--explain`` plan.
+    ``spec`` is the :class:`~repro.core.spec.JoinSpec` the executors
+    run — always a concrete algorithm, with the planner's presort
+    decision applied; everything else is the decision record.
+    ``requested`` is what the caller asked for ("auto" or a fixed
+    name).  ``candidates`` is empty for a plan that carries a fixed
+    spec verbatim (nothing was scored) and holds the full scored table
+    for an auto or ``--explain`` plan.
     """
 
-    algorithm: str
+    spec: JoinSpec
     requested: str
-    height_policy: str = "b"
-    sort_mode: str = "maintained"
-    presort: bool = False
-    use_path_buffer: bool = True
-    buffer_kb: float = 128.0
-    predicate: str = "intersects"
-    workers: int = 1
-    oversubscribe: int = DEFAULT_OVERSUBSCRIBE
-    max_retries: int = 2
-    batch_timeout: Optional[float] = 60.0
-    batch_retries: int = 1
-    #: Wall-clock budget (seconds) the executors enforce cooperatively.
-    timeout: Optional[float] = None
-    trace: bool = False
     #: One-line account of how the algorithm was picked.
     reason: str = ""
     #: Estimated reads-per-distinct-page of the chosen algorithm — the
@@ -110,28 +87,14 @@ class ExecutionPlan:
     repeat_factor: float = 0.0
     est_output_pairs: float = 0.0
     candidates: Tuple[PlanCandidate, ...] = ()
-    #: Where the cost constants came from ("paper", "obs").
+    #: Where the cost constants came from ("paper" for the default).
     calibration_source: str = "paper"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "algorithm", str(self.algorithm).lower())
+        if self.spec.algorithm == AUTO:
+            raise ValueError(
+                f"plan algorithm must be concrete, got {AUTO!r}")
         object.__setattr__(self, "requested", str(self.requested).lower())
-        if isinstance(self.predicate, SpatialPredicate):
-            object.__setattr__(self, "predicate", self.predicate.value)
-        else:
-            object.__setattr__(
-                self, "predicate",
-                SpatialPredicate(self.predicate).value)
-        if self.algorithm not in ALGORITHMS:
-            known = ", ".join(sorted(ALGORITHMS))
-            raise ValueError(
-                f"plan algorithm must be concrete, got "
-                f"{self.algorithm!r} (known: {known})")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1 ({self.workers})")
-        if self.oversubscribe < 1:
-            raise ValueError(
-                f"oversubscribe must be >= 1 ({self.oversubscribe})")
         if not isinstance(self.candidates, tuple):
             object.__setattr__(self, "candidates", tuple(self.candidates))
 
@@ -140,9 +103,14 @@ class ExecutionPlan:
     # ------------------------------------------------------------------
 
     @property
+    def algorithm(self) -> str:
+        """The decision itself: the concrete algorithm that runs."""
+        return self.spec.algorithm
+
+    @property
     def chosen_candidate(self) -> Optional[PlanCandidate]:
         """The scored row of the chosen algorithm (None when the plan
-        mirrors a fixed spec and nothing was scored)."""
+        carries a fixed spec and nothing was scored)."""
         for candidate in self.candidates:
             if candidate.chosen:
                 return candidate
@@ -150,77 +118,40 @@ class ExecutionPlan:
 
     @property
     def cache_key(self) -> str:
-        """Digest over the execution-relevant fields: two joins of the
-        same two trees with equal cache keys produce byte-identical
-        results at the same cost profile."""
-        payload = {name: getattr(self, name)
-                   for name in _CACHE_KEY_FIELDS}
+        """Digest over the spec minus ``timeout`` (a deadline does not
+        change the answer) and ``trace`` (observability never changes
+        results): two joins of the same two trees with equal cache keys
+        produce byte-identical results at the same cost profile.  The
+        decision record (candidates, reason, estimates) is advisory and
+        never enters."""
+        payload = _spec_dict(self.spec)
+        payload.update(timeout=None, trace=False)
         canonical = json.dumps(payload, sort_keys=True)
         return hashlib.sha1(canonical.encode()).hexdigest()
-
-    def to_spec(self):
-        """The :class:`~repro.core.spec.JoinSpec` this plan executes
-        as — always a concrete algorithm, with the planner's presort
-        decision applied."""
-        from ..core.spec import JoinSpec  # deferred: spec validates via us
-        return JoinSpec(
-            algorithm=self.algorithm,
-            buffer_kb=self.buffer_kb,
-            height_policy=self.height_policy,
-            sort_mode=self.sort_mode,
-            presort=self.presort,
-            use_path_buffer=self.use_path_buffer,
-            predicate=SpatialPredicate(self.predicate),
-            workers=self.workers,
-            max_retries=self.max_retries,
-            batch_timeout=self.batch_timeout,
-            batch_retries=self.batch_retries,
-            timeout=self.timeout,
-            trace=self.trace,
-        )
-
-    @classmethod
-    def from_spec(cls, spec, *, requested: Optional[str] = None,
-                  reason: str = "algorithm fixed by spec",
-                  oversubscribe: int = DEFAULT_OVERSUBSCRIBE,
-                  ) -> "ExecutionPlan":
-        """A plan that mirrors a concrete-algorithm *spec* verbatim
-        (the fast path: nothing is scored, nothing is decided)."""
-        return cls(
-            algorithm=spec.algorithm,
-            requested=spec.algorithm if requested is None else requested,
-            height_policy=spec.height_policy,
-            sort_mode=spec.sort_mode,
-            presort=spec.presort,
-            use_path_buffer=spec.use_path_buffer,
-            buffer_kb=spec.buffer_kb,
-            predicate=spec.predicate,
-            workers=spec.workers,
-            oversubscribe=oversubscribe,
-            max_retries=spec.max_retries,
-            batch_timeout=spec.batch_timeout,
-            batch_retries=spec.batch_retries,
-            timeout=spec.timeout,
-            trace=spec.trace,
-            reason=reason,
-        )
 
     # ------------------------------------------------------------------
     # Serialization (traces, serve protocol)
     # ------------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready dict; round-trips through :meth:`from_dict`."""
-        data = {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "candidates"}
+        """Flat JSON-ready dict — the spec's fields next to the
+        decision record; round-trips through :meth:`from_dict`."""
+        data = _spec_dict(self.spec)
+        data.update((f.name, getattr(self, f.name)) for f in fields(self)
+                    if f.name not in ("spec", "candidates"))
         data["candidates"] = [c.to_dict() for c in self.candidates]
         data["cache_key"] = self.cache_key
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ExecutionPlan":
+        """Inverse of :meth:`to_dict`; keys that name neither a spec
+        field nor a plan field are ignored."""
+        spec = JoinSpec(**{f.name: data[f.name] for f in fields(JoinSpec)
+                           if f.name in data})
         kwargs = {f.name: data[f.name] for f in fields(cls)
-                  if f.name != "candidates" and f.name in data}
+                  if f.name not in ("spec", "candidates")
+                  and f.name in data}
         kwargs["candidates"] = tuple(
             PlanCandidate.from_dict(c) for c in data.get("candidates", ()))
-        return cls(**kwargs)
+        return cls(spec=spec, **kwargs)

@@ -6,15 +6,23 @@ equal or different height — and its merged statistics are precisely
 the partitioning counters plus the sum of the per-worker counters.
 """
 
+import multiprocessing
+import time
+from dataclasses import replace
+
 import pytest
 
 from repro.core import (JoinContext, JoinSpec, ParallelJoinResult,
                         build_context, cluster_tasks, make_algorithm,
                         parallel_spatial_join, partition_tasks,
                         spatial_join)
-from repro.core.parallel import _world_rect
+from repro.core import parallel as executor
+from repro.core.parallel import _execute_batch, _world_rect
 from repro.costmodel.parallel import estimate_parallel_io
+from repro.errors import QueryTimeout
 from repro.geometry import SpatialPredicate
+from repro.obs import Observability
+from repro.storage import MemoryPageStore
 
 ALGORITHMS = ("sj1", "sj2", "sj3", "sj4", "sj5")
 WORKER_COUNTS = (1, 2, 4)
@@ -237,3 +245,103 @@ def test_streaming_refuses_parallel_spec(medium_trees):
     with pytest.raises(ValueError):
         spatial_join_stream(tree_r, tree_s, lambda a, b: None,
                             spec=JoinSpec(workers=2))
+
+
+# ----------------------------------------------------------------------
+# Deadlines: every context of a parallel run enforces JoinSpec.timeout,
+# and a deadline is not a fault
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def no_degraded_rerun(monkeypatch):
+    def rerun(*args, **kwargs):
+        pytest.fail("a timed-out join was re-run serially")
+    monkeypatch.setattr(executor, "_degraded_batch", rerun)
+
+
+@pytest.mark.parametrize("entry", (
+    lambda r, s, spec: spatial_join(r, s, spec=spec),
+    parallel_spatial_join,
+), ids=("spatial_join", "parallel_spatial_join"))
+def test_parallel_run_enforces_the_timeout(medium_trees,
+                                           no_degraded_rerun, entry):
+    tree_r, tree_s = medium_trees
+    with pytest.raises(QueryTimeout):
+        entry(tree_r, tree_s,
+              JoinSpec(algorithm="sj4", workers=2, timeout=1e-6))
+
+
+def test_every_batch_enforces_the_timeout(medium_trees):
+    tree_r, tree_s = medium_trees
+    spec = JoinSpec(algorithm="sj4", buffer_kb=16)
+    tasks = partition_tasks(build_context(tree_r, tree_s, spec),
+                            make_algorithm("sj4"), target=4)
+    pairs, _, _ = _execute_batch(tree_r, tree_s, spec, tasks)
+    assert pairs
+    with pytest.raises(QueryTimeout):
+        _execute_batch(tree_r, tree_s, replace(spec, timeout=1e-6), tasks)
+
+
+class SlowInWorkersStore(MemoryPageStore):
+    """Physical reads in *worker* processes stall, so a batch outlives
+    a budget the coordinator's partitioning descent meets easily."""
+
+    STALL = 0.4
+
+    def read_faulty(self, page_id):
+        if multiprocessing.current_process().daemon:
+            time.sleep(self.STALL)
+        return self.read(page_id)
+
+
+def test_a_worker_deadline_is_not_a_fault(medium_records_pair,
+                                          no_degraded_rerun):
+    from tests.conftest import build_rstar
+    left, right = medium_records_pair
+    tree_r = build_rstar(left[:600])
+    tree_s = build_rstar(right[:600])
+    slow = SlowInWorkersStore()
+    donor = tree_r.store
+    slow._pages, slow._free, slow._next = (donor._pages, donor._free,
+                                           donor._next)
+    tree_r.store = slow
+    obs = Observability()
+    with pytest.raises(QueryTimeout):
+        parallel_spatial_join(
+            tree_r, tree_s,
+            JoinSpec(buffer_kb=16, workers=2,
+                     timeout=SlowInWorkersStore.STALL / 2),
+            obs=obs)
+    counters = obs.metrics.counters
+    assert "parallel.batch_retries" not in counters
+    assert "parallel.degraded_batches" not in counters
+
+
+def test_a_generous_timeout_changes_nothing(medium_trees):
+    tree_r, tree_s = medium_trees
+    serial = spatial_join(tree_r, tree_s,
+                          spec=JoinSpec(algorithm="sj4", buffer_kb=16))
+    timed = spatial_join(tree_r, tree_s,
+                         spec=JoinSpec(algorithm="sj4", buffer_kb=16,
+                                       workers=2, timeout=60))
+    assert sorted(timed.pairs) == sorted(serial.pairs)
+    assert timed.stats.batch_retries == 0
+    assert timed.stats.degraded_batches == 0
+
+
+# ----------------------------------------------------------------------
+# One call style: a concrete spec
+# ----------------------------------------------------------------------
+
+def test_executor_takes_a_concrete_spec_only(medium_trees):
+    from repro.plan import plan_join
+    tree_r, tree_s = medium_trees
+    plan = plan_join(tree_r, tree_s, JoinSpec(workers=2))
+    with pytest.raises(TypeError, match="plan"):
+        parallel_spatial_join(tree_r, tree_s, plan=plan)
+    with pytest.raises(TypeError, match="oversubscribe"):
+        parallel_spatial_join(tree_r, tree_s, JoinSpec(workers=2),
+                              oversubscribe=2)
+    with pytest.raises(ValueError, match=r"resolved by plan_join\(\)"):
+        parallel_spatial_join(tree_r, tree_s,
+                              JoinSpec(algorithm="auto", workers=2))

@@ -29,6 +29,15 @@ class TestConstruction:
         spec = JoinSpec(predicate="contains")
         assert spec.predicate is SpatialPredicate.CONTAINS
 
+    def test_budgets_are_stored_as_floats(self):
+        # One value, one spelling: perf/ passes ints, the CLI floats.
+        spec = JoinSpec(buffer_kb=128, timeout=3, batch_timeout=60)
+        assert spec == JoinSpec(buffer_kb=128.0, timeout=3.0,
+                                batch_timeout=60.0)
+        assert repr(spec) == repr(JoinSpec(buffer_kb=128.0, timeout=3.0,
+                                           batch_timeout=60.0))
+        assert JoinSpec(timeout=None, batch_timeout=None).timeout is None
+
     def test_frozen(self):
         spec = JoinSpec()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -89,16 +98,18 @@ class TestEntryPointsShareTheSpecPath:
                           spec=JoinSpec(algorithm="sj1", buffer_kb=8.0))
         assert len(by_spec) > 0
 
-    def test_execution_plan_accepted_as_spec(self, medium_trees):
+    def test_resolved_plan_runs_through_execute_plan(self, medium_trees):
+        from repro.core import execute_plan
         from repro.plan import plan_join
         tree_r, tree_s = medium_trees
         plan = plan_join(tree_r, tree_s,
                          spec=JoinSpec(algorithm="sj3", buffer_kb=16.0))
-        by_plan = spatial_join(tree_r, tree_s, plan)
+        by_plan = execute_plan(tree_r, tree_s, plan)
         by_spec = spatial_join(tree_r, tree_s,
                                spec=JoinSpec(algorithm="sj3",
                                              buffer_kb=16.0))
         assert by_plan.pair_set() == by_spec.pair_set()
+        assert by_plan.plan == plan == by_spec.plan
 
 
 class TestSpecIsTheOnlyCallStyle:
@@ -110,6 +121,16 @@ class TestSpecIsTheOnlyCallStyle:
         tree_r, tree_s = medium_trees
         with pytest.raises(TypeError, match=r"spec=JoinSpec\(\.\.\.\)"):
             spatial_join(tree_r, tree_s, "sj3")
+
+    def test_execution_plan_rejected_in_the_spec_slot(self, medium_trees):
+        # A resolved plan has one executor, execute_plan.
+        from repro.plan import plan_join
+        tree_r, tree_s = medium_trees
+        plan = plan_join(tree_r, tree_s, JoinSpec(algorithm="sj3"))
+        with pytest.raises(TypeError, match=r"spec=JoinSpec\(\.\.\.\)"):
+            spatial_join(tree_r, tree_s, plan)
+        with pytest.raises(TypeError, match=r"spec=JoinSpec\(\.\.\.\)"):
+            spatial_join_stream(tree_r, tree_s, lambda a, b: None, plan)
 
     def test_keyword_options_rejected(self, medium_trees):
         tree_r, tree_s = medium_trees

@@ -97,6 +97,38 @@ class TestPredictions:
         prediction = JoinCardinalityEstimator(big, small).predict()
         assert prediction.output_pairs > 0
 
+    def test_predictions_unchanged_by_the_shared_alignment(
+            self, uniform_setup):
+        # Literal values recorded at the commit before predict() and
+        # the planner's workload started sharing aligned_levels().
+        _, _, tree_r, tree_s = uniform_setup
+        uniform = JoinCardinalityEstimator(tree_r, tree_s).predict()
+        assert uniform.node_pairs_per_level == {
+            2: 9.0, 1: 430.0855262049213, 0: 574.0576062032833}
+        assert uniform.output_pairs == 574.0576062032833
+        assert uniform.disk_accesses_no_buffer == 880.1710524098426
+        big = build_rstar(make_rects(5000, seed=605), page_size=256)
+        small = build_rstar(make_rects(200, seed=606), page_size=256)
+        for trees in ((big, small), (small, big)):
+            unequal = JoinCardinalityEstimator(*trees).predict()
+            assert unequal.node_pairs_per_level == {
+                3: 23.47925887766811, 2: 131.04536529505089,
+                1: 216.4675219101075, 0: 99.81033844858648}
+            assert unequal.disk_accesses_no_buffer == 743.984292165653
+
+    def test_aligned_levels_pairs_levels_top_down(self):
+        big = build_rstar(make_rects(5000, seed=605), page_size=256)
+        small = build_rstar(make_rects(200, seed=606), page_size=256)
+        estimator = JoinCardinalityEstimator(big, small)
+        rows = list(estimator.aligned_levels())
+        assert [(r, s) for r, s, *_ in rows] == [
+            (big.height - 1 - d, max(0, small.height - 1 - d))
+            for d in range(big.height)]
+        for level_r, level_s, prof_r, prof_s, probability in rows:
+            assert (prof_r.level, prof_s.level) == (level_r, level_s)
+            assert probability == estimator.intersect_probability(
+                prof_r, prof_s)
+
     def test_empty_tree_rejected(self):
         tree = RStarTree(RTreeParams.from_page_size(1024))
         full = build_rstar(make_rects(100, seed=607))

@@ -1,5 +1,7 @@
 """Unit tests for the paper's cost model."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import JoinStatistics
@@ -79,3 +81,45 @@ def test_custom_constants():
 def test_negative_constants_rejected():
     with pytest.raises(ValueError):
         CostModel(t_position=-1.0)
+    with pytest.raises(ValueError):
+        CostModel(t_compare=-1e-9)
+
+
+def test_model_is_a_frozen_hashable_value():
+    assert CostModel() == PAPER_COST_MODEL
+    assert hash(CostModel()) == hash(PAPER_COST_MODEL)
+    assert len({CostModel(), PAPER_COST_MODEL,
+                CostModel(t_compare=1.0)}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        PAPER_COST_MODEL.t_compare = 0.0
+
+
+def test_planner_prices_predictions_with_the_same_model():
+    """One price list: a scored candidate's seconds are exactly what
+    the model charges for its predicted counters — the two functions
+    the drift report prices *measured* counters with."""
+    from repro.core import JoinSpec
+    from repro.plan import Calibration, plan_join
+    from tests.conftest import build_rstar, make_rects
+    trees = (build_rstar(make_rects(600, seed=51)),
+             build_rstar(make_rects(600, seed=52)))
+    page_size = trees[0].params.page_size
+    plan = plan_join(*trees, JoinSpec(algorithm="auto"))
+    assert len(plan.candidates) == 5
+    for candidate in plan.candidates:
+        assert candidate.est_cpu_s == PAPER_COST_MODEL.cpu_seconds(
+            candidate.est_comparisons)
+        assert candidate.est_io_s == PAPER_COST_MODEL.io_seconds(
+            candidate.est_disk_accesses, page_size)
+    assert Calibration().cost is PAPER_COST_MODEL
+    # A second price list changes the seconds, never the counters.
+    doubled = Calibration(cost=CostModel(t_compare=2 * 3.9e-6))
+    again = plan_join(*trees, JoinSpec(algorithm="auto"),
+                      calibration=doubled)
+    by_name = {c.algorithm: c for c in plan.candidates}
+    for candidate in again.candidates:
+        before = by_name[candidate.algorithm]
+        assert candidate.est_comparisons == before.est_comparisons
+        assert candidate.est_cpu_s == doubled.cost.cpu_seconds(
+            candidate.est_comparisons)
+        assert candidate.est_io_s == before.est_io_s

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -33,7 +34,51 @@ def trees():
             build_rstar(make_rects(800, seed=22)))
 
 
+#: ``render_plan`` of the two plans below, captured at the commit
+#: before the plan started carrying its spec (PR 17's parent).  Only
+#: the digest is masked: its derivation changed with the cache key.
+PARENT_AUTO_TEXT = """\
+plan: sj4 (requested auto)
+  cost-based: sj4 estimated 1.03s (paper constants), 1.00x cheaper than sj3
+  height_policy=b sort_mode=maintained presort=False path_buffer=True buffer_kb=128 workers=1
+  cache_key=<digest>  calibration=paper
+
+  candidate             est cmp    est I/O      cpu s       io s    total s
+  ------------------------------------------------------------------------
+  *sj4                   22,649         47     0.0883     0.9400     1.0283
+   sj3                   22,649         47     0.0883     0.9400     1.0283
+   sj5                   22,649         47     0.0883     0.9400     1.0283
+   sj2                   81,173         47     0.3166     0.9400     1.2566
+   sj1                  264,920         47     1.0332     0.9400     1.9732
+  (* chosen; estimates from the Günther-style cardinality model + the paper's time constants)
+  est output pairs 10, repeat factor 1.00 reads/page"""
+
+PARENT_FIXED_TEXT = """\
+plan: sj3
+  algorithm fixed by spec
+  height_policy=b sort_mode=maintained presort=False path_buffer=True buffer_kb=64 workers=1 timeout=2.5s
+  cache_key=<digest>  calibration=paper"""
+
+
+def masked(text):
+    return re.sub(r"cache_key=[0-9a-f]{16}", "cache_key=<digest>", text)
+
+
 class TestRenderPlan:
+    def test_serial_plans_render_as_before(self, trees):
+        auto = plan_join(*trees, JoinSpec(algorithm="auto"))
+        assert masked(render_plan(auto)) == PARENT_AUTO_TEXT
+        fixed = plan_join(*trees, JoinSpec(algorithm="sj3", buffer_kb=64,
+                                           timeout=2.5))
+        assert masked(render_plan(fixed)) == PARENT_FIXED_TEXT
+
+    def test_parallel_plan_loses_only_the_oversubscribe_suffix(
+            self, trees):
+        plan = plan_join(*trees, JoinSpec(algorithm="sj2", workers=2))
+        knobs = render_plan(plan).splitlines()[2]
+        assert knobs.endswith("buffer_kb=128 workers=2")
+        assert "oversubscribe" not in render_plan(plan)
+
     def test_auto_plan_renders_candidate_table(self, trees):
         plan = plan_join(*trees, JoinSpec(algorithm="auto"))
         text = render_plan(plan)
@@ -186,3 +231,32 @@ class TestCLIExplain:
         text = render_report(document)
         assert "plan:" in text
         assert plan["algorithm"] in text
+
+    def test_report_renders_a_trace_written_before_the_plan_change(
+            self, tmp_path, capsys):
+        # The flat plan dict of an older trace, ``oversubscribe``
+        # included, still loads and still renders.
+        from repro.cli import main
+        from repro.obs import Observability, write_trace
+        old_plan = {
+            "algorithm": "sj2", "requested": "sj2", "height_policy": "b",
+            "sort_mode": "maintained", "presort": False,
+            "use_path_buffer": True, "buffer_kb": 128.0,
+            "predicate": "intersects", "workers": 2, "oversubscribe": 4,
+            "max_retries": 2, "batch_timeout": 60.0, "batch_retries": 1,
+            "timeout": None, "trace": False,
+            "reason": "algorithm fixed by spec", "repeat_factor": 0.0,
+            "est_output_pairs": 0.0, "calibration_source": "paper",
+            "candidates": [],
+            "cache_key": "6d1cfac7ed774a902d55ccf690834b317020b511"}
+        trace = str(tmp_path / "old.jsonl")
+        write_trace(trace, Observability(), meta={"plan": old_plan})
+        assert main(["report", trace]) == 0
+        text = capsys.readouterr().out
+        assert "plan:\n  sj2 — algorithm fixed by spec" in text
+        assert ("height_policy=b sort_mode=maintained presort=False "
+                "workers=2 buffer_kb=128.0 calibration_source=paper "
+                "cache_key=6d1cfac7ed774a90") in text
+        plan = ExecutionPlan.from_dict(old_plan)
+        assert plan.spec == JoinSpec(algorithm="sj2", workers=2)
+        assert plan.requested == "sj2"

@@ -74,11 +74,11 @@ class TestPlanJoin:
 
     def test_fixed_with_score_executes_identically(self, trees):
         # --explain must never change what runs: the scored plan and
-        # the fast-path plan map to the same spec and cache key.
+        # the fast-path plan carry the same spec and cache key.
         spec = JoinSpec(algorithm="sj3", buffer_kb=64.0)
         fast = plan_join(*trees, spec)
         scored = plan_join(*trees, spec, score=True)
-        assert scored.to_spec() == fast.to_spec()
+        assert scored.spec == fast.spec == spec
         assert scored.cache_key == fast.cache_key
 
     def test_empty_input_falls_back_to_default(self, trees):
@@ -91,25 +91,25 @@ class TestPlanJoin:
         spec = JoinSpec(algorithm="auto", buffer_kb=48.0, workers=2,
                         sort_mode="on_read", timeout=7.5)
         plan = plan_join(*trees, spec)
-        assert plan.buffer_kb == 48.0
-        assert plan.workers == 2
-        assert plan.sort_mode == "on_read"
-        assert plan.timeout == 7.5
+        assert plan.spec.buffer_kb == 48.0
+        assert plan.spec.workers == 2
+        assert plan.spec.sort_mode == "on_read"
+        assert plan.spec.timeout == 7.5
 
     def test_presort_decision_follows_repeat_factor(self, trees):
         # Force the repeat-factor rule both ways via the threshold.
         eager = plan_join(*trees, JoinSpec(algorithm="auto"),
                           calibration=Calibration(presort_threshold=0.0))
-        assert eager.presort or eager.algorithm not in (
+        assert eager.spec.presort or eager.algorithm not in (
             "sj3", "sj4", "sj5")
         lazy = plan_join(*trees, JoinSpec(algorithm="auto"),
                          calibration=Calibration(
                              presort_threshold=float("inf")))
-        assert not lazy.presort
+        assert not lazy.spec.presort
 
     def test_presort_never_forced_for_fixed_spec(self, trees):
         plan = plan_join(*trees, JoinSpec(algorithm="sj4"), score=True)
-        assert not plan.presort
+        assert not plan.spec.presort
 
 
 class TestCalibration:

@@ -22,7 +22,7 @@ class TestSerialParity:
         fixed = spatial_join(
             tree_r, tree_s,
             spec=replace(auto_spec, algorithm=auto.plan.algorithm,
-                         presort=auto.plan.presort))
+                         presort=auto.plan.spec.presort))
         assert auto.pairs == fixed.pairs
         assert auto.stats.disk_accesses == fixed.stats.disk_accesses
         assert (auto.stats.comparisons.total
@@ -65,23 +65,21 @@ class TestParallelParity:
         fixed = spatial_join(
             tree_r, tree_s,
             spec=replace(spec, algorithm=auto.plan.algorithm,
-                         presort=auto.plan.presort))
+                         presort=auto.plan.spec.presort))
         assert auto.pairs == fixed.pairs
 
-    def test_parallel_entry_accepts_plan(self, medium_trees, auto_spec):
+    def test_parallel_entry_runs_the_plans_spec(self, medium_trees,
+                                                auto_spec):
+        # The executor takes the plan's spec; execute_plan is what
+        # attaches the plan (the one-call-style negatives live in
+        # tests/core/test_parallel.py).
         tree_r, tree_s = medium_trees
-        spec = replace(auto_spec, workers=2)
-        plan = plan_join(tree_r, tree_s, spec)
-        via_plan = parallel_spatial_join(tree_r, tree_s, plan=plan)
-        via_spec = parallel_spatial_join(tree_r, tree_s, spec)
+        plan = plan_join(tree_r, tree_s, replace(auto_spec, workers=2))
+        via_spec = parallel_spatial_join(tree_r, tree_s, plan.spec)
+        via_plan = execute_plan(tree_r, tree_s, plan)
         assert via_plan.pairs == via_spec.pairs
         assert via_plan.plan == plan
-
-    def test_plan_and_spec_are_exclusive(self, medium_trees, auto_spec):
-        tree_r, tree_s = medium_trees
-        plan = plan_join(tree_r, tree_s, auto_spec)
-        with pytest.raises(TypeError, match="not both"):
-            parallel_spatial_join(tree_r, tree_s, auto_spec, plan=plan)
+        assert via_spec.plan is None
 
 
 class TestPlanOnResults:
