@@ -29,7 +29,7 @@ Package map:
 * :mod:`repro.curves` — z-order / Hilbert space-filling curves.
 * :mod:`repro.data` — TIGER-like generators and the tests A–E.
 * :mod:`repro.costmodel` — the paper's time-estimate model.
-* :mod:`repro.bench` — the experiment harness behind ``benchmarks/``.
+* :mod:`repro.bench` — the experiment harness behind ``repro bench``.
 * :mod:`repro.serve` — the concurrent query service (TCP + clients).
 """
 

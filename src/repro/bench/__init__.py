@@ -1,8 +1,10 @@
 """Benchmark harness: experiment runners for every paper exhibit.
 
 ``repro bench table2`` (or ``python -m repro.bench table2``) prints one
-exhibit; ``repro bench all`` prints everything.  The pytest-benchmark
-modules under ``benchmarks/`` call the same functions.
+exhibit; ``repro bench all`` prints everything.  ``repro bench run |
+gate`` compute the gate rows :mod:`repro.bench.registry` declares, and
+``benchmarks/bench_exhibits.py`` asserts the paper's claims on the
+same report functions.
 """
 
 from .ablations import ABLATIONS

@@ -9,10 +9,15 @@ Two caches keep repeated benchmark runs fast without affecting results:
 
 Both live under ``.bench_cache/`` next to the repository root (override
 with ``REPRO_CACHE_DIR``; disable entirely with ``REPRO_NO_CACHE=1``).
+The memo is keyed by configuration, not by code, so it serves the
+exhibits only: a gate row that reuses exhibit code does so inside
+:func:`bypassed` and recomputes everything.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import os
 import pickle
 from pathlib import Path
@@ -23,10 +28,25 @@ _DISABLE_ENV = "REPRO_NO_CACHE"
 #: Bump to invalidate caches whenever counter semantics change.
 CACHE_VERSION = 4
 
+_BYPASSED = contextvars.ContextVar("bench_cache_bypassed", default=False)
+
+
+@contextlib.contextmanager
+def bypassed():
+    """Inside the block (on this thread) :func:`cached` neither reads
+    nor writes the directory: every value is built by the code under
+    test."""
+    token = _BYPASSED.set(True)
+    try:
+        yield
+    finally:
+        _BYPASSED.reset(token)
+
 
 def cache_dir() -> Optional[Path]:
     """The cache directory, or ``None`` when caching is disabled."""
-    if os.environ.get(_DISABLE_ENV, "") not in ("", "0"):
+    if _BYPASSED.get() \
+            or os.environ.get(_DISABLE_ENV, "") not in ("", "0"):
         return None
     root = os.environ.get(_CACHE_ENV)
     if root:

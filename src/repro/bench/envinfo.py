@@ -1,10 +1,10 @@
 """Environment fingerprints for benchmark-row provenance.
 
-Every row ``benchmarks/emit.py`` writes carries the fingerprint of the
-machine that produced it — python, platform, kernel backend (numpy vs
-stdlib ``array``), git sha.  It is provenance only: the counters
-``repro bench gate`` compares are identical on both backends and on
-every platform, so no verdict reads it.
+Every row :func:`repro.bench.rows.new_row` stamps carries the
+fingerprint of the process that produced it — python, platform, kernel
+backend (numpy vs stdlib ``array``), git sha.  It is provenance only:
+the counters ``repro bench gate`` compares are identical on both
+backends and on every platform, so no verdict reads it.
 """
 
 from __future__ import annotations

@@ -2,16 +2,16 @@
 
 The four verbs behind ``repro bench``:
 
-* :func:`run_experiments` — execute selected ``benchmarks/bench_*.py``
-  modules through pytest-benchmark in subprocesses, collecting their
-  rows into a scratch file (:func:`merge_into_baseline` upserts them
-  into the committed baseline).
+* :func:`run_experiments` — compute the selected registry entries'
+  rows in this process (the CLI writes them to a scratch file;
+  :func:`merge_into_baseline` upserts that into the committed
+  baseline).
 * :func:`compare_rows` — diff a fresh row file against the committed
   ``BENCH_join.json`` baseline, producing one :class:`Delta` per
   matched row.
 * gate exit code — nonzero when a declared deterministic counter
   differs from (or is absent on either side of) the baseline, a
-  selected row went missing, or a module run failed.
+  selected row went missing, or a row computation failed.
 * :func:`rank_components` — the component-impact report: every
   :data:`~repro.bench.registry.COMPONENTS` contrast found in the
   committed rows, ranked by measured impact factor.
@@ -24,57 +24,27 @@ Wall time is measured by ``perf/`` (see ``perf/README.md``).
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
-import subprocess
-import sys
 import time
+import traceback
 from dataclasses import dataclass
-from functools import lru_cache
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .envinfo import describe, environment_fingerprint
-from .registry import (BY_BENCH, COMPONENTS, Component, Experiment,
-                       benchmarks_dir)
-
-#: Default REPRO_SCALE for gate runs: exhibits regenerate quickly and
-#: the timed counters do not depend on it (timing trees are fixed).
-DEFAULT_RUN_SCALE = 0.02
+from .registry import BY_BENCH, COMPONENTS, Component, Experiment
+from .rows import load_rows, new_row, row_key, upsert_rows
 
 _OK_STATUSES = ("ok", "new")
 
 
-# ----------------------------------------------------------------------
-# Row plumbing
-# ----------------------------------------------------------------------
-
-@lru_cache(maxsize=1)
-def _emit_module():
-    """Load ``benchmarks/emit.py`` (not a package; load by path)."""
-    path = os.path.join(benchmarks_dir(), "emit.py")
-    spec = importlib.util.spec_from_file_location("repro_bench_emit",
-                                                  path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def load_rows(path: str) -> List[Dict[str, Any]]:
-    """Validated rows of one ``BENCH_join.json``-shaped file."""
-    return _emit_module().load_rows(path)
-
-
-def _row_key(row: Dict[str, Any]) -> Tuple[str, str]:
-    """``(bench, canonical params JSON)`` — the emitter's upsert key."""
-    return _emit_module().row_key(row.get("bench", ""),
-                                  row.get("params", {}))
-
-
 def default_baseline_path() -> str:
-    """The committed baseline: ``BENCH_join.json`` at the repo root."""
-    return os.path.join(os.path.dirname(benchmarks_dir()),
-                        "BENCH_join.json")
+    """The committed baseline: ``BENCH_join.json`` in the current
+    directory, else at the root of this source tree."""
+    if os.path.exists("BENCH_join.json"):
+        return os.path.abspath("BENCH_join.json")
+    return str(Path(__file__).resolve().parents[3] / "BENCH_join.json")
 
 
 # ----------------------------------------------------------------------
@@ -83,100 +53,48 @@ def default_baseline_path() -> str:
 
 @dataclass
 class RunOutcome:
-    """One experiment module's execution."""
+    """One experiment's row computation."""
 
     experiment: Experiment
-    returncode: int
     seconds: float
-    rows: int
-    output_tail: str = ""
+    rows: List[Dict[str, Any]]
+    #: Why the computation failed ("" when it did not).
+    error: str = ""
 
     @property
     def ok(self) -> bool:
-        return self.returncode == 0 and self.rows > 0
+        return not self.error and bool(self.rows)
 
 
-def run_experiments(experiments: Sequence[Experiment], out_path: str,
-                    scale: float = DEFAULT_RUN_SCALE,
-                    timeout: float = 600.0,
-                    bench_dir: Optional[str] = None,
-                    log: Callable[[str], None] = lambda s: None,
-                    cache: bool = True) -> List[RunOutcome]:
-    """Execute experiment modules under pytest-benchmark, emitting
-    rows into *out_path*.
+def run_experiments(experiments: Sequence[Experiment],
+                    log: Callable[[str], None] = lambda s: None
+                    ) -> List[RunOutcome]:
+    """Compute every experiment's row(s) in this process.
 
-    Each module runs once, in its own subprocess (the bench modules
-    expect a fresh interpreter: numpy detection, worker spawn) with
-    ``REPRO_BENCH_OUT`` pointed at *out_path* and ``REPRO_SCALE``
-    pinned.  A module that exceeds *timeout* seconds or exits nonzero
-    is reported, not raised — the gate turns it into a failure.
-
-    ``cache=False`` runs the modules with ``REPRO_NO_CACHE=1``: the
-    ``.bench_cache/`` memo is keyed by configuration, not by code, so
-    the gate must recompute every exhibit counter from the code under
-    test instead of reading what an earlier commit computed.
+    A row computation that raises (its own sanity asserts included) is
+    reported, not raised — the gate turns it into a failure.
     """
-    directory = bench_dir or benchmarks_dir()
-    src_root = os.path.dirname(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    env = dict(os.environ)
-    env["REPRO_BENCH_OUT"] = os.path.abspath(out_path)
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    if not cache:
-        env["REPRO_NO_CACHE"] = "1"
     outcomes: List[RunOutcome] = []
     for experiment in experiments:
-        module_path = os.path.join(directory, experiment.module)
-        command = [sys.executable, "-m", "pytest", module_path,
-                   "-q", "--benchmark-only", "-p",
-                   "no:cacheprovider"]
         start = time.perf_counter()
-        returncode, output = 0, ""
-        for extra in experiment.variants:
-            run_env = dict(env)
-            run_env["REPRO_SCALE"] = str(
-                experiment.scale if experiment.scale is not None
-                else scale)
-            run_env.update(extra)
-            try:
-                proc = subprocess.run(command, env=run_env,
-                                      text=True,
-                                      capture_output=True,
-                                      timeout=timeout,
-                                      cwd=os.path.dirname(directory))
-                output += proc.stdout + proc.stderr
-                returncode = returncode or proc.returncode
-            except subprocess.TimeoutExpired as exc:
-                returncode = returncode or -1
-                output += (f"{exc}\n" + (exc.stdout or "")
-                           + (exc.stderr or ""))
-        seconds = time.perf_counter() - start
-        # Present-after-run count (not a delta): re-running a
-        # bench upserts its existing keys, which is still success.
-        rows = _count_rows(out_path, experiment.bench)
-        outcome = RunOutcome(experiment, returncode, seconds, rows,
-                             output_tail="\n".join(
-                                 output.splitlines()[-25:]))
+        rows: List[Dict[str, Any]] = []
+        error = ""
+        try:
+            rows = [new_row(experiment.bench, params, counters)
+                    for params, counters in experiment.row()]
+        except Exception as exc:  # noqa: BLE001 — reported per row
+            error = f"{type(exc).__name__}: {exc}"
+            log(traceback.format_exc())
+        outcome = RunOutcome(experiment, time.perf_counter() - start,
+                             rows, error)
         outcomes.append(outcome)
-        status = "ok" if outcome.ok else "FAILED"
-        log(f"  {experiment.bench:<28} {seconds:7.1f}s  "
-            f"{rows} row(s)  {status}")
-        if not outcome.ok:
-            log(outcome.output_tail)
+        log(f"  {experiment.bench:<28} {outcome.seconds:7.1f}s  "
+            f"{len(rows)} row(s)  "
+            f"{'ok' if outcome.ok else 'FAILED ' + error}")
+        for row in rows:
+            log(f"    {json.dumps(row['params'], sort_keys=True)} "
+                f"{json.dumps(row['counters'], sort_keys=True)}")
     return outcomes
-
-
-def _count_rows(path: str, bench: str) -> int:
-    if not os.path.exists(path):
-        return 0
-    try:
-        with open(path) as handle:
-            rows = json.load(handle)
-    except (json.JSONDecodeError, OSError):
-        return 0
-    return sum(1 for r in rows if isinstance(r, dict)
-               and r.get("bench") == bench)
 
 
 def merge_into_baseline(fresh_path: str, baseline_path: str) -> int:
@@ -184,12 +102,7 @@ def merge_into_baseline(fresh_path: str, baseline_path: str) -> int:
     way to refresh the committed snapshot after a gated run); returns
     the number of rows upserted."""
     fresh = load_rows(fresh_path)
-    baseline = (load_rows(baseline_path)
-                if os.path.exists(baseline_path) else [])
-    by_key = {_row_key(row): row for row in baseline}
-    for row in fresh:
-        by_key[_row_key(row)] = row
-    _emit_module().write_rows(baseline_path, by_key.values())
+    upsert_rows(baseline_path, fresh)
     return len(fresh)
 
 
@@ -238,9 +151,9 @@ def compare_rows(baseline: Sequence[Dict[str, Any]],
     """
     scope = set(benches) if benches is not None else \
         {row.get("bench") for row in fresh}
-    base_by_key = {_row_key(row): row for row in baseline
+    base_by_key = {row_key(row): row for row in baseline
                    if row.get("bench") in scope}
-    fresh_by_key = {_row_key(row): row for row in fresh
+    fresh_by_key = {row_key(row): row for row in fresh
                     if row.get("bench") in scope}
 
     deltas: List[Delta] = []
@@ -349,7 +262,7 @@ def rank_components(rows: Sequence[Dict[str, Any]]
             if isinstance(on, (int, float)) \
                     and isinstance(off, (int, float)) and on and off:
                 impacts.append(ComponentImpact(
-                    component, _row_key(row)[1], float(on),
+                    component, row_key(row)[1], float(on),
                     float(off)))
                 found = True
         if not found:

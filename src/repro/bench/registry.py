@@ -1,34 +1,36 @@
-"""The experiment matrix: every benchmark, declared.
+"""The experiment matrix: every exhibit, declared once.
 
-``benchmarks/`` holds one pytest-benchmark module per paper exhibit or
-ablation; each emits one or more rows into ``BENCH_join.json`` through
-``benchmarks/emit.py``.  This registry is the declarative index over
-that matrix: for every bench it records the module that produces it,
-the tier it runs in (``smoke`` is the quick CI gate subset, ``full``
-is everything), and which of its counters are *deterministic* —
-identical on every run of the same code over the same seeds, and
-therefore compared exactly by ``repro bench gate`` (a drifted
-deterministic counter is a correctness regression, not noise).
+One :class:`Experiment` per paper exhibit, ablation or contrast bench:
+the function that renders its report (``repro bench <name>``, and what
+``benchmarks/bench_exhibits.py`` asserts the paper's claims on), the
+gate row — a :class:`~repro.bench.matrix.JoinRow` declaration or a
+small callable from :mod:`repro.bench.matrix` that computes its
+``BENCH_join.json`` row(s) in-process — the tier it runs in, and which
+of the row's counters ``repro bench gate`` compares exactly.
 
 :data:`COMPONENTS` is the second half of the matrix: which committed
 rows carry an on/off contrast for each optimization the paper (and
-this repo) layers onto the join — restriction, sweep layout, presort,
-path buffer, pinning, planner, WAL sync.  ``repro bench rank`` turns
-those contrasts into the ranked component-impact report
-(informational: the contrasts are wall-clock readings of small
-in-row runs and are never gated).
+this repo) layers onto the join.  ``repro bench rank`` turns those
+contrasts into the ranked component-impact report (informational: the
+contrasts are wall-clock readings of small in-row runs and are never
+gated).
 
-Registry completeness tests (``tests/bench/test_registry.py``) assert
-every ``benchmarks/bench_*.py`` has an entry and that the committed
-``BENCH_join.json`` and this registry agree both ways, so adding a
+``tests/bench/test_registry.py`` keeps the registry, the claims module
+and the committed ``BENCH_join.json`` agreeing both ways, so adding a
 bench without declaring it — or retiring one half-way — fails CI.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
+
+from . import ablations as ab
+from . import experiments as ex
+from . import matrix
+from .matrix import JoinRow, RowData, tree_height
+from .tables import ExperimentReport
 
 #: Counter triple shared by most join benches (see JoinStatistics).
 JOIN_COUNTERS = ("pairs", "comparisons", "disk_accesses")
@@ -36,27 +38,21 @@ JOIN_COUNTERS = ("pairs", "comparisons", "disk_accesses")
 
 @dataclass(frozen=True)
 class Experiment:
-    """One declared benchmark: a bench name and how to judge it."""
+    """One declared exhibit: its report, its gate row, how to judge
+    it."""
 
-    #: Row key — the ``bench`` field the module emits.
+    #: Row key — the ``bench`` field of the row(s).
     bench: str
-    #: Module under ``benchmarks/`` that produces the row(s).
-    module: str
-    #: ``smoke`` (runs in the CI gate) or ``full``.
+    #: Renders the exhibit (None for a contrast bench with no table).
+    report: Optional[Callable[..., ExperimentReport]]
+    #: Computes the row(s): ``() -> [(params, counters), ...]``.
+    row: Callable[[], List[RowData]]
+    #: ``smoke`` (the quick CI gate subset) or ``full`` (everything).
     tier: str = "full"
-    #: Counters compared exactly between baseline and fresh rows.
+    #: Counters identical on every run of the same code over the same
+    #: seeds, compared exactly between baseline and fresh rows (drift
+    #: there is a correctness regression, not noise).
     deterministic: Tuple[str, ...] = ()
-    #: Pinned ``REPRO_SCALE`` for this module, when its exhibit
-    #: assertions are tuned to one dataset scale (None = use the
-    #: harness run scale; the timed counters never depend on it).
-    scale: Optional[float] = None
-    #: Extra-environment variants: the module runs once per dict with
-    #: those variables added (e.g. ``REPRO_NO_NUMPY=1`` re-runs the
-    #: sweep kernel on the stdlib backend so both committed rows
-    #: refresh).  The default is one plain run.
-    variants: Tuple[Dict[str, str], ...] = ({},)
-    #: One-line description for reports.
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -79,95 +75,96 @@ class Component:
 
 
 _E = Experiment
+_SJ4_128 = {"algorithm": "sj4", "buffer_kb": 128}
 
 #: Every benchmark, keyed by bench name.  ``smoke`` entries are the
 #: fast, assertion-stable subset the CI gate runs end to end.
 EXPERIMENTS: Tuple[Experiment, ...] = (
-    _E("table1_tree_properties", "bench_table1_tree_properties.py",
-       deterministic=("height",),
-       note="R*-tree shape vs page size (Table 1)"),
-    _E("table2_sj1", "bench_table2_sj1.py", tier="smoke",
-       deterministic=JOIN_COUNTERS,
-       note="SJ1 accesses and comparisons (Table 2)"),
-    _E("table3_restriction", "bench_table3_restriction.py",
-       tier="smoke", deterministic=JOIN_COUNTERS,
-       note="search-space restriction on/off (Table 3)"),
-    _E("table4_sorting", "bench_table4_sorting.py", tier="smoke",
-       deterministic=JOIN_COUNTERS,
-       note="plane sweep + eager presort (Table 4)"),
-    _E("table5_io_policies", "bench_table5_io_policies.py",
-       tier="smoke", deterministic=JOIN_COUNTERS,
-       note="read-schedule policies (Table 5)"),
-    _E("table6_sj4_vs_sj1", "bench_table6_sj4_vs_sj1.py",
-       deterministic=JOIN_COUNTERS, scale=0.125,
-       note="SJ4 vs SJ1 across page sizes (Table 6)"),
-    _E("table7_heights", "bench_table7_heights.py",
-       deterministic=JOIN_COUNTERS,
-       note="unequal tree heights (Table 7)"),
-    _E("table8_datasets", "bench_table8_datasets.py",
-       deterministic=("r_objects", "s_objects"),
-       note="synthetic TIGER dataset census (Table 8)"),
-    _E("figure2_sj1_time", "bench_figure2_sj1_time.py",
-       deterministic=("value",),
-       note="SJ1 modelled time (Figure 2)"),
-    _E("figure8_sj4_time", "bench_figure8_sj4_time.py", tier="smoke",
-       deterministic=JOIN_COUNTERS,
-       note="SJ5 timed run (Figure 8)"),
-    _E("figure9_improvement", "bench_figure9_improvement.py",
-       deterministic=JOIN_COUNTERS,
-       note="SJ1-to-SJ4 improvement (Figure 9)"),
-    _E("figure10_datasets", "bench_figure10_datasets.py",
-       deterministic=JOIN_COUNTERS,
-       note="SJ4 across datasets (Figure 10)"),
-    _E("scaling", "bench_scaling.py",
-       deterministic=JOIN_COUNTERS,
-       note="join cost vs input cardinality"),
-    _E("ablation_pinning", "bench_ablation_pinning.py", tier="smoke",
-       deterministic=JOIN_COUNTERS,
-       note="degree-based pinning: SJ4 vs SJ3 at a tiny buffer"),
-    _E("ablation_pathbuffer", "bench_ablation_pathbuffer.py",
-       tier="smoke", deterministic=JOIN_COUNTERS,
-       note="per-tree path buffer on/off"),
-    _E("ablation_rtree_variant", "bench_ablation_rtree_variant.py",
-       deterministic=("height",),
-       note="R*-tree vs Guttman build quality"),
-    _E("ablation_bulk_loading", "bench_ablation_bulk_loading.py",
-       deterministic=("height",),
-       note="STR bulk loading vs tuple insertion"),
-    _E("ablation_sweep_crossover", "bench_ablation_sweep_crossover.py",
-       tier="smoke", deterministic=("pairs", "comparisons"),
-       note="sweep-vs-nested-loop crossover"),
-    _E("ablation_refinement", "bench_ablation_refinement.py",
-       deterministic=("candidates", "false_hits", "pairs"),
-       note="exact-geometry refinement step"),
-    _E("ablation_estimator", "bench_ablation_estimator.py",
-       deterministic=JOIN_COUNTERS,
-       note="selectivity estimator accuracy"),
-    _E("ablation_parallel_io", "bench_ablation_parallel_io.py",
-       deterministic=JOIN_COUNTERS, scale=0.125,
-       note="multi-disk read-schedule striping"),
-    _E("ablation_window_queries", "bench_ablation_window_queries.py",
-       deterministic=("value",), scale=0.125,
-       note="window-query workload"),
-    _E("ablation_distance_join", "bench_ablation_distance_join.py",
-       deterministic=JOIN_COUNTERS,
-       note="distance join workload"),
-    _E("ablation_planner", "bench_ablation_planner.py", tier="smoke",
-       note="cost-based planner regret vs fixed algorithms"),
-    _E("sweep_kernel", "bench_sweep_kernel.py",
-       deterministic=("pairs", "comparisons"),
-       variants=({}, {"REPRO_NO_NUMPY": "1"}),
-       note="columnar sweep kernel vs per-Entry object loop"),
-    _E("wal_overhead", "bench_wal_overhead.py",
-       deterministic=("always_syncs", "batch_syncs"),
-       note="WAL sync-mode insert throughput"),
+    _E("table1_tree_properties", ex.table1,
+       partial(tree_height, {"page_size": 2048, "records": 2000},
+               first=2000),
+       deterministic=("height",)),
+    _E("table2_sj1", ex.table2,
+       JoinRow({"algorithm": "sj1", "buffer_kb": 128},
+               keys=("page_size",)),
+       tier="smoke", deterministic=JOIN_COUNTERS),
+    _E("table3_restriction", ex.table3,
+       JoinRow({"algorithm": "sj2", "buffer_kb": 128},
+               contrast=("restrict_ms", "norestrict_ms",
+                         {"algorithm": "sj1"})),
+       tier="smoke", deterministic=JOIN_COUNTERS),
+    _E("table4_sorting", ex.table4,
+       JoinRow({"algorithm": "sj3", "buffer_kb": 128},
+               contrast=("nopresort_ms", "presort_ms",
+                         {"presort": True})),
+       tier="smoke", deterministic=JOIN_COUNTERS),
+    _E("table5_io_policies", ex.table5, JoinRow(_SJ4_128),
+       tier="smoke", deterministic=JOIN_COUNTERS),
+    _E("table6_sj4_vs_sj1", ex.table6,
+       JoinRow(_SJ4_128, page_size=8192, keys=("page_size",)),
+       deterministic=JOIN_COUNTERS),
+    _E("table7_heights", ex.table7, matrix.unequal_heights,
+       deterministic=JOIN_COUNTERS),
+    _E("table8_datasets", ex.table8, matrix.dataset_census,
+       deterministic=("r_objects", "s_objects")),
+    _E("figure2_sj1_time", ex.figure2, matrix.sj1_modelled_time,
+       deterministic=("value",)),
+    # SJ5: the z-order alternative whose extra CPU Figure 8's
+    # discussion calls out.
+    _E("figure8_sj4_time", ex.figure8,
+       JoinRow({"algorithm": "sj5", "buffer_kb": 128}),
+       tier="smoke", deterministic=JOIN_COUNTERS),
+    _E("figure9_improvement", ex.figure9, matrix.sj1_plus_sj4,
+       deterministic=JOIN_COUNTERS),
+    _E("figure10_datasets", ex.figure10,
+       JoinRow(_SJ4_128, test="E", scale=0.05,
+               keys=("test", "page_size")),
+       deterministic=JOIN_COUNTERS),
+    # The smallest scale of the exhibit's sweep.
+    _E("scaling", ex.scaling,
+       JoinRow(_SJ4_128, scale=0.03, keys=("page_size",)),
+       deterministic=JOIN_COUNTERS),
+    _E("ablation_pinning", ab.ablation_pinning,
+       JoinRow({"algorithm": "sj4", "buffer_kb": 8},
+               contrast=("sj4_ms", "sj3_ms", {"algorithm": "sj3"})),
+       tier="smoke", deterministic=JOIN_COUNTERS),
+    _E("ablation_pathbuffer", ab.ablation_pathbuffer,
+       JoinRow({"algorithm": "sj1", "buffer_kb": 0,
+                "use_path_buffer": False},
+               contrast=("without_ms", "with_ms",
+                         {"use_path_buffer": True})),
+       tier="smoke", deterministic=JOIN_COUNTERS),
+    _E("ablation_rtree_variant", ab.ablation_rtree_variant,
+       partial(tree_height, {"variant": "guttman-quadratic",
+                             "page_size": 2048}, first=1500),
+       deterministic=("height",)),
+    _E("ablation_bulk_loading", ab.ablation_bulk_loading,
+       partial(tree_height, {"variant": "str", "page_size": 4096}),
+       deterministic=("height",)),
+    _E("ablation_sweep_crossover", ab.ablation_sweep_crossover,
+       matrix.sweep_crossover,
+       tier="smoke", deterministic=("pairs", "comparisons")),
+    _E("ablation_refinement", ab.ablation_refinement,
+       matrix.refinement_row,
+       deterministic=("candidates", "false_hits", "pairs")),
+    _E("ablation_estimator", ab.ablation_estimator,
+       matrix.estimator_vs_measured, deterministic=JOIN_COUNTERS),
+    _E("ablation_parallel_io", ab.ablation_parallel_io,
+       matrix.parallel_io_projection, deterministic=JOIN_COUNTERS),
+    _E("ablation_window_queries", ab.ablation_window_queries,
+       matrix.window_battery, deterministic=("value",)),
+    _E("ablation_distance_join", ab.ablation_distance_join,
+       matrix.distance_join_row, deterministic=JOIN_COUNTERS),
+    _E("ablation_planner", ab.ablation_planner, matrix.planner_regret,
+       tier="smoke"),
+    _E("sweep_kernel", None, matrix.sweep_kernel,
+       deterministic=("pairs", "comparisons")),
+    _E("wal_overhead", None, matrix.wal_overhead,
+       deterministic=("always_syncs", "batch_syncs")),
 )
 
 #: bench name -> Experiment.
 BY_BENCH: Dict[str, Experiment] = {e.bench: e for e in EXPERIMENTS}
-
-#: module file -> Experiment (for the completeness test).
-BY_MODULE: Dict[str, Experiment] = {e.module: e for e in EXPERIMENTS}
 
 #: The ranked component-impact contrasts (``repro bench rank``).
 COMPONENTS: Tuple[Component, ...] = (
@@ -218,21 +215,3 @@ def experiments_for(tier: Optional[str] = None,
         chosen = set(only)
         selected = tuple(e for e in EXPERIMENTS if e.bench in chosen)
     return selected
-
-
-def benchmarks_dir(start: Optional[str] = None) -> str:
-    """Locate the ``benchmarks/`` directory: the current directory's,
-    else the one next to this installed package's repo root."""
-    candidates = []
-    if start:
-        candidates.append(os.path.join(start, "benchmarks"))
-    candidates.append(os.path.join(os.getcwd(), "benchmarks"))
-    here = os.path.dirname(os.path.abspath(__file__))   # src/repro/bench
-    root = os.path.dirname(os.path.dirname(os.path.dirname(here)))
-    candidates.append(os.path.join(root, "benchmarks"))
-    for candidate in candidates:
-        if os.path.isdir(candidate):
-            return candidate
-    raise FileNotFoundError(
-        "cannot locate the benchmarks/ directory (run from the "
-        "repository root or pass --benchmarks-dir)")

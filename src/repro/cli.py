@@ -57,7 +57,7 @@ from .data.synthetic import uniform_rects
 from .errors import ReproError
 from .data.tiger import regions, rivers_railways, streets
 from .geometry.predicates import SpatialPredicate
-from .geometry.rect import Rect
+from .geometry.rect import Rect, geometry_mbr
 from .obs import (document_from, drift_report, phase_rows, read_trace,
                   render_report, validate_trace, write_trace)
 from .rtree.guttman import GuttmanRTree
@@ -304,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "shards)")
     shard_serve.add_argument("--mode", choices=("process", "thread"),
                              default="process",
-                             help="shard workers as subprocesses (one "
+                             help="shard workers as child processes (one "
                                   "GIL each; default) or in-process "
                                   "threads")
     _add_server_flags(shard_serve, port=7500, who="router")
@@ -353,15 +353,15 @@ def _build_parser() -> argparse.ArgumentParser:
                           "run", "compare", "gate", "rank"],
                        help="an exhibit name ('all' / 'all-ablations' "
                             "for every one), or a matrix verb: 'run' "
-                            "executes registered benchmarks, "
+                            "computes the registered gate rows, "
                             "'compare' diffs fresh rows' "
                             "deterministic counters against the "
                             "baseline, 'gate' runs + compares and "
                             "exits nonzero on counter drift, 'rank' "
                             "prints the component-impact report")
     bench.add_argument("--scale", type=float, default=None,
-                       help="REPRO_SCALE for exhibits and matrix runs "
-                            "(matrix default 0.02)")
+                       help="REPRO_SCALE for exhibits (gate rows pin "
+                            "their own scale)")
     bench.add_argument("--json", action="store_true",
                        help="emit the raw data as JSON")
     bench.add_argument("--tier", choices=("smoke", "full"),
@@ -387,11 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="with 'run': upsert the fresh rows into "
                             "the baseline file (refreshes the "
                             "committed snapshot)")
-    bench.add_argument("--timeout", type=float, default=600.0,
-                       help="per-experiment subprocess timeout in "
-                            "seconds (default 600)")
-    bench.add_argument("--benchmarks-dir", default=None,
-                       help="override the benchmarks/ directory")
     bench.set_defaults(handler=_cmd_bench)
 
     return parser
@@ -835,9 +830,7 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
     for name, relation in sorted(db.relations.items()):
         pmap.create_relation(name)
         for oid, geometry in sorted(relation.objects.items()):
-            mbr = geometry if isinstance(geometry, Rect) \
-                else geometry.mbr()
-            pmap.add(name, oid, mbr)
+            pmap.add(name, oid, geometry_mbr(geometry))
     census = {
         "grid": [partitioner.cells_x, partitioner.cells_y],
         "universe": list(partitioner.universe.as_tuple()),
@@ -1063,12 +1056,12 @@ def _cmd_bench_matrix(args: argparse.Namespace) -> int:
     """The experiment-matrix verbs: run / compare / gate / rank."""
     from .bench import gate as harness
     from .bench.registry import experiments_for
+    from .bench.rows import load_rows, write_rows
 
     baseline = args.baseline or harness.default_baseline_path()
 
     if args.target == "rank":
-        impacts, missing = harness.rank_components(
-            harness.load_rows(baseline))
+        impacts, missing = harness.rank_components(load_rows(baseline))
         if args.json:
             print(json.dumps(harness.rank_to_json(impacts, missing),
                              indent=2, sort_keys=True))
@@ -1080,52 +1073,38 @@ def _cmd_bench_matrix(args: argparse.Namespace) -> int:
         if not args.fresh:
             raise ValueError("bench compare requires --fresh FILE")
         comparison = harness.compare_rows(
-            harness.load_rows(baseline),
-            harness.load_rows(args.fresh),
+            load_rows(baseline), load_rows(args.fresh),
             benches=args.only or None)
         return _finish_comparison(args, comparison)
 
-    # run / gate both execute experiments first.
+    # run / gate both compute the selected rows first.
     experiments = experiments_for(args.tier or "smoke",
                                   tuple(args.only) or None)
     out = args.out or os.path.join(
         tempfile.mkdtemp(prefix="repro-bench-"), "fresh.json")
-    if os.path.exists(out):
-        os.remove(out)
-    scale = args.scale if args.scale is not None \
-        else harness.DEFAULT_RUN_SCALE
     print(harness.current_environment_line())
-    print(f"running {len(experiments)} experiment(s) "
-          f"[tier {args.tier or 'smoke'}, scale {scale:g}] -> {out}")
-    # The gate recomputes every exhibit counter from the code under
-    # test; .bench_cache/ is keyed by configuration, not by code.
-    outcomes = harness.run_experiments(
-        experiments, out, scale=scale, timeout=args.timeout,
-        bench_dir=args.benchmarks_dir, log=print,
-        cache=args.target != "gate")
+    print(f"computing {len(experiments)} experiment(s) "
+          f"[tier {args.tier or 'smoke'}] -> {out}")
+    outcomes = harness.run_experiments(experiments, log=print)
+    fresh = [row for outcome in outcomes for row in outcome.rows]
+    write_rows(out, fresh)
     failed_runs = [o for o in outcomes if not o.ok]
+    for outcome in failed_runs:
+        print(f"FAILED: {outcome.experiment.bench} "
+              f"({outcome.error or 'no row'})", file=sys.stderr)
 
     if args.target == "run":
         if args.update_baseline and not failed_runs:
             merged = harness.merge_into_baseline(out, baseline)
             print(f"upserted {merged} row(s) into {baseline}")
-        for outcome in failed_runs:
-            print(f"FAILED: {outcome.experiment.bench} "
-                  f"(exit {outcome.returncode}, "
-                  f"{outcome.rows} row(s) emitted)", file=sys.stderr)
         return 1 if failed_runs else 0
 
     # gate: compare the fresh rows against the baseline.
     comparison = harness.compare_rows(
-        harness.load_rows(baseline), harness.load_rows(out),
+        load_rows(baseline), fresh,
         benches=[e.bench for e in experiments])
     code = _finish_comparison(args, comparison)
-    if failed_runs:
-        for outcome in failed_runs:
-            print(f"FAILED run: {outcome.experiment.bench} "
-                  f"(exit {outcome.returncode})", file=sys.stderr)
-        return 1
-    return code
+    return 1 if failed_runs else code
 
 
 def _finish_comparison(args, comparison) -> int:

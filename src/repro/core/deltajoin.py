@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, List, Tuple
 
 from ..geometry.counting import ComparisonCounter
 from ..geometry.predicates import SpatialPredicate
-from ..geometry.rect import Rect
+from ..geometry.rect import geometry_mbr
 from .pairs import iter_index_pairs, sorted_intersection_test_columns
 from .stats import JoinResult, JoinStatistics
 from .window import WindowQueryEngine
@@ -44,15 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["overlay_join", "delta_probe_pairs", "delta_delta_pairs",
            "filter_hidden_pairs"]
-
-
-def _mbr_of(geometry) -> Rect:
-    """The MBR of a stored geometry (a ``Rect`` is its own).  Defined
-    here because this module sits below the db layer, which imports
-    it."""
-    if isinstance(geometry, Rect):
-        return geometry
-    return geometry.mbr()
 
 
 def filter_hidden_pairs(pairs: List[Tuple[int, int]], hidden_l,
@@ -86,7 +77,7 @@ def delta_probe_pairs(delta, other: "Snapshot",
             if ref in hidden:
                 continue
             if not intersects:
-                other_rect = _mbr_of(base_objects[ref])
+                other_rect = geometry_mbr(base_objects[ref])
                 a, b = (rect, other_rect) if not flip \
                     else (other_rect, rect)
                 if not predicate.evaluate_counted(a, b, counter):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Tuple
 
-from ..geometry.rect import Rect
+from ..geometry.rect import Rect, geometry_mbr
 from ..rtree.base import RTreeBase
 from ..rtree.columns import NodeColumns
 from ..rtree.node import Node
@@ -103,9 +103,7 @@ def distance_join_snapshots(snap_l, snap_r, distance: float,
             for ref in tree.window_query(widened):
                 if ref in hidden_other:
                     continue
-                other = base_objects[ref]
-                other_rect = other if isinstance(other, Rect) \
-                    else other.mbr()
+                other_rect = geometry_mbr(base_objects[ref])
                 counter.join += 2
                 if rect_mindist(rect, other_rect) <= distance:
                     extra.append((oid, ref) if not flip else (ref, oid))

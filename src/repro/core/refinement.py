@@ -22,6 +22,7 @@ from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 from ..geometry.clipping import clip_polygon, clip_polyline, is_convex
 from ..geometry.polygon import Polygon
 from ..geometry.polyline import Polyline
+from ..geometry.rect import Rect
 from ..geometry.segment import segment_intersection_point
 
 SpatialObject = Union[Polyline, Polygon]
@@ -132,6 +133,32 @@ def _line_meets_region(line: Polyline, region: Polygon) -> bool:
                 return True
     x, y = line.vertices[0]
     return region.contains_point(x, y)
+
+
+def exact_window_survivors(candidates: List[int], objects,
+                           window: Rect) -> List[int]:
+    """Refinement step of an exact window query: keep the candidates
+    whose exact geometry intersects *window*.  A degenerate window
+    cannot form a query polygon, so the MBR filter stands as-is then."""
+    if window.area() == 0.0:
+        return candidates
+    survivors = []
+    for oid in candidates:
+        geometry = objects[oid]
+        if isinstance(geometry, Rect):
+            survivors.append(oid)         # MBR is the exact geometry
+        elif _exact_meets_window(geometry, window):
+            survivors.append(oid)
+    return survivors
+
+
+def _exact_meets_window(geometry: SpatialObject, window: Rect) -> bool:
+    """Exact geometry vs. window rectangle (treated as a polygon)."""
+    window_ring = Polygon([(window.xl, window.yl), (window.xu, window.yl),
+                           (window.xu, window.yu), (window.xl, window.yu)])
+    if isinstance(geometry, Polygon):
+        return geometry.intersects(window_ring)
+    return _line_meets_region(geometry, window_ring)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ join engine, both for standalone use and for the examples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import List
 
 from ..geometry.counting import ComparisonCounter
 from ..geometry.rect import Rect
@@ -18,9 +18,6 @@ from ..rtree.base import RTreeBase
 from ..storage.manager import BufferManager
 from ..storage.stats import IOStatistics
 from .pairs import restrict_columns
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..db.delta import FrozenDelta
 
 
 @dataclass
@@ -49,27 +46,12 @@ class WindowQueryEngine:
         self._side = self.manager.register(tree.store)
         self.counter = ComparisonCounter()
 
-    def query(self, window: Rect,
-              delta: Optional["FrozenDelta"] = None) -> WindowQueryResult:
-        """Run one window query, returning matches and fresh counters.
-
-        With *delta* (an MVCC write buffer over this tree, see
-        :mod:`repro.db.delta`) the query answers against the merged
-        view: base matches hidden by the delta are dropped, and the
-        delta's columnar insert buffer is restricted against the
-        window with the same counted kernel the tree nodes use.
-        """
+    def query(self, window: Rect) -> WindowQueryResult:
+        """Run one window query, returning matches and fresh counters."""
         io_before = self.manager.stats.snapshot()
         cmp_before = self.counter.snapshot()
         refs: List[int] = []
         self._descend(self.tree.root_id, 0, window, refs)
-        if delta is not None and delta:
-            if delta.hidden:
-                refs = [ref for ref in refs if ref not in delta.hidden]
-            if len(delta.columns):
-                kept = restrict_columns(delta.columns, window,
-                                        self.counter)
-                refs.extend(kept.child_refs())
         result = WindowQueryResult(refs=refs)
         result.comparisons.join = self.counter.join - cmp_before.join
         result.io.disk_reads = \

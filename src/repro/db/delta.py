@@ -34,8 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..core.deltajoin import _mbr_of
-from ..geometry.rect import Rect
+from ..geometry.rect import Rect, geometry_mbr
 from ..rtree.columns import NodeColumns
 
 __all__ = ["DeltaIndex", "FrozenDelta"]
@@ -60,7 +59,7 @@ class FrozenDelta:
         self.deleted = frozenset(deleted)
         #: Base-row suppression set: any oid the delta knows about.
         self.hidden = frozenset(self.added) | self.deleted
-        records = sorted(((_mbr_of(g), oid)
+        records = sorted(((geometry_mbr(g), oid)
                           for oid, g in self.added.items()),
                          key=lambda item: (item[0].xl, item[1]))
         #: oids in the columns' row order (ascending xlo).

@@ -31,11 +31,10 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from ..core.deltajoin import _mbr_of
 from ..errors import CatalogError, QueryError
 from ..geometry.polygon import Polygon
 from ..geometry.polyline import Polyline
-from ..geometry.rect import Rect
+from ..geometry.rect import Rect, geometry_mbr
 from ..rtree.bulk import str_pack
 from ..rtree.params import RTreeParams
 from ..rtree.rstar import RStarTree
@@ -195,7 +194,7 @@ class SpatialRelation:
                 self._delta.insert(oid, geometry)
             else:
                 self._objects[oid] = geometry
-                self.tree.insert(_mbr_of(geometry), oid)
+                self.tree.insert(geometry_mbr(geometry), oid)
                 self.base_epoch += 1
             self.epoch += 1
             self._publish()
@@ -216,7 +215,7 @@ class SpatialRelation:
                 self._delta.delete(oid)
             else:
                 geometry = self._objects.pop(oid)
-                removed = self.tree.delete(_mbr_of(geometry), oid)
+                removed = self.tree.delete(geometry_mbr(geometry), oid)
                 assert removed, "object table and index diverged"
                 self.base_epoch += 1
             self.epoch += 1
@@ -279,7 +278,7 @@ class SpatialRelation:
         """STR bulk-load *objects* in id order (*pack* goes to
         :func:`~repro.rtree.bulk.str_pack`); an empty table gets an
         empty R*-tree, which ``str_pack`` refuses to build."""
-        records = [(_mbr_of(g), oid)
+        records = [(geometry_mbr(g), oid)
                    for oid, g in sorted(objects.items())]
         if not records:
             return RStarTree(self.params)
@@ -332,16 +331,12 @@ class SpatialRelation:
     # ------------------------------------------------------------------
 
     def window(self, window: Rect, exact: bool = False) -> List[int]:
-        """Ids of objects whose MBR intersects *window*.
+        """Sorted ids of objects whose MBR intersects *window*.
 
         ``exact=True`` adds the refinement step: only objects whose
         exact geometry intersects the window rectangle survive.
         """
-        snap = self.snapshot()
-        candidates = snap.window_refs(window)
-        if not exact:
-            return candidates
-        return exact_window_survivors(candidates, snap.objects, window)
+        return self.snapshot().window(window, exact)
 
     def nearest(self, x: float, y: float, k: int = 1,
                 buffer_kb: float = 0.0) -> List[Tuple[int, float]]:
@@ -381,32 +376,3 @@ class SpatialRelation:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SpatialRelation({self.name!r}, {len(self)} objects, "
                 f"height {self.tree.height})")
-
-
-def exact_window_survivors(candidates: List[int], objects,
-                           window: Rect) -> List[int]:
-    """Refinement step of an exact window query: keep the candidates
-    whose exact geometry intersects *window*.  A degenerate window
-    cannot form a query polygon, so the MBR filter stands as-is then.
-    Shared by :meth:`SpatialRelation.window` and the query service's
-    split base/overlay window path."""
-    if window.area() == 0.0:
-        return candidates
-    survivors = []
-    for oid in candidates:
-        geometry = objects[oid]
-        if isinstance(geometry, Rect):
-            survivors.append(oid)         # MBR is the exact geometry
-        elif _exact_meets_window(geometry, window):
-            survivors.append(oid)
-    return survivors
-
-
-def _exact_meets_window(geometry: SpatialObject, window: Rect) -> bool:
-    """Exact geometry vs. window rectangle (treated as a polygon)."""
-    window_ring = Polygon([(window.xl, window.yl), (window.xu, window.yl),
-                           (window.xu, window.yu), (window.xl, window.yu)])
-    if isinstance(geometry, Polygon):
-        return geometry.intersects(window_ring)
-    from ..core.refinement import _line_meets_region
-    return _line_meets_region(geometry, window_ring)

@@ -23,10 +23,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..core.deltajoin import _mbr_of
 from ..core.knn import NearestNeighborEngine
+from ..core.refinement import exact_window_survivors
 from ..errors import CatalogError
-from ..geometry.rect import Rect
+from ..geometry.rect import Rect, geometry_mbr
 from ..rtree.base import RTreeBase
 from .delta import FrozenDelta
 
@@ -130,15 +130,44 @@ class Snapshot:
     # Queries
     # ------------------------------------------------------------------
 
-    def window_refs(self, window: Rect) -> List[int]:
-        """Ids of visible objects whose MBR intersects *window*
-        (base-tree hits filtered by the delta, plus delta hits)."""
+    def window_base(self, window: Rect,
+                    exact: bool = False) -> List[int]:
+        """The base-tree half of a window query, sorted: ids whose MBR
+        (``exact``: whose exact geometry) intersects *window*, the
+        delta ignored — so it depends on ``base_epoch`` only and a
+        server may cache it across delta writes."""
+        refs = self.tree.window_query(window)
+        if exact:
+            refs = exact_window_survivors(refs, self.base_objects,
+                                          window)
+        return sorted(refs)
+
+    def window_overlay(self, base_refs: List[int], window: Rect,
+                       exact: bool = False) -> List[int]:
+        """:meth:`window_base`'s result made current: base hits the
+        delta hides dropped, the delta's own hits added (refined on
+        the same terms), still sorted."""
         delta = self.delta
-        refs = [oid for oid in self.tree.window_query(window)
-                if oid not in delta.hidden]
-        if delta.added:
-            refs.extend(delta.added_in(window))
+        if not delta:
+            return base_refs
+        hidden = delta.hidden
+        refs = base_refs if not hidden \
+            else [oid for oid in base_refs if oid not in hidden]
+        added = delta.added_in(window)
+        if exact and added:
+            added = exact_window_survivors(added, self.objects, window)
+        # The filtered base refs are already sorted; only a nonempty
+        # delta contribution forces a re-sort.
+        if added:
+            refs = sorted(refs + added)
         return refs
+
+    def window(self, window: Rect, exact: bool = False) -> List[int]:
+        """Sorted ids of visible objects whose MBR intersects
+        *window*; ``exact=True`` adds the refinement step (only
+        objects whose exact geometry intersects the window survive)."""
+        return self.window_overlay(self.window_base(window, exact),
+                                   window, exact)
 
     def nearest(self, x: float, y: float, k: int = 1,
                 buffer_kb: float = 0.0) -> List[Tuple[int, float]]:
@@ -153,7 +182,7 @@ class Snapshot:
     @property
     def records(self) -> List[Tuple[Rect, int]]:
         """(MBR, id) records of every visible object, id-ordered."""
-        return [(_mbr_of(geometry), oid)
+        return [(geometry_mbr(geometry), oid)
                 for oid, geometry in sorted(self.objects.items())]
 
     def mbr(self) -> Optional[Rect]:

@@ -12,7 +12,7 @@ from .point import Point
 from .polygon import Polygon, regular_polygon
 from .polyline import Polyline, split_into_records
 from .predicates import SpatialPredicate
-from .rect import Rect, intersect_count, mbr_of_tuples
+from .rect import Rect, geometry_mbr, intersect_count, mbr_of_tuples
 from .segment import Segment, segment_intersection_point, segments_intersect
 from .sweepline import count_intersecting_pairs, intersecting_segment_pairs
 
@@ -28,6 +28,7 @@ __all__ = [
     "clip_polyline",
     "clip_segment",
     "count_intersecting_pairs",
+    "geometry_mbr",
     "intersect_count",
     "is_convex",
     "segment_intersection_point",

@@ -245,3 +245,11 @@ def mbr_of_tuples(rects: Sequence[Tuple[float, float, float, float]]) -> Rect:
     xu = max(r[2] for r in rects)
     yu = max(r[3] for r in rects)
     return Rect(xl, yl, xu, yu)
+
+
+def geometry_mbr(geometry) -> Rect:
+    """The MBR of a stored geometry: a :class:`Rect` is its own, a
+    polyline or polygon reports its ``mbr()``."""
+    if isinstance(geometry, Rect):
+        return geometry
+    return geometry.mbr()

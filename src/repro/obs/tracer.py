@@ -5,11 +5,13 @@ Two kinds of timing records coexist:
 * **Spans** — one record per occurrence, for phases that happen a
   handful of times per join (tree open, presort, traversal, partition,
   per-batch execution).  Spans nest; each record carries its depth in
-  the span stack at the time it was opened.
+  the opening thread's span stack at the time it was opened.
 * **Aggregates** — one ``(total_seconds, count)`` cell per name, for
   hot phases that fire once per node pair or per physical read (the
-  plane sweep, disk fetches).  Recording them as individual spans would
-  dominate the run they are supposed to observe.
+  plane sweep, disk fetches) — or once per served request, on a
+  tracer that lives as long as the server.  Recording them as
+  individual spans would dominate the run they are supposed to
+  observe (and, served, grow without bound).
 
 The disabled tracer is a strict no-op: :meth:`SpanTracer.span` returns
 a shared null context manager and :meth:`SpanTracer.add_duration`
@@ -21,6 +23,7 @@ worker payloads meaningful after shipping across process boundaries.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Any, Dict, List, Optional
 
@@ -53,8 +56,9 @@ class _Span:
 
     def __enter__(self) -> "_Span":
         tracer = self._tracer
-        self._depth = len(tracer._stack)
-        tracer._stack.append(self._name)
+        stack = tracer._stack
+        self._depth = len(stack)
+        stack.append(self._name)
         self._start = tracer._clock()
         return self
 
@@ -75,7 +79,7 @@ class SpanTracer:
     """Records spans and aggregate timers for one process's join slice."""
 
     __slots__ = ("enabled", "_clock", "_t0", "spans", "aggregates",
-                 "_stack")
+                 "_local")
 
     def __init__(self, enabled: bool = True,
                  clock=time.perf_counter) -> None:
@@ -88,7 +92,18 @@ class SpanTracer:
         self.spans: List[Dict[str, Any]] = []
         #: Aggregate timers: name -> [total_seconds, count].
         self.aggregates: Dict[str, List[float]] = {}
-        self._stack: List[str] = []
+        self._local = threading.local()
+
+    @property
+    def _stack(self) -> List[str]:
+        """Names of the calling thread's open spans, outermost first —
+        per thread, so concurrent request threads sharing one tracer
+        record their own nesting depth and pop their own frames."""
+        try:
+            return self._local.stack
+        except AttributeError:
+            stack = self._local.stack = []
+            return stack
 
     # ------------------------------------------------------------------
     # Recording

@@ -12,9 +12,9 @@ insert/delete through a line-oriented JSON protocol, with
 * a shared **result cache** — LRU in entries and bytes, keyed by
   normalized query + relation epochs so mutations invalidate instantly
   (:mod:`repro.serve.cache`),
-* per-request **observability** — ``serve.request`` spans and
-  ``serve.*`` metrics in the same registry ``repro report`` renders
-  (:mod:`repro.obs`).
+* per-request **observability** — the ``serve.request`` aggregate
+  timer and ``serve.*`` metrics in the same registry ``repro report``
+  renders (:mod:`repro.obs`).
 
 Quickstart::
 

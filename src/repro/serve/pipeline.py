@@ -109,15 +109,18 @@ class RequestPipeline:
             self.obs.metrics.inc(f"{prefix}.requests")
             self.obs.metrics.inc(f"{prefix}.op.{op}")
         try:
-            with self.obs.tracer.span(f"{prefix}.request", op=str(op)):
-                response = self._dispatch(request, request_id, op)
+            response = self._dispatch(request, request_id, op)
         except BaseException as exc:  # noqa: BLE001 — protocol boundary
             if self.obs.enabled:
                 self.obs.metrics.inc(f"{prefix}.errors")
             response = error_response(request_id, error_code_for(exc),
                                       str(exc) or type(exc).__name__)
-        elapsed_ms = (time.perf_counter() - started) * 1e3
+        elapsed = time.perf_counter() - started
+        elapsed_ms = elapsed * 1e3
         if self.obs.enabled:
+            # An aggregate, not a span per request: the server's tracer
+            # lives as long as the process does.
+            self.obs.tracer.add_duration(f"{prefix}.request", elapsed)
             self.obs.metrics.observe(f"{prefix}.time_ms", elapsed_ms)
             if not response.get("ok"):
                 code = response["error"]["code"]

@@ -41,10 +41,12 @@ and window queries.  Delta writes leave ``base_epoch`` alone, so after
 a write the service re-runs only the cheap delta overlay on top of a
 base-cache hit instead of the whole join.
 
-Every request carries a ``serve.request`` span on the server's
-:class:`~repro.obs.Observability` handle and feeds the ``serve.*``
-counters/histograms; the handle's registry is the same one `repro
-report` renders, so server traffic shows up next to the join metrics.
+Every request folds its time into the ``serve.request`` aggregate
+timer on the server's :class:`~repro.obs.Observability` handle (never
+one span record per request — the handle lives as long as the server)
+and feeds the ``serve.*`` counters/histograms; the handle's registry is
+the same one `repro report` renders, so server traffic shows up next
+to the join metrics.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..core.spec import JoinSpec
 from ..core.stats import JoinResult, JoinStatistics
 from ..db.database import SpatialDatabase
-from ..db.relation import exact_window_survivors
 from ..obs.core import Observability
 from .cache import normalized_key
 from .fields import (bool_field, join_fields, k_field, number_field,
@@ -308,31 +309,10 @@ class QueryService(RequestPipeline):
         rect = window_field(request)
         exact = bool_field(request, "exact", False)
         snap = self.db.relation(name).snapshot()
-
-        def compute() -> List[int]:
-            refs = list(snap.tree.window_query(rect))
-            if exact:
-                refs = exact_window_survivors(refs, snap.base_objects,
-                                              rect)
-            return sorted(refs)
-
-        base_refs = self._base_cached("window", request, (snap,),
-                                      compute)
-        delta = snap.delta
-        if delta:
-            hidden = delta.hidden
-            refs = base_refs if not hidden \
-                else [oid for oid in base_refs if oid not in hidden]
-            added = delta.added_in(rect)
-            if exact and added:
-                added = exact_window_survivors(added, snap.objects,
-                                               rect)
-            # The filtered base refs are already sorted; only a
-            # nonempty delta contribution forces a re-sort.
-            if added:
-                refs = sorted(refs + added)
-        else:
-            refs = base_refs
+        base_refs = self._base_cached(
+            "window", request, (snap,),
+            lambda: snap.window_base(rect, exact))
+        refs = snap.window_overlay(base_refs, rect, exact)
         return {"refs": refs, "count": len(refs)}
 
     def _op_knn(self, request: Dict[str, Any],

@@ -41,8 +41,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from ..core.deltajoin import _mbr_of
-from ..geometry.rect import Rect
+from ..geometry.rect import Rect, geometry_mbr
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..db.database import SpatialDatabase
@@ -305,6 +304,6 @@ def partition_database(db: "SpatialDatabase",
         pmap.create_relation(name)
         locals_ = [shard.create_relation(name) for shard in shards]
         for oid, geometry in sorted(relation.objects.items()):
-            for cell in pmap.add(name, oid, _mbr_of(geometry)):
+            for cell in pmap.add(name, oid, geometry_mbr(geometry)):
                 locals_[cell].insert(geometry, oid=oid)
     return shards, pmap

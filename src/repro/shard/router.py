@@ -36,8 +36,8 @@ Every fanned-out response carries a ``shards`` field in its result
 payload (how many workers computed it — cached replays keep the
 original count), which ``repro query --connect`` prints next to
 ``cached=``.  Router traffic is observable as ``shard.*`` metrics and
-``shard.request``/``shard.fanout`` spans in the same registry
-``repro report`` renders.
+the ``shard.request``/``shard.fanout`` aggregate timers in the same
+registry ``repro report`` renders.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import Any, ContextManager, Dict, List, Optional, Tuple
 from ..core.stats import JoinStatistics
 from ..errors import (CatalogError, OverloadedError, QueryError,
                       QueryTimeout, ReproError)
-from ..geometry.rect import Rect
+from ..geometry.rect import geometry_mbr
 from ..obs.core import Observability
 from ..serve.fields import (bool_field, join_fields, k_field,
                             number_field, oid_field, string_field,
@@ -186,33 +186,35 @@ class ShardRouter(RequestPipeline):
         if self.obs.enabled:
             self.obs.metrics.observe("shard.fanout", len(cells))
             self.obs.metrics.inc("shard.subrequests", len(cells))
-        with self.obs.tracer.span("shard.fanout", op=op,
-                                  shards=len(cells)):
-            pending: List[Tuple[int, int]] = []
-            try:
-                for cell in cells:
-                    try:
-                        request_id = self._connection(cell).send(
-                            op, **params)
-                    except OSError as exc:
-                        self._drop_connection(cell)
-                        raise ShardError(
-                            f"shard {cell} unreachable: {exc}") from exc
-                    pending.append((cell, request_id))
-                results: List[Tuple[int, Any]] = []
-                while pending:
-                    cell, request_id = pending.pop(0)
-                    response = self._recv_matched(cell, request_id)
-                    if not response.get("ok"):
-                        error = response.get("error") or {}
-                        code = error.get("code", "internal")
-                        message = (f"shard {cell}: "
-                                   f"{error.get('message', code)}")
-                        raise _CODE_ERRORS.get(code, ShardError)(message)
-                    results.append((cell, response["result"]))
-            except BaseException:
-                self._drain_pending(pending)
-                raise
+        started = time.perf_counter()
+        pending: List[Tuple[int, int]] = []
+        try:
+            for cell in cells:
+                try:
+                    request_id = self._connection(cell).send(
+                        op, **params)
+                except OSError as exc:
+                    self._drop_connection(cell)
+                    raise ShardError(
+                        f"shard {cell} unreachable: {exc}") from exc
+                pending.append((cell, request_id))
+            results: List[Tuple[int, Any]] = []
+            while pending:
+                cell, request_id = pending.pop(0)
+                response = self._recv_matched(cell, request_id)
+                if not response.get("ok"):
+                    error = response.get("error") or {}
+                    code = error.get("code", "internal")
+                    message = (f"shard {cell}: "
+                               f"{error.get('message', code)}")
+                    raise _CODE_ERRORS.get(code, ShardError)(message)
+                results.append((cell, response["result"]))
+        except BaseException:
+            self._drain_pending(pending)
+            raise
+        finally:
+            self.obs.tracer.add_duration(
+                "shard.fanout", time.perf_counter() - started)
         return results
 
     def _recv_matched(self, cell: int, request_id: int
@@ -491,7 +493,7 @@ class ShardRouter(RequestPipeline):
         elif self.pmap.mbr(relation, oid) is not None:
             raise CatalogError(f"object id {oid} already exists in "
                                f"{relation!r}")
-        mbr = geometry if isinstance(geometry, Rect) else geometry.mbr()
+        mbr = geometry_mbr(geometry)
         cells = self.partitioner.cells_of_rect(mbr)
         _check_deadline(deadline)
         try:

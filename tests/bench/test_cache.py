@@ -5,7 +5,8 @@ import pickle
 
 import pytest
 
-from repro.bench.cache import CACHE_VERSION, cache_dir, cached
+from repro.bench.cache import (CACHE_VERSION, bypassed, cache_dir,
+                               cached)
 
 
 @pytest.fixture
@@ -28,6 +29,19 @@ def test_cache_disabled(monkeypatch):
     # Build runs every time when disabled.
     cached("kind", "key", lambda: calls.append(1) or 42)
     assert len(calls) == 2
+
+
+def test_bypassed_neither_reads_nor_writes(isolated_cache):
+    """A gate row reusing exhibit code recomputes everything: a stale
+    memo entry is not read, and nothing new is stored."""
+    assert cached("kind", "key", lambda: "stale") == "stale"
+    before = sorted(os.listdir(isolated_cache))
+    with bypassed():
+        assert cache_dir() is None
+        assert cached("kind", "key", lambda: "fresh") == "fresh"
+        assert cached("kind", "other", lambda: 1) == 1
+    assert sorted(os.listdir(isolated_cache)) == before
+    assert cached("kind", "key", lambda: "unused") == "stale"
 
 
 def test_cache_disabled_zero_means_enabled(isolated_cache, monkeypatch):

@@ -1,40 +1,61 @@
 """The experiment registry: completeness and selection semantics."""
 
+import dataclasses
+import importlib.util
 import json
 import os
 
 import pytest
 
-from repro.bench.registry import (BY_BENCH, BY_MODULE, COMPONENTS,
-                                  EXPERIMENTS, benchmarks_dir,
-                                  experiments_for)
+from repro.bench.ablations import ABLATIONS
+from repro.bench.experiments import EXHIBITS
+from repro.bench.registry import (BY_BENCH, COMPONENTS, EXPERIMENTS,
+                                  Experiment, experiments_for)
 
 _BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "..",
                           "benchmarks")
 
 
-def test_every_bench_module_is_registered():
-    """Adding a ``benchmarks/bench_*.py`` without declaring it in the
-    registry is a CI failure — the matrix must stay exhaustive."""
-    modules = sorted(name for name in os.listdir(_BENCH_DIR)
-                     if name.startswith("bench_")
-                     and name.endswith(".py"))
-    assert modules, "benchmarks/ directory must hold bench modules"
-    unregistered = [m for m in modules if m not in BY_MODULE]
-    assert not unregistered, (
-        f"bench module(s) missing from repro.bench.registry: "
-        f"{unregistered}")
+def _claims():
+    """``benchmarks/bench_exhibits.py``'s CLAIMS table (the directory
+    is not a package; pytest loads it by path too)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_exhibits",
+        os.path.join(_BENCH_DIR, "bench_exhibits.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CLAIMS
 
 
-def test_every_registered_module_exists():
+def test_every_entry_has_a_report_or_a_row():
+    """An entry is (report, row, tier, counters) and nothing else: no
+    module file, no pinned scale, no environment variants."""
+    assert [f.name for f in dataclasses.fields(Experiment)] == [
+        "bench", "report", "row", "tier", "deterministic"]
     for experiment in EXPERIMENTS:
-        path = os.path.join(_BENCH_DIR, experiment.module)
-        assert os.path.exists(path), experiment.module
+        assert callable(experiment.row), experiment.bench
+        assert experiment.report is None or callable(experiment.report)
+    # Every exhibit ``repro bench <name>`` prints is some entry's
+    # report, exactly once.
+    reports = [e.report for e in EXPERIMENTS if e.report is not None]
+    assert sorted(map(id, reports)) == sorted(
+        map(id, {**EXHIBITS, **ABLATIONS}.values()))
+
+
+def test_claims_and_exhibits_agree_both_ways():
+    """Every ``bench_exhibits.py`` claim names a registered exhibit,
+    and every exhibit has a claim — so adding an exhibit without
+    asserting anything about it (or leaving a claim behind) fails."""
+    claims = set(_claims())
+    exhibits = {e.bench for e in EXPERIMENTS if e.report is not None}
+    assert claims - exhibits == set(), "claims on unregistered benches"
+    assert exhibits - claims == set(), "exhibits nothing is claimed of"
+    assert set(os.listdir(_BENCH_DIR)) - {"__pycache__"} == {
+        "bench_exhibits.py"}
 
 
 def test_bench_names_are_unique():
     assert len(BY_BENCH) == len(EXPERIMENTS)
-    assert len(BY_MODULE) == len(EXPERIMENTS)
 
 
 def test_smoke_tier_is_a_nonempty_subset():
@@ -96,9 +117,3 @@ def test_committed_baseline_and_registry_agree_both_ways():
         assert any(component.on in row["counters"]
                    and component.off in row["counters"]
                    for row in by_bench[component.bench]), component.key
-
-
-def test_benchmarks_dir_resolves():
-    assert os.path.isdir(benchmarks_dir())
-    assert os.path.samefile(benchmarks_dir(start=os.path.join(
-        os.path.dirname(__file__), "..", "..")), _BENCH_DIR)

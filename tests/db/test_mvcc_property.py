@@ -69,7 +69,7 @@ def _observe(db):
         snap = db.relation(name).snapshot()
         state[name] = sorted(snap.objects.items())
         state[f"{name}/window"] = sorted(
-            snap.window_refs(Rect(20, 20, 90, 90)))
+            snap.window(Rect(20, 20, 90, 90)))
         state[f"{name}/knn"] = [
             (oid, round(dist, 9))
             for oid, dist in snap.nearest(60.0, 60.0, k=4)]

@@ -105,7 +105,46 @@ class TestVisibility:
                           40, 40)
             expected = sorted(oid for oid, g in snap.objects.items()
                               if g.intersects(window))
-            assert sorted(snap.window_refs(window)) == expected
+            assert sorted(snap.window(window)) == expected
+            assert snap.window(window) == expected        # sorted
+            # The cacheable split composes to the same answer.
+            base = snap.window_base(window)
+            assert snap.window_overlay(base, window) == expected
+
+    def test_the_window_overlay_is_written_once(self):
+        """One MVCC window rule — ``Snapshot.window_base`` /
+        ``window_overlay`` / ``window`` — behind the relation and the
+        query service alike; the older spellings are gone."""
+        import inspect
+
+        from repro.core import WindowQueryEngine
+        from repro.db.snapshot import Snapshot
+        from repro.serve import service
+        assert not hasattr(Snapshot, "window_refs")
+        assert list(inspect.signature(
+            WindowQueryEngine.query).parameters) == ["self", "window"]
+        source = inspect.getsource(service)
+        assert "db.relation import" not in source
+        assert "window_base" in source and "window_overlay" in source
+        assert "added_in" not in source and ".hidden" not in source
+
+    def test_exact_window_refines_both_halves(self):
+        from repro.geometry import Polyline
+        relation = SpatialRelation("lines", page_size=512)
+        # A diagonal whose MBR covers the window but whose geometry
+        # misses it, in the base and again in the delta.
+        relation.insert(Polyline([(0, 0), (100, 100)]), oid=1)
+        relation.insert(Polyline([(60, 0), (100, 40)]), oid=2)
+        relation.absorb_writes()
+        relation.insert(Polyline([(0, 0), (100, 100)]), oid=3)
+        relation.insert(Polyline([(60, 0), (100, 40)]), oid=4)
+        relation.delete(1)
+        window = rect(70, 0, 20, 20)
+        assert relation.window(window) == [2, 3, 4]
+        assert relation.window(window, exact=True) == [2, 4]
+        snap = relation.snapshot()
+        assert snap.window_base(window, exact=True) == [2]
+        assert snap.window_base(window) == [1, 2]
 
 
 class TestEpochs:

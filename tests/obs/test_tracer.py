@@ -1,5 +1,7 @@
 """Unit tests for the span tracer."""
 
+import threading
+
 from repro.obs import SpanTracer
 from repro.obs.tracer import _NULL_SPAN
 
@@ -86,3 +88,32 @@ def test_span_total_filters_by_worker():
     theirs = coordinator.span_total("batch", worker=0)
     assert total == own + theirs
     assert own > 0 and theirs > 0
+
+
+def test_concurrent_threads_record_their_own_depth():
+    """One tracer shared by request threads: each thread's spans nest
+    on its own stack, so two threads that both hold an outer span open
+    while opening an inner one each record depths 0 and 1 (and never
+    pop the other thread's frame)."""
+    tracer = SpanTracer()
+    barrier = threading.Barrier(2, timeout=10)
+
+    def nest(tag):
+        with tracer.span("outer", thread=tag):
+            barrier.wait()          # both outers are open now
+            with tracer.span("inner", thread=tag):
+                barrier.wait()      # ... and both inners
+            barrier.wait()
+
+    threads = [threading.Thread(target=nest, args=(tag,))
+               for tag in ("a", "b")]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10)
+        assert not thread.is_alive()
+    depths = {(s["attrs"]["thread"], s["name"]): s["depth"]
+              for s in tracer.spans}
+    assert depths == {("a", "outer"): 0, ("a", "inner"): 1,
+                      ("b", "outer"): 0, ("b", "inner"): 1}
+    assert tracer._stack == []

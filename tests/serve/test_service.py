@@ -355,6 +355,29 @@ class TestLatencyAndSlowLog:
         assert 0.0 <= latency["p50"] <= latency["p95"] <= latency["p99"]
         assert latency["p99"] <= latency["max"]
 
+    def test_requests_are_aggregated_not_recorded_as_spans(
+            self, service, client):
+        """A served process must not keep one record per request: the
+        tracer lives as long as the server.  Request time lands in the
+        ``serve.request`` aggregate (and the ``time_ms`` histogram)."""
+        tracer = service.obs.tracer
+        client.call("ping")
+        spans_before = len(tracer.spans)
+        _, count_before = tracer.aggregates["serve.request"]
+        for i in range(250):
+            x = float(i % 400)
+            client.call("ping")
+            client.call("window", relation="streets",
+                        window=[x, x, x + 50.0, x + 50.0])
+            client.call("knn", relation="rivers", x=x, y=x, k=3)
+            assert not service.handle({"id": i, "op": "nope"})["ok"]
+        assert len(tracer.spans) == spans_before
+        total, count = tracer.aggregates["serve.request"]
+        assert count == count_before + 1000
+        assert total > 0.0
+        assert service.obs.metrics.histograms["serve.time_ms"].count \
+            >= 1000
+
     def test_slow_log_fires_above_threshold(self):
         lines = []
         service = QueryService(build_db(n=20), workers=1,

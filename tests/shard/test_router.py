@@ -405,6 +405,26 @@ def test_stats_surfaces_cache_and_topology(fleet):
     assert "latency_ms" in stats
 
 
+def test_requests_and_fanouts_are_aggregated_not_spans(fleet):
+    """Neither the router nor its shards keep a span record per
+    request or per fan-out; the ``shard.request`` / ``shard.fanout``
+    aggregate timers count them instead."""
+    _, router, client = fleet
+    tracer = router.obs.tracer
+    client.call("ping")
+    spans_before = len(tracer.spans)
+    _, requests_before = tracer.aggregates["shard.request"]
+    for i in range(500):
+        x = float(i)
+        client.window("streets", [x, x, x + 40.0, x + 40.0])
+        client.knn("rivers", x, 1000.0 - x, k=2)
+    assert len(tracer.spans) == spans_before
+    assert tracer.aggregates["shard.request"][1] == requests_before + 1000
+    fanout_total, fanouts = tracer.aggregates["shard.fanout"]
+    assert fanouts == router.obs.metrics.histograms["shard.fanout"].count
+    assert fanouts >= 500 and fanout_total > 0.0
+
+
 def test_ping(fleet):
     _, _, client = fleet
     assert client.call("ping") == "pong"

@@ -499,7 +499,9 @@ class TestBenchMatrix:
 
     @pytest.mark.parametrize("flag", [["--tolerance", "0.25"],
                                       ["--passes", "2"],
-                                      ["--ignore-env"]])
+                                      ["--ignore-env"],
+                                      ["--benchmarks-dir", "x"],
+                                      ["--timeout", "1"]])
     def test_wall_clock_flags_are_gone(self, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["bench", "gate", *flag])
