@@ -16,11 +16,9 @@ from typing import Dict, List, Optional, Tuple
 from ..core.context import JoinContext, counted_sort_cost
 from ..data.datasets import effective_scale, load_test
 from ..plan.registry import make_algorithm
+from .. import rtree
 from ..rtree.base import RTreeBase
-from ..rtree.bulk import hilbert_pack, str_pack
-from ..rtree.guttman import GuttmanRTree
 from ..rtree.params import RTreeParams
-from ..rtree.rstar import RStarTree
 from ..rtree.stats import TreeProperties, tree_properties
 from .cache import cached
 
@@ -56,22 +54,8 @@ class JoinOutcome:
 def build_tree(records: List[RectRecord], page_size: int,
                variant: str = "rstar") -> RTreeBase:
     """Build a tree of the requested variant over (rect, id) records."""
-    params = RTreeParams.from_page_size(page_size)
-    if variant == "rstar":
-        tree: RTreeBase = RStarTree(params)
-    elif variant == "guttman-quadratic":
-        tree = GuttmanRTree(params, split="quadratic")
-    elif variant == "guttman-linear":
-        tree = GuttmanRTree(params, split="linear")
-    elif variant == "str":
-        return str_pack(records, params)
-    elif variant == "hilbert":
-        return hilbert_pack(records, params)
-    else:
-        raise ValueError(f"unknown tree variant {variant!r}")
-    for rect, ref in records:
-        tree.insert(rect, ref)
-    return tree
+    return rtree.build_tree(records, RTreeParams.from_page_size(page_size),
+                            variant)
 
 
 # In-process tree cache so one bench module unpickles each tree once.

@@ -57,22 +57,18 @@ from .data.synthetic import uniform_rects
 from .errors import ReproError
 from .data.tiger import regions, rivers_railways, streets
 from .geometry.predicates import SpatialPredicate
-from .geometry.rect import Rect, geometry_mbr
+from .geometry.rect import Rect
 from .obs import (document_from, drift_report, phase_rows, read_trace,
                   render_report, validate_trace, write_trace)
-from .rtree.guttman import GuttmanRTree
 from .rtree.params import RTreeParams
 from .rtree.persist import PersistenceError, load_tree, save_tree
-from .rtree.rstar import RStarTree
 from .rtree.scrub import repair_tree, scrub_tree
 from .rtree.validate import validate_rtree
 from .storage.faults import FaultInjectingPageStore, FaultPlan
 from .rtree.stats import tree_properties
-from .rtree.bulk import hilbert_pack, str_pack
+from .rtree.variants import VARIANTS, build_tree
 
 _GENERATORS = ("streets", "rivers", "regions", "uniform")
-_VARIANTS = ("rstar", "guttman-quadratic", "guttman-linear", "str",
-             "hilbert")
 
 
 def _subparser(parent: argparse.ArgumentParser) -> type:
@@ -131,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("-o", "--output", required=True,
                        help="output .rtree file")
     build.add_argument("--page-size", type=int, default=2048)
-    build.add_argument("--variant", choices=_VARIANTS, default="rstar")
+    build.add_argument("--variant", choices=VARIANTS, default="rstar")
     build.set_defaults(handler=_cmd_build)
 
     info = commands.add_parser("info", help="census of a tree file")
@@ -486,19 +482,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     records = load_records(args.records)
     if not records:
         raise ValueError(f"{args.records} holds no records")
-    params = RTreeParams.from_page_size(args.page_size)
-    if args.variant == "rstar":
-        tree = RStarTree(params)
-        for rect, ref in records:
-            tree.insert(rect, ref)
-    elif args.variant.startswith("guttman"):
-        tree = GuttmanRTree(params, split=args.variant.split("-")[1])
-        for rect, ref in records:
-            tree.insert(rect, ref)
-    elif args.variant == "str":
-        tree = str_pack(records, params)
-    else:
-        tree = hilbert_pack(records, params)
+    tree = build_tree(records, RTreeParams.from_page_size(args.page_size),
+                      args.variant)
     pages = save_tree(tree, args.output)
     print(f"built {args.variant} tree over {len(records):,} records: "
           f"height {tree.height}, {pages} pages -> {args.output}")
@@ -826,22 +811,14 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
     db = SpatialDatabase.open(args.db)
     partitioner = GridPartitioner.for_database(db, args.shards,
                                                grid=grid)
-    pmap = PartitionMap(partitioner)
-    for name, relation in sorted(db.relations.items()):
-        pmap.create_relation(name)
-        for oid, geometry in sorted(relation.objects.items()):
-            pmap.add(name, oid, geometry_mbr(geometry))
+    pmap = PartitionMap.of_database(db, partitioner)
     census = {
         "grid": [partitioner.cells_x, partitioner.cells_y],
         "universe": list(partitioner.universe.as_tuple()),
         "relations": {
-            name: {
-                "objects": pmap.objects(name),
-                "copies": pmap.copies(name),
-                "replication": round(pmap.replication_factor(name), 4),
-                "classes": dict(pmap.class_counts[name]),
-                "cells": list(pmap.cell_counts[name]),
-            } for name in sorted(pmap.mbrs)},
+            name: dict(pmap.census(name),
+                       cells=list(pmap.cell_counts[name]))
+            for name in sorted(pmap.mbrs)},
     }
     if args.json:
         print(json.dumps(census, indent=2, sort_keys=True))

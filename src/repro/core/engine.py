@@ -145,15 +145,22 @@ class JoinAlgorithm:
             with tracer.span("tree_open"):
                 root_r = ctx.read_root(R_SIDE)
                 root_s = ctx.read_root(S_SIDE)
-            if len(root_r) and len(root_s):
-                rect: Optional[Rect] = None
-                if self.restricts_search_space:
-                    rect = root_r.mbr().intersection(root_s.mbr())
-                if not self.restricts_search_space or rect is not None:
-                    with tracer.span("traversal"):
-                        self._join_nodes(ctx, root_r, 0, root_s, 0, rect,
-                                         out)
+            self._join_roots(ctx, root_r, root_s, out)
             ctx.stats.pairs_output = len(out)
+
+    def _join_roots(self, ctx: JoinContext, root_r: Node, root_s: Node,
+                    out) -> None:
+        """Start the descent at a pair of top nodes: skipped when either
+        is empty or the restriction rectangle is.  The roots are the two
+        trees' — or, for the MVCC overlay, a delta's insert buffer
+        standing in as a data page (:mod:`repro.core.deltajoin`)."""
+        if len(root_r) and len(root_s):
+            rect: Optional[Rect] = None
+            if self.restricts_search_space:
+                rect = root_r.mbr().intersection(root_s.mbr())
+            if not self.restricts_search_space or rect is not None:
+                with ctx.obs.tracer.span("traversal"):
+                    self._join_nodes(ctx, root_r, 0, root_s, 0, rect, out)
 
     # ------------------------------------------------------------------
     # Recursion

@@ -26,8 +26,7 @@ from ..geometry.rect import Rect
 from ..rtree.columns import NodeColumns
 from ..rtree.node import Node
 from .context import JoinContext, R_SIDE, S_SIDE
-from .pairs import (iter_index_pairs, nested_loop_pairs_columns,
-                    restrict_columns)
+from .pairs import iter_index_pairs, nested_loop_pairs_columns
 
 OutputPair = Tuple[int, int]
 
@@ -38,11 +37,16 @@ Probe = Tuple[int, int]
 
 def run_window_mode(algorithm, ctx: JoinContext, nr: Node, dr: int,
                     ns: Node, ds: int, rect: Optional[Rect],
-                    out: List[OutputPair]) -> None:
+                    out: List[OutputPair],
+                    accept: Optional[Callable] = None,
+                    prune: Callable = nested_loop_pairs_columns) -> None:
     """Dispatch the directory/data boundary to the configured policy.
 
     ``algorithm`` supplies ``_find_pairs`` (so the pair search keeps the
-    algorithm's own CPU technique) and ``height_policy``.
+    algorithm's own CPU technique) and ``height_policy``.  A join whose
+    condition is not an intersection-family predicate passes its own
+    counted data-level check as *accept* and its directory test as
+    *prune* (see :func:`_batched_window_query`).
     """
     if nr.is_leaf == ns.is_leaf:
         raise ValueError("window mode needs exactly one data node")
@@ -62,9 +66,16 @@ def run_window_mode(algorithm, ctx: JoinContext, nr: Node, dr: int,
     probes = [(pages[a], b) for a, b in pairs]
 
     emit = _make_emitter(deep_side, out)
-    accept = _make_leaf_check(algorithm.predicate, deep_side)
-    _POLICIES[algorithm.height_policy](ctx, deep_side, deep_depth, probes,
-                                       flat_cols, emit, accept)
+    if accept is None:
+        accept = _make_leaf_check(algorithm.predicate, deep_side)
+
+    def query(page_id: int, rows: List[int]) -> None:
+        """One traversal of a deep-side subtree answering the data
+        rectangles *rows* of the flat side."""
+        _batched_window_query(ctx, deep_side, page_id, deep_depth + 1,
+                              flat_cols.take(rows), emit, accept, prune)
+
+    _POLICIES[algorithm.height_policy](ctx, deep_side, probes, query)
 
 
 def _make_emitter(deep_side: int,
@@ -99,69 +110,26 @@ def _make_leaf_check(predicate: SpatialPredicate,
 
 
 # ----------------------------------------------------------------------
-# Policy (a): one window query per pair
+# The window descent
 # ----------------------------------------------------------------------
 
-def _policy_a(ctx: JoinContext, side: int, depth: int,
-              probes: List[Probe], flat_cols: NodeColumns,
-              emit: Callable[[int, int], None],
-              accept: Optional[Callable]) -> None:
-    windows = list(flat_cols.iter_rect_refs())
-    for page_id, row in probes:
-        window, partner_ref = windows[row]
-        _window_query(ctx, side, page_id, depth + 1, window, partner_ref,
-                      emit, accept)
-
-
-def _window_query(ctx: JoinContext, side: int, page_id: int, depth: int,
-                  window: Rect, partner_ref: int,
-                  emit: Callable[[int, int], None],
-                  accept: Optional[Callable]) -> None:
-    """Counted single-window query on one subtree."""
-    node = ctx.read(side, page_id, depth)
-    counter = ctx.counter
-    if node.is_leaf and accept is not None:
-        for rect, ref in node.columns.iter_rect_refs():
-            if accept(rect, window, counter):
-                emit(ref, partner_ref)
-        return
-    # The restriction kernel charges exactly what a per-entry
-    # ``intersect_count(entry.rect, window)`` loop would.
-    hits = restrict_columns(node.columns, window, counter).child_refs()
-    if node.is_leaf:
-        for ref in hits:
-            emit(ref, partner_ref)
-    else:
-        for ref in hits:
-            _window_query(ctx, side, ref, depth + 1, window, partner_ref,
-                          emit, accept)
-
-
-# ----------------------------------------------------------------------
-# Policy (b): batched window queries per subtree
-# ----------------------------------------------------------------------
-
-def _policy_b(ctx: JoinContext, side: int, depth: int,
-              probes: List[Probe], flat_cols: NodeColumns,
-              emit: Callable[[int, int], None],
-              accept: Optional[Callable]) -> None:
-    # Group the query rectangles by directory entry, keeping the order in
-    # which directory entries first appear in the schedule (dicts keep
-    # insertion order).
-    batches: Dict[int, List[int]] = defaultdict(list)
-    for page_id, row in probes:
-        batches[page_id].append(row)
-    for page_id, rows in batches.items():
-        _batched_window_query(ctx, side, page_id, depth + 1,
-                              flat_cols.take(rows), emit, accept)
-
-
-def _batched_window_query(ctx: JoinContext, side: int, page_id: int,
-                          depth: int, queries: NodeColumns,
+def _batched_window_query(ctx, side: int, page_id: int, depth: int,
+                          queries: NodeColumns,
                           emit: Callable[[int, int], None],
-                          accept: Optional[Callable]) -> None:
+                          accept: Optional[Callable] = None,
+                          prune: Callable = nested_loop_pairs_columns
+                          ) -> None:
     """Answer several window queries in one traversal; every subtree page
-    is read at most once for the whole batch (policy (b))."""
+    is read at most once for the whole batch (policy (b)).
+
+    This is the only window descent in ``core``: a single window is a
+    batch of one (policies (a) and (c), and
+    :class:`~repro.core.window.WindowQueryEngine`, whose ``read`` and
+    ``counter`` are all of *ctx* that is used here).  *prune* is the
+    counted (node rows, queries) test that selects the subtrees to
+    enter and, for plain intersection, the data entries to report;
+    *accept* replaces it on data pages for every other join condition.
+    """
     node = ctx.read(side, page_id, depth)
     cols = node.columns
     counter = ctx.counter
@@ -175,7 +143,7 @@ def _batched_window_query(ctx: JoinContext, side: int, page_id: int,
     # The node's rows play R, so every (entry, query) test charges what
     # ``intersect_count(entry.rect, query.rect)`` would; the kernel
     # reports hits query-major, regrouped here per node entry.
-    rows, hits = nested_loop_pairs_columns(cols, queries, counter)
+    rows, hits = prune(cols, queries, counter)
     by_row: Dict[int, List[int]] = defaultdict(list)
     for row, hit in iter_index_pairs(rows, hits):
         by_row[row].append(hit)
@@ -188,42 +156,52 @@ def _batched_window_query(ctx: JoinContext, side: int, page_id: int,
     else:
         for row in sorted(by_row):
             _batched_window_query(ctx, side, refs[row], depth + 1,
-                                  queries.take(by_row[row]), emit, accept)
+                                  queries.take(by_row[row]), emit, accept,
+                                  prune)
 
 
 # ----------------------------------------------------------------------
-# Policy (c): plane-sweep order with pinning
+# The three read schedules over it
 # ----------------------------------------------------------------------
 
-def _policy_c(ctx: JoinContext, side: int, depth: int,
-              probes: List[Probe], flat_cols: NodeColumns,
-              emit: Callable[[int, int], None],
-              accept: Optional[Callable]) -> None:
-    windows = list(flat_cols.iter_rect_refs())
+def _policy_a(ctx: JoinContext, side: int, probes: List[Probe],
+              query: Callable[[int, List[int]], None]) -> None:
+    for page_id, row in probes:
+        query(page_id, [row])
+
+
+def _policy_b(ctx: JoinContext, side: int, probes: List[Probe],
+              query: Callable[[int, List[int]], None]) -> None:
+    # Group the query rectangles by directory entry, keeping the order in
+    # which directory entries first appear in the schedule (dicts keep
+    # insertion order).
+    batches: Dict[int, List[int]] = defaultdict(list)
+    for page_id, row in probes:
+        batches[page_id].append(row)
+    for page_id, rows in batches.items():
+        query(page_id, rows)
+
+
+def _policy_c(ctx: JoinContext, side: int, probes: List[Probe],
+              query: Callable[[int, List[int]], None]) -> None:
     n = len(probes)
     done = [False] * n
     by_page: Dict[int, List[int]] = defaultdict(list)
     for idx, (page_id, _) in enumerate(probes):
         by_page[page_id].append(idx)
 
-    def process(idx: int) -> None:
-        page_id, row = probes[idx]
-        window, partner_ref = windows[row]
-        _window_query(ctx, side, page_id, depth + 1, window, partner_ref,
-                      emit, accept)
-
     for i in range(n):
         if done[i]:
             continue
-        process(i)
+        page_id, row = probes[i]
+        query(page_id, [row])
         done[i] = True
-        page_id = probes[i][0]
         group = [k for k in by_page[page_id] if not done[k]]
         if not group:
             continue
         ctx.pin(side, page_id)
         for k in group:
-            process(k)
+            query(page_id, [probes[k][1]])
             done[k] = True
         ctx.unpin(side, page_id)
 

@@ -116,12 +116,7 @@ class NearestNeighborEngine:
                      ref if node.is_leaf else next(counter), ref,
                      depth + 1))
 
-        result.io.disk_reads = \
-            self.manager.stats.disk_reads - io_before.disk_reads
-        result.io.lru_hits = \
-            self.manager.stats.lru_hits - io_before.lru_hits
-        result.io.path_hits = \
-            self.manager.stats.path_hits - io_before.path_hits
+        result.io = self.manager.stats.since(io_before)
         return result
 
 

@@ -83,6 +83,7 @@ from .context import (JoinContext, R_SIDE, S_SIDE, build_context,
                       resolve_obs)
 from .engine import JoinAlgorithm, common_rect
 from .pairs import iter_index_pairs
+from .sj5 import world_rect
 from .spec import JoinSpec, resolve_spec
 from .stats import JoinResult, JoinStatistics
 
@@ -251,20 +252,6 @@ def cluster_tasks(tasks: Sequence[PairTask], batches: int,
     return cut
 
 
-def _world_rect(tree_r: RTreeBase, tree_s: RTreeBase) -> Optional[Rect]:
-    """Union of both tree MBRs, padded when degenerate (mirrors SJ5's
-    z-grid setup)."""
-    mbr_r = tree_r.mbr()
-    mbr_s = tree_s.mbr()
-    if mbr_r is None or mbr_s is None:
-        return None
-    world = mbr_r.union(mbr_s)
-    if world.width <= 0.0 or world.height <= 0.0:
-        world = Rect(world.xl - 0.5, world.yl - 0.5,
-                     world.xu + 0.5, world.yu + 0.5)
-    return world
-
-
 # ----------------------------------------------------------------------
 # Step 3: execute
 # ----------------------------------------------------------------------
@@ -416,7 +403,7 @@ def parallel_spatial_join(tree_r: RTreeBase, tree_s: RTreeBase,
             - faults_before)
         with obs.tracer.span("cluster", tasks=len(tasks)):
             batches = cluster_tasks(tasks, spec.workers,
-                                    _world_rect(tree_r, tree_s))
+                                    world_rect(tree_r, tree_s))
         if obs.enabled:
             obs.metrics.inc("parallel.tasks", len(tasks))
             obs.metrics.inc("parallel.batches", len(batches))

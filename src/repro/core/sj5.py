@@ -13,10 +13,26 @@ from typing import List, Optional
 
 from ..curves.zorder import ZGrid
 from ..geometry.rect import Rect
+from ..rtree.base import RTreeBase
 from ..rtree.columns import NodeColumns
-from .context import JoinContext, R_SIDE, S_SIDE
+from .context import JoinContext
 from .engine import IndexPair, common_rect
 from .sj3 import SpatialJoin3
+
+
+def world_rect(tree_r: RTreeBase, tree_s: RTreeBase) -> Optional[Rect]:
+    """Union of both tree MBRs, padded when degenerate: the world a
+    :class:`~repro.curves.zorder.ZGrid` is laid over (None when either
+    tree is empty)."""
+    mbr_r = tree_r.mbr()
+    mbr_s = tree_s.mbr()
+    if mbr_r is None or mbr_s is None:
+        return None
+    world = mbr_r.union(mbr_s)
+    if world.width <= 0.0 or world.height <= 0.0:
+        world = Rect(world.xl - 0.5, world.yl - 0.5,
+                     world.xu + 0.5, world.yu + 0.5)
+    return world
 
 
 class SpatialJoin5(SpatialJoin3):
@@ -34,19 +50,8 @@ class SpatialJoin5(SpatialJoin3):
     def _prepare(self, ctx: JoinContext) -> None:
         # Hooked here (not in run()) so the streaming entry point and
         # the parallel executor's workers get the z-order schedule too.
-        world = self._world_rect(ctx)
+        world = world_rect(*ctx.trees)
         self._grid = ZGrid(world, self.zgrid_bits) if world else None
-
-    def _world_rect(self, ctx: JoinContext) -> Optional[Rect]:
-        mbr_r = ctx.trees[R_SIDE].mbr()
-        mbr_s = ctx.trees[S_SIDE].mbr()
-        if mbr_r is None or mbr_s is None:
-            return None
-        world = mbr_r.union(mbr_s)
-        if world.width <= 0.0 or world.height <= 0.0:
-            world = Rect(world.xl - 0.5, world.yl - 0.5,
-                         world.xu + 0.5, world.yu + 0.5)
-        return world
 
     def _order_pairs(self, ctx: JoinContext, cols_r: NodeColumns,
                      cols_s: NodeColumns,

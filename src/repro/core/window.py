@@ -15,9 +15,10 @@ from typing import List
 from ..geometry.counting import ComparisonCounter
 from ..geometry.rect import Rect
 from ..rtree.base import RTreeBase
+from ..rtree.columns import NodeColumns
 from ..storage.manager import BufferManager
 from ..storage.stats import IOStatistics
-from .pairs import restrict_columns
+from .heights import _batched_window_query
 
 
 @dataclass
@@ -46,30 +47,25 @@ class WindowQueryEngine:
         self._side = self.manager.register(tree.store)
         self.counter = ComparisonCounter()
 
+    def read(self, side: int, page_id: int, depth: int):
+        """Counted page fetch — with :attr:`counter`, everything the
+        batched descent needs of a join context."""
+        return self.manager.read(side, page_id, depth)
+
     def query(self, window: Rect) -> WindowQueryResult:
-        """Run one window query, returning matches and fresh counters."""
+        """Run one window query, returning matches and fresh counters.
+
+        A single window is a batch of one: the descent is
+        :func:`repro.core.heights._batched_window_query`, which charges
+        exactly what a per-entry ``intersect_count`` loop would."""
         io_before = self.manager.stats.snapshot()
         cmp_before = self.counter.snapshot()
         refs: List[int] = []
-        self._descend(self.tree.root_id, 0, window, refs)
+        _batched_window_query(
+            self, self._side, self.tree.root_id, 0,
+            NodeColumns.from_rect_refs([(window, 0)]),
+            lambda ref, _window: refs.append(ref))
         result = WindowQueryResult(refs=refs)
         result.comparisons.join = self.counter.join - cmp_before.join
-        result.io.disk_reads = \
-            self.manager.stats.disk_reads - io_before.disk_reads
-        result.io.lru_hits = self.manager.stats.lru_hits - io_before.lru_hits
-        result.io.path_hits = \
-            self.manager.stats.path_hits - io_before.path_hits
+        result.io = self.manager.stats.since(io_before)
         return result
-
-    def _descend(self, page_id: int, depth: int, window: Rect,
-                 refs: List[int]) -> None:
-        node = self.manager.read(self._side, page_id, depth)
-        # The restriction kernel charges the same short-circuit pattern
-        # as a per-entry ``intersect_count`` loop, so counters match the
-        # scalar implementation exactly.
-        kept = restrict_columns(node.columns, window, self.counter)
-        if node.is_leaf:
-            refs.extend(kept.child_refs())
-            return
-        for ref in kept.child_refs():
-            self._descend(ref, depth + 1, window, refs)

@@ -182,14 +182,13 @@ class SpatialDatabase:
                      spec: JoinSpec, *,
                      refine: bool = False) -> JoinResult:
         """Complete a snapshot join from its base half: drop pairs the
-        deltas hide, add the delta probe/sweep pairs, and (when
+        deltas hide, add the pairs the deltas contribute (under *spec*'s
+        deadline and sort regime, like the base half), and (when
         refining) run the exact-geometry test on just those additions.
         Returns *base* unchanged when both deltas are empty."""
         if not (snap_l.delta or snap_r.delta):
             return base
-        result = overlay_join(snap_l, snap_r, base,
-                              predicate=spec.predicate,
-                              buffer_kb=spec.buffer_kb)
+        result = overlay_join(snap_l, snap_r, base, spec)
         if refine and result.stats.delta_pairs:
             # overlay_join appends the delta contributions after the
             # surviving (already refined) base pairs.

@@ -19,6 +19,7 @@ from .scrub import (PageDamage, RepairReport, ScrubReport, repair_tree,
                     scrub_tree)
 from .stats import TreeProperties, tree_properties
 from .validate import RTreeInvariantError, is_valid, validate_rtree
+from .variants import VARIANTS, build_tree
 
 __all__ = [
     "ENTRY_BYTES",
@@ -37,6 +38,8 @@ __all__ = [
     "RepairReport",
     "ScrubReport",
     "TreeProperties",
+    "VARIANTS",
+    "build_tree",
     "chunk_balanced",
     "force_stdlib",
     "hilbert_pack",

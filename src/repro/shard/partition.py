@@ -39,7 +39,8 @@ outside the original data MBR.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional,
+                    Tuple)
 
 from ..geometry.rect import Rect, geometry_mbr
 
@@ -210,6 +211,18 @@ class PartitionMap:
         #: relation name -> {"A": ..., "B": ..., "C": ..., "D": ...}.
         self.class_counts: Dict[str, Dict[str, int]] = {}
 
+    @classmethod
+    def of_database(cls, db: "SpatialDatabase",
+                    partitioner: GridPartitioner) -> "PartitionMap":
+        """The routing map of every object in *db*, relations and
+        objects in sorted order."""
+        pmap = cls(partitioner)
+        for name, relation in sorted(db.relations.items()):
+            pmap.create_relation(name)
+            for oid, geometry in sorted(relation.objects.items()):
+                pmap.add(name, oid, geometry_mbr(geometry))
+        return pmap
+
     # -- catalog -------------------------------------------------------
 
     def create_relation(self, name: str) -> None:
@@ -270,6 +283,15 @@ class PartitionMap:
         objects = self.objects(relation)
         return self.copies(relation) / objects if objects else 1.0
 
+    def census(self, relation: str) -> Dict[str, Any]:
+        """One relation's census, as the ``stats`` op and ``repro shard
+        plan`` report it."""
+        return {"objects": self.objects(relation),
+                "copies": self.copies(relation),
+                "replication": round(
+                    self.replication_factor(relation), 4),
+                "classes": dict(self.class_counts[relation])}
+
     def nonempty_cells(self, *relations: str) -> List[int]:
         """Cells where every named relation has at least one copy
         (the minimal fan-out of a join between them)."""
@@ -297,13 +319,14 @@ def partition_database(db: "SpatialDatabase",
     """
     from ..db.database import SpatialDatabase
 
-    pmap = PartitionMap(partitioner)
+    pmap = PartitionMap.of_database(db, partitioner)
     shards = [SpatialDatabase(page_size=db.page_size)
               for _ in range(partitioner.n_cells)]
-    for name, relation in sorted(db.relations.items()):
-        pmap.create_relation(name)
+    # The copies go where the map says, in the map's (sorted) order.
+    for name, mbrs in pmap.mbrs.items():
+        objects = db.relations[name].objects
         locals_ = [shard.create_relation(name) for shard in shards]
-        for oid, geometry in sorted(relation.objects.items()):
-            for cell in pmap.add(name, oid, geometry_mbr(geometry)):
-                locals_[cell].insert(geometry, oid=oid)
+        for oid, mbr in mbrs.items():
+            for cell in partitioner.cells_of_rect(mbr):
+                locals_[cell].insert(objects[oid], oid=oid)
     return shards, pmap

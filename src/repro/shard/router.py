@@ -44,7 +44,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, ContextManager, Dict, List, Optional, Tuple
+from typing import (Any, Callable, ContextManager, Dict, List, Optional,
+                    Tuple)
 
 from ..core.stats import JoinStatistics
 from ..errors import (CatalogError, OverloadedError, QueryError,
@@ -452,17 +453,17 @@ class ShardRouter(RequestPipeline):
     # -- mutations (fan out under the write lock) ----------------------
     #
     # Shards apply a fanned-out mutation independently, so a mid-fan-
-    # out failure can leave it applied on some cells only.  Each
-    # handler drives the fleet back to a *definite* state: insert and
-    # create roll back (undo wherever the mutation may have landed),
-    # delete and drop roll forward (finish the mutation everywhere and
-    # commit it to the routing map) — re-inserting would need geometry
-    # the router does not keep.  Compensation is best-effort
-    # (:meth:`_compensate` swallows per-cell errors); a copy that
-    # survives it is harmless because merges treat the routing map as
-    # authoritative and drop refs it does not know.  Either way the
-    # relevant epoch is bumped, so no cached result can outlive a
-    # possibly-mutated shard.
+    # out failure can leave it applied on some cells only.
+    # :meth:`_mutate` drives the fleet back to a *definite* state for
+    # all four handlers: insert and create roll back (undo wherever the
+    # mutation may have landed), delete and drop roll forward (finish
+    # the mutation everywhere and commit it to the routing map) —
+    # re-inserting would need geometry the router does not keep.
+    # Compensation is best-effort (:meth:`_compensate` swallows
+    # per-cell errors); a copy that survives it is harmless because
+    # merges treat the routing map as authoritative and drop refs it
+    # does not know.  Either way the relevant epoch is bumped, so no
+    # cached result can outlive a possibly-mutated shard.
 
     def _compensate(self, cells: List[int], op: str,
                     params: Dict[str, Any]) -> None:
@@ -478,6 +479,39 @@ class ShardRouter(RequestPipeline):
                 self._recv_matched(cell, request_id)
             except (ReproError, OSError):
                 pass
+
+    def _mutate(self, cells: List[int], op: str, params: Dict[str, Any],
+                deadline: Optional[float], commit: Callable[[], None],
+                undo: Optional[Tuple[str, Dict[str, Any]]] = None,
+                relation: Optional[str] = None) -> None:
+        """Fan one mutation out and drive the fleet to a definite
+        state.  On success *commit* applies it to the routing map.  On
+        any failure every cell is compensated — with *undo*, the
+        ``(op, params)`` that reverses the mutation, when there is one
+        (roll back, nothing committed); otherwise with the mutation
+        itself, which is then committed (roll forward) — and the
+        failure re-raised.  Either way *relation*'s epoch (the catalog
+        epoch when None) is bumped last."""
+        _check_deadline(deadline)
+        try:
+            self._fanout(cells, op, params, deadline)
+        except BaseException:
+            if undo is not None:
+                self._compensate(cells, *undo)
+            else:
+                self._compensate(cells, op, params)
+                commit()
+            self._bump(relation)
+            raise
+        commit()
+        self._bump(relation)
+
+    def _bump(self, relation: Optional[str]) -> None:
+        """Bump *relation*'s epoch, or the catalog's when None."""
+        if relation is None:
+            self.catalog_epoch += 1
+        else:
+            self.epochs[relation] = self.epochs.get(relation, 0) + 1
 
     def _op_insert(self, request: Dict[str, Any],
                    deadline: Optional[float]) -> Dict[str, Any]:
@@ -495,20 +529,14 @@ class ShardRouter(RequestPipeline):
                                f"{relation!r}")
         mbr = geometry_mbr(geometry)
         cells = self.partitioner.cells_of_rect(mbr)
-        _check_deadline(deadline)
-        try:
-            self._fanout(cells, "insert",
-                         {"relation": relation, "oid": oid,
-                          "geometry": request["geometry"]}, deadline)
-        except BaseException:
-            # Roll back: delete from every cell the insert may have
-            # reached, and invalidate the cache regardless.
-            self._compensate(cells, "delete",
-                             {"relation": relation, "oid": oid})
-            self.epochs[relation] = self.epochs.get(relation, 0) + 1
-            raise
-        self.pmap.add(relation, oid, mbr)
-        self.epochs[relation] = self.epochs.get(relation, 0) + 1
+        # Rolls back: delete from every cell the insert may have
+        # reached.
+        self._mutate(cells, "insert",
+                     {"relation": relation, "oid": oid,
+                      "geometry": request["geometry"]}, deadline,
+                     commit=lambda: self.pmap.add(relation, oid, mbr),
+                     undo=("delete", {"relation": relation, "oid": oid}),
+                     relation=relation)
         return {"oid": oid, "epoch": self.epochs[relation],
                 "shards": len(cells)}
 
@@ -522,21 +550,13 @@ class ShardRouter(RequestPipeline):
         if mbr is None:
             raise CatalogError(f"no object {oid} in {relation!r}")
         cells = self.partitioner.cells_of_rect(mbr)
-        _check_deadline(deadline)
-        try:
-            self._fanout(cells, "delete",
-                         {"relation": relation, "oid": oid}, deadline)
-        except BaseException:
-            # Roll forward: finish the delete on every copy cell and
-            # commit it to the routing map, so shard state and routing
-            # state agree that the object is gone.
-            self._compensate(cells, "delete",
-                             {"relation": relation, "oid": oid})
-            self.pmap.remove(relation, oid)
-            self.epochs[relation] = self.epochs.get(relation, 0) + 1
-            raise
-        self.pmap.remove(relation, oid)
-        self.epochs[relation] = self.epochs.get(relation, 0) + 1
+        # Rolls forward: finish the delete on every copy cell and
+        # commit it, so shard state and routing state agree that the
+        # object is gone.
+        self._mutate(cells, "delete", {"relation": relation, "oid": oid},
+                     deadline,
+                     commit=lambda: self.pmap.remove(relation, oid),
+                     relation=relation)
         return {"oid": oid, "epoch": self.epochs[relation],
                 "shards": len(cells)}
 
@@ -546,17 +566,14 @@ class ShardRouter(RequestPipeline):
         if name in self.pmap:
             raise CatalogError(f"relation {name!r} already exists")
         cells = list(range(self.partitioner.n_cells))
-        _check_deadline(deadline)
-        try:
-            self._fanout(cells, "create", {"relation": name}, deadline)
-        except BaseException:
-            # Roll back: drop wherever the create may have landed.
-            self._compensate(cells, "drop", {"relation": name})
-            self.catalog_epoch += 1
-            raise
-        self.pmap.create_relation(name)
-        self.epochs[name] = 0
-        self.catalog_epoch += 1
+
+        def commit() -> None:
+            self.pmap.create_relation(name)
+            self.epochs[name] = 0
+
+        # Rolls back: drop wherever the create may have landed.
+        self._mutate(cells, "create", {"relation": name}, deadline,
+                     commit, undo=("drop", {"relation": name}))
         return {"relation": name, "catalog_epoch": self.catalog_epoch,
                 "shards": len(cells)}
 
@@ -566,20 +583,14 @@ class ShardRouter(RequestPipeline):
         if name not in self.pmap:
             raise CatalogError(f"no relation {name!r}")
         cells = list(range(self.partitioner.n_cells))
-        _check_deadline(deadline)
-        try:
-            self._fanout(cells, "drop", {"relation": name}, deadline)
-        except BaseException:
-            # Roll forward: finish the drop everywhere and forget the
-            # relation, so no cell is left serving a dropped name.
-            self._compensate(cells, "drop", {"relation": name})
+
+        def commit() -> None:
             self.pmap.drop_relation(name)
             self.epochs.pop(name, None)
-            self.catalog_epoch += 1
-            raise
-        self.pmap.drop_relation(name)
-        self.epochs.pop(name, None)
-        self.catalog_epoch += 1
+
+        # Rolls forward: finish the drop everywhere and forget the
+        # relation, so no cell is left serving a dropped name.
+        self._mutate(cells, "drop", {"relation": name}, deadline, commit)
         return {"relation": name, "catalog_epoch": self.catalog_epoch,
                 "shards": len(cells)}
 
@@ -595,15 +606,8 @@ class ShardRouter(RequestPipeline):
             "mode": self.topology.mode,
             "grid": [partitioner.cells_x, partitioner.cells_y],
             "alive": sum(self.topology.alive()),
-            "relations": {
-                name: {
-                    "objects": self.pmap.objects(name),
-                    "copies": self.pmap.copies(name),
-                    "replication": round(
-                        self.pmap.replication_factor(name), 4),
-                    "classes": dict(self.pmap.class_counts[name]),
-                }
-                for name in sorted(self.pmap.mbrs)},
+            "relations": {name: self.pmap.census(name)
+                          for name in sorted(self.pmap.mbrs)},
         }}
 
     def close(self) -> None:

@@ -47,6 +47,15 @@ class IOStatistics:
             setattr(copy, slot, getattr(self, slot))
         return copy
 
+    def since(self, before: "IOStatistics") -> "IOStatistics":
+        """The traffic since *before* (an earlier :meth:`snapshot`), as
+        an independent tally."""
+        delta = IOStatistics()
+        for slot in self.__slots__:
+            setattr(delta, slot,
+                    getattr(self, slot) - getattr(before, slot))
+        return delta
+
     def to_dict(self) -> dict:
         """Plain-data form (JSON-safe, see ``docs/observability.md``)."""
         return {slot: getattr(self, slot) for slot in self.__slots__}

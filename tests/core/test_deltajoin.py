@@ -7,6 +7,7 @@ import pytest
 from repro.core import JoinSpec
 from repro.core.deltajoin import filter_hidden_pairs, overlay_join
 from repro.db import SpatialDatabase
+from repro.errors import QueryTimeout
 from repro.geometry import Rect
 from repro.geometry.predicates import SpatialPredicate
 
@@ -108,7 +109,7 @@ class TestOverlayPieces:
         snap_r = db.relation("right").snapshot()
         spec = JoinSpec(algorithm="sj4", buffer_kb=64.0)
         base = db.join_base(snap_l, snap_r, spec)
-        assert overlay_join(snap_l, snap_r, base) is base
+        assert overlay_join(snap_l, snap_r, base, spec) is base
 
     def test_overlay_counters(self):
         db = build_db(n=40, seed=2)
@@ -121,8 +122,74 @@ class TestOverlayPieces:
         snap_r = db.relation("right").snapshot()
         spec = JoinSpec(algorithm="sj4", buffer_kb=64.0)
         base = db.join_base(snap_l, snap_r, spec)
-        result = overlay_join(snap_l, snap_r, base)
+        result = overlay_join(snap_l, snap_r, base, spec)
         assert result.stats.hidden_filtered >= 1
         assert result.stats.delta_pairs >= 1
         assert any(l == new_oid for l, _ in result.pairs)
         assert result.stats.pairs_output == len(result.pairs)
+
+
+def brute_pairs(db, predicate=SpatialPredicate.INTERSECTS):
+    """The join over what a reader sees, straight off the records."""
+    return sorted((a, b)
+                  for rect_a, a in db.relation("left").records
+                  for rect_b, b in db.relation("right").records
+                  if predicate.evaluate(rect_a, rect_b))
+
+
+def reinsert_elsewhere(db, seed=31):
+    """On both sides, delete an oid that has base pairs and re-insert
+    it far from its old place: the base tree keeps the stale row, and
+    the oid is in ``added`` — so it shows up on the tree side of the
+    other delta's run and must be filtered there."""
+    rng = random.Random(seed)
+    victim_l, victim_r = join_pairs(db)[0]
+    for name, oid in (("left", victim_l), ("right", victim_r)):
+        relation = db.relation(name)
+        relation.delete(oid)
+        x, y = rng.uniform(300, 400), rng.uniform(300, 400)
+        relation.insert(Rect(x, y, x + 5, y + 5), oid=oid)
+    return victim_l, victim_r
+
+
+class TestOverlayThroughTheEngine:
+    def test_overlay_honours_the_deadline(self):
+        db = build_db()
+        mutate(db)
+        snap_l = db.relation("left").snapshot()
+        snap_r = db.relation("right").snapshot()
+        base = db.join_base(snap_l, snap_r, JoinSpec(buffer_kb=64.0))
+        with pytest.raises(QueryTimeout):
+            db.join_overlay(snap_l, snap_r, base,
+                            JoinSpec(buffer_kb=64.0, timeout=1e-9))
+
+    @pytest.mark.parametrize("pred", list(SpatialPredicate))
+    def test_reinserted_oid_with_stale_base_row(self, pred):
+        db = build_db()
+        mutate(db)
+        victims = reinsert_elsewhere(db)
+        assert victims[0] in db.relation("left").snapshot().delta.added
+        overlaid = join_pairs(db, predicate=pred, sort_mode="on_read")
+        assert overlaid == brute_pairs(db, pred)
+        for name in ("left", "right"):
+            assert db.relation(name).rebuild()
+        assert join_pairs(db, predicate=pred,
+                          sort_mode="on_read") == overlaid
+
+    @pytest.mark.parametrize("empty", ["left", "right", "both"])
+    def test_all_objects_in_the_delta(self, empty):
+        db = SpatialDatabase(page_size=1024)
+        rng = random.Random(5)
+        for name in ("left", "right"):
+            relation = db.create_relation(name)
+            if empty not in (name, "both"):
+                for _ in range(60):
+                    relation.insert(rect(rng))
+        db.absorb_writes()
+        for name in ("left", "right"):
+            for _ in range(25):
+                db.relation(name).insert(rect(rng))
+        for name in ("left", "right"):
+            if empty in (name, "both"):
+                assert len(db.relation(name).snapshot().tree.root) == 0
+        assert join_pairs(db) == brute_pairs(db) != []

@@ -1,8 +1,11 @@
 """Tests for the within-distance join (extension)."""
 
+import random
+
 import pytest
 
 from repro.core.distance import distance_join, rect_mindist
+from repro.db import SpatialDatabase
 from repro.geometry import Rect
 from tests.conftest import build_rstar, make_rects
 from repro.core import JoinSpec
@@ -90,3 +93,59 @@ class TestDistanceJoin:
         _, _, tree_r, _ = data
         empty = RStarTree(RTreeParams.from_page_size(256))
         assert distance_join(tree_r, empty, 10.0).pairs == []
+
+
+class TestDistanceJoinOverDeltas:
+    """``db.distance_join`` over snapshots with pending writes: the
+    overlay is the engine's, run with the distance algorithm."""
+
+    @staticmethod
+    def brute(db, d):
+        return {(a, b)
+                for rect_a, a in db.relation("big").records
+                for rect_b, b in db.relation("small").records
+                if rect_mindist(rect_a, rect_b) <= d}
+
+    @pytest.mark.parametrize("left, right", [("big", "small"),
+                                             ("small", "big")])
+    def test_matches_brute_force_before_and_after_rebuild(self, left,
+                                                          right):
+        db = SpatialDatabase(page_size=256)
+        sizes = {"big": 700, "small": 25}
+        for name, n in sizes.items():
+            relation = db.create_relation(name)
+            for rect, _ in make_rects(n, seed=811 + n, world=300.0):
+                relation.insert(rect)
+        assert (db.relation("big").tree.height
+                > db.relation("small").tree.height)
+        db.absorb_writes()
+        rng = random.Random(812)
+        for name, n in sizes.items():
+            relation = db.relation(name)
+            for rect, _ in make_rects(12, seed=813 + n, world=300.0):
+                relation.insert(rect)
+            for oid in rng.sample(range(n), 5):
+                relation.delete(oid)
+            # Deleted and re-inserted with new geometry: the base tree
+            # still holds the old rectangle under this oid.
+            moved = next(oid for oid in range(n)
+                         if oid in relation.objects)
+            relation.delete(moved)
+            relation.insert(Rect(290, 290, 295, 295), oid=moved)
+            assert relation.delta_ops_pending > 0
+
+        def near(d):
+            result = db.distance_join(left, right, d, buffer_kb=16)
+            assert result.stats.pairs_output == len(result.pairs)
+            assert len(result.pairs) == len(result.pair_set())
+            pairs = result.pair_set()
+            return pairs if left == "big" else {(b, a)
+                                                for a, b in pairs}
+
+        for d in (0.0, 12.0):
+            expected = self.brute(db, d)
+            assert expected
+            assert near(d) == expected
+        for name in sizes:
+            assert db.relation(name).rebuild()
+        assert near(12.0) == self.brute(db, 12.0)

@@ -17,7 +17,8 @@ from repro.core import (JoinContext, JoinSpec, ParallelJoinResult,
                         parallel_spatial_join, partition_tasks,
                         spatial_join)
 from repro.core import parallel as executor
-from repro.core.parallel import _execute_batch, _world_rect
+from repro.core.parallel import _execute_batch
+from repro.core.sj5 import world_rect
 from repro.costmodel.parallel import estimate_parallel_io
 from repro.errors import QueryTimeout
 from repro.geometry import SpatialPredicate
@@ -183,7 +184,7 @@ def test_cluster_tasks_balances_and_preserves_tasks(medium_trees):
     tree_r, tree_s = medium_trees
     ctx = JoinContext(tree_r, tree_s, buffer_kb=16)
     tasks = partition_tasks(ctx, make_algorithm("sj4"), target=16)
-    batches = cluster_tasks(tasks, 4, _world_rect(tree_r, tree_s))
+    batches = cluster_tasks(tasks, 4, world_rect(tree_r, tree_s))
     assert len(batches) == 4
     flattened = [task for batch in batches for task in batch]
     assert sorted(t.center for t in flattened) == sorted(

@@ -1,5 +1,7 @@
 """Unit tests for the buffered window-query engine."""
 
+import pytest
+
 from repro.core import WindowQueryEngine
 from repro.geometry import Rect
 from tests.conftest import build_rstar, make_rects
@@ -58,3 +60,37 @@ def test_per_query_counters_are_deltas():
     stats = engine.manager.stats
     assert total_logical == (stats.disk_reads + stats.lru_hits
                              + stats.path_hits)
+
+
+def depth_first_refs(tree, node, window):
+    """The per-entry descent, written out: rows in node order."""
+    for entry in node.entries:
+        if entry.rect.intersects(window):
+            if node.is_leaf:
+                yield entry.ref
+            else:
+                yield from depth_first_refs(tree, tree.node(entry.ref),
+                                            window)
+
+
+@pytest.mark.parametrize("n, seed, windows, expected", [
+    (800, 81, [Rect(100, 100, 400, 400)],
+     [(93, (18, 0, 0), 570)]),
+    (500, 85, [Rect(0, 0, 500, 500), Rect(500, 500, 1000, 1000)],
+     [(130, (22, 0, 0), 662), (122, (23, 2, 1), 780)]),
+])
+def test_counters_and_order_of_the_single_descent(n, seed, windows,
+                                                  expected):
+    """A single window is a batch of one on the join engine's batched
+    descent; the literals were recorded on the private per-entry
+    descent it replaced (same on both column backends)."""
+    tree = build_rstar(make_rects(n, seed=seed), page_size=256)
+    engine = WindowQueryEngine(tree, buffer_kb=8)
+    for window, (count, io, comparisons) in zip(windows, expected):
+        result = engine.query(window)
+        assert result.refs == list(depth_first_refs(tree, tree.root,
+                                                    window))
+        assert len(result.refs) == count
+        assert (result.io.disk_reads, result.io.lru_hits,
+                result.io.path_hits) == io
+        assert result.comparisons.join == comparisons
