@@ -7,9 +7,9 @@ claim on it.  Nothing here writes a row — ``repro bench run | gate``
 compute those from the same registry.
 
 Exhibits regenerate at ``REPRO_SCALE`` of the paper's data volume
-(memoized in ``.bench_cache/``); a claim tuned to one dataset scale
-pins it.  Run one with ``pytest benchmarks/bench_exhibits.py -k
-table2``.
+(each tree built and each join run once per session, nothing kept on
+disk); a claim tuned to one dataset scale pins it.  Run one with
+``pytest benchmarks/bench_exhibits.py -k table2``.
 """
 
 import pytest

@@ -7,43 +7,33 @@ gate`` compute the gate rows :mod:`repro.bench.registry` declares, and
 same report functions.
 """
 
-from .ablations import ABLATIONS
-from .envinfo import environment_fingerprint
-from .experiments import (BUFFER_SIZES_KB, EXHIBITS, PAGE_SIZES, TESTS,
+from .experiments import (BUFFER_SIZES_KB, PAGE_SIZES, TESTS,
                           figure2, figure8, figure9, figure10, table1,
                           table2, table3, table4, table5, table6, table7,
                           table8)
 from .gate import (Comparison, Delta, compare_rows, merge_into_baseline,
-                   rank_components, render_delta_table,
-                   render_rank_table, run_experiments)
-from .registry import (COMPONENTS, EXPERIMENTS, Component, Experiment,
-                       experiments_for)
+                   render_delta_table, run_experiments)
+from .registry import EXPERIMENTS, REPORTS, Experiment, experiments_for
 from .runner import (JoinOutcome, build_tree, optimum_accesses,
                      presort_cost, run_join, test_properties, test_tree,
                      test_trees)
 from .tables import ExperimentReport, format_table
 
 __all__ = [
-    "ABLATIONS",
     "BUFFER_SIZES_KB",
-    "COMPONENTS",
     "Comparison",
-    "Component",
     "Delta",
     "EXPERIMENTS",
-    "EXHIBITS",
     "Experiment",
     "compare_rows",
-    "environment_fingerprint",
     "experiments_for",
     "merge_into_baseline",
-    "rank_components",
     "render_delta_table",
-    "render_rank_table",
     "run_experiments",
     "ExperimentReport",
     "JoinOutcome",
     "PAGE_SIZES",
+    "REPORTS",
     "TESTS",
     "build_tree",
     "figure10",

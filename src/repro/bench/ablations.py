@@ -8,18 +8,29 @@ crossover, bulk loading, the filter/refinement split).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.context import JoinContext
+from ..core.context import build_context, counted_sort_inplace
+from ..core.distance import distance_join
 from ..core.pairs import nested_loop_pairs, sorted_intersection_test
-from ..core.refinement import id_spatial_join
+from ..core.planner import spatial_join
+from ..core.refinement import RefinementStats, id_spatial_join
+from ..core.spec import JoinSpec
+from ..core.stats import JoinResult
+from ..core.window import WindowQueryEngine
+from ..costmodel.estimate import JoinCardinalityEstimator, JoinPrediction
+from ..costmodel.parallel import TraceKey, scaling_profile
 from ..data.datasets import effective_scale, load_test
+from ..data.synthetic import DEFAULT_WORLD
 from ..geometry.counting import ComparisonCounter
 from ..geometry.rect import Rect
+from ..plan import plan_join
 from ..plan.registry import make_algorithm
+from ..rtree.base import RTreeBase
 from ..rtree.entry import Entry
 from .experiments import BUFFER_SIZES_KB, TESTS, _estimate_seconds, _kb
-from .runner import optimum_accesses, run_join, test_trees
+from .runner import (JoinOutcome, optimum_accesses, run_join, test_tree,
+                     test_trees)
 from .tables import ExperimentReport, fmt_float, fmt_int
 
 
@@ -139,7 +150,24 @@ def ablation_bulk_loading(scale: Optional[float] = None,
                "the optimum and usually the actual I/O."])
 
 
-def ablation_sweep_crossover(seed: int = 11,
+def crossover_cell(left: List[Entry], right: List[Entry]
+                   ) -> Tuple[ComparisonCounter, ComparisonCounter, list]:
+    """One cell of the sweep crossover: a nested loop, then sort + sweep,
+    over one node pair — their counters and the sweep's pairs."""
+    nested_counter = ComparisonCounter()
+    nested_loop_pairs(left, right, nested_counter)
+    sweep_counter = ComparisonCounter()
+    left_sorted = list(left)
+    right_sorted = list(right)
+    sweep_counter.sort += counted_sort_inplace(left_sorted)
+    sweep_counter.sort += counted_sort_inplace(right_sorted)
+    pairs = sorted_intersection_test(left_sorted, right_sorted,
+                                     sweep_counter)
+    return nested_counter, sweep_counter, pairs
+
+
+def ablation_sweep_crossover(scale: Optional[float] = None,
+                             seed: int = 11,
                              sizes: Tuple[int, ...] = (8, 16, 32, 64,
                                                        128, 256, 512),
                              ) -> ExperimentReport:
@@ -148,6 +176,8 @@ def ablation_sweep_crossover(seed: int = 11,
     Section 4.2 argues the simple two-pointer sweep is right "for
     realistic problem sizes which corresponds to the number of entries in
     the nodes"; this measures where sorting starts to pay per node pair.
+    The node pairs are synthetic — there is no dataset — so *scale* is
+    accepted, like every report's, and ignored.
     """
     rng = random.Random(seed)
     headers = ["entries/node", "nested loop", "sort+sweep", "sweep wins"]
@@ -165,17 +195,7 @@ def ablation_sweep_crossover(seed: int = 11,
 
         left = entries(n)
         right = entries(n)
-        nested_counter = ComparisonCounter()
-        nested_loop_pairs(left, right, nested_counter)
-
-        sweep_counter = ComparisonCounter()
-        from ..core.context import counted_sort_inplace
-        left_sorted = list(left)
-        right_sorted = list(right)
-        sweep_counter.sort += counted_sort_inplace(left_sorted)
-        sweep_counter.sort += counted_sort_inplace(right_sorted)
-        sorted_intersection_test(left_sorted, right_sorted, sweep_counter)
-
+        nested_counter, sweep_counter, _ = crossover_cell(left, right)
         wins = sweep_counter.total < nested_counter.total
         data[n] = {"nested": nested_counter.total,
                    "sweep": sweep_counter.total, "wins": wins}
@@ -190,6 +210,18 @@ def ablation_sweep_crossover(seed: int = 11,
                "sorted nodes maintained, it wins at all sizes."])
 
 
+def refinement_cell(test: str, scale: float,
+                    page_size: int = 4096) -> RefinementStats:
+    """One cell of the refinement ablation: SJ4's MBR candidates on
+    *test*, refined by the exact ID-spatial-join."""
+    pair = load_test(test, scale)
+    candidates = spatial_join(
+        *test_trees(test, page_size, scale),
+        spec=JoinSpec(algorithm="sj4", buffer_kb=128.0)).pairs
+    return id_spatial_join(candidates, pair.r.objects,
+                           pair.s.objects)[1]
+
+
 def ablation_refinement(scale: Optional[float] = None,
                         page_size: int = 4096) -> ExperimentReport:
     """Filter effectiveness: MBR candidates vs exact survivors."""
@@ -199,14 +231,7 @@ def ablation_refinement(scale: Optional[float] = None,
     data: Dict[str, dict] = {}
     small_scale = min(effective_scale(scale), 0.05)
     for test in ("A", "E"):
-        pair = load_test(test, small_scale)
-        from .runner import build_tree
-        tree_r = build_tree(pair.r.records, page_size)
-        tree_s = build_tree(pair.s.records, page_size)
-        ctx = JoinContext(tree_r, tree_s, buffer_kb=128.0)
-        result = make_algorithm("sj4").run(ctx)
-        survivors, stats = id_spatial_join(result.pairs, pair.r.objects,
-                                           pair.s.objects)
+        stats = refinement_cell(test, small_scale, page_size)
         data[test] = {"candidates": stats.candidates,
                       "survivors": stats.survivors,
                       "false_hits": stats.false_hit_ratio}
@@ -223,6 +248,31 @@ def ablation_refinement(scale: Optional[float] = None,
                "(Section 2.1)."])
 
 
+def world_windows(count: int, seed: int) -> List[Rect]:
+    """*count* seeded square windows of 1% of the world's area."""
+    rng = random.Random(seed)
+    side = DEFAULT_WORLD.width * 0.1
+    windows = []
+    for _ in range(count):
+        x = DEFAULT_WORLD.xl + rng.random() * (DEFAULT_WORLD.width - side)
+        y = DEFAULT_WORLD.yl + rng.random() * (DEFAULT_WORLD.height - side)
+        windows.append(Rect(x, y, x + side, y + side))
+    return windows
+
+
+def window_cell(tree: RTreeBase, windows: Sequence[Rect],
+                buffer_kb: float) -> Dict[str, int]:
+    """One cell of the window-query ablation: a battery of windows
+    against one tree through one buffer."""
+    engine = WindowQueryEngine(tree, buffer_kb=buffer_kb)
+    results = 0
+    for window in windows:
+        results += len(engine.query(window))
+    return {"accesses": engine.manager.stats.disk_reads,
+            "comparisons": engine.counter.join,
+            "results": results}
+
+
 def ablation_window_queries(scale: Optional[float] = None,
                             page_size: int = 2048,
                             query_count: int = 200,
@@ -234,36 +284,20 @@ def ablation_window_queries(scale: Optional[float] = None,
     to other members of the R-tree family".  A battery of 1%-area
     windows runs against each index built over the same street map.
     """
-    import random as _random
-    from ..core.window import WindowQueryEngine
-    from ..data.synthetic import DEFAULT_WORLD
-
-    rng = _random.Random(99)
-    side = DEFAULT_WORLD.width * 0.1    # 1% of the area
-    windows = []
-    for _ in range(query_count):
-        x = DEFAULT_WORLD.xl + rng.random() * (DEFAULT_WORLD.width - side)
-        y = DEFAULT_WORLD.yl + rng.random() * (DEFAULT_WORLD.height - side)
-        windows.append(Rect(x, y, x + side, y + side))
-
+    windows = world_windows(query_count, seed=99)
     headers = ["tree variant", "disk accesses", "comparisons",
                "results"]
     rows = []
     data: Dict[str, dict] = {}
     for variant in ("rstar", "guttman-quadratic", "guttman-linear",
                     "str"):
-        tree, _unused = test_trees("A", page_size, scale, variant)
-        engine = WindowQueryEngine(tree, buffer_kb=buffer_kb)
-        results = 0
-        for window in windows:
-            results += len(engine.query(window))
-        accesses = engine.manager.stats.disk_reads
-        comparisons = engine.counter.join
-        data[variant] = {"accesses": accesses,
-                         "comparisons": comparisons,
-                         "results": results}
-        rows.append([variant, fmt_int(accesses), fmt_int(comparisons),
-                     fmt_int(results)])
+        cell = window_cell(
+            test_tree("A", "r", page_size, scale, variant), windows,
+            buffer_kb)
+        data[variant] = cell
+        rows.append([variant, fmt_int(cell["accesses"]),
+                     fmt_int(cell["comparisons"]),
+                     fmt_int(cell["results"])])
     return ExperimentReport(
         exhibit="Ablation: window queries",
         title=f"{query_count} window queries (1% area) per index "
@@ -274,19 +308,27 @@ def ablation_window_queries(scale: Optional[float] = None,
                "is pure traversal efficiency (directory overlap)."])
 
 
+def estimator_cell(test: str, page_size: int, scale: Optional[float],
+                   algorithm: str, buffer_kb: float
+                   ) -> Tuple[JoinPrediction, JoinOutcome]:
+    """One cell of the estimator ablation: the analytical prediction
+    for *test*'s trees and the measured join it is checked against."""
+    tree_r, tree_s = test_trees(test, page_size, scale)
+    return (JoinCardinalityEstimator(tree_r, tree_s).predict(),
+            run_join(test, page_size, buffer_kb, algorithm, scale))
+
+
 def ablation_estimator(scale: Optional[float] = None,
                        page_size: int = 2048) -> ExperimentReport:
     """Analytical estimator (Günther-style, the paper's reference [9])
     vs. measured counters, per dataset."""
-    from ..costmodel.estimate import JoinCardinalityEstimator
     headers = ["test", "predicted pairs", "actual pairs", "ratio",
                "predicted accesses", "actual accesses (0 KByte)"]
     rows = []
     data: Dict[str, dict] = {}
     for test in ("A", "B", "D", "E"):
-        tree_r, tree_s = test_trees(test, page_size, scale)
-        prediction = JoinCardinalityEstimator(tree_r, tree_s).predict()
-        outcome = run_join(test, page_size, 0.0, "sj4", scale)
+        prediction, outcome = estimator_cell(test, page_size, scale,
+                                             "sj4", 0.0)
         ratio = (prediction.output_pairs / outcome.pairs
                  if outcome.pairs else float("inf"))
         data[test] = {"predicted_pairs": prediction.output_pairs,
@@ -314,18 +356,23 @@ def ablation_estimator(scale: Optional[float] = None,
                "points at."])
 
 
+def sj4_access_trace(scale: Optional[float], page_size: int = 4096,
+                     buffer_kb: float = 8.0
+                     ) -> Tuple[JoinResult, List[TraceKey]]:
+    """One SJ4 join of test A with its disk accesses recorded: what the
+    parallel-I/O ablation declusters."""
+    ctx = build_context(*test_trees("A", page_size, scale),
+                        JoinSpec(algorithm="sj4", buffer_kb=buffer_kb),
+                        record_trace=True)
+    return make_algorithm("sj4").run(ctx), ctx.manager.trace
+
+
 def ablation_parallel_io(scale: Optional[float] = None,
                          page_size: int = 4096,
                          buffer_kb: float = 8.0) -> ExperimentReport:
     """Projected disk-array scaling of the SJ4 access trace
     (the paper's Section 6 future-work direction)."""
-    from ..core.context import JoinContext
-    from ..costmodel.parallel import scaling_profile
-    tree_r, tree_s = test_trees("A", page_size, scale)
-    ctx = JoinContext(tree_r, tree_s, buffer_kb=buffer_kb,
-                      record_trace=True)
-    make_algorithm("sj4").run(ctx)
-    trace = ctx.manager.trace
+    _, trace = sj4_access_trace(scale, page_size, buffer_kb)
 
     headers = ["disks", "busiest-disk accesses", "scheduled time",
                "speedup (balanced)", "speedup (scheduled)"]
@@ -353,6 +400,15 @@ def ablation_parallel_io(scale: Optional[float] = None,
                "the depth-first schedule produces same-disk runs."])
 
 
+def within_distance(radius: float, scale: Optional[float],
+                    page_size: int = 4096,
+                    buffer_kb: float = 128.0) -> JoinResult:
+    """One cell of the distance-join ablation: test A's trees joined
+    within *radius*."""
+    return distance_join(*test_trees("A", page_size, scale), radius,
+                         buffer_kb=buffer_kb)
+
+
 def ablation_distance_join(scale: Optional[float] = None,
                            page_size: int = 4096,
                            buffer_kb: float = 128.0) -> ExperimentReport:
@@ -362,19 +418,13 @@ def ablation_distance_join(scale: Optional[float] = None,
     MBR-spatial-join; the table shows how result size, comparisons and
     I/O scale with the search radius (in fractions of the world side).
     """
-    from ..core.distance import distance_join
-    from ..data.synthetic import DEFAULT_WORLD
-    tree_r, tree_s = test_trees("A", page_size, scale)
-    world_side = DEFAULT_WORLD.width
-
     headers = ["distance (world)", "pairs", "comparisons",
                "disk accesses"]
     rows = []
     data: Dict[float, dict] = {}
     for fraction in (0.0, 0.0005, 0.002, 0.008):
-        radius = world_side * fraction
-        result = distance_join(tree_r, tree_s, radius,
-                               buffer_kb=buffer_kb)
+        result = within_distance(DEFAULT_WORLD.width * fraction, scale,
+                                 page_size, buffer_kb)
         data[fraction] = {"pairs": len(result),
                           "comparisons": result.stats.comparisons.total,
                           "accesses": result.stats.disk_accesses}
@@ -402,8 +452,6 @@ def ablation_planner(scale: Optional[float] = None,
     chosen algorithm's time over the best fixed time — 1.00x means the
     planner found the winner without running anything.
     """
-    from ..core.spec import JoinSpec
-    from ..plan import plan_join
     headers = ["test", "chosen", "auto time", "best fixed", "best time",
                "regret"]
     candidates = ("sj1", "sj2", "sj3", "sj4", "sj5")
@@ -435,18 +483,3 @@ def ablation_planner(scale: Optional[float] = None,
         notes=["The planner sees only tree statistics (level profiles, "
                "page counts), never the data; a regret of 1.00x means "
                "it picked the empirically fastest algorithm anyway."])
-
-
-ABLATIONS = {
-    "ablation-pinning": ablation_pinning,
-    "ablation-pathbuffer": ablation_pathbuffer,
-    "ablation-rtree-variant": ablation_rtree_variant,
-    "ablation-bulk-loading": ablation_bulk_loading,
-    "ablation-sweep-crossover": ablation_sweep_crossover,
-    "ablation-refinement": ablation_refinement,
-    "ablation-estimator": ablation_estimator,
-    "ablation-parallel-io": ablation_parallel_io,
-    "ablation-window-queries": ablation_window_queries,
-    "ablation-distance-join": ablation_distance_join,
-    "ablation-planner": ablation_planner,
-}

@@ -1,7 +1,7 @@
 """One function per exhibit of the paper's evaluation.
 
-Each function runs (or recalls from the cache) the joins behind one
-table or figure and renders an :class:`ExperimentReport` whose rows
+Each function runs (or recalls from the runner's memo) the joins behind
+one table or figure and renders an :class:`ExperimentReport` whose rows
 mirror the paper's layout.  Absolute numbers differ — the data is a
 synthetic TIGER substitute at ``REPRO_SCALE`` of the paper's
 cardinality — but the orderings, gain ranges and trends are the claims
@@ -37,6 +37,13 @@ def _estimate_seconds(outcome: JoinOutcome,
     io = PAPER_COST_MODEL.io_seconds(outcome.disk_accesses,
                                      outcome.page_size)
     return cpu, io
+
+
+def modelled_time(outcome: JoinOutcome) -> Dict[str, float]:
+    """One cell of Figures 2 and 8: a join's counters priced by the
+    paper's model."""
+    cpu, io = _estimate_seconds(outcome)
+    return {"cpu": cpu, "io": io, "total": cpu + io}
 
 
 # ----------------------------------------------------------------------
@@ -122,11 +129,10 @@ def figure2(scale: Optional[float] = None) -> ExperimentReport:
     for buffer_kb in BUFFER_SIZES_KB:
         row = [f"{buffer_kb:g} KByte"]
         for page_size in PAGE_SIZES:
-            outcome = run_join("A", page_size, buffer_kb, "sj1", scale)
-            cpu, io = _estimate_seconds(outcome)
-            data[(buffer_kb, page_size)] = {
-                "cpu": cpu, "io": io, "total": cpu + io}
-            row.append(f"{cpu + io:.1f}s")
+            cell = modelled_time(
+                run_join("A", page_size, buffer_kb, "sj1", scale))
+            data[(buffer_kb, page_size)] = cell
+            row.append(f"{cell['total']:.1f}s")
         rows.append(row)
     split_row = ["I/O share (128 KByte)"]
     for page_size in PAGE_SIZES:
@@ -374,11 +380,10 @@ def figure8(scale: Optional[float] = None) -> ExperimentReport:
     for buffer_kb in BUFFER_SIZES_KB:
         row = [f"{buffer_kb:g} KByte"]
         for page_size in PAGE_SIZES:
-            outcome = run_join("A", page_size, buffer_kb, "sj4", scale)
-            cpu, io = _estimate_seconds(outcome)
-            data[(buffer_kb, page_size)] = {
-                "cpu": cpu, "io": io, "total": cpu + io}
-            row.append(f"{cpu + io:.1f}s")
+            cell = modelled_time(
+                run_join("A", page_size, buffer_kb, "sj4", scale))
+            data[(buffer_kb, page_size)] = cell
+            row.append(f"{cell['total']:.1f}s")
         rows.append(row)
     split_row = ["I/O share (128 KByte)"]
     for page_size in PAGE_SIZES:
@@ -556,21 +561,3 @@ def scaling(scales: Tuple[float, ...] = (0.03, 0.06, 0.125),
         "mildly) as the data volume rises; a factor that collapsed at "
         "larger scales would signal a scale artifact.")
     return report
-
-
-#: Exhibit registry for the CLI.
-EXHIBITS = {
-    "table1": table1,
-    "table2": table2,
-    "table3": table3,
-    "table4": table4,
-    "table5": table5,
-    "table6": table6,
-    "table7": table7,
-    "table8": table8,
-    "figure2": figure2,
-    "figure8": figure8,
-    "figure9": figure9,
-    "figure10": figure10,
-    "scaling": scaling,
-}

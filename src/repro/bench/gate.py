@@ -1,6 +1,6 @@
-"""Run, compare, gate, and rank the experiment matrix.
+"""Run, compare and gate the experiment matrix.
 
-The four verbs behind ``repro bench``:
+The three verbs behind ``repro bench``:
 
 * :func:`run_experiments` — compute the selected registry entries'
   rows in this process (the CLI writes them to a scratch file;
@@ -9,31 +9,32 @@ The four verbs behind ``repro bench``:
 * :func:`compare_rows` — diff a fresh row file against the committed
   ``BENCH_join.json`` baseline, producing one :class:`Delta` per
   matched row.
-* gate exit code — nonzero when a declared deterministic counter
-  differs from (or is absent on either side of) the baseline, a
-  selected row went missing, or a row computation failed.
-* :func:`rank_components` — the component-impact report: every
-  :data:`~repro.bench.registry.COMPONENTS` contrast found in the
-  committed rows, ranked by measured impact factor.
+* gate exit code — nonzero when any counter differs from (or is absent
+  on either side of) the baseline, a selected row went missing, a row
+  names a bench the registry does not, or a row computation failed.
 
-The gate judges *counts*, never milliseconds: a deterministic counter
-is identical on every run of the same code over the same seeds, on
-either kernel backend, so the comparison is plain equality.
-Wall time is measured by ``perf/`` (see ``perf/README.md``).
+The gate judges *counts*, never milliseconds: every counter in a row is
+identical on every run of the same code over the same seeds, on either
+kernel backend, so the comparison is plain equality of the two
+``counters`` dicts.  Wall time is measured by ``perf/`` (see
+``perf/README.md``).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
+import sys
 import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .envinfo import describe, environment_fingerprint
-from .registry import BY_BENCH, COMPONENTS, Component, Experiment
+from ..rtree.columns import use_numpy
+from . import runner
+from .registry import BY_BENCH, Experiment
 from .rows import load_rows, new_row, row_key, upsert_rows
 
 _OK_STATUSES = ("ok", "new")
@@ -71,20 +72,25 @@ def run_experiments(experiments: Sequence[Experiment],
                     ) -> List[RunOutcome]:
     """Compute every experiment's row(s) in this process.
 
-    A row computation that raises (its own sanity asserts included) is
-    reported, not raised — the gate turns it into a failure.
+    A row computation that raises (its own sanity asserts included)
+    or returns a row with nothing to compare is reported, not raised —
+    the gate turns it into a failure.  The runner's memo is emptied
+    before each experiment, so every row builds its own trees.
     """
     outcomes: List[RunOutcome] = []
     for experiment in experiments:
         start = time.perf_counter()
         rows: List[Dict[str, Any]] = []
         error = ""
+        runner.forget()
         try:
             rows = [new_row(experiment.bench, params, counters)
                     for params, counters in experiment.row()]
         except Exception as exc:  # noqa: BLE001 — reported per row
             error = f"{type(exc).__name__}: {exc}"
             log(traceback.format_exc())
+        if not all(row["counters"] for row in rows):
+            error = "a row without counters gates nothing"
         outcome = RunOutcome(experiment, time.perf_counter() - start,
                              rows, error)
         outcomes.append(outcome)
@@ -116,7 +122,7 @@ class Delta:
 
     bench: str
     params: str                      # canonical params JSON
-    status: str                      # ok|counter-drift|missing|new
+    status: str          # ok|counter-drift|missing|new|unregistered
     detail: str = ""
 
     @property
@@ -147,7 +153,8 @@ def compare_rows(baseline: Sequence[Dict[str, Any]],
     Only rows whose bench appears in *fresh* (or in *benches*, when
     given) are considered — the baseline holds the full matrix while a
     smoke run refreshes a subset.  Each matched row gets an exact
-    comparison of its experiment's declared deterministic counters.
+    comparison of its whole ``counters`` dict; a fresh row of a bench
+    the registry does not declare (a stale or hand-edited file) fails.
     """
     scope = set(benches) if benches is not None else \
         {row.get("bench") for row in fresh}
@@ -159,7 +166,12 @@ def compare_rows(baseline: Sequence[Dict[str, Any]],
     deltas: List[Delta] = []
     for key, fresh_row in fresh_by_key.items():
         base_row = base_by_key.get(key)
-        if base_row is None:
+        if key[0] not in BY_BENCH:
+            deltas.append(Delta(
+                key[0], key[1], "unregistered",
+                detail=f"{key[0]!r} is not a bench of "
+                       f"repro.bench.registry.EXPERIMENTS"))
+        elif base_row is None:
             deltas.append(Delta(key[0], key[1], "new",
                                 detail="no baseline row yet"))
         else:
@@ -174,13 +186,12 @@ def compare_rows(baseline: Sequence[Dict[str, Any]],
 def _delta_of(key: Tuple[str, str], base: Dict[str, Any],
               fresh: Dict[str, Any]) -> Delta:
     bench, params = key
-    experiment = BY_BENCH.get(bench)
     base_counters = base.get("counters") or {}
     fresh_counters = fresh.get("counters") or {}
     drifted = []
-    # An absent declared counter is drift too: renaming or dropping a
-    # counter must not silently un-gate it.
-    for name in experiment.deterministic if experiment else ():
+    # A counter absent from one side is drift too: renaming, dropping
+    # or adding a counter must show up in the committed file.
+    for name in sorted(set(base_counters) | set(fresh_counters)):
         if name not in base_counters:
             drifted.append(f"{name} missing from the baseline row")
         elif name not in fresh_counters:
@@ -201,8 +212,8 @@ def render_delta_table(comparison: Comparison) -> str:
         lines.append(f"{d.bench:<28} {d.status:<14} {d.params}")
         if d.detail and d.status != "ok":
             lines.append(f"    {d.detail}")
-    lines.append(f"{len(comparison.deltas)} row(s) compared on their "
-                 f"declared deterministic counters; "
+    lines.append(f"{len(comparison.deltas)} row(s) compared counter "
+                 f"for counter; "
                  f"{len(comparison.failures)} failure(s)")
     return "\n".join(lines)
 
@@ -218,95 +229,9 @@ def comparison_to_json(comparison: Comparison) -> Dict[str, Any]:
     }
 
 
-# ----------------------------------------------------------------------
-# rank
-# ----------------------------------------------------------------------
-
-@dataclass
-class ComponentImpact:
-    """One component contrast evaluated on one committed row."""
-
-    component: Component
-    params: str
-    on_value: float
-    off_value: float
-
-    @property
-    def impact(self) -> float:
-        """Speedup factor the component buys (>= 1 means it helps)."""
-        if self.component.kind == "rate":
-            return self.on_value / self.off_value if self.off_value \
-                else 0.0
-        return self.off_value / self.on_value if self.on_value else 0.0
-
-
-def rank_components(rows: Sequence[Dict[str, Any]]
-                    ) -> Tuple[List[ComponentImpact], List[Component]]:
-    """Evaluate every declared component contrast over committed rows.
-
-    Returns the found impacts (sorted by impact, descending) and the
-    components whose contrast counters are absent — a signal that the
-    baseline predates the instrumented bench and needs a refresh.
-    """
-    by_bench: Dict[str, List[Dict[str, Any]]] = {}
-    for row in rows:
-        by_bench.setdefault(row.get("bench", ""), []).append(row)
-    impacts: List[ComponentImpact] = []
-    missing: List[Component] = []
-    for component in COMPONENTS:
-        found = False
-        for row in by_bench.get(component.bench, ()):
-            counters = row.get("counters") or {}
-            on = counters.get(component.on)
-            off = counters.get(component.off)
-            if isinstance(on, (int, float)) \
-                    and isinstance(off, (int, float)) and on and off:
-                impacts.append(ComponentImpact(
-                    component, row_key(row)[1], float(on),
-                    float(off)))
-                found = True
-        if not found:
-            missing.append(component)
-    impacts.sort(key=lambda i: i.impact, reverse=True)
-    return impacts, missing
-
-
-def render_rank_table(impacts: Sequence[ComponentImpact],
-                      missing: Sequence[Component]) -> str:
-    """The ranked component-impact report."""
-    lines = ["component impact (committed BENCH_join.json baseline; "
-             "factor = speedup the component buys)",
-             f"{'component':<14} {'impact':>8}  {'on':>12} "
-             f"{'off':>12}  source",
-             "-" * 76]
-    for item in impacts:
-        c = item.component
-        unit = "req/s" if c.kind == "rate" else "ms"
-        lines.append(
-            f"{c.key:<14} {item.impact:>7.2f}x  "
-            f"{item.on_value:>9.1f} {unit:<3} "
-            f"{item.off_value:>9.1f} {unit:<3} "
-            f"{c.bench} {item.params}")
-        lines.append(f"    {c.note}")
-    for c in missing:
-        lines.append(f"{c.key:<14} {'n/a':>8}  baseline row of "
-                     f"{c.bench!r} lacks {c.on}/{c.off} — refresh the "
-                     f"baseline (repro bench run --update-baseline)")
-    return "\n".join(lines)
-
-
-def rank_to_json(impacts: Sequence[ComponentImpact],
-                 missing: Sequence[Component]) -> Dict[str, Any]:
-    return {
-        "components": [{
-            "component": i.component.key, "bench": i.component.bench,
-            "impact": round(i.impact, 3), "on": i.on_value,
-            "off": i.off_value, "kind": i.component.kind,
-            "params": json.loads(i.params) if i.params else {},
-        } for i in impacts],
-        "missing": [c.key for c in missing],
-    }
-
-
 def current_environment_line() -> str:
-    return f"environment: {describe(environment_fingerprint())}"
+    """What ``bench run`` logs about this process (never written to a
+    row: the counters are the same on every platform and backend)."""
+    return (f"environment: {sys.platform} {platform.machine()} "
+            f"{'numpy' if use_numpy() else 'stdlib'} "
+            f"py{platform.python_version()}")

@@ -1,16 +1,19 @@
 """The bench-row file: one row's shape, its key, and the upsert.
 
 ``repro bench run`` writes — and ``BENCH_join.json`` at the repository
-root holds — a sorted JSON array of rows ``{"schema", "created",
-"bench", "params", "counters", "env"}``, upserted on the key ``(bench,
-canonical params)`` so that re-emitting a row replaces it and the
-committed file stays a stable snapshot of the whole matrix
-(docs/benchmarking.md walks through a row and the schema history).
+root holds — a sorted JSON array of rows ``{"schema", "bench",
+"params", "counters"}``, upserted on the key ``(bench, canonical
+params)`` so that re-emitting a row replaces it and the committed file
+stays a stable snapshot of the whole matrix (docs/benchmarking.md walks
+through a row and the schema history).  A row holds nothing that
+differs between two runs of the same code — when and where it was
+computed is in the git history of the file — so refreshing the file on
+unchanged code rewrites it byte for byte.
 
 Rows loaded from an existing file are validated: a parseable file that
-contains rows missing ``schema``/``created``/``bench``, or rows of an
-older schema, is rejected with a :class:`ValueError` instead of being
-silently rewritten (an unparseable file is still treated as absent —
+contains rows missing ``schema``/``bench``, or rows of an older schema,
+is rejected with a :class:`ValueError` instead of being silently
+rewritten (an unparseable file is still treated as absent —
 half-written scratch files must not wedge a bench run).
 """
 
@@ -18,16 +21,13 @@ from __future__ import annotations
 
 import json
 import os
-from datetime import datetime, timezone
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from .envinfo import environment_fingerprint
-
 #: Row-shape version; bump when adding or renaming row fields.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: Fields every row must carry (validated on load).
-REQUIRED_FIELDS = ("schema", "created", "bench", "params", "counters")
+REQUIRED_FIELDS = ("schema", "bench", "params", "counters")
 
 
 def canonical_params(params: Any) -> Any:
@@ -59,12 +59,9 @@ def row_key(row: Dict[str, Any]) -> Tuple[str, str]:
 
 def new_row(bench: str, params: Dict[str, Any],
             counters: Dict[str, Any]) -> Dict[str, Any]:
-    """One row, stamped with the schema, the time and this process's
-    environment fingerprint."""
-    created = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    return {"schema": SCHEMA_VERSION, "created": created,
-            "bench": bench, "params": canonical_params(params),
-            "counters": counters, "env": environment_fingerprint()}
+    """One row, stamped with the schema."""
+    return {"schema": SCHEMA_VERSION, "bench": bench,
+            "params": canonical_params(params), "counters": counters}
 
 
 def validate_row(row: Any) -> Optional[str]:
@@ -92,8 +89,8 @@ def load_rows(path: str) -> List[Dict[str, Any]]:
     """Load and validate a bench-row file.
 
     Raises :class:`ValueError` when the file parses but holds malformed
-    rows — rows missing ``schema``/``created`` must be fixed (or the
-    file regenerated), not silently rewritten.
+    rows — rows missing ``schema`` must be fixed (or the file
+    regenerated), not silently rewritten.
     """
     with open(path) as handle:
         rows = json.load(handle)

@@ -1,33 +1,39 @@
-"""Experiment execution: tree building, join running, memoization.
+"""Experiment execution: tree building, the one counted join, the memo.
 
 Determinism policy: every join runs on trees whose nodes are physically
 in plane-sweep order (the paper's "insert and delete algorithms maintain
 the nodes sorted" regime, Section 4.2).  The one-time sorting cost is
 measured separately (:func:`presort_cost`) and reported where Table 4
-asks for it.  This makes every cached counter independent of the order
-in which experiments run.
+asks for it.  This makes every memoized counter independent of the
+order in which experiments run.
+
+The memo lives in this process only: one ``repro bench all`` or one
+pytest session builds each tree and runs each join once, and nothing
+outlives the code that computed it.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.context import JoinContext, counted_sort_cost
+from ..core.context import counted_sort_cost
+from ..core.planner import spatial_join
+from ..core.spec import JoinSpec
 from ..data.datasets import effective_scale, load_test
-from ..plan.registry import make_algorithm
 from .. import rtree
 from ..rtree.base import RTreeBase
 from ..rtree.params import RTreeParams
 from ..rtree.stats import TreeProperties, tree_properties
-from .cache import cached
 
 RectRecord = Tuple
 
 
 @dataclass(frozen=True)
 class JoinOutcome:
-    """Flat, cache-friendly record of one join's counters."""
+    """Flat record of one join's counters (what ``repro bench table2
+    --json`` prints per cell)."""
 
     algorithm: str
     test: str
@@ -58,32 +64,49 @@ def build_tree(records: List[RectRecord], page_size: int,
                             variant)
 
 
-# In-process tree cache so one bench module unpickles each tree once.
-_TREES: Dict[str, RTreeBase] = {}
+#: (test, side, scale, page size, variant, presorted) -> tree.  The
+#: natural-order and the presorted tree of a key are distinct objects:
+#: SJ1/SJ2 read nodes in insertion order, so handing them a tree a
+#: sweep join has sorted would move their disk accesses.
+_TREES: Dict[tuple, RTreeBase] = {}
+#: (test, scale, page size, variant, JoinSpec) -> counters.
+_JOINS: Dict[tuple, JoinOutcome] = {}
+
+
+def forget() -> None:
+    """Empty the memo: the next tree is built and the next join run by
+    the code as it is now (``repro bench run`` does this before every
+    row, so no row depends on which rows ran before it)."""
+    _TREES.clear()
+    _JOINS.clear()
+
+
+def _tree(test: str, side: str, page_size: int, scale: float,
+          variant: str, presorted: bool) -> RTreeBase:
+    key = (test, side, scale, page_size, variant, presorted)
+    if key not in _TREES:
+        if presorted:
+            tree = copy.deepcopy(_tree(test, side, page_size, scale,
+                                       variant, presorted=False))
+            tree.sort_all_nodes()
+        else:
+            pair = load_test(test, scale)
+            dataset = pair.r if side == "r" else pair.s
+            tree = build_tree(dataset.records, page_size, variant)
+        _TREES[key] = tree
+    return _TREES[key]
 
 
 def test_tree(test: str, side: str, page_size: int,
               scale: Optional[float] = None,
               variant: str = "rstar") -> RTreeBase:
-    """The (cached) tree of one side of one of the paper's tests A–E.
+    """The (memoized) tree of one side of one of the paper's tests A–E.
 
     Nodes are returned physically sorted by lower x (see module
     docstring).
     """
-    scale_value = effective_scale(scale)
-    key = f"{test}-{side}-{scale_value}-{page_size}-{variant}"
-    if key in _TREES:
-        return _TREES[key]
-
-    def build() -> RTreeBase:
-        pair = load_test(test, scale_value)
-        dataset = pair.r if side == "r" else pair.s
-        return build_tree(dataset.records, page_size, variant)
-
-    tree = cached("tree", key, build)
-    tree.sort_all_nodes()
-    _TREES[key] = tree
-    return tree
+    return _tree(test, side, page_size, effective_scale(scale), variant,
+                 presorted=True)
 
 
 def test_trees(test: str, page_size: int, scale: Optional[float] = None,
@@ -97,64 +120,42 @@ def presort_cost(test: str, page_size: int,
                  scale: Optional[float] = None,
                  variant: str = "rstar") -> int:
     """Comparisons needed to sort every node of both trees once
-    (the Table 4 "sorting" rows), measured on freshly built trees."""
-    scale_value = effective_scale(scale)
-    key = f"{test}-{scale_value}-{page_size}-{variant}"
-
-    def compute() -> int:
-        pair = load_test(test, scale_value)
-        total = 0
-        for dataset in (pair.r, pair.s):
-            tree_key = (f"{test}-{'r' if dataset is pair.r else 's'}-"
-                        f"{scale_value}-{page_size}-{variant}")
-            tree = cached("tree", tree_key,
-                          lambda d=dataset: build_tree(d.records,
-                                                       page_size, variant))
-            for node in tree.iter_nodes():
-                if not node.sorted_by_xl:
-                    total += counted_sort_cost(node.entries)
-        return total
-
-    return cached("presort", key, compute)
+    (the Table 4 "sorting" rows), measured on the natural-order trees."""
+    total = 0
+    for side in "rs":
+        tree = _tree(test, side, page_size, effective_scale(scale),
+                     variant, presorted=False)
+        for node in tree.iter_nodes():
+            if not node.sorted_by_xl:
+                total += counted_sort_cost(node.entries)
+    return total
 
 
 def run_join(test: str, page_size: int, buffer_kb: float,
              algorithm: str, scale: Optional[float] = None,
-             height_policy: str = "b", sort_mode: str = "maintained",
-             use_path_buffer: bool = True,
-             variant: str = "rstar") -> JoinOutcome:
-    """Run (or recall) one join configuration and return its counters."""
+             variant: str = "rstar", **spec: Any) -> JoinOutcome:
+    """Run (or recall) one counted join: ``spatial_join`` under
+    ``JoinSpec(algorithm, buffer_kb, **spec)`` on the trees of *test*."""
+    join_spec = JoinSpec(algorithm=algorithm, buffer_kb=buffer_kb, **spec)
     scale_value = effective_scale(scale)
-    key = (f"{test}-{scale_value}-{page_size}-{buffer_kb}-{algorithm}-"
-           f"{height_policy}-{sort_mode}-pb{int(use_path_buffer)}-{variant}")
-
-    def compute() -> JoinOutcome:
+    key = (test, scale_value, page_size, variant, join_spec)
+    if key not in _JOINS:
         # SJ1/SJ2 never sort, so they run on the natural insertion-order
         # nodes exactly as in the paper; the sweep algorithms run on
         # maintained-sorted nodes (or natural nodes under sort-on-read).
-        nested_loop_algorithm = algorithm in ("sj1", "sj2")
-        if sort_mode == "on_read" or nested_loop_algorithm:
-            tree_r = _natural_tree(test, "r", page_size, scale_value,
-                                   variant)
-            tree_s = _natural_tree(test, "s", page_size, scale_value,
-                                   variant)
-        else:
-            tree_r, tree_s = test_trees(test, page_size, scale_value,
-                                        variant)
-        ctx = JoinContext(tree_r, tree_s, buffer_kb=buffer_kb,
-                          use_path_buffer=use_path_buffer,
-                          sort_mode=sort_mode)
-        algo = make_algorithm(algorithm, height_policy=height_policy)
-        result = algo.run(ctx)
-        stats = result.stats
-        return JoinOutcome(
+        presorted = (join_spec.sort_mode == "maintained"
+                     and join_spec.algorithm not in ("sj1", "sj2"))
+        tree_r, tree_s = (_tree(test, side, page_size, scale_value,
+                                variant, presorted) for side in "rs")
+        stats = spatial_join(tree_r, tree_s, spec=join_spec).stats
+        _JOINS[key] = JoinOutcome(
             algorithm=stats.algorithm,
             test=test,
             page_size=page_size,
-            buffer_kb=buffer_kb,
-            height_policy=height_policy,
-            sort_mode=sort_mode,
-            use_path_buffer=use_path_buffer,
+            buffer_kb=join_spec.buffer_kb,
+            height_policy=join_spec.height_policy,
+            sort_mode=join_spec.sort_mode,
+            use_path_buffer=join_spec.use_path_buffer,
             variant=variant,
             disk_accesses=stats.io.disk_reads,
             lru_hits=stats.io.lru_hits,
@@ -164,30 +165,7 @@ def run_join(test: str, page_size: int, buffer_kb: float,
             pairs=stats.pairs_output,
             node_pairs=stats.node_pairs,
         )
-
-    return cached("join", key, compute)
-
-
-# Natural-order trees are kept separately: joins never sort them, so the
-# instances can be shared in-process like the sorted ones.
-_TREES_NATURAL: Dict[str, RTreeBase] = {}
-
-
-def _natural_tree(test: str, side: str, page_size: int,
-                  scale: float, variant: str) -> RTreeBase:
-    """A tree with nodes in natural insertion order (no sweep presort)."""
-    key = f"{test}-{side}-{scale}-{page_size}-{variant}"
-    if key in _TREES_NATURAL:
-        return _TREES_NATURAL[key]
-
-    def build() -> RTreeBase:
-        pair = load_test(test, scale)
-        dataset = pair.r if side == "r" else pair.s
-        return build_tree(dataset.records, page_size, variant)
-
-    tree = cached("tree", key, build)
-    _TREES_NATURAL[key] = tree
-    return tree
+    return _JOINS[key]
 
 
 def test_properties(test: str, page_size: int,

@@ -25,7 +25,6 @@ Usage examples::
     repro bench all
     repro bench gate --tier smoke
     repro bench run --tier full --update-baseline
-    repro bench rank
     repro serve --db catalog/ --slow-ms 250
     repro shard plan --db catalog/ --shards 4
     repro shard serve --db catalog/ --shards 4 --port 7500
@@ -44,8 +43,7 @@ import tempfile
 import time
 from typing import List, Optional
 
-from .bench.ablations import ABLATIONS
-from .bench.experiments import EXHIBITS
+from .bench.registry import REPORTS
 from .core.knn import NearestNeighborEngine
 from .core.planner import execute_plan
 from .core.spec import JoinSpec
@@ -342,19 +340,18 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = commands.add_parser(
         "bench", help="regenerate one of the paper's exhibits, or "
                       "drive the experiment matrix: run / compare / "
-                      "gate / rank")
+                      "gate")
     bench.add_argument("target",
-                       choices=sorted({**EXHIBITS, **ABLATIONS})
+                       choices=sorted(REPORTS)
                        + ["all", "all-ablations",
-                          "run", "compare", "gate", "rank"],
+                          "run", "compare", "gate"],
                        help="an exhibit name ('all' / 'all-ablations' "
                             "for every one), or a matrix verb: 'run' "
                             "computes the registered gate rows, "
                             "'compare' diffs fresh rows' "
                             "deterministic counters against the "
                             "baseline, 'gate' runs + compares and "
-                            "exits nonzero on counter drift, 'rank' "
-                            "prints the component-impact report")
+                            "exits nonzero on counter drift")
     bench.add_argument("--scale", type=float, default=None,
                        help="REPRO_SCALE for exhibits (gate rows pin "
                             "their own scale)")
@@ -996,19 +993,17 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.target in ("run", "compare", "gate", "rank"):
+    if args.target in ("run", "compare", "gate"):
         return _cmd_bench_matrix(args)
-    registry = {**EXHIBITS, **ABLATIONS}
-    groups = {"all": sorted(EXHIBITS),
-              "all-ablations": sorted(ABLATIONS)}
+    ablations = [name for name in sorted(REPORTS)
+                 if name.startswith("ablation-")]
+    groups = {"all": sorted(set(REPORTS) - set(ablations)),
+              "all-ablations": ablations}
     names = groups.get(args.target, [args.target])
     payloads = []
     for name in names:
         started = time.perf_counter()
-        if args.scale is not None:
-            report = registry[name](scale=args.scale)
-        else:
-            report = registry[name]()
+        report = REPORTS[name](scale=args.scale)
         if args.json:
             payloads.append({
                 "exhibit": report.exhibit,
@@ -1030,21 +1025,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_matrix(args: argparse.Namespace) -> int:
-    """The experiment-matrix verbs: run / compare / gate / rank."""
+    """The experiment-matrix verbs: run / compare / gate."""
     from .bench import gate as harness
     from .bench.registry import experiments_for
     from .bench.rows import load_rows, write_rows
 
     baseline = args.baseline or harness.default_baseline_path()
-
-    if args.target == "rank":
-        impacts, missing = harness.rank_components(load_rows(baseline))
-        if args.json:
-            print(json.dumps(harness.rank_to_json(impacts, missing),
-                             indent=2, sort_keys=True))
-        else:
-            print(harness.render_rank_table(impacts, missing))
-        return 0
 
     if args.target == "compare":
         if not args.fresh:

@@ -7,24 +7,28 @@ formatting, data dictionaries); the scientific assertions live in
 
 import pytest
 
-from repro.bench import ABLATIONS, EXHIBITS
+from repro.bench import REPORTS
+from repro.cli import main
 
 TINY = 0.004
+
+_ABLATION_NAMES = sorted(name for name in REPORTS
+                         if name.startswith("ablation-"))
+_EXHIBIT_NAMES = sorted(set(REPORTS) - set(_ABLATION_NAMES))
 
 
 @pytest.fixture(autouse=True)
 def hermetic(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
     monkeypatch.setenv("REPRO_SCALE", str(TINY))
-    # The runner keeps per-process tree caches keyed by scale, so the
-    # tiny scale never collides with other tests' trees.
+    # The runner's memo is keyed by scale, so the tiny scale never
+    # collides with other tests' trees.
 
 
-@pytest.mark.parametrize("name", sorted(EXHIBITS))
+@pytest.mark.parametrize("name", _EXHIBIT_NAMES)
 def test_exhibit_renders(name):
     if name == "table7":
         pytest.skip("table7 needs a height difference; covered below")
-    report = EXHIBITS[name](scale=TINY)
+    report = REPORTS[name](scale=TINY)
     text = report.render()
     assert report.exhibit.lower().replace(" ", "") == name
     assert report.rows
@@ -36,20 +40,16 @@ def test_table7_probes_page_size():
     # At tiny scale test C's trees may share heights for the paper page
     # sizes; accept either a valid report or the documented error.
     try:
-        report = EXHIBITS["table7"](scale=TINY)
+        report = REPORTS["table7"](scale=TINY)
     except RuntimeError as exc:
         assert "height" in str(exc)
     else:
         assert report.rows
 
 
-@pytest.mark.parametrize("name", sorted(ABLATIONS))
+@pytest.mark.parametrize("name", _ABLATION_NAMES)
 def test_ablation_renders(name):
-    if name == "ablation-sweep-crossover":
-        # Purely synthetic; takes no scale parameter.
-        report = ABLATIONS[name](sizes=(8, 16, 32))
-    else:
-        report = ABLATIONS[name](scale=TINY)
+    report = REPORTS[name](scale=TINY)
     assert report.rows
     assert report.data
     assert report.render()
@@ -61,3 +61,11 @@ def test_bench_cli_main(capsys):
     out = capsys.readouterr().out
     assert "sweep" in out.lower()
     assert "[ablation-sweep-crossover" in out
+
+
+def test_every_report_takes_scale(capsys):
+    """``--scale`` reaches every report the same way — the synthetic
+    sweep crossover, which has no dataset, included."""
+    assert main(["bench", "ablation-sweep-crossover",
+                 "--scale", "0.02"]) == 0
+    assert "sweep" in capsys.readouterr().out.lower()

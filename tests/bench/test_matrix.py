@@ -1,15 +1,16 @@
 """The gate in tier-1: smoke rows recomputed in-process.
 
-Every smoke-tier row that declares deterministic counters is computed
-here exactly as ``repro bench gate --tier smoke`` computes it and must
-equal the committed ``BENCH_join.json`` row on those counters — on
-either column backend (``REPRO_NO_NUMPY=1`` runs this file too).
+Every smoke-tier row is computed here exactly as ``repro bench gate
+--tier smoke`` computes it and its ``counters`` dict must equal the
+committed ``BENCH_join.json`` row's key for key — on either column
+backend (``REPRO_NO_NUMPY=1`` runs this file too).
 """
 
 import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -17,7 +18,7 @@ import pytest
 
 from repro.bench import matrix
 from repro.bench.gate import run_experiments
-from repro.bench.matrix import JoinRow
+from repro.bench.matrix import join_row
 from repro.bench.registry import (BY_BENCH, EXPERIMENTS, Experiment,
                                   experiments_for)
 from repro.bench.rows import (canonical_params, load_rows, row_key,
@@ -32,7 +33,7 @@ _BASELINE = os.path.join(_ROOT, "BENCH_join.json")
 
 COMMITTED = {row_key(row): row for row in load_rows(_BASELINE)}
 
-SMOKE = [e.bench for e in experiments_for("smoke") if e.deterministic]
+SMOKE = [e.bench for e in experiments_for("smoke")]
 
 
 def _baseline_sha():
@@ -40,86 +41,81 @@ def _baseline_sha():
         return hashlib.sha256(handle.read()).hexdigest()
 
 
-def _assert_matches_committed(experiment, params, counters):
-    key = row_key({"bench": experiment.bench, "params": params})
-    assert key in COMMITTED, f"no committed row {key}"
-    committed = COMMITTED[key]["counters"]
-    assert {name: counters[name] for name in experiment.deterministic} \
-        == {name: committed[name] for name in experiment.deterministic}
+def _assert_equals_committed(row):
+    assert row_key(row) in COMMITTED, f"no committed row {row_key(row)}"
+    assert row == COMMITTED[row_key(row)]
 
 
 @pytest.mark.parametrize("bench", SMOKE)
-def test_smoke_row_equals_committed_baseline(bench, tmp_path,
-                                             monkeypatch):
-    cache_dir = tmp_path / "bench_cache"
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    experiment = BY_BENCH[bench]
-    produced = experiment.row()
-    assert produced, bench
-    for params, counters in produced:
-        _assert_matches_committed(experiment, params, counters)
-    assert not cache_dir.exists()       # a row never touches the memo
+def test_smoke_row_equals_committed_baseline(bench):
+    """The whole row, so an extra, missing or renamed counter fails —
+    no list of gated names to forget a counter in."""
+    (outcome,) = run_experiments([BY_BENCH[bench]])
+    assert outcome.ok, outcome.error
+    for row in outcome.rows:
+        _assert_equals_committed(row)
 
 
 def test_smoke_tier_is_what_this_file_gates():
     assert len(SMOKE) >= 8
-    ungated = [e.bench for e in experiments_for("smoke")
-               if not e.deterministic]
-    assert ungated == ["ablation_planner"]   # informational row only
+    # 25 joins, ~16 s: gated by ``--tier full`` (CI's planner job).
+    assert BY_BENCH["ablation_planner"].tier == "full"
+
+
+def test_no_clock_in_the_committed_file():
+    """``perf/`` owns wall time: the file holds only what is identical
+    on every run, and the module that computes it reads no clock."""
+    for (bench, _), row in COMMITTED.items():
+        for name in row["counters"]:
+            assert not re.search(r"_(ms|rps)$|^speedup$", name), \
+                (bench, name)
+    with open(matrix.__file__) as handle:
+        source = handle.read()
+    assert "perf_counter" not in source and "import time" not in source
 
 
 def test_sweep_contrast_yields_a_row_per_available_backend(
         monkeypatch):
     """Both backends in one numpy process (the kernels dispatch per
-    instance), the stdlib row alone with numpy masked — counted by
-    ``sweep_contrast``, the floor-free half of the ``sweep_kernel`` row
-    (its 2x wall-clock floor is machine-dependent and stays out of
-    tier-1)."""
-    experiment = BY_BENCH["sweep_kernel"]
-    produced = matrix.sweep_contrast()
+    instance), the stdlib row alone with numpy masked."""
+    (outcome,) = run_experiments([BY_BENCH["sweep_kernel"]])
     expected = ["numpy", "stdlib"] if columns.use_numpy() else ["stdlib"]
-    assert [params["backend"] for params, _ in produced] == expected
-    for params, counters in produced:
-        _assert_matches_committed(experiment, params, counters)
-    assert len({(c["pairs"], c["comparisons"])
-                for _, c in produced}) == 1
+    assert [row["params"]["backend"] for row in outcome.rows] == expected
+    for row in outcome.rows:
+        _assert_equals_committed(row)
+    assert len({json.dumps(row["counters"], sort_keys=True)
+                for row in outcome.rows}) == 1
     # Masked: new columns are stdlib ``array`` buffers, one row.
     monkeypatch.setattr(matrix, "SWEEP_N", 1_500)
     previous = columns.force_stdlib(True)
     try:
-        masked = matrix.sweep_contrast()
+        masked = matrix.sweep_kernel()
     finally:
         columns.force_stdlib(previous)
     assert [params["backend"] for params, _ in masked] == ["stdlib"]
 
 
 def _join_rows():
-    return [e for e in EXPERIMENTS if isinstance(e.row, JoinRow)]
+    return [e for e in EXPERIMENTS
+            if getattr(e.row, "func", None) is join_row]
 
 
 @pytest.mark.parametrize("experiment", _join_rows(),
                          ids=lambda e: e.bench)
 def test_join_row_declaration_and_spec_agree(experiment):
-    """The declared fields are the spec's, every other field is the
-    ``JoinSpec`` default, and the row's params are the declaration —
-    which is the committed row's key."""
-    row = experiment.row
-    spec, default = row.join_spec(), JoinSpec()
-    for field in dataclasses.fields(JoinSpec):
-        expected = row.spec.get(field.name,
-                                getattr(default, field.name))
-        assert getattr(spec, field.name) == expected, field.name
-    assert set(row.spec) <= {f.name for f in dataclasses.fields(JoinSpec)}
-    assert row.params() == {
-        **row.spec, **{key: getattr(row, key) for key in row.keys}}
-    assert set(row.keys) <= {"test", "page_size"}
-    key = row_key({"bench": experiment.bench, "params": row.params()})
-    assert key in COMMITTED
-    if row.contrast is not None:
-        own_ms, other_ms, changes = row.contrast
-        JoinSpec(**{**row.spec, **changes})          # validates
-        assert {own_ms, other_ms} <= set(COMMITTED[key]["counters"])
+    """The declared fields are ``JoinSpec`` fields, the row's params
+    are the declaration next to the ``test`` / ``page_size`` it names
+    in ``keys`` — which is the committed row's key."""
+    (spec,), placed = experiment.row.args, experiment.row.keywords
+    assert dataclasses.replace(JoinSpec(), **spec) == JoinSpec(**spec)
+    assert set(placed) <= {"test", "page_size", "scale", "keys"}
+    keys = placed.get("keys", ())
+    assert set(keys) <= {"test", "page_size"}
+    defaults = {"test": "A", "page_size": 4096}
+    params = {**{key: placed.get(key, defaults[key]) for key in keys},
+              **spec}
+    assert row_key({"bench": experiment.bench, "params": params}) \
+        in COMMITTED
 
 
 def test_run_experiments_computes_once_and_stamps_rows():
@@ -147,8 +143,7 @@ def test_run_experiments_computes_once_and_stamps_rows():
     assert stamped["params"] == canonical_params({"knob": 7}) \
         and isinstance(stamped["params"]["knob"], int)
     assert stamped["counters"] == {"value": 42}
-    assert "wall_ms" not in stamped
-    assert stamped["env"]["backend"] in ("numpy", "stdlib")
+    assert sorted(stamped) == ["bench", "counters", "params", "schema"]
 
 
 def test_bench_run_writes_only_where_it_is_told(tmp_path, capsys):
@@ -165,7 +160,7 @@ def test_bench_run_writes_only_where_it_is_told(tmp_path, capsys):
 
 def test_claims_module_emits_nothing(tmp_path):
     before = _baseline_sha()
-    env = dict(os.environ, REPRO_NO_CACHE="1",
+    env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    [os.path.join(_ROOT, "src"),
                     os.environ.get("PYTHONPATH", "")]))

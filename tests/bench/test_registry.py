@@ -7,9 +7,7 @@ import os
 
 import pytest
 
-from repro.bench.ablations import ABLATIONS
-from repro.bench.experiments import EXHIBITS
-from repro.bench.registry import (BY_BENCH, COMPONENTS, EXPERIMENTS,
+from repro.bench.registry import (BY_BENCH, EXPERIMENTS, REPORTS,
                                   Experiment, experiments_for)
 
 _BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "..",
@@ -28,18 +26,20 @@ def _claims():
 
 
 def test_every_entry_has_a_report_or_a_row():
-    """An entry is (report, row, tier, counters) and nothing else: no
-    module file, no pinned scale, no environment variants."""
+    """An entry is (report, row, tier) and nothing else: no module
+    file, no pinned scale, no environment variants, no list of which
+    counters count."""
     assert [f.name for f in dataclasses.fields(Experiment)] == [
-        "bench", "report", "row", "tier", "deterministic"]
+        "bench", "report", "row", "tier"]
     for experiment in EXPERIMENTS:
         assert callable(experiment.row), experiment.bench
         assert experiment.report is None or callable(experiment.report)
-    # Every exhibit ``repro bench <name>`` prints is some entry's
-    # report, exactly once.
+    # ``repro bench <name>`` is derived from the entries: one name per
+    # report, none shared.
     reports = [e.report for e in EXPERIMENTS if e.report is not None]
-    assert sorted(map(id, reports)) == sorted(
-        map(id, {**EXHIBITS, **ABLATIONS}.values()))
+    assert len(REPORTS) == len(reports) == len(set(reports))
+    assert REPORTS["ablation-rtree-variant"] \
+        is BY_BENCH["ablation_rtree_variant"].report
 
 
 def test_claims_and_exhibits_agree_both_ways():
@@ -83,37 +83,11 @@ def test_only_selection_preserves_registry_order():
                                         "table3_restriction"]
 
 
-def test_component_contrasts_reference_registered_benches():
-    keys = set()
-    for component in COMPONENTS:
-        assert component.bench in BY_BENCH, component.key
-        assert component.kind in ("time", "rate")
-        assert component.on != component.off
-        keys.add(component.key)
-    # The ranked report covers at least the paper's optimization axes.
-    assert {"restriction", "sweep_layout", "presort", "pinning",
-            "planner", "wal_sync"} <= keys
-
-
 def test_committed_baseline_and_registry_agree_both_ways():
-    """An orphan row, a registered bench without a row, a declared
-    counter the row lacks, a leftover wall-clock field or a component
-    whose contrast is gone — each means a bench was retired or renamed
-    half-way."""
+    """An orphan row or a registered bench without a row means a bench
+    was retired or renamed half-way.  (Counter for counter, the file is
+    checked by recomputing it: ``tests/bench/test_matrix.py``.)"""
     with open(os.path.join(_BENCH_DIR, "..", "BENCH_join.json")) as f:
-        rows = json.load(f)
-    by_bench = {}
-    for row in rows:
-        assert row["bench"] in BY_BENCH, f"orphan row {row['bench']!r}"
-        assert "wall_ms" not in row, row["bench"]
-        declared = BY_BENCH[row["bench"]].deterministic
-        absent = [name for name in declared
-                  if name not in row["counters"]]
-        assert not absent, f"{row['bench']} row lacks {absent}"
-        by_bench.setdefault(row["bench"], []).append(row)
-    rowless = [e.bench for e in EXPERIMENTS if e.bench not in by_bench]
-    assert not rowless, f"registered but never emitted: {rowless}"
-    for component in COMPONENTS:
-        assert any(component.on in row["counters"]
-                   and component.off in row["counters"]
-                   for row in by_bench[component.bench]), component.key
+        committed = {row["bench"] for row in json.load(f)}
+    assert committed - set(BY_BENCH) == set(), "orphan rows"
+    assert set(BY_BENCH) - committed == set(), "registered, never emitted"

@@ -1,22 +1,18 @@
 """Integration tests for the experiment runner at tiny scale.
 
-The runner is exercised with caching disabled so the tests are
-hermetic; TINY keeps tree building fast.
+TINY keeps tree building fast; the runner's memo lives in the process,
+keyed by scale, so nothing here meets another test's trees.
 """
 
 import pytest
 
-from repro.bench import build_tree, optimum_accesses, presort_cost, run_join
+from repro.bench import (build_tree, optimum_accesses, presort_cost,
+                         run_join, runner)
 from repro.bench import test_properties as tree_census
 from repro.bench import test_trees as load_test_trees
 from tests.conftest import make_rects
 
 TINY = 0.004
-
-
-@pytest.fixture(autouse=True)
-def no_cache(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
 
 
 def test_build_tree_variants():
@@ -67,3 +63,24 @@ def test_on_read_join_uses_unsorted_trees():
     outcome = run_join("A", 1024, 8.0, "sj4", scale=TINY,
                        sort_mode="on_read")
     assert outcome.cmp_sort > 0
+
+
+def test_memo_is_order_independent():
+    """SJ1 reads nodes in insertion order and a ``maintained`` sweep
+    join sorts the nodes it visits in place, so the two must never
+    meet on one tree object: SJ1's counters are the same before and
+    after an SJ4 of the same (test, page size, scale)."""
+    runner.forget()
+    before = run_join("A", 1024, 8.0, "sj1", scale=TINY)
+    run_join("A", 1024, 8.0, "sj4", scale=TINY)
+    runner._JOINS.clear()           # recompute; keep the trees
+    assert run_join("A", 1024, 8.0, "sj1", scale=TINY) == before
+    natural = runner._tree("A", "r", 1024, TINY, "rstar",
+                           presorted=False)
+    assert natural is not load_test_trees("A", 1024, scale=TINY)[0]
+    assert not all(node.sorted_by_xl for node in natural.iter_nodes())
+
+
+def test_memo_runs_each_join_once():
+    first = run_join("A", 1024, 8.0, "sj4", scale=TINY)
+    assert run_join("A", 1024, 8, "SJ4", scale=TINY) is first
