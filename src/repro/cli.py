@@ -661,6 +661,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.data_dir:
         from .db.durability import DurabilityManager
 
+        # A fresh directory takes the read-only catalog as its first
+        # checkpoint; recovery below then opens it like any other.
+        seeded = _seed_data_dir(args.data_dir, args.db) if args.db else None
+        if seeded is not None:
+            print(f"seeded {seeded} object(s) from {args.db} "
+                  f"(checkpoint 1)", flush=True)
         db, durability = DurabilityManager.open(
             args.data_dir, sync=args.wal_sync,
             checkpoint_every=args.checkpoint_every, obs=obs)
@@ -671,15 +677,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"record(s) replayed, {info.truncated_bytes} torn "
               f"byte(s) truncated in {info.duration_ms:.1f} ms",
               flush=True)
-        if args.db and not db.relations:
-            # Fresh data directory: seed it from the read-only catalog
-            # through the durable hooks, so every object is logged and
-            # the first checkpoint makes the copy permanent.
-            seeded = _seed_data_dir(db, args.db)
-            durability.checkpoint()
-            print(f"seeded {seeded} object(s) from {args.db} "
-                  f"(checkpoint {durability.manifest['checkpoint_id']})",
-                  flush=True)
     else:
         db = SpatialDatabase.open(args.db)
     service = QueryService(
@@ -720,20 +717,45 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               "queue": args.queue})
 
 
-def _seed_data_dir(db, source_path: str) -> int:
-    """Copy a read-only catalog into a fresh durable database through
-    its WAL hooks; returns the number of objects copied."""
-    from .db import SpatialDatabase
+def _seed_data_dir(data_dir: str, source_path: str) -> Optional[int]:
+    """Install the catalog at *source_path* as checkpoint 1 of a fresh
+    *data_dir*; returns the number of objects installed, or ``None``
+    when the directory already holds state (a manifest, or WAL
+    records) and is left alone.
 
+    The manifest is the commit point: a crash before it lands leaves
+    only debris (a staging or unreferenced checkpoint directory) that
+    the next call replaces, so a half-seeded directory is never served.
+    """
+    import shutil
+
+    from .db import SpatialDatabase
+    from .db.recovery import (MANIFEST_VERSION, checkpoint_dirname,
+                              list_wal_segments, read_manifest,
+                              wal_filename, write_manifest)
+    from .storage.atomic import fsync_directory
+    from .storage.wal import scan
+
+    os.makedirs(data_dir, exist_ok=True)
+    if read_manifest(data_dir) is not None or any(
+            scan(os.path.join(data_dir, wal_filename(segment)))[0]
+            for segment in list_wal_segments(data_dir)):
+        return None
     source = SpatialDatabase.open(source_path)
-    copied = 0
-    for name, relation in sorted(source.relations.items()):
-        db.create_relation(name)
-        target = db.relations[name]
-        for oid, geometry in sorted(relation.objects.items()):
-            target.insert(geometry, oid=oid)
-            copied += 1
-    return copied
+    name = checkpoint_dirname(1)
+    staging = os.path.join(data_dir, f".{name}.tmp")
+    final = os.path.join(data_dir, name)
+    for debris in (staging, final):
+        shutil.rmtree(debris, ignore_errors=True)
+    source.save(staging)
+    fsync_directory(staging)
+    os.rename(staging, final)
+    fsync_directory(data_dir)
+    write_manifest(data_dir, {
+        "version": MANIFEST_VERSION, "checkpoint_id": 1,
+        "checkpoint": name, "wal_seg": 1, "last_lsn": 0,
+        "page_size": source.page_size})
+    return sum(len(relation) for relation in source.relations.values())
 
 
 def _parse_grid(value: Optional[str]) -> Optional[tuple]:

@@ -272,12 +272,13 @@ class SpatialRelation:
         objects = {oid: g for oid, g in self._objects.items()
                    if oid not in merging.hidden}
         objects.update(merging.added)
-        return self._bulk_load(objects, fill=fill), objects
+        return self.bulk_load(objects, fill=fill), objects
 
-    def _bulk_load(self, objects: Dict[int, Geometry], **pack):
-        """STR bulk-load *objects* in id order (*pack* goes to
-        :func:`~repro.rtree.bulk.str_pack`); an empty table gets an
-        empty R*-tree, which ``str_pack`` refuses to build."""
+    def bulk_load(self, objects: Dict[int, Geometry], **pack):
+        """The STR bulk-loaded tree over *objects*, in id order (*pack*
+        goes to :func:`~repro.rtree.bulk.str_pack`); an empty table
+        gets an empty R*-tree, which ``str_pack`` refuses to build.
+        The relation itself is not changed."""
         records = [(geometry_mbr(g), oid)
                    for oid, g in sorted(objects.items())]
         if not records:
@@ -324,7 +325,7 @@ class SpatialRelation:
         if not snap.delta:
             return self.tree, self._objects
         objects = dict(snap.objects)
-        return self._bulk_load(objects), objects
+        return self.bulk_load(objects), objects
 
     # ------------------------------------------------------------------
     # Queries

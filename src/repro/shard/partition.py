@@ -210,6 +210,11 @@ class PartitionMap:
         self.cell_counts: Dict[str, List[int]] = {}
         #: relation name -> {"A": ..., "B": ..., "C": ..., "D": ...}.
         self.class_counts: Dict[str, Dict[str, int]] = {}
+        #: relation name -> the id the next auto-assigned insert gets.
+        #: Only ever advanced, like ``SpatialRelation._next_id``: the
+        #: fleet and a single server hand out the same ids, and a
+        #: deleted id is never issued twice.
+        self._next_oids: Dict[str, int] = {}
 
     @classmethod
     def of_database(cls, db: "SpatialDatabase",
@@ -218,10 +223,21 @@ class PartitionMap:
         objects in sorted order."""
         pmap = cls(partitioner)
         for name, relation in sorted(db.relations.items()):
-            pmap.create_relation(name)
-            for oid, geometry in sorted(relation.objects.items()):
-                pmap.add(name, oid, geometry_mbr(geometry))
+            pmap.assign(name, relation.objects)
         return pmap
+
+    def assign(self, name: str, objects: Dict[int, Any]
+               ) -> List[Dict[int, Any]]:
+        """Create relation *name* and record every object of its
+        table, in id order; returns each cell's ``{oid: geometry}``
+        table of copies."""
+        self.create_relation(name)
+        tables: List[Dict[int, Any]] = [
+            {} for _ in range(self.partitioner.n_cells)]
+        for oid, geometry in sorted(objects.items()):
+            for cell in self.add(name, oid, geometry_mbr(geometry)):
+                tables[cell][oid] = geometry
+        return tables
 
     # -- catalog -------------------------------------------------------
 
@@ -229,11 +245,13 @@ class PartitionMap:
         self.mbrs[name] = {}
         self.cell_counts[name] = [0] * self.partitioner.n_cells
         self.class_counts[name] = {label: 0 for label in CLASSES}
+        self._next_oids[name] = 0
 
     def drop_relation(self, name: str) -> None:
         del self.mbrs[name]
         del self.cell_counts[name]
         del self.class_counts[name]
+        del self._next_oids[name]
 
     def __contains__(self, name: str) -> bool:
         return name in self.mbrs
@@ -244,6 +262,8 @@ class PartitionMap:
         """Record one object; returns the cells holding a copy."""
         cells = self.partitioner.cells_of_rect(mbr)
         self.mbrs[relation][oid] = mbr
+        self._next_oids[relation] = max(self._next_oids[relation],
+                                        oid + 1)
         counts = self.cell_counts[relation]
         classes = self.class_counts[relation]
         for cell in cells:
@@ -267,8 +287,9 @@ class PartitionMap:
         return None if objects is None else objects.get(oid)
 
     def next_oid(self, relation: str) -> int:
-        objects = self.mbrs[relation]
-        return max(objects) + 1 if objects else 0
+        """The id an insert without one would get (a peek: only
+        :meth:`add` advances it)."""
+        return self._next_oids[relation]
 
     # -- census --------------------------------------------------------
 
@@ -319,14 +340,16 @@ def partition_database(db: "SpatialDatabase",
     """
     from ..db.database import SpatialDatabase
 
-    pmap = PartitionMap.of_database(db, partitioner)
+    pmap = PartitionMap(partitioner)
     shards = [SpatialDatabase(page_size=db.page_size)
               for _ in range(partitioner.n_cells)]
-    # The copies go where the map says, in the map's (sorted) order.
-    for name, mbrs in pmap.mbrs.items():
-        objects = db.relations[name].objects
-        locals_ = [shard.create_relation(name) for shard in shards]
-        for oid, mbr in mbrs.items():
-            for cell in partitioner.cells_of_rect(mbr):
-                locals_[cell].insert(objects[oid], oid=oid)
+    # Assign, then load: every cell tree is STR-packed once from the
+    # copies the map assigned to it, the way a served relation's
+    # rebuild packs it.
+    for name, relation in sorted(db.relations.items()):
+        tables = pmap.assign(name, relation.objects)
+        for shard, table in zip(shards, tables):
+            local = shard.create_relation(name)
+            local.tree = local.bulk_load(table)
+            local.objects = table
     return shards, pmap

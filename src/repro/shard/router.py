@@ -112,6 +112,12 @@ class ShardRouter(RequestPipeline):
         self._local = threading.local()
         self._conn_registry: List[TCPServiceClient] = []
         self._conn_registry_lock = threading.Lock()
+        # How long the fleet took to come up, next to the traffic it
+        # then served (``repro report`` lists gauges).
+        self.obs.metrics.set_gauge("shard.topology.build_s",
+                                   topology.build_s)
+        self.obs.metrics.set_gauge("shard.topology.start_s",
+                                   topology.start_s)
 
     # ------------------------------------------------------------------
     # What the pipeline asks of a fleet
@@ -606,6 +612,8 @@ class ShardRouter(RequestPipeline):
             "mode": self.topology.mode,
             "grid": [partitioner.cells_x, partitioner.cells_y],
             "alive": sum(self.topology.alive()),
+            "build_s": self.topology.build_s,
+            "start_s": self.topology.start_s,
             "relations": {name: self.pmap.census(name)
                           for name in sorted(self.pmap.mbrs)},
         }}

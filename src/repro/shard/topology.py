@@ -8,12 +8,12 @@ is part of a fleet.  :class:`ShardTopology` owns the fleet:
 * :meth:`ShardTopology.build` partitions a source catalog
   (:func:`~repro.shard.partition.partition_database`) and prepares one
   worker per cell;
-* :meth:`ShardTopology.start` launches the workers — either real
-  ``repro serve`` subprocesses over TCP (``mode="process"``, the
+* :meth:`ShardTopology.start` launches the workers together — either
+  real ``repro serve`` subprocesses over TCP (``mode="process"``, the
   deployment shape: one GIL per shard, so partition-local joins run
   in true parallel) or in-process TCP servers (``mode="thread"``, for
-  tests and embedding) — and health-checks each with ``ping`` until
-  it answers;
+  tests and embedding) — waits for every address under one deadline
+  and health-checks each with ``ping`` until it answers;
 * :meth:`ShardTopology.drain` stops the fleet gracefully: SIGTERM to
   processes (the serve CLI's clean-shutdown path: stop accepting,
   drain workers, final summary line), ``shutdown()`` to threads, and
@@ -74,8 +74,12 @@ class _ProcessShard:
         self.queue_depth = queue_depth
         self.process: Optional[subprocess.Popen] = None
         self.address: Optional[Tuple[str, int]] = None
+        self._launched = 0.0
+        self._lines: "queue.Queue[Optional[str]]" = queue.Queue()
 
-    def start(self, timeout: float) -> Tuple[str, int]:
+    def launch(self) -> None:
+        """Spawn the worker; :meth:`await_address` collects its
+        address."""
         env = dict(os.environ)
         package_root = os.path.dirname(os.path.dirname(
             os.path.dirname(os.path.abspath(__file__))))
@@ -89,24 +93,29 @@ class _ProcessShard:
              "--queue", str(self.queue_depth)],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             env=env, text=True)
+        self._launched = time.monotonic()
         assert self.process.stdout is not None
         # readline() on a silent pipe blocks with no way to attach a
         # deadline, so a reader thread takes the block and the deadline
         # applies to each queue get — a worker that hangs before
         # printing its banner (or mid-line) raises on time instead of
         # stalling the whole topology.
-        lines_q: "queue.Queue[Optional[str]]" = queue.Queue()
         threading.Thread(target=_pump_lines,
-                         args=(self.process.stdout, lines_q),
+                         args=(self.process.stdout, self._lines),
                          daemon=True).start()
-        deadline = time.monotonic() + timeout
+
+    def await_address(self, deadline: float) -> Tuple[str, int]:
+        """The address from the launched worker's startup line; a
+        worker that has not printed it by *deadline* (``monotonic``)
+        is killed and raises :class:`TopologyError`."""
+        assert self.process is not None, "launch was not called"
         lines: List[str] = []
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
             try:
-                line = lines_q.get(timeout=remaining)
+                line = self._lines.get(timeout=remaining)
             except queue.Empty:
                 break
             if line is None:    # EOF — the worker exited
@@ -127,7 +136,7 @@ class _ProcessShard:
                 pass
         while True:  # collect whatever the kill flushed, for the error
             try:
-                line = lines_q.get_nowait()
+                line = self._lines.get_nowait()
             except queue.Empty:
                 break
             if line is not None:
@@ -135,7 +144,12 @@ class _ProcessShard:
         tail = "".join(lines[-5:]).strip()
         raise TopologyError(
             f"shard {self.cell} did not report its address within "
-            f"{timeout:.0f}s" + (f": {tail}" if tail else ""))
+            f"{deadline - self._launched:.0f}s"
+            + (f": {tail}" if tail else ""))
+
+    def start(self, timeout: float) -> Tuple[str, int]:
+        self.launch()
+        return self.await_address(time.monotonic() + timeout)
 
     def stop(self, timeout: float) -> None:
         process = self.process
@@ -172,13 +186,16 @@ class _ThreadShard:
         self._server = None
         self.address: Optional[Tuple[str, int]] = None
 
-    def start(self, timeout: float) -> Tuple[str, int]:
+    def launch(self) -> None:
         from ..serve import QueryService, SpatialQueryServer
         service = QueryService(self.db, workers=self.workers,
                                queue_depth=self.queue_depth)
         self._server = SpatialQueryServer(service, host="127.0.0.1",
                                           port=0)
         self.address = self._server.start()
+
+    def await_address(self, deadline: float) -> Tuple[str, int]:
+        assert self.address is not None, "launch was not called"
         return self.address
 
     def stop(self, timeout: float) -> None:
@@ -203,6 +220,11 @@ class ShardTopology:
         self.mode = mode
         self._scratch_dir = scratch_dir
         self._started = False
+        #: Seconds (to the millisecond) :meth:`build` spent partitioning
+        #: and saving, and :meth:`start` bringing the fleet up; the
+        #: router's ``stats`` reports both.
+        self.build_s = 0.0
+        self.start_s = 0.0
 
     @classmethod
     def build(cls, db: "SpatialDatabase", shards: int = 4,
@@ -220,6 +242,7 @@ class ShardTopology:
         if mode not in ("process", "thread"):
             raise ValueError(f"mode must be 'process' or 'thread' "
                              f"({mode!r})")
+        began = time.perf_counter()
         partitioner = GridPartitioner.for_database(db, shards,
                                                    grid=grid)
         shard_dbs, pmap = partition_database(db, partitioner)
@@ -239,22 +262,30 @@ class ShardTopology:
             workers = [_ThreadShard(cell, shard_db, shard_workers,
                                     queue_depth)
                        for cell, shard_db in enumerate(shard_dbs)]
-        return cls(partitioner, pmap, workers, mode,
-                   scratch_dir=scratch)
+        topology = cls(partitioner, pmap, workers, mode,
+                       scratch_dir=scratch)
+        topology.build_s = round(time.perf_counter() - began, 3)
+        return topology
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def start(self, timeout: float = 30.0) -> List[Tuple[str, int]]:
-        """Launch every shard and health-check it; returns the
-        addresses.  A shard that fails to come up tears the already-
-        started ones back down before the error propagates."""
+        """Launch every shard, wait for all their addresses against
+        one deadline (*timeout* is the fleet's, not each worker's),
+        then health-check each; returns the addresses.  A shard that
+        fails to come up tears every launched one back down before the
+        error propagates."""
         if self._started:
             raise RuntimeError("topology already started")
+        began = time.perf_counter()
+        deadline = time.monotonic() + timeout
         try:
             for shard in self.shards:
-                shard.start(timeout)
+                shard.launch()
+            for shard in self.shards:
+                shard.await_address(deadline)
             for shard in self.shards:
                 self._health_check(shard, timeout)
         except BaseException:
@@ -265,6 +296,7 @@ class ShardTopology:
                     pass
             raise
         self._started = True
+        self.start_s = round(time.perf_counter() - began, 3)
         return self.addresses
 
     @staticmethod

@@ -8,9 +8,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.spec import JoinSpec
+from repro.db import SpatialDatabase
 from repro.geometry import Rect
-from repro.shard import (GridPartitioner, PartitionMap, grid_for,
-                         pair_reference_point)
+from repro.rtree.base import RTreeBase
+from repro.rtree.validate import validate_rtree
+from repro.serve import ServiceClient
+from repro.shard import (GridPartitioner, PartitionMap, ShardRouter,
+                         ShardTopology, grid_for, pair_reference_point,
+                         partition_database)
 from repro.shard.partition import dedup_pairs
 
 # ----------------------------------------------------------------------
@@ -103,6 +109,104 @@ def test_partition_map_census_and_mutation():
     assert pmap.mbr("r", 0) is None
     pmap.drop_relation("r")
     assert "r" not in pmap
+
+
+# ----------------------------------------------------------------------
+# Building the per-cell catalogs
+# ----------------------------------------------------------------------
+
+def bulk_loaded_db(n, seed, world=1000.0, extent=30.0):
+    """A two-relation catalog brought up without a single insert."""
+    rng = random.Random(seed)
+    db = SpatialDatabase(page_size=1024)
+    for name in ("streets", "rivers"):
+        table = {}
+        for oid in range(n):
+            x, y = rng.uniform(0, world), rng.uniform(0, world)
+            table[oid] = Rect(x, y, x + rng.uniform(0.1, extent),
+                              y + rng.uniform(0.1, extent))
+        relation = db.create_relation(name)
+        relation.tree = relation.bulk_load(table)
+        relation.objects = table
+    return db
+
+
+def local_pairs(shard_db):
+    result = shard_db.join("streets", "rivers",
+                           spec=JoinSpec(algorithm="sj2"))
+    return set(map(tuple, result.pairs))
+
+
+def test_partition_database_bulk_loads_every_cell(monkeypatch):
+    db = bulk_loaded_db(n=1500, seed=11)
+    grid = GridPartitioner.for_database(db, 4)
+    inserts = []
+    real_insert = RTreeBase.insert
+
+    def counting_insert(tree, rect, ref):
+        inserts.append(ref)
+        real_insert(tree, rect, ref)
+
+    monkeypatch.setattr(RTreeBase, "insert", counting_insert)
+    shards, pmap = partition_database(db, grid)
+    # Assigned, then packed: no tree was grown one object at a time.
+    assert inserts == []
+    monkeypatch.undo()
+
+    assert (grid.cells_x, grid.cells_y) == (2, 2)
+    for name, relation in db.relations.items():
+        for cell, shard in enumerate(shards):
+            local = shard.relation(name)
+            validate_rtree(local.tree, check_min_fill=False)
+            assigned = {oid for oid, mbr in pmap.mbrs[name].items()
+                        if cell in grid.cells_of_rect(mbr)}
+            assert assigned        # spanning rects: every cell has copies
+            assert {entry.ref for entry in local.tree.iter_data_entries()} \
+                == set(local.objects) == assigned
+            assert all(local.objects[oid] is relation.objects[oid]
+                       for oid in assigned)
+            assert pmap.cell_counts[name][cell] == len(assigned)
+        assert pmap.next_oid(name) == 1500
+
+    # The same copies placed by one-by-one R* inserts (what the
+    # builder used to do) give every cell the same local pair set.
+    for cell, shard in enumerate(shards):
+        inserted = SpatialDatabase(page_size=db.page_size)
+        for name in db.relations:
+            target = inserted.create_relation(name)
+            for oid, geometry in shard.relation(name).objects.items():
+                target.insert(geometry, oid=oid)
+        assert local_pairs(shard) == local_pairs(inserted)
+
+
+def test_empty_cell_accepts_routed_writes_and_windows():
+    # Every street lies in the south-west quadrant, so three of the
+    # four cells hold an empty streets relation (the bulk load's
+    # empty-table branch), while rivers stretch the universe.
+    db = SpatialDatabase(page_size=1024)
+    streets = db.create_relation("streets")
+    for i in range(30):
+        streets.insert(Rect(i, i, i + 2.0, i + 2.0))
+    rivers = db.create_relation("rivers")
+    rivers.insert(Rect(0, 0, 5, 5))
+    rivers.insert(Rect(990, 990, 1000, 1000))
+    with ShardTopology.build(db, shards=4, mode="thread") as topology:
+        assert topology.pmap.cell_counts["streets"] == [30, 0, 0, 0]
+        router = ShardRouter(topology)
+        client = ServiceClient(router)
+        try:
+            north_east = [900.0, 900.0, 1000.0, 1000.0]
+            assert client.window("streets", north_east)["refs"] == []
+            inserted = client.insert(
+                "streets", {"kind": "rect",
+                            "coords": [950.0, 950.0, 960.0, 960.0]})
+            assert inserted == {"oid": 30, "epoch": 1, "shards": 1}
+            assert topology.pmap.cell_counts["streets"] == [30, 0, 0, 1]
+            assert client.window("streets", north_east)["refs"] == [30]
+            pairs = client.join("streets", "rivers")["pairs"]
+            assert [30, 1] not in pairs and [0, 0] in pairs
+        finally:
+            router.close()
 
 
 # ----------------------------------------------------------------------

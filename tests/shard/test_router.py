@@ -381,6 +381,35 @@ def test_failed_delete_rolls_forward(small_fleet):
     assert all(a != oid for a, _ in result["pairs"])
 
 
+def test_auto_oids_match_the_single_server():
+    """The router owns the id space of a fleet: insert, delete that
+    object, insert again must hand out the ids one ``repro serve``
+    over the same catalog hands out — a deleted id is not re-issued."""
+    rect = {"kind": "rect", "coords": [10.0, 10.0, 20.0, 20.0]}
+
+    def three_steps(client):
+        first = client.insert("streets", rect)["oid"]
+        client.delete("streets", first)
+        return first, client.insert("streets", rect)["oid"]
+
+    service = QueryService(build_db(n=40))
+    try:
+        single = three_steps(ServiceClient(service))
+    finally:
+        service.close()
+    with ShardTopology.build(build_db(n=40), shards=4,
+                             mode="thread") as topology:
+        router = ShardRouter(topology)
+        try:
+            assert router.pmap.next_oid("streets") == 40
+            assert three_steps(ServiceClient(router)) == single == (40, 41)
+            # An explicit oid advances the counter past itself.
+            ServiceClient(router).insert("streets", rect, oid=100)
+            assert router.pmap.next_oid("streets") == 101
+        finally:
+            router.close()
+
+
 # ----------------------------------------------------------------------
 # Stats / observability
 # ----------------------------------------------------------------------
@@ -396,6 +425,11 @@ def test_stats_surfaces_cache_and_topology(fleet):
     assert topo["grid"] == [2, 2]
     assert topo["mode"] == "thread"
     assert topo["alive"] == 4
+    # How long the fleet took to come up, readable from the running
+    # system (and, as gauges, from ``repro report``).
+    assert topo["build_s"] + topo["start_s"] > 0
+    assert stats["gauges"]["shard.topology.build_s"] == topo["build_s"]
+    assert stats["gauges"]["shard.topology.start_s"] == topo["start_s"]
     assert topo["relations"]["streets"]["replication"] >= 1.0
     assert set(topo["relations"]["streets"]["classes"]) \
         == {"A", "B", "C", "D"}

@@ -115,6 +115,87 @@ def test_process_shard_start_times_out_on_hung_worker(
     assert not shard.alive
 
 
+HUNG = "import time; time.sleep(60)"
+
+
+def spawn_recorder(monkeypatch, replace=lambda index: None):
+    """Wrap the topology's ``Popen``: every spawned worker is recorded
+    in the returned list, and worker *index* runs ``replace(index)`` as
+    its ``python -c`` body instead of ``repro serve`` when that is not
+    None."""
+    real_popen = subprocess.Popen
+    spawned = []
+
+    def popen(cmd, **kwargs):
+        snippet = replace(len(spawned))
+        if snippet is not None:
+            cmd = [sys.executable, "-u", "-c", snippet]
+        process = real_popen(cmd, **kwargs)
+        spawned.append(process)
+        return process
+
+    monkeypatch.setattr(topology_module.subprocess, "Popen", popen)
+    return spawned
+
+
+def test_every_worker_is_spawned_before_the_first_address_wait_returns(
+        monkeypatch):
+    spawned = spawn_recorder(monkeypatch)
+    events = []
+    real_await = _ProcessShard.await_address
+
+    def recording_await(shard, deadline):
+        address = real_await(shard, deadline)
+        events.append((shard.cell, len(spawned)))
+        return address
+
+    monkeypatch.setattr(_ProcessShard, "await_address", recording_await)
+    topology = ShardTopology.build(build_db(n=30), shards=3,
+                                   mode="process")
+    with topology:
+        # Order of events, not elapsed time: when cell 0's address
+        # came back, all three workers were already running.
+        assert events == [(0, 3), (1, 3), (2, 3)]
+        assert [shard.process for shard in topology.shards] == spawned
+        assert topology.start_s > 0
+
+
+def test_a_failed_worker_leaves_no_worker_alive(monkeypatch):
+    # Worker 1 of 4 exits without a banner while 2 and 3 are still
+    # starting (and 0 may already be serving): all of them must go.
+    spawned = spawn_recorder(
+        monkeypatch,
+        lambda index: "print('boom')" if index == 1 else None)
+    topology = ShardTopology.build(build_db(n=30), shards=4,
+                                   mode="process")
+    try:
+        with pytest.raises(TopologyError,
+                           match="shard 1 did not report.*boom"):
+            topology.start()
+        assert len(spawned) == 4
+        assert all(process.poll() is not None for process in spawned)
+        assert topology.alive() == [False] * 4
+    finally:
+        topology.drain()
+
+
+def test_start_timeout_is_one_deadline_for_the_fleet(monkeypatch):
+    spawned = spawn_recorder(monkeypatch, lambda index: HUNG)
+    topology = ShardTopology.build(build_db(n=30), shards=4,
+                                   mode="process")
+    timeout = 1.5
+    began = time.monotonic()
+    try:
+        with pytest.raises(TopologyError, match="did not report"):
+            topology.start(timeout=timeout)
+        # Four hung workers cost one timeout, not four.
+        assert time.monotonic() - began < 2 * timeout
+        assert len(spawned) == 4
+        assert all(process.poll() is not None for process in spawned)
+    finally:
+        topology.drain()
+
+
 def test_thread_mode_context_manager():
     db = build_db(n=30)
     with ShardTopology.build(db, shards=4, mode="thread") as topology:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface (invoked in-process)."""
 
 import json
+import os
 
 import pytest
 
@@ -437,6 +438,120 @@ class TestServeArgs:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --ingest direct" \
             in capsys.readouterr().err
+
+
+class TestServeSeeding:
+    """``repro serve --db C --data-dir D``: a fresh directory takes the
+    catalog as its first checkpoint — one save, nothing through the
+    WAL — and only a fresh directory does."""
+
+    @staticmethod
+    def _catalog(path, per_relation=100, seed=7):
+        import random
+
+        from repro.db import SpatialDatabase
+        from repro.geometry import Rect
+
+        rng = random.Random(seed)
+        db = SpatialDatabase(page_size=1024)
+        for name in ("rivers", "streets"):
+            relation = db.create_relation(name)
+            for _ in range(per_relation):
+                x, y = rng.uniform(0, 1000), rng.uniform(0, 1000)
+                relation.insert(Rect(x, y, x + 5, y + 5))
+        db.save(str(path))
+        return str(path)
+
+    @pytest.fixture
+    def serve(self, monkeypatch, capsys):
+        """Run the serve command to its ``serving`` line, then shut it
+        down as a signal would; returns its output lines."""
+        from repro import cli
+
+        def stop_at_once(server, obs, args, summarize, meta):
+            server.shutdown()
+            for line in summarize():
+                print(line)
+            return 0
+
+        monkeypatch.setattr(cli, "_serve_until_signalled", stop_at_once)
+
+        def run(catalog, data_dir):
+            assert main(["serve", "--db", catalog, "--data-dir",
+                         str(data_dir), "--checkpoint-every", "16",
+                         "--port", "0"]) == 0
+            return capsys.readouterr().out.splitlines()
+
+        return run
+
+    @staticmethod
+    def _assert_seeded_once(data_dir, out):
+        from repro.db.recovery import (list_checkpoints,
+                                       list_wal_segments, read_manifest,
+                                       wal_filename)
+        from repro.storage.wal import scan
+
+        # Seeded first, then recovered like any other start.
+        assert out[0].startswith("seeded 200 object(s) from ")
+        assert out[0].endswith("(checkpoint 1)")
+        assert out[1].startswith("recovered 2 relation(s) / 200 "
+                                 "object(s) from ")
+        assert "checkpoint 1, 0 record(s) replayed" in out[1]
+        assert out[2].startswith("serving 2 relation(s)")
+        assert read_manifest(str(data_dir))["checkpoint_id"] == 1
+        assert list_checkpoints(str(data_dir)) == [1]
+        # No staging debris, and nothing went through the log.
+        assert not [name for name in os.listdir(data_dir)
+                    if name.endswith(".tmp")]
+        for segment in list_wal_segments(str(data_dir)):
+            records, _, _ = scan(str(data_dir / wal_filename(segment)))
+            assert records == []
+
+    def test_fresh_directory_is_one_checkpoint(self, tmp_path, serve):
+        catalog = self._catalog(tmp_path / "catalog")
+        data_dir = tmp_path / "data"
+        self._assert_seeded_once(data_dir, serve(catalog, data_dir))
+
+    @pytest.mark.parametrize("debris", [".ckpt-00000001.tmp",
+                                        "ckpt-00000001"])
+    def test_crash_before_the_manifest_is_reseeded_in_full(
+            self, tmp_path, serve, debris):
+        # What a crash mid-seed leaves: a partial copy in the staging
+        # (or already renamed, still unreferenced) checkpoint
+        # directory and no manifest.
+        catalog = self._catalog(tmp_path / "catalog")
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        self._catalog(data_dir / debris, per_relation=3)
+        os.unlink(data_dir / debris / "streets.geom")
+        self._assert_seeded_once(data_dir, serve(catalog, data_dir))
+
+    def test_seeded_directory_is_not_reseeded(self, tmp_path, serve):
+        catalog = self._catalog(tmp_path / "catalog")
+        data_dir = tmp_path / "data"
+        serve(catalog, data_dir)
+        other = self._catalog(tmp_path / "other", per_relation=5)
+        out = serve(other, data_dir)
+        assert not any(line.startswith("seeded") for line in out)
+        assert out[0].startswith("recovered 2 relation(s) / 200 "
+                                 "object(s)")
+
+    def test_logged_writes_without_a_manifest_are_kept(self, tmp_path,
+                                                       serve):
+        # A directory that was served without --db and killed before
+        # its first checkpoint holds acknowledged writes in the WAL
+        # only; it is not fresh.
+        from repro.db.durability import DurabilityManager
+        from repro.geometry import Rect
+
+        data_dir = tmp_path / "data"
+        db, manager = DurabilityManager.open(str(data_dir))
+        db.create_relation("streets").insert(Rect(1, 1, 2, 2))
+        manager.close(checkpoint=False)
+        out = serve(self._catalog(tmp_path / "catalog"), data_dir)
+        assert out[0].startswith("recovered 1 relation(s) / 1 "
+                                 "object(s)")
+        assert "2 record(s) replayed" in out[0]
 
 
 class TestBenchMatrix:
