@@ -181,6 +181,11 @@ class ScheduleResult:
     mvcc: bool = False
     #: Delta merges performed at random flush points (``mvcc`` only).
     rebuilds: int = 0
+    #: Relation bases checkpoints rewrote / hard-linked, summed over
+    #: incarnations (linking needs ``mvcc``: an in-place base is always
+    #: rewritten).
+    bases_written: int = 0
+    bases_linked: int = 0
 
     @property
     def ok(self) -> bool:
@@ -289,6 +294,7 @@ def _run_schedule(seed: int, workload: List[Op],
             manager.close()             # graceful: final checkpoint
         except SimulatedCrash:
             result.kills += 1
+            _count_checkpoints(result, manager)
             # The "process" died: drop the handle without syncing.
             # Python-level buffers are empty at every kill point (the
             # WAL flushes before any kill check), so this is exactly a
@@ -296,6 +302,7 @@ def _run_schedule(seed: int, workload: List[Op],
             if not manager.wal._file.closed:
                 manager.wal._file.close()
             continue
+        _count_checkpoints(result, manager)
         break
 
     result.final_objects = sum(len(objects)
@@ -313,6 +320,12 @@ def _run_schedule(seed: int, workload: List[Op],
             f"seed {seed}: final state diverged after graceful close")
     _check_trees(db, seed)
     manager.close()
+
+
+def _count_checkpoints(result: ScheduleResult,
+                       manager: DurabilityManager) -> None:
+    result.bases_written += manager.bases_written
+    result.bases_linked += manager.bases_linked
 
 
 def _check_deterministic(db: SpatialDatabase, data_dir: str, seed: int,
@@ -368,6 +381,8 @@ def run_schedules(count: int, *, first_seed: int = 0, num_ops: int = 40,
                   f"incarnations={outcome.incarnations} "
                   f"replayed={outcome.replayed} "
                   f"rebuilds={outcome.rebuilds} "
+                  f"bases={outcome.bases_written}w/"
+                  f"{outcome.bases_linked}l "
                   f"objects={outcome.final_objects}"
                   + (f"  {outcome.error}" if outcome.error else ""))
     return results

@@ -4,14 +4,16 @@ This is the facade a downstream application uses: it owns several
 :class:`~repro.db.relation.SpatialRelation` objects sharing one page
 size, runs filter+refinement joins between them, and round-trips the
 whole catalog to a directory (R*-trees as checksummed page files,
-geometry as a line-oriented text format, plus a JSON manifest).
+geometry as a line-oriented text format, unmerged writes as a delta in
+the same format, plus a JSON manifest).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from ..core.deltajoin import overlay_join
 from ..core.planner import execute_plan
@@ -32,6 +34,8 @@ from .relation import Geometry, SpatialRelation
 
 _MANIFEST = "manifest.json"
 _MANIFEST_VERSION = 1
+#: The kind word of a ``.delta`` line recording a deleted oid.
+_DELETED = "deleted"
 
 
 class SpatialDatabase:
@@ -229,37 +233,67 @@ class SpatialDatabase:
     # Persistence
     # ------------------------------------------------------------------
 
-    def save(self, directory: str) -> None:
-        """Write the whole catalog to *directory* (created if needed).
+    def save(self, directory: str,
+             previous: Optional["SavedCatalog"] = None) -> "SavedCatalog":
+        """Write the catalog to *directory* (created if needed).
 
-        Every file — trees, geometry, and the manifest — is written
-        via temp-file + fsync + atomic rename, and the manifest goes
-        last: a crash mid-save leaves either the complete previous
-        catalog or the complete new one readable by :meth:`open`,
-        never a torn mix referenced by a fresh manifest.
+        Each relation is written as its snapshot's *base* — the tree as
+        ``{name}.rtree`` and the object table as ``{name}.geom`` — plus,
+        when the snapshot has pending writes, ``{name}.delta``: the
+        added geometry as ``.geom`` lines and the deleted oids.  Given
+        *previous* (what the last save into another directory
+        returned), the base files of a relation whose base is still on
+        disk there are hard-linked instead of rewritten and its delta
+        is written against that base — unless the delta records
+        written against it would then exceed its object count, in which
+        case the current base is rewritten (rent-or-buy: total output
+        stays within twice the best schedule).  A relation mutated in
+        place, or one *previous* does not hold, is written whole.
+
+        Every file is written via temp-file + fsync + atomic rename and
+        the manifest goes last, naming the relations that carry a
+        delta (a ``.delta`` an earlier save into the same directory
+        left behind is never read): a crash mid-save leaves either the
+        complete previous catalog or the complete new one readable by
+        :meth:`open`, never a torn mix referenced by a fresh manifest.
         """
         os.makedirs(directory, exist_ok=True)
+        saved = SavedCatalog(directory)
+        for name, relation in self.relations.items():
+            prior = previous.bases.get(relation) if previous else None
+            base = _save_relation(directory, relation, prior,
+                                  previous, saved)
+            if base is not None:
+                saved.bases[relation] = base
         manifest = {
             "version": _MANIFEST_VERSION,
             "page_size": self.page_size,
             "relations": sorted(self.relations),
         }
-        for name, relation in self.relations.items():
-            # One coherent pair per relation: with a pending MVCC
-            # delta, checkpoint_view bulk-loads a merged tree for the
-            # file (without mutating the live relation) so the saved
-            # index and geometry always agree.
-            tree, objects = relation.checkpoint_view()
-            save_tree(tree, os.path.join(directory, f"{name}.rtree"))
-            _write_geometry(objects,
-                            os.path.join(directory, f"{name}.geom"))
-        with atomic_write(os.path.join(directory, _MANIFEST),
-                          "w") as handle:
+        if saved.deltas:
+            manifest["deltas"] = sorted(saved.deltas)
+        path = os.path.join(directory, _MANIFEST)
+        with atomic_write(path, "w") as handle:
             json.dump(manifest, handle, indent=2)
+        saved.bytes_written += os.path.getsize(path)
+        return saved
 
     @classmethod
     def open(cls, directory: str) -> "SpatialDatabase":
         """Load a catalog written by :meth:`save`."""
+        return cls.load(directory)[0]
+
+    @classmethod
+    def load(cls, directory: str
+             ) -> Tuple["SpatialDatabase", "SavedCatalog"]:
+        """:meth:`open`, also returning the bases as they lie in
+        *directory* — what a later :meth:`save` may link.
+
+        A relation with a ``{name}.delta`` gets the tree
+        :meth:`SpatialRelation.bulk_load` builds over its visible
+        objects (base minus hidden plus added); one without is loaded
+        exactly as saved.
+        """
         manifest_path = os.path.join(directory, _MANIFEST)
         with open(manifest_path) as handle:
             manifest = json.load(handle)
@@ -267,25 +301,172 @@ class SpatialDatabase:
             raise ValueError(
                 f"unsupported database version {manifest.get('version')}")
         db = cls(page_size=manifest["page_size"])
+        saved = SavedCatalog(directory)
+        deltas = set(manifest.get("deltas", ()))
         for name in manifest["relations"]:
             relation = SpatialRelation(name, page_size=db.page_size)
             tree = load_tree(os.path.join(directory, f"{name}.rtree"))
             if not isinstance(tree, RTreeBase):
-                # Checkpoints of relations with a pending delta hold
-                # STR bulk-loaded (PackedRTree) indexes; any R-tree
-                # variant the persistence layer knows is acceptable.
                 raise ValueError(
                     f"relation {name!r} is not backed by an R-tree")
-            relation.tree = tree
-            relation.objects = _read_geometry(
-                os.path.join(directory, f"{name}.geom"))
-            if len(relation.objects) != len(tree):
+            base = _read_geometry(os.path.join(directory, f"{name}.geom"))
+            if len(base) != len(tree):
                 raise ValueError(
                     f"relation {name!r}: geometry file holds "
-                    f"{len(relation.objects)} objects but the index "
+                    f"{len(base)} objects but the index "
                     f"holds {len(tree)}")
+            objects, records = base, 0
+            if name in deltas:
+                added, deleted = _read_delta(
+                    os.path.join(directory, f"{name}.delta"))
+                records = len(added) + len(deleted)
+                saved.deltas.append(name)
+                saved.delta_records += records
+                objects = {oid: g for oid, g in base.items()
+                           if oid not in deleted and oid not in added}
+                objects.update(added)
+                tree = relation.bulk_load(objects)
+            relation.tree = tree
+            # The setter copies, so *base* stays the table on disk.
+            relation.objects = objects
             db.relations[name] = relation
-        return db
+            saved.bases[relation] = SavedBase(base, records)
+        return db, saved
+
+
+@dataclass
+class SavedBase:
+    """One relation's base as a saved catalog holds it."""
+
+    #: The object table its ``.rtree``/``.geom`` files encode.  Never
+    #: mutated: it is a served relation's immutable base (or the table
+    #: :meth:`SpatialDatabase.load` read), so later saves diff against
+    #: it by identity.
+    objects: Dict[int, Geometry]
+    #: Delta records the saves since this base was written have
+    #: written against it (the rent side of rent-or-buy).
+    delta_records: int
+
+
+@dataclass
+class SavedCatalog:
+    """What one :meth:`SpatialDatabase.save` left in *directory*."""
+
+    directory: str
+    #: Keyed by the relation object, not its name: a relation dropped
+    #: and re-created under the same name never matches the old base.
+    #: Relations mutated in place are absent (their base is not
+    #: immutable, so nothing may be linked against it).
+    bases: Dict[SpatialRelation, SavedBase] = field(default_factory=dict)
+    #: Names of the relations saved with a ``.delta`` file.
+    deltas: List[str] = field(default_factory=list)
+    bases_written: int = 0
+    bases_linked: int = 0
+    #: Records (added lines + deleted oids) in this save's deltas.
+    delta_records: int = 0
+    #: Bytes of the files this save wrote (links excluded).
+    bytes_written: int = 0
+
+
+def _save_relation(directory: str, relation: SpatialRelation,
+                   prior: Optional[SavedBase],
+                   previous: Optional[SavedCatalog],
+                   saved: SavedCatalog) -> Optional[SavedBase]:
+    """Write one relation for :meth:`SpatialDatabase.save`; returns the
+    base the next save may link (``None`` for an in-place relation)."""
+    name = relation.name
+    snap = relation.snapshot()
+    if relation._delta is None:
+        # Mutated in place: the files are the live tree and table.
+        _write_base(directory, name, snap, saved)
+        return None
+    if prior is not None:
+        added, deleted = _diff(prior.objects, snap.base_objects,
+                               snap.delta)
+        records = prior.delta_records + len(added) + len(deleted)
+        # Rewriting the base the relation still holds would write the
+        # same files and the same delta again.
+        if records <= len(prior.objects) \
+                or snap.base_objects is prior.objects:
+            for suffix in (".rtree", ".geom"):
+                os.link(os.path.join(previous.directory, name + suffix),
+                        os.path.join(directory, name + suffix))
+            saved.bases_linked += 1
+            _write_delta(directory, name, added, deleted, saved)
+            return SavedBase(prior.objects, records)
+    _write_base(directory, name, snap, saved)
+    added, deleted = _delta_against(snap.base_objects, snap.delta)
+    _write_delta(directory, name, added, deleted, saved)
+    return SavedBase(snap.base_objects, len(added) + len(deleted))
+
+
+def _write_base(directory: str, name: str, snap,
+                saved: SavedCatalog) -> None:
+    tree_path = os.path.join(directory, f"{name}.rtree")
+    geom_path = os.path.join(directory, f"{name}.geom")
+    save_tree(snap.tree, tree_path)
+    _write_geometry(snap.base_objects, geom_path)
+    saved.bases_written += 1
+    saved.bytes_written += (os.path.getsize(tree_path)
+                            + os.path.getsize(geom_path))
+
+
+def _delta_against(base: Dict[int, Geometry], delta
+                   ) -> Tuple[Dict[int, Geometry], List[int]]:
+    """*delta* as ``(added, deleted)`` against *base*: deletions of
+    oids the base does not hold, or that an add replaces, are no-ops
+    and are dropped."""
+    added = delta.added
+    return added, [oid for oid in delta.deleted
+                   if oid in base and oid not in added]
+
+
+def _diff(old: Dict[int, Geometry], new: Dict[int, Geometry], delta
+          ) -> Tuple[Dict[int, Geometry], List[int]]:
+    """``(added, deleted)`` taking the base *old* to the base *new*
+    overlaid by *delta*.  Geometry is compared by identity: a rebuild
+    carries every object it keeps over by reference."""
+    if new is old:
+        return _delta_against(old, delta)
+    hidden = delta.hidden
+    added = {oid: g for oid, g in new.items()
+             if oid not in hidden and old.get(oid) is not g}
+    added.update(delta.added)
+    gone = (old.keys() - new.keys()) | (old.keys() & hidden)
+    return added, [oid for oid in gone if oid not in added]
+
+
+def _write_delta(directory: str, name: str, added: Dict[int, Geometry],
+                 deleted: List[int], saved: SavedCatalog) -> None:
+    if not (added or deleted):
+        return
+    path = os.path.join(directory, f"{name}.delta")
+    with atomic_write(path, "w") as handle:
+        for oid in sorted(deleted):
+            handle.write(f"{oid} {_DELETED}\n")
+        for oid, geometry in sorted(added.items()):
+            handle.write(format_geometry(oid, geometry))
+            handle.write("\n")
+    saved.deltas.append(name)
+    saved.delta_records += len(added) + len(deleted)
+    saved.bytes_written += os.path.getsize(path)
+
+
+def _read_delta(path: str) -> Tuple[Dict[int, Geometry], set]:
+    added: Dict[int, Geometry] = {}
+    deleted = set()
+    with open(path) as handle:
+        for line_number, line in enumerate(handle, start=1):
+            parts = line.split()
+            if len(parts) == 2 and parts[1] == _DELETED:
+                try:
+                    deleted.add(int(parts[0]))
+                except ValueError:
+                    raise ValueError(f"{path}:{line_number}: bad "
+                                     f"deleted oid {parts[0]!r}") from None
+            elif parts:
+                added.update([_parse_geometry(line, path, line_number)])
+    return added, deleted
 
 
 def _refine_pairs(pairs, objects_l, objects_r):

@@ -10,7 +10,10 @@ serve verb that wraps them):
   to the WAL (fsynced per the sync mode) *before* the in-memory
   catalog changes, so nothing is acknowledged that a crash could lose;
 * **atomic checkpoints** — every ``checkpoint_every`` applied records
-  the whole catalog is snapshotted via temp-dir + fsync + rename, the
+  the catalog is saved via temp-dir + fsync + rename — each relation's
+  base hard-linked from the previous checkpoint when it is still there
+  (rent-or-buy decides when to rewrite it) plus its unmerged writes as
+  a delta, see :meth:`~repro.db.database.SpatialDatabase.save` — the
   WAL rotates to a fresh segment, and the manifest is atomically
   replaced to point at ``(checkpoint_id, last_lsn)``; a crash at any
   point inside leaves the *previous* manifest pointing at a complete
@@ -33,13 +36,14 @@ from __future__ import annotations
 
 import os
 import shutil
+import time
 from typing import Any, Dict, Optional, Tuple
 
 from ..obs.core import NULL_OBS, Observability
 from ..storage.atomic import fsync_directory
 from ..storage.faults import KillSwitch
 from ..storage.wal import WriteAheadLog
-from .database import SpatialDatabase, format_geometry
+from .database import SavedCatalog, SpatialDatabase, format_geometry
 from .recovery import (MANIFEST_VERSION, RecoveryInfo, checkpoint_dirname,
                        list_checkpoints, recover, wal_filename,
                        write_manifest)
@@ -53,6 +57,7 @@ class DurabilityManager:
     def __init__(self, data_dir: str, db: SpatialDatabase,
                  wal: WriteAheadLog, manifest: Dict[str, Any],
                  recovery: RecoveryInfo, *,
+                 saved: Optional[SavedCatalog] = None,
                  checkpoint_every: int = 256,
                  kill: Optional[KillSwitch] = None,
                  obs: Optional[Observability] = None) -> None:
@@ -73,6 +78,14 @@ class DurabilityManager:
         #: exactly the applied records.
         self.applied_lsn = recovery.last_lsn
         self.checkpoints_taken = 0
+        #: What the checkpoint the manifest references holds: the next
+        #: checkpoint links the bases it still shares.
+        self.saved = saved
+        #: Run totals of what checkpoints wrote (see :meth:`status`).
+        self.bases_written = 0
+        self.bases_linked = 0
+        self.checkpoint_bytes = 0
+        self.last_checkpoint_ms = 0.0
         self._since_checkpoint = 0
         self._closed = False
 
@@ -96,8 +109,9 @@ class DurabilityManager:
                             batch_every=batch_every, kill=kill,
                             metrics=metrics)
         manager = cls(data_dir, state.db, state.wal, state.manifest,
-                      state.info, checkpoint_every=checkpoint_every,
-                      kill=kill, obs=obs)
+                      state.info, saved=state.saved,
+                      checkpoint_every=checkpoint_every, kill=kill,
+                      obs=obs)
         manager._attach(state.db)
         return state.db, manager
 
@@ -152,7 +166,7 @@ class DurabilityManager:
         return self.applied_lsn > self.manifest["last_lsn"]
 
     def checkpoint(self) -> int:
-        """Snapshot the catalog, rotate the WAL, publish the manifest.
+        """Save the catalog, rotate the WAL, publish the manifest.
 
         Returns the checkpoint id (the previous one when nothing
         changed since).  Safe against a crash at any point: until the
@@ -162,6 +176,7 @@ class DurabilityManager:
         """
         if not self.dirty:
             return self.manifest["checkpoint_id"]
+        started = time.perf_counter()
         with self.obs.tracer.span("durability.checkpoint"):
             existing = list_checkpoints(self.data_dir)
             checkpoint_id = max([self.manifest["checkpoint_id"]]
@@ -172,10 +187,11 @@ class DurabilityManager:
             final = os.path.join(self.data_dir, name)
             if os.path.exists(staging):
                 shutil.rmtree(staging)
-            self.db.save(staging)
+            saved = self.db.save(staging, previous=self.saved)
             fsync_directory(staging)
             self.kill.check("checkpoint.before_rename")
             os.rename(staging, final)
+            saved.directory = final
             fsync_directory(self.data_dir)
             self.kill.check("checkpoint.after_rename")
 
@@ -206,13 +222,18 @@ class DurabilityManager:
             write_manifest(self.data_dir, manifest)
             previous = self.manifest
             self.manifest = manifest
+            self.saved = saved
             self._since_checkpoint = 0
             self.checkpoints_taken += 1
+            self.bases_written += saved.bases_written
+            self.bases_linked += saved.bases_linked
+            self.checkpoint_bytes += saved.bytes_written
             self.kill.check("checkpoint.before_gc")
 
             # The previous checkpoint and the frozen segment are no
             # longer referenced; remove them (a crash here just leaves
-            # them for recovery's sweep).
+            # them for recovery's sweep).  Bases linked from it live on
+            # under their new names.
             if previous.get("checkpoint"):
                 shutil.rmtree(os.path.join(self.data_dir,
                                            previous["checkpoint"]),
@@ -222,6 +243,7 @@ class DurabilityManager:
             if os.path.exists(old_path):
                 os.unlink(old_path)
             fsync_directory(self.data_dir)
+        self.last_checkpoint_ms = (time.perf_counter() - started) * 1e3
         if self.obs.enabled:
             self.obs.metrics.inc("wal.checkpoints")
             self.obs.metrics.set_gauge("durability.checkpoint_id",
@@ -247,6 +269,12 @@ class DurabilityManager:
             "wal_bytes": self.wal.bytes_written,
             "dirty_records": self.applied_lsn
             - self.manifest["last_lsn"],
+            "bases_written": self.bases_written,
+            "bases_linked": self.bases_linked,
+            "delta_records": (self.saved.delta_records
+                              if self.saved is not None else 0),
+            "checkpoint_bytes": self.checkpoint_bytes,
+            "last_checkpoint_ms": round(self.last_checkpoint_ms, 3),
             "recovery": self.recovery.to_dict(),
         }
 

@@ -8,7 +8,10 @@ directory*::
                            {checkpoint_id, checkpoint, wal_seg,
                             last_lsn, page_size}
       ckpt-00000007/       a SpatialDatabase.save snapshot (the
-                           checkpoint the manifest references)
+                           checkpoint the manifest references): per
+                           relation a base (.rtree + .geom, often
+                           hard-linked from an older checkpoint) and
+                           an optional .delta of unmerged writes
       wal-00000012.log     the active write-ahead log segment
       .ckpt-*.tmp/ ...     staging leftovers of an interrupted
                            checkpoint (ignored, removed on recovery)
@@ -18,7 +21,8 @@ Recovery is a pure function of these files:
 1. read the manifest (atomic rename means it is either the old or the
    new pointer, never torn; a missing manifest is a fresh directory),
 2. load the checkpoint it references (every file in the snapshot was
-   itself written atomically),
+   itself written atomically; a relation with a delta gets the bulk
+   load of its base plus delta),
 3. replay every WAL segment in order, applying only records with
    ``lsn > manifest.last_lsn`` — each application is *idempotent*
    (an insert whose oid exists, a create whose relation exists, a
@@ -46,7 +50,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..storage.atomic import atomic_write, fsync_directory
 from ..storage.faults import KillSwitch
 from ..storage.wal import WalRecord, WriteAheadLog, scan
-from .database import SpatialDatabase, parse_geometry
+from .database import SavedCatalog, SpatialDatabase, parse_geometry
 
 MANIFEST = "MANIFEST.json"
 MANIFEST_VERSION = 1
@@ -213,6 +217,9 @@ class RecoveredState:
     manifest: Dict[str, Any]
     info: RecoveryInfo
     records: List[WalRecord] = field(default_factory=list)
+    #: The bases of the loaded checkpoint, unchanged (``None`` without
+    #: one): the first checkpoint after the start links them.
+    saved: Optional[SavedCatalog] = None
 
 
 def recover(data_dir: str, page_size: int = 2048,
@@ -229,6 +236,7 @@ def recover(data_dir: str, page_size: int = 2048,
     os.makedirs(data_dir, exist_ok=True)
     manifest = read_manifest(data_dir)
     info = RecoveryInfo()
+    saved = None
     if manifest is None:
         manifest = {"version": MANIFEST_VERSION, "checkpoint_id": 0,
                     "checkpoint": None, "wal_seg": 1, "last_lsn": 0,
@@ -240,7 +248,7 @@ def recover(data_dir: str, page_size: int = 2048,
             db = SpatialDatabase(page_size=manifest["page_size"])
         else:
             try:
-                db = SpatialDatabase.open(
+                db, saved = SpatialDatabase.load(
                     os.path.join(data_dir, checkpoint))
             except (OSError, ValueError) as exc:
                 raise RecoveryError(
@@ -291,7 +299,8 @@ def recover(data_dir: str, page_size: int = 2048,
         metrics.set_gauge("serve.recovery.ms", round(info.duration_ms, 3))
         metrics.set_gauge("serve.recovery.checkpoint_id",
                           info.checkpoint_id)
-    return RecoveredState(db=db, wal=wal, manifest=manifest, info=info)
+    return RecoveredState(db=db, wal=wal, manifest=manifest, info=info,
+                          saved=saved)
 
 
 def _collect_garbage(data_dir: str, manifest: Dict[str, Any],

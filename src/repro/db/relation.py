@@ -312,21 +312,6 @@ class SpatialRelation:
     #: Synonym used by persistence ("flush writes before saving").
     flush = rebuild
 
-    def checkpoint_view(self):
-        """``(tree, objects)`` reflecting every acknowledged write,
-        for checkpointing without mutating the relation.
-
-        With no pending delta this is the live tree + table; with one,
-        a freshly bulk-loaded merged tree (the relation itself is left
-        untouched — recovery replays the still-logged delta ops
-        idempotently on top).
-        """
-        snap = self.snapshot()
-        if not snap.delta:
-            return self.tree, self._objects
-        objects = dict(snap.objects)
-        return self.bulk_load(objects), objects
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

@@ -92,6 +92,18 @@ class TestDeltaIngest:
             == (second.kills, second.incarnations, second.replayed,
                 second.rebuilds, second.final_objects)
 
+    def test_checkpoints_link_and_rewrite_bases(self):
+        """Absorbing relations' checkpoints hard-link the bases that
+        are still on disk and rewrite the others (new relations,
+        rent-or-buy); in place, every base is rewritten."""
+        armed = run_schedule(2, num_ops=40, checkpoint_every=2, mvcc=True)
+        assert armed.ok, armed.error
+        assert armed.kills > 0
+        assert armed.bases_linked > 0 and armed.bases_written > 0
+        plain = run_schedule(2, num_ops=40, checkpoint_every=2)
+        assert plain.ok, plain.error
+        assert plain.bases_linked == 0 and plain.bases_written > 0
+
     def test_cli_delta_mode(self, capsys):
         assert main(["--schedules", "2", "--ops", "15", "--mvcc"]) == 0
         assert "0 failures" in capsys.readouterr().out

@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db.delta import DeltaIndex, FrozenDelta
-from repro.geometry import Rect
+from repro.geometry import Polyline, Rect
 
 
 def rect(x, y, w=4.0, h=4.0):
@@ -135,3 +137,74 @@ class TestFrozenDelta:
         frozen = FrozenDelta({1: rect(0, 0)}, (2,))
         with pytest.raises((AttributeError, TypeError)):
             frozen.deleted.add(3)
+
+
+# ----------------------------------------------------------------------
+# Parity: the incrementally ordered delta against a from-scratch sort
+# ----------------------------------------------------------------------
+
+#: Few oids and few distinct x positions, so re-inserts and equal-xlo
+#: ties (ordered by oid) are common.
+_geometry = st.builds(
+    lambda kind, x, y, w: (rect(x, y, w, 3.0) if kind == "rect"
+                           else Polyline([(x, y), (x + w, y + 2.0)])),
+    st.sampled_from(["rect", "polyline"]), st.integers(0, 12),
+    st.integers(0, 12), st.sampled_from([0.0, 1.0, 6.0, 30.0]))
+
+_delta_ops = st.lists(st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 9), _geometry),
+    st.tuples(st.just("delete"), st.integers(0, 9)),
+    st.tuples(st.just("reinsert"), st.integers(0, 9), _geometry),
+    st.tuples(st.just("clear"))), max_size=40)
+
+_windows = st.lists(st.builds(rect, st.integers(-10, 40),
+                              st.integers(-10, 20),
+                              st.sampled_from([0.0, 2.0, 9.0, 50.0]),
+                              st.sampled_from([0.0, 2.0, 9.0, 50.0])),
+                    min_size=1, max_size=6)
+
+
+def _absorb(ops):
+    delta = DeltaIndex()
+    for op in ops:
+        if op[0] == "insert":
+            delta.insert(op[1], op[2])
+        elif op[0] == "delete":
+            delta.delete(op[1])
+        elif op[0] == "reinsert":
+            delta.delete(op[1])
+            delta.insert(op[1], op[2])
+        else:
+            delta.clear()
+    return delta
+
+
+def _assert_same(frozen, scratch, windows):
+    assert frozen.rows == scratch.rows
+    assert frozen.order == scratch.order
+    assert frozen.added == scratch.added
+    assert frozen.deleted == scratch.deleted
+    assert frozen.hidden == scratch.hidden
+    assert frozen.columns.same_rows(scratch.columns)
+    for window in windows:
+        assert frozen.added_in(window) == scratch.added_in(window)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_delta_ops, windows=_windows)
+def test_freeze_equals_a_from_scratch_delta(ops, windows):
+    delta = _absorb(ops)
+    _assert_same(delta.freeze(),
+                 FrozenDelta(delta.added, delta.deleted), windows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(older=_delta_ops, newer=_delta_ops, windows=_windows)
+def test_combine_equals_a_from_scratch_delta(older, newer, windows):
+    older, newer = _absorb(older).freeze(), _absorb(newer).freeze()
+    added = {oid: g for oid, g in older.added.items()
+             if oid not in newer.hidden}
+    added.update(newer.added)
+    _assert_same(older.combine(newer),
+                 FrozenDelta(added, older.deleted | newer.deleted),
+                 windows)
