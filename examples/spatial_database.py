@@ -31,6 +31,8 @@ def main() -> None:
         relation = db.create_relation(name)
         for oid, obj in sorted(dataset.objects.items()):
             relation.insert(obj, oid)
+        # Writes land in the relation's delta; merge them into its tree.
+        relation.rebuild()
         print(f"relation {name!r}: {len(relation):,} objects, "
               f"tree height {relation.tree.height}")
 

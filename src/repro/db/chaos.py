@@ -11,7 +11,10 @@ Each *schedule* is a deterministic experiment derived from one seed:
    DurabilityManager` whose :class:`~repro.storage.faults.KillSwitch`
    kills the "process" (raises :class:`~repro.storage.faults.
    SimulatedCrash`) at WAL and checkpoint boundaries, then recover the
-   data directory and check the invariants.
+   data directory and check the invariants.  Random
+   :meth:`~repro.db.SpatialDatabase.flush_deltas` rebuild points are
+   interleaved with the workload, so crashes land before, during
+   accumulation of, and after delta merges.
 
 Invariants verified after *every* recovery:
 
@@ -148,10 +151,9 @@ def _snapshot(db: SpatialDatabase) -> Model:
 def _check_trees(db: SpatialDatabase, seed: int) -> None:
     for name, relation in db.relations.items():
         validate_rtree(relation.tree)
-        # Census through the read path: with nothing absorbed this is
-        # the raw tree query; otherwise the snapshot merges the base
-        # hits with the unmerged writes — either way it must agree
-        # with the visible object table.
+        # Census through the read path: the snapshot merges the base
+        # hits with the unmerged writes, and must agree with the
+        # visible object table.
         indexed = sorted(relation.window(
             Rect(-1e12, -1e12, 1e12, 1e12)))
         if indexed != sorted(relation.objects):
@@ -177,13 +179,10 @@ class ScheduleResult:
     final_objects: int
     points: Dict[str, float]
     error: Optional[str] = None
-    #: Whether the schedule armed MVCC write absorption.
-    mvcc: bool = False
-    #: Delta merges performed at random flush points (``mvcc`` only).
+    #: Delta merges performed at random flush points.
     rebuilds: int = 0
     #: Relation bases checkpoints rewrote / hard-linked, summed over
-    #: incarnations (linking needs ``mvcc``: an in-place base is always
-    #: rewritten).
+    #: incarnations.
     bases_written: int = 0
     bases_linked: int = 0
 
@@ -195,16 +194,9 @@ class ScheduleResult:
 def run_schedule(seed: int, *, num_ops: int = 40,
                  sync: Optional[str] = None,
                  checkpoint_every: int = 8,
-                 data_dir: Optional[str] = None,
-                 mvcc: bool = False) -> ScheduleResult:
+                 data_dir: Optional[str] = None) -> ScheduleResult:
     """Run one seeded schedule; returns its result (``error`` set
-    instead of raising, so a sweep reports every failure).
-
-    ``mvcc=True`` arms write absorption in every incarnation and
-    interleaves random :meth:`~repro.db.SpatialDatabase.flush_deltas`
-    rebuild points with the workload, so crashes land before, during
-    accumulation of, and after background merges.
-    """
+    instead of raising, so a sweep reports every failure)."""
     rng = random.Random(seed ^ 0x5EED_C0DE)
     if sync is None:
         sync = "always" if seed % 2 == 0 else "batch"
@@ -214,7 +206,7 @@ def run_schedule(seed: int, *, num_ops: int = 40,
     workload = generate_workload(seed, num_ops)
     result = ScheduleResult(seed=seed, sync=sync, ops=num_ops, kills=0,
                             incarnations=0, replayed=0, final_objects=0,
-                            points=points, mvcc=mvcc)
+                            points=points)
     own_dir = data_dir is None
     if own_dir:
         data_dir = tempfile.mkdtemp(prefix=f"chaos-{seed}-")
@@ -253,10 +245,6 @@ def _run_schedule(seed: int, workload: List[Op],
             data_dir, sync=sync, checkpoint_every=checkpoint_every,
             kill=kill)
         result.replayed += manager.recovery.replayed
-        if result.mvcc:
-            # Recovery replays in place; arm absorption (as a service
-            # would) so the rest of this incarnation lands in deltas.
-            db.absorb_writes()
         flush_rng = random.Random(seed * 7919 + result.incarnations)
 
         # --- verify the recovered state against the model -------------
@@ -287,7 +275,7 @@ def _run_schedule(seed: int, workload: List[Op],
                 _apply_to_model(model, op)
                 pending = None
                 applied += 1
-                if result.mvcc and flush_rng.random() < 0.15:
+                if flush_rng.random() < 0.15:
                     # Random rebuild point: merge pending deltas into
                     # fresh bulk-loaded trees mid-workload.
                     result.rebuilds += db.flush_deltas()
@@ -366,13 +354,11 @@ def _diff(expected: Model, actual: Model) -> str:
 
 def run_schedules(count: int, *, first_seed: int = 0, num_ops: int = 40,
                   sync: Optional[str] = None, checkpoint_every: int = 8,
-                  mvcc: bool = False,
                   verbose: bool = False) -> List[ScheduleResult]:
     results = []
     for seed in range(first_seed, first_seed + count):
         outcome = run_schedule(seed, num_ops=num_ops, sync=sync,
-                               checkpoint_every=checkpoint_every,
-                               mvcc=mvcc)
+                               checkpoint_every=checkpoint_every)
         results.append(outcome)
         if verbose or not outcome.ok:
             status = "ok" if outcome.ok else "FAIL"
@@ -405,11 +391,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "alternate by seed)")
     parser.add_argument("--checkpoint-every", type=int, default=8,
                         help="records between checkpoints (default 8)")
-    parser.add_argument("--mvcc", action="store_true",
-                        help="arm MVCC write absorption after every "
-                             "recovery and interleave random rebuild "
-                             "points (default: mutate the trees in "
-                             "place)")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print every schedule, not just failures")
     options = parser.parse_args(argv)
@@ -419,7 +400,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                             num_ops=options.ops,
                             sync=options.sync,
                             checkpoint_every=options.checkpoint_every,
-                            mvcc=options.mvcc,
                             verbose=options.verbose)
     elapsed = time.perf_counter() - started
     failures = [outcome for outcome in results if not outcome.ok]

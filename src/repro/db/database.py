@@ -56,24 +56,12 @@ class SpatialDatabase:
         #: old name can never resurrect results computed against the
         #: dropped one (per-relation epochs restart at zero).
         self.epoch = 0
-        #: Set by :meth:`absorb_writes`; relations created afterwards
-        #: are armed too.
-        self._absorbing = False
-
-    def absorb_writes(self) -> None:
-        """Arm MVCC write absorption on every relation, present and
-        future (see :meth:`SpatialRelation.absorb_writes`): what a
-        query service does to the database it adopts.  Idempotent,
-        one-way."""
-        self._absorbing = True
-        for relation in self.relations.values():
-            relation.absorb_writes()
 
     def flush_deltas(self) -> int:
         """Synchronously merge every relation's pending delta into its
         tree; returns the number of relations rebuilt."""
         return sum(1 for relation in self.relations.values()
-                   if relation.flush())
+                   if relation.rebuild())
 
     # ------------------------------------------------------------------
     # Catalog
@@ -86,8 +74,6 @@ class SpatialDatabase:
         # Constructing first also validates the name — an invalid name
         # must raise before anything reaches the write-ahead log.
         relation = SpatialRelation(name, page_size=self.page_size)
-        if self._absorbing:
-            relation.absorb_writes()
         durability = self._durability
         lsn = None
         if durability is not None:
@@ -148,9 +134,8 @@ class SpatialDatabase:
         rel_r = self.relation(right)
         spec = resolve_spec(spec)
         # One consistent snapshot per side: the base trees are static
-        # for the whole join (the live tree until a service arms
-        # absorption, the published MVCC view after) and unmerged
-        # writes are overlaid on the base result by repro.core.deltajoin.
+        # for the whole join and unmerged writes are overlaid on the
+        # base result by repro.core.deltajoin.
         snap_l = rel_l.snapshot()
         snap_r = rel_r.snapshot()
         base = self.join_base(snap_l, snap_r, spec, refine=refine)
@@ -247,8 +232,8 @@ class SpatialDatabase:
         is written against that base — unless the delta records
         written against it would then exceed its object count, in which
         case the current base is rewritten (rent-or-buy: total output
-        stays within twice the best schedule).  A relation mutated in
-        place, or one *previous* does not hold, is written whole.
+        stays within twice the best schedule).  A relation *previous*
+        does not hold is written whole.
 
         Every file is written via temp-file + fsync + atomic rename and
         the manifest goes last, naming the relations that carry a
@@ -261,10 +246,8 @@ class SpatialDatabase:
         saved = SavedCatalog(directory)
         for name, relation in self.relations.items():
             prior = previous.bases.get(relation) if previous else None
-            base = _save_relation(directory, relation, prior,
-                                  previous, saved)
-            if base is not None:
-                saved.bases[relation] = base
+            saved.bases[relation] = _save_relation(directory, relation,
+                                                   prior, previous, saved)
         manifest = {
             "version": _MANIFEST_VERSION,
             "page_size": self.page_size,
@@ -339,7 +322,7 @@ class SavedBase:
     """One relation's base as a saved catalog holds it."""
 
     #: The object table its ``.rtree``/``.geom`` files encode.  Never
-    #: mutated: it is a served relation's immutable base (or the table
+    #: mutated: it is a relation's immutable base (or the table
     #: :meth:`SpatialDatabase.load` read), so later saves diff against
     #: it by identity.
     objects: Dict[int, Geometry]
@@ -355,8 +338,6 @@ class SavedCatalog:
     directory: str
     #: Keyed by the relation object, not its name: a relation dropped
     #: and re-created under the same name never matches the old base.
-    #: Relations mutated in place are absent (their base is not
-    #: immutable, so nothing may be linked against it).
     bases: Dict[SpatialRelation, SavedBase] = field(default_factory=dict)
     #: Names of the relations saved with a ``.delta`` file.
     deltas: List[str] = field(default_factory=list)
@@ -371,15 +352,11 @@ class SavedCatalog:
 def _save_relation(directory: str, relation: SpatialRelation,
                    prior: Optional[SavedBase],
                    previous: Optional[SavedCatalog],
-                   saved: SavedCatalog) -> Optional[SavedBase]:
+                   saved: SavedCatalog) -> SavedBase:
     """Write one relation for :meth:`SpatialDatabase.save`; returns the
-    base the next save may link (``None`` for an in-place relation)."""
+    base the next save may link."""
     name = relation.name
     snap = relation.snapshot()
-    if relation._delta is None:
-        # Mutated in place: the files are the live tree and table.
-        _write_base(directory, name, snap, saved)
-        return None
     if prior is not None:
         added, deleted = _diff(prior.objects, snap.base_objects,
                                snap.delta)

@@ -1,8 +1,7 @@
 """The in-memory delta index: write absorption for MVCC relations.
 
-A relation adopted by a query service (see
-:meth:`~repro.db.relation.SpatialRelation.absorb_writes`) does not
-mutate its R*-tree on ``insert``/``delete``.  Mutations are absorbed
+A :class:`~repro.db.relation.SpatialRelation` does not mutate its
+R*-tree on ``insert``/``delete``.  Mutations are absorbed
 into a small :class:`DeltaIndex` — an insert buffer kept in row order
 plus a deleted-oid set — and reads resolve through an immutable
 :class:`FrozenDelta` snapshot layered over the base tree.  A
@@ -179,7 +178,7 @@ class FrozenDelta:
 
 
 #: The shared empty delta: relations with nothing absorbed (never
-#: armed, or freshly rebuilt) snapshot against this singleton.
+#: written, or freshly rebuilt) snapshot against this singleton.
 FrozenDelta.EMPTY: "FrozenDelta" = FrozenDelta({}, ())
 
 

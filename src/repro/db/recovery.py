@@ -27,7 +27,9 @@ Recovery is a pure function of these files:
    ``lsn > manifest.last_lsn`` — each application is *idempotent*
    (an insert whose oid exists, a create whose relation exists, a
    delete/drop whose target is gone: all skip), so replaying a record
-   twice is harmless and recovery after recovery converges,
+   twice is harmless and recovery after recovery converges.  Replayed
+   writes land in each relation's delta like any other write and stay
+   pending until a rebuild merges them,
 4. truncate the active segment's torn tail (a crash mid-append leaves
    half a frame; everything before it is law, the tail never
    happened), and resume the LSN sequence.

@@ -2,28 +2,24 @@
 
 The paper's setting (Section 2.1) is a pair of *spatial relations*
 whose objects carry identifiers, exact geometry, and an R*-tree over
-their MBRs.  :class:`SpatialRelation` packages exactly that: inserts
-and deletes maintain both the object table and the index, queries go
-through the index, and the exact geometry feeds the refinement step.
+their MBRs.  :class:`SpatialRelation` packages exactly that: a write
+reaches the object table and the index together, queries go through
+the index, and the exact geometry feeds the refinement step.
 
-Mutations land in one of two places, decided by what the relation
-observes, never by a caller-supplied mode (see docs/ingestion.md):
+Every ``insert``/``delete`` lands in an in-memory
+:class:`~repro.db.delta.DeltaIndex` (see docs/ingestion.md); reads
+resolve through an immutable :class:`~repro.db.snapshot.Snapshot`
+(base tree + frozen delta + epoch) published atomically, so readers
+never hold a lock and never observe a half-applied write.
+:meth:`SpatialRelation.rebuild` merges the delta into a fresh STR
+bulk-loaded tree and swaps it in.  Between a write and a rebuild,
+``relation.tree`` is the base and :meth:`~SpatialRelation.snapshot`
+is the visible view.
 
-* until a query service adopts the relation, ``insert``/``delete``
-  maintain the paper's dynamic R*-tree and the object table in place;
-* once :meth:`SpatialRelation.absorb_writes` has armed write absorption
-  (a service does that on construction; it cannot be undone),
-  mutations go into an in-memory :class:`~repro.db.delta.DeltaIndex`;
-  reads resolve through an immutable
-  :class:`~repro.db.snapshot.Snapshot` (base tree + frozen delta +
-  epoch) published atomically, so readers never hold a lock and never
-  observe a half-applied write; :meth:`rebuild` merges the delta into
-  a fresh STR bulk-loaded tree and swaps it in.
-
-Either way ``epoch`` counts data mutations (result caches key on it)
-while ``base_epoch`` counts *base-tree* changes only — an absorbed
-write bumps ``epoch`` but leaves ``base_epoch`` alone, which is what
-lets the serve layer keep base-tree computations cached across writes.
+``epoch`` counts data mutations (result caches key on it) while
+``base_epoch`` changes only when a new base is installed — a write
+bumps ``epoch`` but leaves ``base_epoch`` alone, which is what lets
+the serve layer keep base-tree computations cached across writes.
 """
 
 from __future__ import annotations
@@ -50,12 +46,9 @@ class SpatialRelation:
 
     #: Optional :class:`~repro.db.durability.DurabilityManager`: when
     #: attached (by the manager, never directly), every insert/delete
-    #: is appended to the write-ahead log *before* the object table and
-    #: index mutate — so an acknowledged write is durable and a crashed
-    #: one is either fully replayed or fully absent after recovery.
-    #: Absorbed mutations log the identical records: the WAL does not
-    #: know (or care) whether a record was applied to the tree or
-    #: absorbed into the delta.
+    #: is appended to the write-ahead log *before* the delta absorbs
+    #: it — so an acknowledged write is durable and a crashed one is
+    #: either fully replayed or fully absent after recovery.
     _durability = None
 
     def __init__(self, name: str, page_size: int = 2048) -> None:
@@ -63,11 +56,13 @@ class SpatialRelation:
             raise QueryError(f"invalid relation name {name!r}")
         self.name = name
         self.params = RTreeParams.from_page_size(page_size)
+        #: The base tree: replaced by :meth:`commit_rebuild` (or by
+        #: assignment, followed by assigning :attr:`objects`, which
+        #: publishes both); no write mutates it.
         self.tree = RStarTree(self.params)
-        #: Object id -> exact geometry; Rect-only inserts are stored as
-        #: their MBR (the geometry *is* the rectangle then).  With a
-        #: pending delta this is the *base* table; the merged view is
-        #: :attr:`objects`.
+        #: The base table, object id -> exact geometry; Rect-only
+        #: inserts are stored as their MBR (the geometry *is* the
+        #: rectangle then).  The merged view is :attr:`objects`.
         self._objects: Dict[int, Geometry] = {}
         self._next_id = 0
         #: Mutation counter: bumped by every :meth:`insert`/:meth:`delete`.
@@ -75,93 +70,60 @@ class SpatialRelation:
         #: they read (see :mod:`repro.serve.cache`), so a bump makes all
         #: previously cached results for this relation unreachable.
         self.epoch = 0
-        #: Base-tree version: bumped when the tree itself changes (any
-        #: in-place mutation, and every rebuild swap).  Base-keyed
-        #: cache entries (see ``repro.serve.service``) stamp this.
+        #: Base-tree version: bumped only when :meth:`commit_rebuild`
+        #: installs a new base.  Base-keyed cache entries (see
+        #: ``repro.serve.service``) stamp this.
         self.base_epoch = 0
-        #: Active write-absorption buffer; ``None`` until
-        #: :meth:`absorb_writes`, and that is what routes a mutation to
-        #: the tree or to the buffer.
-        self._delta: Optional[DeltaIndex] = None
-        #: Delta frozen by an in-flight rebuild, still part of reads.
-        self._merging: Optional[FrozenDelta] = None
+        #: The write buffer every mutation lands in.
+        self._delta = DeltaIndex()
+        #: Delta frozen by an in-flight rebuild, still part of reads;
+        #: empty when no rebuild is in flight.
+        self._merging = FrozenDelta.EMPTY
         #: Guards mutation + snapshot publication.  Readers never take
         #: it: they grab :attr:`_snapshot` (one atomic reference read).
         self._mutex = threading.Lock()
-        self._snapshot: Optional[Snapshot] = None
+        self._publish()
 
     # ------------------------------------------------------------------
-    # Write absorption / snapshots
+    # Snapshots
     # ------------------------------------------------------------------
-
-    def absorb_writes(self) -> None:
-        """Arm write absorption: from here on mutations land in the
-        delta buffer instead of the tree.  Idempotent (a pending delta
-        is left alone) and one-way — a served relation never goes back
-        to in-place mutation under its readers."""
-        with self._mutex:
-            if self._delta is None:
-                self._delta = DeltaIndex()
-                self._publish()
 
     def snapshot(self) -> Snapshot:
-        """The current immutable view of this relation.
+        """The current immutable view of this relation: one attribute
+        read, because every change publishes eagerly."""
+        return self._snapshot
 
-        Every mutation publishes eagerly, so this is one attribute
-        read; only a base loaded by assignment (``tree`` +
-        :attr:`objects`) is published lazily here.
-        """
-        snap = self._snapshot
-        if (snap is not None and snap.epoch == self.epoch
-                and snap.base_epoch == self.base_epoch):
-            return snap
-        with self._mutex:
-            return self._publish()
-
-    def _publish(self) -> Snapshot:
+    def _publish(self) -> None:
         """Build + publish the snapshot for the current state.
 
         Must hold :attr:`_mutex`.  Publication is one reference store,
         so concurrent readers see either the old or the new snapshot,
         never a mix.
         """
-        if self._delta is not None and self._delta:
-            delta = self._delta.freeze()
-        else:
-            delta = FrozenDelta.EMPTY
-        if self._merging is not None:
-            delta = self._merging.combine(delta)
-        snap = Snapshot(self.name, self.tree, self._objects, delta,
-                        self.epoch, self.base_epoch)
-        self._snapshot = snap
-        return snap
+        delta = self._merging.combine(self._delta.freeze())
+        self._snapshot = Snapshot(self.name, self.tree, self._objects,
+                                  delta, self.epoch, self.base_epoch)
 
     @property
     def objects(self):
-        """The visible object table.
-
-        With nothing absorbed this is the real dict; otherwise the
-        snapshot's read-only merged mapping.
-        """
-        if self._delta is None and self._merging is None:
-            return self._objects
+        """The visible object table: the snapshot's read-only merged
+        mapping."""
         return self.snapshot().objects
 
     @objects.setter
     def objects(self, value: Dict[int, Geometry]) -> None:
-        """Replace the base table outright (persistence load path);
+        """Replace the base table outright and publish it with the
+        current :attr:`tree` (the load path: assign ``tree`` first);
         auto-assigned ids continue past the largest one loaded."""
-        self._objects = dict(value)
-        self._next_id = max(self._objects, default=-1) + 1
-        self._snapshot = None
+        with self._mutex:
+            self._objects = dict(value)
+            self._next_id = max(self._objects, default=-1) + 1
+            self._publish()
 
     @property
     def delta_ops_pending(self) -> int:
         """Recorded delta operations not yet merged into the tree."""
-        pending = len(self._delta) if self._delta is not None else 0
-        if self._merging is not None:
-            pending += len(self._merging)
-        return pending
+        return len(self._delta) + len(self._merging)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -179,7 +141,7 @@ class SpatialRelation:
         with self._mutex:
             if oid is None:
                 oid = self._next_id
-            if self._visible_unlocked(oid):
+            if oid in self._snapshot.objects:
                 raise CatalogError(f"object id {oid} already exists in "
                                    f"{self.name!r}")
             if durability is not None:
@@ -189,13 +151,7 @@ class SpatialRelation:
                 # a logged record recovery will replay or nothing at all.
                 lsn = durability.log_insert(self.name, oid, geometry)
             self._next_id = max(self._next_id, oid + 1)
-            if self._delta is not None:
-                # Absorbed: microseconds, no tree descent.
-                self._delta.insert(oid, geometry)
-            else:
-                self._objects[oid] = geometry
-                self.tree.insert(geometry_mbr(geometry), oid)
-                self.base_epoch += 1
+            self._delta.insert(oid, geometry)
             self.epoch += 1
             self._publish()
         if durability is not None:
@@ -207,37 +163,15 @@ class SpatialRelation:
         durability = self._durability
         lsn = None
         with self._mutex:
-            if not self._visible_unlocked(oid):
+            if oid not in self._snapshot.objects:
                 raise CatalogError(f"no object {oid} in {self.name!r}")
             if durability is not None:
                 lsn = durability.log_delete(self.name, oid)
-            if self._delta is not None:
-                self._delta.delete(oid)
-            else:
-                geometry = self._objects.pop(oid)
-                removed = self.tree.delete(geometry_mbr(geometry), oid)
-                assert removed, "object table and index diverged"
-                self.base_epoch += 1
+            self._delta.delete(oid)
             self.epoch += 1
             self._publish()
         if durability is not None:
             durability.committed(lsn)
-
-    def _visible_unlocked(self, oid: int) -> bool:
-        """Visibility under :attr:`_mutex`; with nothing absorbed this
-        is membership in the base table."""
-        delta = self._delta
-        if delta is not None:
-            if oid in delta.added:
-                return True
-            if oid in delta.deleted:
-                return False
-        if self._merging is not None:
-            if oid in self._merging.added:
-                return True
-            if oid in self._merging.hidden:
-                return False
-        return oid in self._objects
 
     # ------------------------------------------------------------------
     # Rebuild (delta merge)
@@ -246,15 +180,10 @@ class SpatialRelation:
     def begin_rebuild(self) -> bool:
         """Freeze the active delta for merging; False when there is
         nothing to merge or a rebuild is already in flight."""
-        if self._delta is None:
-            return False
         with self._mutex:
-            if self._merging is not None:
+            if self._merging or not self._delta:
                 return False
-            frozen = self._delta.freeze()
-            if not frozen:
-                return False
-            self._merging = frozen
+            self._merging = self._delta.freeze()
             self._delta = DeltaIndex()
             self._publish()
         return True
@@ -263,12 +192,12 @@ class SpatialRelation:
         """Bulk-load the merged (base + frozen delta) tree.
 
         Runs **without any lock**: the base table and the frozen delta
-        are immutable while :attr:`_merging` is set, and concurrent
-        writes land in the fresh active delta.  Returns
+        are immutable while :attr:`_merging` is nonempty, and
+        concurrent writes land in the fresh active delta.  Returns
         ``(tree, objects)`` for :meth:`commit_rebuild`.
         """
         merging = self._merging
-        assert merging is not None, "begin_rebuild was not called"
+        assert merging, "begin_rebuild was not called"
         objects = {oid: g for oid, g in self._objects.items()
                    if oid not in merging.hidden}
         objects.update(merging.added)
@@ -297,7 +226,7 @@ class SpatialRelation:
         with self._mutex:
             self.tree = tree
             self._objects = objects
-            self._merging = None
+            self._merging = FrozenDelta.EMPTY
             self.base_epoch += 1
             self._publish()
 
@@ -308,9 +237,6 @@ class SpatialRelation:
         tree, objects = self.build_merged(fill=fill)
         self.commit_rebuild(tree, objects)
         return True
-
-    #: Synonym used by persistence ("flush writes before saving").
-    flush = rebuild
 
     # ------------------------------------------------------------------
     # Queries
@@ -331,11 +257,7 @@ class SpatialRelation:
 
     def get(self, oid: int) -> Geometry:
         """The exact geometry of one object."""
-        try:
-            return self.objects[oid]
-        except KeyError:
-            raise CatalogError(
-                f"no object {oid} in {self.name!r}") from None
+        return self.snapshot().get(oid)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -348,10 +270,7 @@ class SpatialRelation:
 
     def mbr(self) -> Optional[Rect]:
         """MBR of the whole relation."""
-        snap = self.snapshot()
-        if not snap.delta:
-            return self.tree.mbr()
-        return snap.mbr()
+        return self.snapshot().mbr()
 
     def __len__(self) -> int:
         return len(self.objects)

@@ -6,16 +6,15 @@ identifies the view:
 
 * ``epoch`` — the relation's mutation counter; two snapshots with the
   same epoch see exactly the same data.  Result caches key on it.
-* ``base_epoch`` — bumped whenever the *base tree itself* changes
-  (in-place mutation or a background rebuild).  Cached base-tree
-  computations key on it, so they survive delta-only writes.
+* ``base_epoch`` — bumped only when a rebuild installs a new base.
+  Cached base-tree computations key on it, so they survive writes.
 
 Readers grab one snapshot and use it for the whole query: nothing a
-snapshot references is ever mutated in place (absorbed writes build
-new frozen deltas; rebuilds swap in a new tree + table), so queries
-run without holding any lock.  The snapshot also serves as the merged
-object table: :attr:`objects` is a read-only mapping implementing the
-visibility rule ``added wins; deleted suppresses base``.
+snapshot references is ever mutated (writes build new frozen deltas;
+rebuilds swap in a new tree + table), so queries run without holding
+any lock.  The snapshot also serves as the merged object table:
+:attr:`objects` is a read-only mapping implementing the visibility
+rule ``added wins; deleted suppresses base``.
 """
 
 from __future__ import annotations
@@ -187,6 +186,8 @@ class Snapshot:
 
     def mbr(self) -> Optional[Rect]:
         """MBR of every visible object (None when empty)."""
+        if not self.delta:
+            return self.tree.mbr()
         rects = [mbr for mbr, _ in self.records]
         if not rects:
             return None

@@ -13,14 +13,12 @@ speak to this class.
 Concurrency model
 -----------------
 
-Serving is MVCC: on construction the service arms write absorption on
-its database (:meth:`~repro.db.database.SpatialDatabase.absorb_writes`,
-see :mod:`repro.db.relation`), so mutations absorb into per-relation
-write buffers and queries read immutable snapshots.  **Reads take no
-lock at all** — the :class:`ReadWriteLock` only guards the write-side
-critical sections (mutations, snapshot swaps by the background
-rebuilder, the shutdown checkpoint), and every acquisition is timed
-into the ``serve.lock.write_wait_ms`` histogram.
+Serving is MVCC: mutations absorb into per-relation write buffers and
+queries read immutable snapshots (see :mod:`repro.db.relation`).
+**Reads take no lock at all** — the :class:`ReadWriteLock` only guards
+the write-side critical sections (mutations, snapshot swaps by the
+background rebuilder, the shutdown checkpoint), and every acquisition
+is timed into the ``serve.lock.write_wait_ms`` histogram.
 
 A background rebuilder thread merges accumulated deltas into fresh STR
 bulk-loaded trees (``rebuild_threshold`` pending ops, or every
@@ -148,8 +146,6 @@ class QueryService(RequestPipeline):
                          cache_bytes, default_timeout, obs,
                          max_retries=max_retries)
         self.db = db
-        # Serving is MVCC: from here on the database absorbs writes.
-        db.absorb_writes()
         #: Pending delta operations that trigger a background merge.
         self.rebuild_threshold = rebuild_threshold
         #: Periodic merge interval in seconds (None: threshold only).

@@ -18,15 +18,14 @@ def rect(rng, span=200.0, extent=12.0):
                 y + rng.uniform(1, extent))
 
 
-def build_db(n=80, seed=21, ingest="delta"):
+def build_db(n=80, seed=21):
     db = SpatialDatabase(page_size=1024)
     rng = random.Random(seed)
     for name in ("left", "right"):
         relation = db.create_relation(name)
         for _ in range(n):
             relation.insert(rect(rng))
-    if ingest == "delta":
-        db.absorb_writes()
+    db.flush_deltas()
     return db
 
 
@@ -58,11 +57,9 @@ class TestOverlayParity:
         assert join_pairs(db) == overlaid
 
     def test_overlay_equals_direct_mode(self):
-        delta_db = build_db()
-        direct_db = build_db(ingest="direct")
-        mutate(delta_db)
-        mutate(direct_db)
-        assert join_pairs(delta_db) == join_pairs(direct_db)
+        db = build_db()
+        mutate(db)
+        assert join_pairs(db) == brute_pairs(db)
 
     def test_refined_overlay_parity(self):
         db = build_db(n=60, seed=8)
@@ -185,7 +182,7 @@ class TestOverlayThroughTheEngine:
             if empty not in (name, "both"):
                 for _ in range(60):
                     relation.insert(rect(rng))
-        db.absorb_writes()
+        db.flush_deltas()
         for name in ("left", "right"):
             for _ in range(25):
                 db.relation(name).insert(rect(rng))

@@ -116,9 +116,9 @@ class TestDistanceJoinOverDeltas:
             relation = db.create_relation(name)
             for rect, _ in make_rects(n, seed=811 + n, world=300.0):
                 relation.insert(rect)
+        db.flush_deltas()
         assert (db.relation("big").tree.height
                 > db.relation("small").tree.height)
-        db.absorb_writes()
         rng = random.Random(812)
         for name, n in sizes.items():
             relation = db.relation(name)

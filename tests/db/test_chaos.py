@@ -58,6 +58,14 @@ class TestSchedules:
             == (second.kills, second.incarnations, second.replayed,
                 second.final_objects)
 
+    def test_checkpoints_link_and_rewrite_bases(self):
+        """Checkpoints hard-link the bases that are still on disk and
+        rewrite the others (new relations, rent-or-buy)."""
+        outcome = run_schedule(2, num_ops=40, checkpoint_every=2)
+        assert outcome.ok, outcome.error
+        assert outcome.kills > 0
+        assert outcome.bases_linked > 0 and outcome.bases_written > 0
+
     def test_cli_exit_status(self, capsys):
         assert main(["--schedules", "2", "--ops", "15"]) == 0
         out = capsys.readouterr().out
@@ -66,17 +74,19 @@ class TestSchedules:
 
 
 class TestDeltaIngest:
-    """The same kill/recover schedules with MVCC write absorption
-    armed: crashes land before, during accumulation of, and after
-    background merges, and recovery must still converge on the model."""
+    """Every schedule writes through the relations' deltas and takes
+    random rebuild points: crashes land before, during accumulation of,
+    and after merges, and recovery must still converge on the model."""
 
     def test_single_delta_schedule_passes(self):
-        outcome = run_schedule(2, num_ops=30, mvcc=True)
+        outcome = run_schedule(2, num_ops=30)
         assert outcome.ok, outcome.error
-        assert outcome.mvcc
+        # Replayed writes stay pending until a rebuild point merges
+        # them, so a schedule with kills also merges.
+        assert outcome.kills > 0 and outcome.rebuilds > 0
 
     def test_delta_sweep_passes_and_merges(self):
-        results = run_schedules(8, num_ops=25, mvcc=True)
+        results = run_schedules(8, num_ops=25)
         assert all(outcome.ok for outcome in results), \
             [outcome.error for outcome in results if not outcome.ok]
         # Kills and mid-workload rebuild points both actually happened,
@@ -85,37 +95,26 @@ class TestDeltaIngest:
         assert sum(outcome.rebuilds for outcome in results) > 0
 
     def test_delta_schedules_are_reproducible(self):
-        first = run_schedule(5, num_ops=30, mvcc=True)
-        second = run_schedule(5, num_ops=30, mvcc=True)
+        first = run_schedule(5, num_ops=30)
+        second = run_schedule(5, num_ops=30)
         assert (first.kills, first.incarnations, first.replayed,
                 first.rebuilds, first.final_objects) \
             == (second.kills, second.incarnations, second.replayed,
                 second.rebuilds, second.final_objects)
 
-    def test_checkpoints_link_and_rewrite_bases(self):
-        """Absorbing relations' checkpoints hard-link the bases that
-        are still on disk and rewrite the others (new relations,
-        rent-or-buy); in place, every base is rewritten."""
-        armed = run_schedule(2, num_ops=40, checkpoint_every=2, mvcc=True)
-        assert armed.ok, armed.error
-        assert armed.kills > 0
-        assert armed.bases_linked > 0 and armed.bases_written > 0
-        plain = run_schedule(2, num_ops=40, checkpoint_every=2)
-        assert plain.ok, plain.error
-        assert plain.bases_linked == 0 and plain.bases_written > 0
-
     def test_cli_delta_mode(self, capsys):
-        assert main(["--schedules", "2", "--ops", "15", "--mvcc"]) == 0
-        assert "0 failures" in capsys.readouterr().out
+        """The CLI's one mode takes rebuild points and links bases; the
+        verbose lines report both."""
+        assert main(["--schedules", "2", "--ops", "15",
+                     "--checkpoint-every", "2", "-v"]) == 0
+        out = capsys.readouterr().out
+        assert "0 failures" in out
+        assert "rebuilds=2 bases=9w/5l" in out
 
     def test_outcomes_match_the_mode_string_harness(self):
-        """Seed 5 as recorded from ``ingest="direct"`` / ``"delta"``
-        before the harness took a boolean: the arming call changes how
-        a schedule is selected, not what it does."""
-        plain = run_schedule(5, num_ops=30)
-        armed = run_schedule(5, num_ops=30, mvcc=True)
-        assert not plain.mvcc
-        assert (plain.kills, plain.incarnations, plain.rebuilds) \
-            == (1, 2, 0)
-        assert (armed.kills, armed.incarnations, armed.rebuilds) \
+        """Seed 5 as recorded from the harness's ``ingest="delta"``
+        mode, before it became the only one: removing the mode switch
+        changed how a schedule is selected, not what it does."""
+        outcome = run_schedule(5, num_ops=30)
+        assert (outcome.kills, outcome.incarnations, outcome.rebuilds) \
             == (1, 2, 2)

@@ -23,6 +23,9 @@ def db():
         x, y = rng.random() * 90, rng.random() * 90
         zones.insert(Polygon([(x, y), (x + 10, y), (x + 10, y + 10),
                               (x, y + 10)]))
+    # Merge the loads: the catalog's bases hold every object.
+    streets.rebuild()
+    zones.rebuild()
     return database
 
 

@@ -29,11 +29,9 @@ def _box(i):
 
 
 def _served(data_dir, objects):
-    """A durable database whose one absorbing relation ``roads`` has a
-    base of *objects* rows on disk (checkpoint written, nothing
-    pending)."""
+    """A durable database whose one relation ``roads`` has a base of
+    *objects* rows on disk (checkpoint written, nothing pending)."""
     db, manager = _open(data_dir)
-    db.absorb_writes()
     roads = db.create_relation("roads")
     for i in range(objects):
         roads.insert(_box(i))
@@ -111,7 +109,6 @@ class TestLinking:
         first = _inodes(manager, "roads")
         manager.close()
         db, manager = _open(tmp_path / "data")
-        db.absorb_writes()
         db.relation("roads").insert(_box(101))
         manager.checkpoint()
         assert (manager.bases_written, manager.bases_linked) == (0, 1)
@@ -158,18 +155,6 @@ class TestRentOrBuy:
 
 
 class TestWholeWrites:
-    def test_in_place_relation_is_written_whole_every_time(self, tmp_path):
-        db, manager = _open(tmp_path / "data")
-        roads = db.create_relation("roads")
-        for i in range(3):
-            roads.insert(_box(i))
-            manager.checkpoint()
-            assert not os.path.exists(
-                os.path.join(_checkpoint_dir(manager), "roads.delta"))
-        assert (manager.bases_written, manager.bases_linked) == (3, 0)
-        assert _stored(manager) == _visible(db)
-        manager.close()
-
     def test_recreated_name_is_written_whole(self, tmp_path):
         db, manager, roads = _served(tmp_path / "data", 10)
         roads.insert(_box(50), oid=50)
@@ -196,7 +181,7 @@ class TestSaveAndOpen:
         roads = db.create_relation("roads")
         for i in range(10):
             roads.insert(_box(i))
-        db.absorb_writes()
+        roads.rebuild()
         roads.delete(2)
         roads.insert(_box(20), oid=20)
         roads.insert(_box(21), oid=21)
@@ -248,7 +233,9 @@ class TestSaveAndOpen:
     def test_no_delta_no_delta_files(self, tmp_path):
         directory = str(tmp_path / "catalog")
         db = SpatialDatabase()
-        db.create_relation("roads").insert(_box(1))
+        roads = db.create_relation("roads")
+        roads.insert(_box(1))
+        roads.rebuild()
         db.save(directory)
         assert sorted(os.listdir(directory)) == [
             "manifest.json", "roads.geom", "roads.rtree"]

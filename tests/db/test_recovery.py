@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.db.recovery import (MANIFEST, RecoveryError, apply_record,
                                read_manifest, recover)
 from repro.geometry.rect import Rect
 from repro.rtree.validate import validate_rtree
+from repro.serve import QueryService, ServiceClient
 from repro.storage.faults import KillPlan, KillSwitch, SimulatedCrash
 
 
@@ -220,14 +222,13 @@ class TestCheckpointCrashWindows:
 
 
 class TestDeltaModeRecovery:
-    """Recovery with MVCC delta ingest active: mutations absorbed by
-    the write-side delta are WAL-logged exactly like direct ones, so a
-    crash loses nothing and replay is idempotent regardless of how many
-    rebuild points ran before the crash."""
+    """Recovery with pending deltas: every mutation is WAL-logged
+    before the delta absorbs it, so a crash loses nothing and replay is
+    idempotent regardless of how many rebuild points ran before the
+    crash."""
 
     def _mutate(self, db):
         rel = db.create_relation("roads")
-        db.absorb_writes()
         oids = [rel.insert(Rect(i, i, i + 1, i + 1)) for i in range(9)]
         rel.delete(oids[4])
         return [oid for oid in oids if oid != oids[4]]
@@ -279,14 +280,12 @@ class TestDeltaModeRecovery:
         assert snapshot1 == snapshot2
 
     def test_recovered_database_resumes_delta_ingest(self, tmp_path):
-        # Recovery replays in place; the service layer then arms the
-        # delta path, and further MVCC writes keep working on top of
-        # the recovered base trees.
+        # Recovery replays into the delta, and further writes keep
+        # working on top of the recovered base trees.
         db, manager = _open(tmp_path / "data", checkpoint_every=1000)
         live = self._mutate(db)
         _abandon(manager)
         db2, manager2 = _open(tmp_path / "data")
-        db2.absorb_writes()
         rel = db2.relations["roads"]
         new_oid = rel.insert(Rect(30, 30, 31, 31))
         assert sorted(rel.objects) == sorted(live + [new_oid])
@@ -295,6 +294,55 @@ class TestDeltaModeRecovery:
         assert rel.delta_ops_pending == 0
         assert sorted(rel.objects) == sorted(live + [new_oid])
         manager2.close()
+
+    def test_replayed_writes_stay_pending_until_the_threshold(
+            self, tmp_path):
+        """Replay lands in the delta: the recovered base is the loaded
+        checkpoint's, and a service merges the replayed writes only
+        once they reach its rebuild threshold."""
+        data_dir = tmp_path / "data"
+        db, manager = _open(data_dir, checkpoint_every=1000)
+        rel = db.create_relation("roads")
+        for i in range(20):
+            rel.insert(Rect(i, i, i + 1, i + 1))
+        rel.rebuild()
+        manager.checkpoint()
+        # The WAL tail: three new objects, two base objects deleted.
+        for i in range(3):
+            rel.insert(Rect(50 + i, 50, 51 + i, 51))
+        rel.delete(3)
+        rel.delete(7)
+        visible = dict(rel.objects)
+        _abandon(manager)
+        checkpoint = os.path.join(str(data_dir),
+                                  read_manifest(str(data_dir))["checkpoint"])
+        loaded = SpatialDatabase.open(checkpoint).relations["roads"]
+
+        db2, manager2 = _open(data_dir)
+        recovered = db2.relations["roads"]
+        assert manager2.recovery.replayed == 5
+        assert recovered.base_epoch == loaded.base_epoch
+        assert len(recovered.tree) == len(loaded.tree) == 20
+        assert recovered.delta_ops_pending == 5
+        assert dict(recovered.objects) == visible
+
+        service = QueryService(db2, workers=1, durability=manager2,
+                               rebuild_threshold=6)
+        try:
+            time.sleep(0.2)                   # four rebuilder polls
+            assert recovered.delta_ops_pending == 5
+            assert recovered.base_epoch == loaded.base_epoch
+            ServiceClient(service).insert(
+                "roads", {"kind": "rect", "coords": [60, 60, 61, 61]})
+            deadline = time.monotonic() + 10.0
+            while recovered.delta_ops_pending \
+                    and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert recovered.delta_ops_pending == 0
+            assert recovered.base_epoch == loaded.base_epoch + 1
+            assert len(recovered.tree) == 22
+        finally:
+            service.close()
 
 
 class TestManifest:

@@ -69,30 +69,26 @@ class TestMaintenance:
         relation.delete(oid)
         assert relation.epoch == epoch + 2
 
-    @pytest.mark.parametrize("armed", [False, True])
-    def test_auto_id_continues_past_a_loaded_base(self, relation, armed):
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_auto_id_continues_past_a_loaded_base(self, relation, merged):
         """Loading a base by assignment (``tree`` + ``objects``, what
         ``SpatialDatabase.open`` and bulk loaders do) must leave the
-        next auto-assigned id above every loaded one."""
+        next auto-assigned id above every loaded one, whether the write
+        is still pending in the delta or merged into a new base."""
+        relation.rebuild()
         loaded = SpatialRelation("loaded", page_size=1024)
         loaded.tree = relation.tree
         loaded.objects = dict(relation.objects)
-        if armed:
-            loaded.absorb_writes()
         assert loaded.insert(Rect(70, 70, 71, 71)) == 3
+        if merged:
+            loaded.rebuild()
+            assert loaded.delta_ops_pending == 0
+            assert sorted(loaded.tree.window_query(Rect(0, 0, 100, 100))) \
+                == [0, 1, 2, 3]
+            assert loaded.insert(Rect(80, 80, 81, 81)) == 4
+            loaded.delete(4)
         assert sorted(loaded) == [0, 1, 2, 3]
         assert sorted(loaded.window(Rect(0, 0, 100, 100))) == [0, 1, 2, 3]
-
-    def test_arming_twice_keeps_the_pending_delta(self, relation):
-        relation.absorb_writes()
-        base = relation.base_epoch
-        added = relation.insert(Rect(70, 70, 71, 71))
-        relation.delete(0)
-        assert relation.delta_ops_pending == 2
-        relation.absorb_writes()
-        assert relation.delta_ops_pending == 2
-        assert relation.base_epoch == base
-        assert sorted(relation) == [1, 2, added]
 
     def test_invalid_names(self):
         for bad in ("", "a/b", ".hidden"):
@@ -114,8 +110,11 @@ class TestMaintenance:
                 oid = rel.insert(Rect(x, y, x + 1, y + 1))
                 live.add(oid)
         assert set(rel) == live
-        validate_rtree(rel.tree)
         assert sorted(rel.window(Rect(0, 0, 100, 100))) == sorted(live)
+        rel.rebuild()
+        validate_rtree(rel.tree)
+        assert sorted(rel.tree.window_query(Rect(0, 0, 100, 100))) \
+            == sorted(live)
 
 
 class TestQueries:

@@ -13,13 +13,12 @@ def rect(x, y, w=5.0, h=5.0):
     return Rect(x, y, x + w, y + h)
 
 
-def build_relation(n=60, seed=3, armed=True):
+def build_relation(n=60, seed=3):
     relation = SpatialRelation("roads", page_size=1024)
     rng = random.Random(seed)
     for _ in range(n):
         relation.insert(rect(rng.uniform(0, 200), rng.uniform(0, 200)))
-    if armed:
-        relation.absorb_writes()
+    relation.rebuild()
     return relation
 
 
@@ -135,7 +134,7 @@ class TestVisibility:
         # misses it, in the base and again in the delta.
         relation.insert(Polyline([(0, 0), (100, 100)]), oid=1)
         relation.insert(Polyline([(60, 0), (100, 40)]), oid=2)
-        relation.absorb_writes()
+        relation.rebuild()
         relation.insert(Polyline([(0, 0), (100, 100)]), oid=3)
         relation.insert(Polyline([(60, 0), (100, 40)]), oid=4)
         relation.delete(1)
@@ -164,13 +163,6 @@ class TestEpochs:
         assert relation.base_epoch == base + 1
         assert relation.delta_ops_pending == 0
 
-    def test_direct_write_bumps_both(self):
-        relation = build_relation(armed=False)
-        epoch, base = relation.epoch, relation.base_epoch
-        relation.insert(rect(1, 1))
-        assert relation.epoch == epoch + 1
-        assert relation.base_epoch == base + 1
-
     def test_rebuild_without_pending_delta_is_a_noop(self):
         relation = build_relation()
         assert relation.rebuild() is False
@@ -179,7 +171,7 @@ class TestEpochs:
         relation = build_relation(n=10)
         added = relation.insert(rect(70, 70))
         relation.delete(0)
-        assert relation.flush()
+        assert relation.rebuild()
         assert relation.delta_ops_pending == 0
         assert added in relation.objects and 0 not in relation.objects
         # The tree itself now holds the merged records.

@@ -25,6 +25,7 @@ def build_db(n=150, seed=11):
             x, y = rng.uniform(0, 500), rng.uniform(0, 500)
             relation.insert(Rect(x, y, x + rng.uniform(1, 25),
                                  y + rng.uniform(1, 25)))
+        relation.rebuild()
     return db
 
 

@@ -22,6 +22,7 @@ def build_db(n=120, seed=11):
             x, y = rng.uniform(0, 500), rng.uniform(0, 500)
             relation.insert(Rect(x, y, x + rng.uniform(1, 25),
                                  y + rng.uniform(1, 25)))
+        relation.rebuild()
     return db
 
 
@@ -246,7 +247,7 @@ class TestLockHistograms:
 
 class TestServingIsMvcc:
     """A served database always absorbs writes: there is no mode to
-    pass, and nothing a client creates later escapes the arming."""
+    pass, and a relation a client creates later absorbs too."""
 
     def test_ingest_is_not_a_constructor_parameter(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
