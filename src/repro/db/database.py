@@ -177,18 +177,22 @@ class SpatialDatabase:
         Returns *base* unchanged when both deltas are empty."""
         if not (snap_l.delta or snap_r.delta):
             return base
-        result = overlay_join(snap_l, snap_r, base, spec)
-        if refine and result.stats.delta_pairs:
-            # overlay_join appends the delta contributions after the
-            # surviving (already refined) base pairs.
-            split = len(result.pairs) - result.stats.delta_pairs
-            head, extras = result.pairs[:split], result.pairs[split:]
-            extras = _refine_pairs(extras, snap_l.objects,
-                                   snap_r.objects)
-            result.pairs = head + extras
-            result.stats.delta_pairs = len(extras)
-            result.stats.pairs_output = len(result.pairs)
-        return result
+        return _overlay(snap_l, snap_r, base, spec, refine)
+
+    def carry_join_base(self, snap_l, snap_r, base: JoinResult,
+                        spec: JoinSpec, *,
+                        refine: bool = False) -> JoinResult:
+        """Carry a base join across a rebuild without recomputing it.
+
+        *base* is :meth:`join_base` of the two snapshots' base trees;
+        each snapshot's delta is what a rebuild merges into that base
+        (``FrozenDelta.EMPTY`` on a side that is not being rebuilt).
+        Returns the join of the merged bases — what :meth:`join_base`
+        would return once the rebuild commits — computed as the
+        :meth:`join_overlay` of those deltas, refined the same way.
+        The result keeps *base*'s plan; its statistics are *base*'s
+        merged with the overlay's, the work that produced its pairs."""
+        return _overlay(snap_l, snap_r, base, spec, refine)
 
     def explain(self, left: str, right: str,
                 spec: Optional[JoinSpec] = None) -> ExecutionPlan:
@@ -444,6 +448,25 @@ def _read_delta(path: str) -> Tuple[Dict[int, Geometry], set]:
             elif parts:
                 added.update([_parse_geometry(line, path, line_number)])
     return added, deleted
+
+
+def _overlay(snap_l, snap_r, base: JoinResult, spec: JoinSpec,
+             refine: bool) -> JoinResult:
+    """:func:`overlay_join`, then (when refining) the exact-geometry
+    test on just the pairs this overlay added."""
+    result = overlay_join(snap_l, snap_r, base, spec)
+    # *base* may itself carry earlier overlays' delta pairs.
+    added = result.stats.delta_pairs - base.stats.delta_pairs
+    if refine and added:
+        # overlay_join appends the delta contributions after the
+        # surviving (already refined) base pairs.
+        split = len(result.pairs) - added
+        head, extras = result.pairs[:split], result.pairs[split:]
+        kept = _refine_pairs(extras, snap_l.objects, snap_r.objects)
+        result.pairs = head + kept
+        result.stats.delta_pairs -= len(extras) - len(kept)
+        result.stats.pairs_output = len(result.pairs)
+    return result
 
 
 def _refine_pairs(pairs, objects_l, objects_r):

@@ -76,9 +76,13 @@ class SpatialRelation:
         self.base_epoch = 0
         #: The write buffer every mutation lands in.
         self._delta = DeltaIndex()
-        #: Delta frozen by an in-flight rebuild, still part of reads;
-        #: empty when no rebuild is in flight.
+        #: Delta frozen by a rebuild, still part of reads until a
+        #: commit merges it; empty when nothing is being merged.  A
+        #: failed rebuild leaves it here for the next one to retry.
         self._merging = FrozenDelta.EMPTY
+        #: True from :meth:`begin_rebuild` to :meth:`commit_rebuild` or
+        #: :meth:`abort_rebuild`.
+        self._rebuilding = False
         #: Guards mutation + snapshot publication.  Readers never take
         #: it: they grab :attr:`_snapshot` (one atomic reference read).
         self._mutex = threading.Lock()
@@ -124,6 +128,12 @@ class SpatialRelation:
     def delta_ops_pending(self) -> int:
         """Recorded delta operations not yet merged into the tree."""
         return len(self._delta) + len(self._merging)
+
+    @property
+    def merging(self) -> FrozenDelta:
+        """The delta the rebuild in flight merges into the base (empty
+        when none is); immutable, like every frozen delta."""
+        return self._merging
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -179,20 +189,31 @@ class SpatialRelation:
 
     def begin_rebuild(self) -> bool:
         """Freeze the active delta for merging; False when there is
-        nothing to merge or a rebuild is already in flight."""
+        nothing to merge or a rebuild is already in flight.  After a
+        failed rebuild the delta it froze is still :attr:`merging`, and
+        this retries that delta as it is."""
         with self._mutex:
-            if self._merging or not self._delta:
+            if self._rebuilding or not (self._merging or self._delta):
                 return False
-            self._merging = self._delta.freeze()
-            self._delta = DeltaIndex()
-            self._publish()
+            if not self._merging:
+                self._merging = self._delta.freeze()
+                self._delta = DeltaIndex()
+                self._publish()
+            self._rebuilding = True
         return True
+
+    def abort_rebuild(self) -> None:
+        """End a rebuild that will not commit: :attr:`merging` stays
+        pending and visible, and the next :meth:`begin_rebuild`
+        retries it."""
+        with self._mutex:
+            self._rebuilding = False
 
     def build_merged(self, fill: float = 0.9):
         """Bulk-load the merged (base + frozen delta) tree.
 
         Runs **without any lock**: the base table and the frozen delta
-        are immutable while :attr:`_merging` is nonempty, and
+        are immutable while a rebuild is in flight, and
         concurrent writes land in the fresh active delta.  Returns
         ``(tree, objects)`` for :meth:`commit_rebuild`.
         """
@@ -227,6 +248,7 @@ class SpatialRelation:
             self.tree = tree
             self._objects = objects
             self._merging = FrozenDelta.EMPTY
+            self._rebuilding = False
             self.base_epoch += 1
             self._publish()
 
@@ -234,7 +256,11 @@ class SpatialRelation:
         """Synchronously merge any pending delta into the tree."""
         if not self.begin_rebuild():
             return False
-        tree, objects = self.build_merged(fill=fill)
+        try:
+            tree, objects = self.build_merged(fill=fill)
+        except BaseException:
+            self.abort_rebuild()
+            raise
         self.commit_rebuild(tree, objects)
         return True
 

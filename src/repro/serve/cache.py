@@ -84,6 +84,14 @@ class ResultCache:
             self.hits += 1
             return cell[0]
 
+    def peek(self, key: str) -> Optional[Any]:
+        """The cached payload, or None, neither counted as a hit or a
+        miss nor refreshing recency: a look-up on the server's own
+        behalf, not a request's."""
+        with self._lock:
+            cell = self._entries.get(key)
+        return None if cell is None else cell[0]
+
     def put(self, key: str, payload: Any,
             nbytes: Optional[int] = None) -> bool:
         """Admit *payload*; returns False when it exceeds the byte

@@ -37,7 +37,12 @@ flag reports) plus a ``<op>@base`` key stamped with the relations'
 ``base_epoch``, holding the expensive base-tree computation of joins
 and window queries.  Delta writes leave ``base_epoch`` alone, so after
 a write the service re-runs only the cheap delta overlay on top of a
-base-cache hit instead of the whole join.
+base-cache hit instead of the whole join.  A rebuild does bump
+``base_epoch``, and the rebuilder carries each cached ``join@base``
+entry across it: the join of the merged base is the old entry
+overlaid with the delta the rebuild merged, installed together with
+the new tree — so a served join computes its base once, not once per
+rebuild.
 
 Every request folds its time into the ``serve.request`` aggregate
 timer on the server's :class:`~repro.obs.Observability` handle (never
@@ -53,6 +58,7 @@ import contextlib
 import json
 import threading
 import time
+from dataclasses import replace
 from typing import (TYPE_CHECKING, Any, Callable, ContextManager, Dict,
                     List, Optional, Tuple)
 
@@ -62,6 +68,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..core.spec import JoinSpec
 from ..core.stats import JoinResult, JoinStatistics
 from ..db.database import SpatialDatabase
+from ..db.delta import FrozenDelta
+from ..db.snapshot import Snapshot
 from ..obs.core import Observability
 from .cache import normalized_key
 from .fields import (bool_field, join_fields, k_field, number_field,
@@ -164,6 +172,10 @@ class QueryService(RequestPipeline):
         #: the exclusive write lock, so checkpoints always snapshot a
         #: fully-applied catalog.
         self.durability = durability
+        #: ``params_json -> (left, right, spec without timeout,
+        #: refine)`` of the joins served: what the rebuilder needs to
+        #: carry their ``join@base`` entries (:meth:`_carry_joins`).
+        self._joins: Dict[str, Tuple[str, str, JoinSpec, bool]] = {}
         self._lock = ReadWriteLock()
         self._rebuild_stop = threading.Event()
         self._rebuilder: Optional[threading.Thread] = None
@@ -221,9 +233,9 @@ class QueryService(RequestPipeline):
         the cached base result.  Shares the one :class:`ResultCache`
         (and its hit/miss accounting) with the full-key level.
         """
-        epochs = [(snap.name, snap.base_epoch) for snap in snapshots]
-        key = normalized_key(f"{op}@base", None, epochs, self.db.epoch,
-                             params_json=request["_params_json"])
+        key = _base_key(op, request["_params_json"],
+                        [(snap.name, snap.base_epoch)
+                         for snap in snapshots], self.db.epoch)
         payload = self.cache.get(key)
         if payload is not None:
             if self.obs.enabled:
@@ -268,15 +280,20 @@ class QueryService(RequestPipeline):
         def compute() -> Dict[str, Any]:
             base = self.db.join_base(snap_l, snap_r, spec,
                                      refine=refine)
+            if self.obs.enabled:
+                self.obs.metrics.inc("serve.join.base_computed")
             return {"pairs": sorted(base.pairs),
                     "stats": base.stats.to_dict(),
                     "plan": base.plan.to_dict()}
 
         cached = self._base_cached("join", request, (snap_l, snap_r),
                                    compute)
-        base = JoinResult([tuple(pair) for pair in cached["pairs"]],
-                          JoinStatistics.from_dict(cached["stats"]))
-        result = self.db.join_overlay(snap_l, snap_r, base, spec,
+        # Registered after the entry is cached, so a rebuilder that
+        # finds this registration also finds the entry to carry.
+        self._joins[request["_params_json"]] = (
+            left, right, replace(spec, timeout=None), refine)
+        result = self.db.join_overlay(snap_l, snap_r,
+                                      _join_result(cached), spec,
                                       refine=refine)
         pairs = sorted(result.pairs)
         return {"pairs": pairs, "count": len(pairs),
@@ -391,19 +408,30 @@ class QueryService(RequestPipeline):
     def _rebuild_relation(self, relation) -> bool:
         """One full rebuild cycle for *relation*.
 
-        The expensive part — bulk-loading the merged tree — runs with
-        no lock held; only the freeze and the swap take the write
-        lock, and the swap is followed by a checkpoint so the WAL
-        records absorbed by the merge can be dropped.
+        The expensive parts — bulk-loading the merged tree and carrying
+        the cached base joins over to it (:meth:`_carry_joins`) — run
+        with no lock held; only the freeze and the swap take the write
+        lock.  The carried entries enter the cache in the swap's
+        critical section, so no join sees the new base without them,
+        and the swap is followed by a checkpoint so the WAL records
+        absorbed by the merge can be dropped.  A failed merge leaves
+        its frozen delta pending for the next cycle to retry.
         """
         started = time.perf_counter()
         with self._locked():
             begun = relation.begin_rebuild()
         if not begun:
             return False
-        tree, objects = relation.build_merged()
+        try:
+            tree, objects = relation.build_merged()
+            carried = self._carry_joins(relation)
+        except BaseException:
+            relation.abort_rebuild()
+            raise
         with self._locked():
             relation.commit_rebuild(tree, objects)
+            for key, payload, nbytes in carried:
+                self.cache.put(key, payload, nbytes=nbytes)
             if self.durability is not None:
                 self.durability.checkpoint()
         self.rebuilds += 1
@@ -413,6 +441,71 @@ class QueryService(RequestPipeline):
                 "serve.rebuild_ms",
                 (time.perf_counter() - started) * 1e3)
         return True
+
+    def _carry_joins(self, relation
+                     ) -> List[Tuple[str, Dict[str, Any], int]]:
+        """The cached base joins over *relation*, carried across its
+        rebuild in flight: ``(key, payload, nbytes)`` per join, keyed
+        for the bases the commit installs.
+
+        Each registered join whose ``join@base`` entry is cached at the
+        current bases and reads *relation* becomes
+        :meth:`~repro.db.SpatialDatabase.carry_join_base` of that entry
+        over the current bases, with the delta being merged on
+        *relation*'s side(s) and none on the other — exact for left,
+        right and self-joins.  The new key stamps the epochs this
+        computation read, *relation*'s ``base_epoch`` plus one, so a
+        concurrent create/drop or rebuild of the other side leaves the
+        entry unreachable, never wrong.  A join whose entry has left
+        the cache is forgotten; one that fails to carry is logged,
+        counted, and recomputes when next requested.
+        """
+        catalog_epoch = self.db.epoch
+        name, merging = relation.name, relation.merging
+        if self.db.relations.get(name) is not relation:
+            return []           # dropped: nothing can read its new base
+        carried = []
+        for params_json, joined in list(self._joins.items()):
+            left, right, spec, refine = joined
+            try:
+                snaps = [self.db.relations[side].snapshot()
+                         for side in (left, right)]
+                payload = self.cache.peek(_base_key(
+                    "join", params_json,
+                    [(snap.name, snap.base_epoch) for snap in snaps],
+                    catalog_epoch))
+            except KeyError:    # a side was dropped
+                payload = None
+            if payload is None:
+                self._joins.pop(params_json, None)
+                continue
+            if name not in (left, right):
+                continue
+            try:
+                views = [Snapshot(snap.name, snap.tree, snap.base_objects,
+                                  merging if snap.name == name
+                                  else FrozenDelta.EMPTY,
+                                  snap.epoch, snap.base_epoch)
+                         for snap in snaps]
+                result = self.db.carry_join_base(
+                    *views, _join_result(payload), spec, refine=refine)
+                payload = {"pairs": sorted(result.pairs),
+                           "stats": result.stats.to_dict(),
+                           "plan": payload["plan"]}
+                key = _base_key("join", params_json,
+                                [(snap.name,
+                                  snap.base_epoch + (snap.name == name))
+                                 for snap in snaps], catalog_epoch)
+                carried.append((key, payload, len(json.dumps(payload))))
+            except Exception as exc:  # noqa: BLE001 — never fail the merge
+                if self.obs.enabled:
+                    self.obs.metrics.inc("serve.join.carry_errors")
+                self.slow_log(f"carrying join {params_json} across the "
+                              f"rebuild of {name!r} failed: {exc}")
+                continue
+            if self.obs.enabled:
+                self.obs.metrics.inc("serve.join.carried")
+        return carried
 
     def force_rebuild(self) -> int:
         """Synchronously merge every relation's pending delta; returns
@@ -425,12 +518,16 @@ class QueryService(RequestPipeline):
     # ------------------------------------------------------------------
 
     def _stats_sections(self) -> Dict[str, Any]:
+        counter = self.obs.metrics.counter
         sections: Dict[str, Any] = {
             "ingest": {
                 "pending_delta_ops": sum(
                     r.delta_ops_pending
                     for r in self.db.relations.values()),
                 "rebuilds": self.rebuilds,
+                "base_joins_computed": counter("serve.join.base_computed"),
+                "joins_carried": counter("serve.join.carried"),
+                "carry_errors": counter("serve.join.carry_errors"),
             }}
         write_wait = latency_section(self.obs, "serve.lock.write_wait_ms")
         if write_wait is not None:
@@ -457,3 +554,17 @@ def _remaining(deadline: Optional[float]) -> Optional[float]:
     if deadline is None:
         return None
     return max(1e-3, deadline - time.perf_counter())
+
+
+def _base_key(op: str, params_json: str, epochs: List[Tuple[str, int]],
+              catalog_epoch: int) -> str:
+    """The ``<op>@base`` cache key at the given ``base_epoch``s."""
+    return normalized_key(f"{op}@base", None, epochs, catalog_epoch,
+                          params_json=params_json)
+
+
+def _join_result(payload: Dict[str, Any]) -> JoinResult:
+    """A cached ``join@base`` payload as the :class:`JoinResult` the
+    overlay takes."""
+    return JoinResult([tuple(pair) for pair in payload["pairs"]],
+                      JoinStatistics.from_dict(payload["stats"]))

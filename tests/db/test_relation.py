@@ -90,6 +90,28 @@ class TestMaintenance:
         assert sorted(loaded) == [0, 1, 2, 3]
         assert sorted(loaded.window(Rect(0, 0, 100, 100))) == [0, 1, 2, 3]
 
+    def test_failed_rebuild_is_retried(self, relation):
+        """A merge that raises leaves its frozen delta pending and
+        visible; the next rebuild merges that delta plus the writes
+        that arrived meanwhile."""
+        def failing(fill=0.9):
+            raise OSError("injected merge failure")
+
+        relation.build_merged = failing
+        with pytest.raises(OSError):
+            relation.rebuild()
+        del relation.build_merged
+        assert len(relation.merging) == 3
+        late = relation.insert(Rect(70, 70, 71, 71))
+        assert sorted(relation) == [0, 1, 2, late]
+        assert relation.rebuild()           # the frozen delta
+        assert relation.delta_ops_pending == 1
+        assert relation.rebuild()           # the late write
+        assert relation.delta_ops_pending == 0
+        assert not relation.merging
+        assert sorted(relation.tree.window_query(Rect(0, 0, 100, 100))) \
+            == [0, 1, 2, late]
+
     def test_invalid_names(self):
         for bad in ("", "a/b", ".hidden"):
             with pytest.raises(ValueError):

@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from repro.db import SpatialDatabase
+from repro.core.naive import nested_loop_join
+from repro.db import SpatialDatabase, SpatialRelation
 from repro.geometry import Rect
 from repro.serve import QueryService, ServiceClient
 
@@ -198,6 +199,61 @@ class TestRebuilder:
                     break
                 time.sleep(0.02)
             assert relation.delta_ops_pending == 0
+        finally:
+            service.close()
+
+    def test_failed_merge_is_retried_by_the_next_cycle(self):
+        """A background merge that raises is counted and logged, and
+        leaves its frozen delta pending rather than wedged: the next
+        cycle merges it, and windows and joins stay exact throughout."""
+        service = make_service(rebuild_threshold=1)
+        client = ServiceClient(service)
+        logged = []
+        service.slow_log = logged.append
+        streets = service.db.relation("streets")
+        model = {name: dict(service.db.relation(name).objects)
+                 for name in ("streets", "rivers")}
+        corners = [0, 0, 250, 250]
+        window = Rect(*corners)
+        failed = threading.Event()
+
+        def fail_once(fill=0.9):
+            if failed.is_set():
+                return SpatialRelation.build_merged(streets, fill=fill)
+            failed.set()
+            raise OSError("injected merge failure")
+
+        def assert_exact():
+            assert client.window("streets", corners)["refs"] == \
+                sorted(oid for oid, rect in model["streets"].items()
+                       if rect.intersects(window))
+            expected = nested_loop_join(
+                *([(rect, oid) for oid, rect in sorted(model[name].items())]
+                  for name in ("streets", "rivers")))
+            assert client.join("streets", "rivers")["pairs"] == \
+                sorted(expected.pairs)
+
+        streets.build_merged = fail_once
+        try:
+            for i in range(8):
+                geometry = rect_json(30 * i, 30 * i)
+                oid = client.insert("streets", geometry)["oid"]
+                model["streets"][oid] = Rect(*geometry["coords"])
+                assert_exact()
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                if service.rebuilds >= 1 \
+                        and streets.delta_ops_pending == 0:
+                    break
+                assert_exact()
+                time.sleep(0.02)
+            assert failed.is_set()
+            counters = service.obs.metrics.counters
+            assert counters["serve.rebuild_errors"] == 1
+            assert any("injected merge failure" in line for line in logged)
+            assert service.rebuilds >= 1
+            assert streets.delta_ops_pending == 0
+            assert_exact()
         finally:
             service.close()
 
