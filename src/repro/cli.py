@@ -540,7 +540,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _geometry_json_from_text(text: str) -> dict:
     """Parse the ``.geom`` single-line geometry syntax (sans id) into
     the protocol's JSON form — `repro query --insert 'rect 1 2 3 4'`."""
-    from .db.database import parse_geometry
+    from .db import parse_geometry
     from .serve.protocol import geometry_to_json
     _, geometry = parse_geometry("0 " + text.strip(), "--insert")
     return geometry_to_json(geometry)
@@ -663,7 +663,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         # A fresh directory takes the read-only catalog as its first
         # checkpoint; recovery below then opens it like any other.
-        seeded = _seed_data_dir(args.data_dir, args.db) if args.db else None
+        seeded = (DurabilityManager.seed(args.data_dir, args.db)
+                  if args.db else None)
         if seeded is not None:
             print(f"seeded {seeded} object(s) from {args.db} "
                   f"(checkpoint 1)", flush=True)
@@ -715,47 +716,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         meta={"mode": "serve", "db": args.db,
               "data_dir": args.data_dir, "workers": args.workers,
               "queue": args.queue})
-
-
-def _seed_data_dir(data_dir: str, source_path: str) -> Optional[int]:
-    """Install the catalog at *source_path* as checkpoint 1 of a fresh
-    *data_dir*; returns the number of objects installed, or ``None``
-    when the directory already holds state (a manifest, or WAL
-    records) and is left alone.
-
-    The manifest is the commit point: a crash before it lands leaves
-    only debris (a staging or unreferenced checkpoint directory) that
-    the next call replaces, so a half-seeded directory is never served.
-    """
-    import shutil
-
-    from .db import SpatialDatabase
-    from .db.recovery import (MANIFEST_VERSION, checkpoint_dirname,
-                              list_wal_segments, read_manifest,
-                              wal_filename, write_manifest)
-    from .storage.atomic import fsync_directory
-    from .storage.wal import scan
-
-    os.makedirs(data_dir, exist_ok=True)
-    if read_manifest(data_dir) is not None or any(
-            scan(os.path.join(data_dir, wal_filename(segment)))[0]
-            for segment in list_wal_segments(data_dir)):
-        return None
-    source = SpatialDatabase.open(source_path)
-    name = checkpoint_dirname(1)
-    staging = os.path.join(data_dir, f".{name}.tmp")
-    final = os.path.join(data_dir, name)
-    for debris in (staging, final):
-        shutil.rmtree(debris, ignore_errors=True)
-    source.save(staging)
-    fsync_directory(staging)
-    os.rename(staging, final)
-    fsync_directory(data_dir)
-    write_manifest(data_dir, {
-        "version": MANIFEST_VERSION, "checkpoint_id": 1,
-        "checkpoint": name, "wal_seg": 1, "last_lsn": 0,
-        "page_size": source.page_size})
-    return sum(len(relation) for relation in source.relations.values())
 
 
 def _parse_grid(value: Optional[str]) -> Optional[tuple]:

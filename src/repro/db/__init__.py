@@ -1,7 +1,8 @@
 """The spatial-database facade: named relations, joins, persistence,
 and crash-safe durability (WAL + checkpoints + recovery)."""
 
-from .database import SpatialDatabase, format_geometry, parse_geometry
+from .checkpoint import format_geometry, parse_geometry
+from .database import SpatialDatabase
 from .durability import DurabilityManager
 from .recovery import (RecoveredState, RecoveryError, RecoveryInfo,
                        apply_record, recover)

@@ -53,7 +53,8 @@ from ..geometry.rect import Rect
 from ..rtree.validate import validate_rtree
 from ..storage.faults import (KILL_POINTS, KillPlan, KillSwitch,
                               SimulatedCrash)
-from .database import SpatialDatabase, format_geometry
+from .checkpoint import format_geometry
+from .database import SpatialDatabase
 from .durability import DurabilityManager
 from .recovery import recover
 

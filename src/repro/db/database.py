@@ -3,17 +3,13 @@
 This is the facade a downstream application uses: it owns several
 :class:`~repro.db.relation.SpatialRelation` objects sharing one page
 size, runs filter+refinement joins between them, and round-trips the
-whole catalog to a directory (R*-trees as checksummed page files,
-geometry as a line-oriented text format, unmerged writes as a delta in
-the same format, plus a JSON manifest).
+whole catalog to a directory (the format is
+:mod:`repro.db.checkpoint`'s).
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.deltajoin import overlay_join
 from ..core.planner import execute_plan
@@ -23,19 +19,10 @@ from ..core.stats import JoinResult
 from ..plan.optimizer import plan_join
 from ..plan.plan import ExecutionPlan
 from ..errors import CatalogError, QueryError
-from ..geometry.polygon import Polygon
-from ..geometry.polyline import Polyline
 from ..geometry.predicates import SpatialPredicate
 from ..geometry.rect import Rect
-from ..rtree.base import RTreeBase
-from ..rtree.persist import load_tree, save_tree
-from ..storage.atomic import atomic_write
-from .relation import Geometry, SpatialRelation
-
-_MANIFEST = "manifest.json"
-_MANIFEST_VERSION = 1
-#: The kind word of a ``.delta`` line recording a deleted oid.
-_DELETED = "deleted"
+from .checkpoint import SavedCatalog, load_catalog, save_catalog
+from .relation import SpatialRelation
 
 
 class SpatialDatabase:
@@ -75,9 +62,7 @@ class SpatialDatabase:
         # must raise before anything reaches the write-ahead log.
         relation = SpatialRelation(name, page_size=self.page_size)
         durability = self._durability
-        lsn = None
-        if durability is not None:
-            lsn = durability.log_create(name)
+        lsn = durability.log_create(name) if durability else None
         self.relations[name] = relation
         self.epoch += 1
         if durability is not None:
@@ -90,9 +75,7 @@ class SpatialDatabase:
         if name not in self.relations:
             raise CatalogError(f"no relation {name!r}")
         durability = self._durability
-        lsn = None
-        if durability is not None:
-            lsn = durability.log_drop(name)
+        lsn = durability.log_drop(name) if durability else None
         del self.relations[name]
         self.epoch += 1
         if durability is not None:
@@ -130,14 +113,12 @@ class SpatialDatabase:
         requires the intersection predicate (containment on exact
         geometry is not implemented).
         """
-        rel_l = self.relation(left)
-        rel_r = self.relation(right)
-        spec = resolve_spec(spec)
         # One consistent snapshot per side: the base trees are static
         # for the whole join and unmerged writes are overlaid on the
         # base result by repro.core.deltajoin.
-        snap_l = rel_l.snapshot()
-        snap_r = rel_r.snapshot()
+        snap_l = self.relation(left).snapshot()
+        snap_r = self.relation(right).snapshot()
+        spec = resolve_spec(spec)
         base = self.join_base(snap_l, snap_r, spec, refine=refine)
         return self.join_overlay(snap_l, snap_r, base, spec,
                                  refine=refine)
@@ -204,9 +185,8 @@ class SpatialDatabase:
         algorithm is re-scored against the auto candidates for
         comparison).
         """
-        rel_l = self.relation(left)
-        rel_r = self.relation(right)
-        return plan_join(rel_l.snapshot().tree, rel_r.snapshot().tree,
+        return plan_join(self.relation(left).snapshot().tree,
+                         self.relation(right).snapshot().tree,
                          spec, score=True)
 
     def distance_join(self, left: str, right: str, distance: float,
@@ -219,51 +199,16 @@ class SpatialDatabase:
                    distance, buffer_kb=buffer_kb)
 
     # ------------------------------------------------------------------
-    # Persistence
+    # Persistence (the directory format is repro.db.checkpoint's)
     # ------------------------------------------------------------------
 
     def save(self, directory: str,
-             previous: Optional["SavedCatalog"] = None) -> "SavedCatalog":
-        """Write the catalog to *directory* (created if needed).
-
-        Each relation is written as its snapshot's *base* — the tree as
-        ``{name}.rtree`` and the object table as ``{name}.geom`` — plus,
-        when the snapshot has pending writes, ``{name}.delta``: the
-        added geometry as ``.geom`` lines and the deleted oids.  Given
-        *previous* (what the last save into another directory
-        returned), the base files of a relation whose base is still on
-        disk there are hard-linked instead of rewritten and its delta
-        is written against that base — unless the delta records
-        written against it would then exceed its object count, in which
-        case the current base is rewritten (rent-or-buy: total output
-        stays within twice the best schedule).  A relation *previous*
-        does not hold is written whole.
-
-        Every file is written via temp-file + fsync + atomic rename and
-        the manifest goes last, naming the relations that carry a
-        delta (a ``.delta`` an earlier save into the same directory
-        left behind is never read): a crash mid-save leaves either the
-        complete previous catalog or the complete new one readable by
-        :meth:`open`, never a torn mix referenced by a fresh manifest.
-        """
-        os.makedirs(directory, exist_ok=True)
-        saved = SavedCatalog(directory)
-        for name, relation in self.relations.items():
-            prior = previous.bases.get(relation) if previous else None
-            saved.bases[relation] = _save_relation(directory, relation,
-                                                   prior, previous, saved)
-        manifest = {
-            "version": _MANIFEST_VERSION,
-            "page_size": self.page_size,
-            "relations": sorted(self.relations),
-        }
-        if saved.deltas:
-            manifest["deltas"] = sorted(saved.deltas)
-        path = os.path.join(directory, _MANIFEST)
-        with atomic_write(path, "w") as handle:
-            json.dump(manifest, handle, indent=2)
-        saved.bytes_written += os.path.getsize(path)
-        return saved
+             previous: Optional[SavedCatalog] = None) -> SavedCatalog:
+        """Write the catalog to *directory* (created if needed), linking
+        the bases *previous* (the last save elsewhere) still holds; see
+        :func:`~repro.db.checkpoint.save_catalog`."""
+        return save_catalog(directory, self.page_size, self.relations,
+                            previous)
 
     @classmethod
     def open(cls, directory: str) -> "SpatialDatabase":
@@ -272,182 +217,13 @@ class SpatialDatabase:
 
     @classmethod
     def load(cls, directory: str
-             ) -> Tuple["SpatialDatabase", "SavedCatalog"]:
+             ) -> Tuple["SpatialDatabase", SavedCatalog]:
         """:meth:`open`, also returning the bases as they lie in
-        *directory* — what a later :meth:`save` may link.
-
-        A relation with a ``{name}.delta`` gets the tree
-        :meth:`SpatialRelation.bulk_load` builds over its visible
-        objects (base minus hidden plus added); one without is loaded
-        exactly as saved.
-        """
-        manifest_path = os.path.join(directory, _MANIFEST)
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-        if manifest.get("version") != _MANIFEST_VERSION:
-            raise ValueError(
-                f"unsupported database version {manifest.get('version')}")
-        db = cls(page_size=manifest["page_size"])
-        saved = SavedCatalog(directory)
-        deltas = set(manifest.get("deltas", ()))
-        for name in manifest["relations"]:
-            relation = SpatialRelation(name, page_size=db.page_size)
-            tree = load_tree(os.path.join(directory, f"{name}.rtree"))
-            if not isinstance(tree, RTreeBase):
-                raise ValueError(
-                    f"relation {name!r} is not backed by an R-tree")
-            base = _read_geometry(os.path.join(directory, f"{name}.geom"))
-            if len(base) != len(tree):
-                raise ValueError(
-                    f"relation {name!r}: geometry file holds "
-                    f"{len(base)} objects but the index "
-                    f"holds {len(tree)}")
-            objects, records = base, 0
-            if name in deltas:
-                added, deleted = _read_delta(
-                    os.path.join(directory, f"{name}.delta"))
-                records = len(added) + len(deleted)
-                saved.deltas.append(name)
-                saved.delta_records += records
-                objects = {oid: g for oid, g in base.items()
-                           if oid not in deleted and oid not in added}
-                objects.update(added)
-                tree = relation.bulk_load(objects)
-            relation.tree = tree
-            # The setter copies, so *base* stays the table on disk.
-            relation.objects = objects
-            db.relations[name] = relation
-            saved.bases[relation] = SavedBase(base, records)
+        *directory* — what a later :meth:`save` may link."""
+        page_size, relations, saved = load_catalog(directory)
+        db = cls(page_size=page_size)
+        db.relations.update(relations)
         return db, saved
-
-
-@dataclass
-class SavedBase:
-    """One relation's base as a saved catalog holds it."""
-
-    #: The object table its ``.rtree``/``.geom`` files encode.  Never
-    #: mutated: it is a relation's immutable base (or the table
-    #: :meth:`SpatialDatabase.load` read), so later saves diff against
-    #: it by identity.
-    objects: Dict[int, Geometry]
-    #: Delta records the saves since this base was written have
-    #: written against it (the rent side of rent-or-buy).
-    delta_records: int
-
-
-@dataclass
-class SavedCatalog:
-    """What one :meth:`SpatialDatabase.save` left in *directory*."""
-
-    directory: str
-    #: Keyed by the relation object, not its name: a relation dropped
-    #: and re-created under the same name never matches the old base.
-    bases: Dict[SpatialRelation, SavedBase] = field(default_factory=dict)
-    #: Names of the relations saved with a ``.delta`` file.
-    deltas: List[str] = field(default_factory=list)
-    bases_written: int = 0
-    bases_linked: int = 0
-    #: Records (added lines + deleted oids) in this save's deltas.
-    delta_records: int = 0
-    #: Bytes of the files this save wrote (links excluded).
-    bytes_written: int = 0
-
-
-def _save_relation(directory: str, relation: SpatialRelation,
-                   prior: Optional[SavedBase],
-                   previous: Optional[SavedCatalog],
-                   saved: SavedCatalog) -> SavedBase:
-    """Write one relation for :meth:`SpatialDatabase.save`; returns the
-    base the next save may link."""
-    name = relation.name
-    snap = relation.snapshot()
-    if prior is not None:
-        added, deleted = _diff(prior.objects, snap.base_objects,
-                               snap.delta)
-        records = prior.delta_records + len(added) + len(deleted)
-        # Rewriting the base the relation still holds would write the
-        # same files and the same delta again.
-        if records <= len(prior.objects) \
-                or snap.base_objects is prior.objects:
-            for suffix in (".rtree", ".geom"):
-                os.link(os.path.join(previous.directory, name + suffix),
-                        os.path.join(directory, name + suffix))
-            saved.bases_linked += 1
-            _write_delta(directory, name, added, deleted, saved)
-            return SavedBase(prior.objects, records)
-    _write_base(directory, name, snap, saved)
-    added, deleted = _delta_against(snap.base_objects, snap.delta)
-    _write_delta(directory, name, added, deleted, saved)
-    return SavedBase(snap.base_objects, len(added) + len(deleted))
-
-
-def _write_base(directory: str, name: str, snap,
-                saved: SavedCatalog) -> None:
-    tree_path = os.path.join(directory, f"{name}.rtree")
-    geom_path = os.path.join(directory, f"{name}.geom")
-    save_tree(snap.tree, tree_path)
-    _write_geometry(snap.base_objects, geom_path)
-    saved.bases_written += 1
-    saved.bytes_written += (os.path.getsize(tree_path)
-                            + os.path.getsize(geom_path))
-
-
-def _delta_against(base: Dict[int, Geometry], delta
-                   ) -> Tuple[Dict[int, Geometry], List[int]]:
-    """*delta* as ``(added, deleted)`` against *base*: deletions of
-    oids the base does not hold, or that an add replaces, are no-ops
-    and are dropped."""
-    added = delta.added
-    return added, [oid for oid in delta.deleted
-                   if oid in base and oid not in added]
-
-
-def _diff(old: Dict[int, Geometry], new: Dict[int, Geometry], delta
-          ) -> Tuple[Dict[int, Geometry], List[int]]:
-    """``(added, deleted)`` taking the base *old* to the base *new*
-    overlaid by *delta*.  Geometry is compared by identity: a rebuild
-    carries every object it keeps over by reference."""
-    if new is old:
-        return _delta_against(old, delta)
-    hidden = delta.hidden
-    added = {oid: g for oid, g in new.items()
-             if oid not in hidden and old.get(oid) is not g}
-    added.update(delta.added)
-    gone = (old.keys() - new.keys()) | (old.keys() & hidden)
-    return added, [oid for oid in gone if oid not in added]
-
-
-def _write_delta(directory: str, name: str, added: Dict[int, Geometry],
-                 deleted: List[int], saved: SavedCatalog) -> None:
-    if not (added or deleted):
-        return
-    path = os.path.join(directory, f"{name}.delta")
-    with atomic_write(path, "w") as handle:
-        for oid in sorted(deleted):
-            handle.write(f"{oid} {_DELETED}\n")
-        for oid, geometry in sorted(added.items()):
-            handle.write(format_geometry(oid, geometry))
-            handle.write("\n")
-    saved.deltas.append(name)
-    saved.delta_records += len(added) + len(deleted)
-    saved.bytes_written += os.path.getsize(path)
-
-
-def _read_delta(path: str) -> Tuple[Dict[int, Geometry], set]:
-    added: Dict[int, Geometry] = {}
-    deleted = set()
-    with open(path) as handle:
-        for line_number, line in enumerate(handle, start=1):
-            parts = line.split()
-            if len(parts) == 2 and parts[1] == _DELETED:
-                try:
-                    deleted.add(int(parts[0]))
-                except ValueError:
-                    raise ValueError(f"{path}:{line_number}: bad "
-                                     f"deleted oid {parts[0]!r}") from None
-            elif parts:
-                added.update([_parse_geometry(line, path, line_number)])
-    return added, deleted
 
 
 def _overlay(snap_l, snap_r, base: JoinResult, spec: JoinSpec,
@@ -481,71 +257,3 @@ def _refine_pairs(pairs, objects_l, objects_r):
                   or isinstance(objects_r[b], Rect)]
     survivors, _ = id_spatial_join(refinable, objects_l, objects_r)
     return rect_pairs + survivors
-
-
-# ----------------------------------------------------------------------
-# Geometry file format: one object per line,
-#   <id> rect <xl> <yl> <xu> <yu>
-#   <id> polyline <x1> <y1> <x2> <y2> ...
-#   <id> polygon <x1> <y1> ...
-# ----------------------------------------------------------------------
-
-def _write_geometry(objects: Dict[int, Geometry], path: str) -> None:
-    with atomic_write(path, "w") as handle:
-        for oid, geometry in sorted(objects.items()):
-            handle.write(format_geometry(oid, geometry))
-            handle.write("\n")
-
-
-def format_geometry(oid: int, geometry: Geometry) -> str:
-    """One geometry as its ``.geom`` text line (``repr`` floats, so the
-    round trip is exact).  The write-ahead log reuses this encoding for
-    insert records (:mod:`repro.db.durability`)."""
-    if isinstance(geometry, Rect):
-        return (f"{oid} rect {geometry.xl!r} {geometry.yl!r} "
-                f"{geometry.xu!r} {geometry.yu!r}")
-    kind = "polygon" if isinstance(geometry, Polygon) else "polyline"
-    coordinates = " ".join(f"{x!r} {y!r}" for x, y in geometry.vertices)
-    return f"{oid} {kind} {coordinates}"
-
-
-def parse_geometry(line: str, context: str = "<line>",
-                   line_number: int = 0) -> Tuple[int, Geometry]:
-    """Inverse of :func:`format_geometry`; raises ``ValueError`` with
-    *context* in the message on a malformed line."""
-    return _parse_geometry(line, context, line_number)
-
-
-def _read_geometry(path: str) -> Dict[int, Geometry]:
-    objects: Dict[int, Geometry] = {}
-    with open(path) as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            objects.update([_parse_geometry(line, path, line_number)])
-    return objects
-
-
-def _parse_geometry(line: str, path: str,
-                    line_number: int) -> Tuple[int, Geometry]:
-    parts = line.split()
-    try:
-        oid = int(parts[0])
-        kind = parts[1]
-        values = [float(token) for token in parts[2:]]
-        if len(values) % 2 != 0:
-            raise ValueError("odd coordinate count")
-        points = list(zip(values[0::2], values[1::2]))
-        if kind == "rect":
-            if len(values) != 4:
-                raise ValueError("rect needs exactly 4 numbers")
-            return oid, Rect(*values)
-        if kind == "polyline":
-            return oid, Polyline(points)
-        if kind == "polygon":
-            return oid, Polygon(points)
-        raise ValueError(f"unknown geometry kind {kind!r}")
-    except (IndexError, ValueError) as exc:
-        raise ValueError(
-            f"{path}:{line_number}: bad geometry line: {exc}") from None

@@ -10,14 +10,17 @@ serve verb that wraps them):
   to the WAL (fsynced per the sync mode) *before* the in-memory
   catalog changes, so nothing is acknowledged that a crash could lose;
 * **atomic checkpoints** — every ``checkpoint_every`` applied records
-  the catalog is saved via temp-dir + fsync + rename — each relation's
-  base hard-linked from the previous checkpoint when it is still there
-  (rent-or-buy decides when to rewrite it) plus its unmerged writes as
-  a delta, see :meth:`~repro.db.database.SpatialDatabase.save` — the
+  :func:`write_checkpoint` saves the catalog via temp-dir + fsync +
+  rename — each relation's base hard-linked from the previous
+  checkpoint when it is still there (rent-or-buy decides when to
+  rewrite it) plus its unmerged writes as a delta, see
+  :func:`~repro.db.checkpoint.save_catalog` — the
   WAL rotates to a fresh segment, and the manifest is atomically
   replaced to point at ``(checkpoint_id, last_lsn)``; a crash at any
   point inside leaves the *previous* manifest pointing at a complete
   state, with :func:`~repro.db.recovery.recover` sweeping the debris;
+* **seeding** — :meth:`DurabilityManager.seed` installs a saved catalog
+  as checkpoint 1 of a fresh directory through the same routine;
 * **recovery** — :meth:`DurabilityManager.open` loads the latest
   intact checkpoint, replays the WAL tail idempotently, truncates a
   torn tail, and resumes the LSN sequence.
@@ -42,13 +45,44 @@ from typing import Any, Dict, Optional, Tuple
 from ..obs.core import NULL_OBS, Observability
 from ..storage.atomic import fsync_directory
 from ..storage.faults import KillSwitch
-from ..storage.wal import WriteAheadLog
-from .database import SavedCatalog, SpatialDatabase, format_geometry
+from ..storage.wal import WriteAheadLog, scan
+from .checkpoint import SavedCatalog, format_geometry
+from .database import SpatialDatabase
 from .recovery import (MANIFEST_VERSION, RecoveryInfo, checkpoint_dirname,
-                       list_checkpoints, recover, wal_filename,
-                       write_manifest)
+                       list_checkpoints, list_wal_segments, read_manifest,
+                       recover, wal_filename, write_manifest)
 
-__all__ = ["DurabilityManager"]
+__all__ = ["DurabilityManager", "write_checkpoint"]
+
+
+def write_checkpoint(data_dir: str, checkpoint_id: int,
+                     db: SpatialDatabase, previous: Optional[SavedCatalog],
+                     kill: KillSwitch) -> SavedCatalog:
+    """Write *db* as checkpoint *checkpoint_id* of *data_dir* — the one
+    routine that does.
+
+    Debris of an interrupted attempt at the same id is cleared, the
+    catalog is saved into a staging directory (linking the bases
+    *previous* still holds) and fsynced, then renamed into place and
+    the data directory fsynced.  Nothing references it until the
+    caller writes a manifest naming it, so a crash anywhere in here
+    leaves only debris that recovery sweeps.  Returns what the save
+    wrote, under the checkpoint's final name.
+    """
+    name = checkpoint_dirname(checkpoint_id)
+    staging = os.path.join(data_dir, f".{name}.tmp")
+    final = os.path.join(data_dir, name)
+    for debris in (staging, final):
+        if os.path.exists(debris):
+            shutil.rmtree(debris)
+    saved = db.save(staging, previous=previous)
+    fsync_directory(staging)
+    kill.check("checkpoint.before_rename")
+    os.rename(staging, final)
+    saved.directory = final
+    fsync_directory(data_dir)
+    kill.check("checkpoint.after_rename")
+    return saved
 
 
 class DurabilityManager:
@@ -114,6 +148,31 @@ class DurabilityManager:
                       obs=obs)
         manager._attach(state.db)
         return state.db, manager
+
+    @staticmethod
+    def seed(data_dir: str, source: str, *,
+             kill: Optional[KillSwitch] = None) -> Optional[int]:
+        """Install the catalog saved at *source* as checkpoint 1 of a
+        fresh *data_dir*; returns the number of objects installed, or
+        ``None`` when the directory already holds state (a manifest, or
+        WAL records) and is left alone.
+
+        The manifest is the commit point: a crash before it lands
+        leaves only debris that the next call replaces, so a
+        half-seeded directory is never served."""
+        os.makedirs(data_dir, exist_ok=True)
+        if read_manifest(data_dir) is not None or any(
+                scan(os.path.join(data_dir, wal_filename(segment)))[0]
+                for segment in list_wal_segments(data_dir)):
+            return None
+        db = SpatialDatabase.open(source)
+        write_checkpoint(data_dir, 1, db, None,
+                         kill if kill is not None else KillSwitch.disabled())
+        write_manifest(data_dir, {
+            "version": MANIFEST_VERSION, "checkpoint_id": 1,
+            "checkpoint": checkpoint_dirname(1), "wal_seg": 1,
+            "last_lsn": 0, "page_size": db.page_size})
+        return sum(len(relation) for relation in db.relations.values())
 
     def _attach(self, db: SpatialDatabase) -> None:
         db._durability = self
@@ -182,18 +241,8 @@ class DurabilityManager:
             checkpoint_id = max([self.manifest["checkpoint_id"]]
                                 + existing) + 1
             target_lsn = self.applied_lsn
-            name = checkpoint_dirname(checkpoint_id)
-            staging = os.path.join(self.data_dir, f".{name}.tmp")
-            final = os.path.join(self.data_dir, name)
-            if os.path.exists(staging):
-                shutil.rmtree(staging)
-            saved = self.db.save(staging, previous=self.saved)
-            fsync_directory(staging)
-            self.kill.check("checkpoint.before_rename")
-            os.rename(staging, final)
-            saved.directory = final
-            fsync_directory(self.data_dir)
-            self.kill.check("checkpoint.after_rename")
+            saved = write_checkpoint(self.data_dir, checkpoint_id,
+                                     self.db, self.saved, self.kill)
 
             # Rotate: freeze the current segment, start a fresh one
             # continuing the LSN sequence.
@@ -215,7 +264,7 @@ class DurabilityManager:
 
             manifest = {"version": MANIFEST_VERSION,
                         "checkpoint_id": checkpoint_id,
-                        "checkpoint": name,
+                        "checkpoint": checkpoint_dirname(checkpoint_id),
                         "wal_seg": new_segment,
                         "last_lsn": target_lsn,
                         "page_size": self.db.page_size}

@@ -42,17 +42,20 @@ leaves a directory that recovers to exactly the acknowledged state.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import os
 import re
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..storage.atomic import atomic_write, fsync_directory
 from ..storage.faults import KillSwitch
-from ..storage.wal import WalRecord, WriteAheadLog, scan
-from .database import SavedCatalog, SpatialDatabase, parse_geometry
+from ..storage.wal import WriteAheadLog, scan
+from .checkpoint import SavedCatalog, parse_geometry
+from .database import SpatialDatabase
 
 MANIFEST = "MANIFEST.json"
 MANIFEST_VERSION = 1
@@ -103,7 +106,6 @@ def read_manifest(data_dir: str) -> Optional[Dict[str, Any]]:
     """The manifest, or ``None`` for a fresh directory.  A manifest
     that exists but cannot be parsed is fatal: it was written
     atomically, so damage means something external happened."""
-    import json
     path = os.path.join(data_dir, MANIFEST)
     try:
         with open(path) as handle:
@@ -123,7 +125,6 @@ def read_manifest(data_dir: str) -> Optional[Dict[str, Any]]:
 def write_manifest(data_dir: str, manifest: Dict[str, Any]) -> None:
     """Atomically publish a new manifest (rename is the commit
     point of a checkpoint)."""
-    import json
     with atomic_write(os.path.join(data_dir, MANIFEST), "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
 
@@ -218,7 +219,6 @@ class RecoveredState:
     wal: WriteAheadLog
     manifest: Dict[str, Any]
     info: RecoveryInfo
-    records: List[WalRecord] = field(default_factory=list)
     #: The bases of the loaded checkpoint, unchanged (``None`` without
     #: one): the first checkpoint after the start links them.
     saved: Optional[SavedCatalog] = None
@@ -317,7 +317,7 @@ def _collect_garbage(data_dir: str, manifest: Dict[str, Any],
         if name.startswith(".") and name.endswith(".tmp"):
             shutil.rmtree(path, ignore_errors=True)
             if os.path.isfile(path):
-                with _suppress_oserror():
+                with contextlib.suppress(OSError):
                     os.unlink(path)
             continue
         match = _CKPT_RE.match(name)
@@ -329,11 +329,6 @@ def _collect_garbage(data_dir: str, manifest: Dict[str, Any],
             segment_records, _valid, _torn = scan(path)
             if all(record.lsn <= manifest["last_lsn"]
                    for record in segment_records):
-                with _suppress_oserror():
+                with contextlib.suppress(OSError):
                     os.unlink(path)
     fsync_directory(data_dir)
-
-
-def _suppress_oserror():
-    import contextlib
-    return contextlib.suppress(OSError)

@@ -23,8 +23,10 @@ class Polygon:
         verts = [(float(x), float(y)) for x, y in vertices]
         if len(verts) < 3:
             raise ValueError("a polygon needs at least three vertices")
-        if verts[0] == verts[-1]:
-            verts = verts[:-1]
+        # Every closing copy of the first vertex goes, so the stored
+        # ring never ends on it and rebuilding from it is the identity.
+        while len(verts) > 1 and verts[0] == verts[-1]:
+            verts.pop()
         if len(verts) < 3:
             raise ValueError("a polygon needs at least three distinct vertices")
         object.__setattr__(self, "_vertices", tuple(verts))

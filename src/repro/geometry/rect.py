@@ -67,6 +67,11 @@ class Rect:
         xl = xu = x
         yl = yu = y
         for x, y in it:
+            # NaN fails every comparison below and would be dropped; an
+            # infinity becomes a bound, which the constructor rejects
+            # (as it does a non-finite first point).
+            if x != x or y != y:
+                raise ValueError(f"non-finite point: {(x, y)}")
             if x < xl:
                 xl = x
             elif x > xu:

@@ -20,7 +20,7 @@ see ``docs/serving.md`` for the full request/response catalogue.
 Geometry travels as ``{"kind": "rect"|"polyline"|"polygon",
 "coords": [...]}`` — flat ``[xl, yl, xu, yu]`` for rectangles,
 ``[[x, y], ...]`` vertex lists otherwise — mirroring the ``.geom``
-persistence format of :mod:`repro.db.database`.
+persistence format of :mod:`repro.db.checkpoint`.
 """
 
 from __future__ import annotations

@@ -52,6 +52,26 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Rect.from_points([])
 
+    @pytest.mark.parametrize("points", [
+        [(0, 0), (math.nan, 1)],
+        [(0, 0), (1, math.nan)],
+        [(0, 0), (2, 2), (math.nan, math.nan)],
+        [(0, 0), (-math.inf, 1)],
+        [(math.nan, 0), (1, 1)],
+    ])
+    def test_from_points_non_finite_rejected(self, points):
+        # A NaN fails every comparison, so past the first point only an
+        # explicit check keeps it from vanishing from the MBR.
+        with pytest.raises(ValueError):
+            Rect.from_points(points)
+
+    def test_polyline_and_polygon_reject_a_nan_vertex(self):
+        from repro.geometry import Polygon, Polyline
+        with pytest.raises(ValueError):
+            Polyline([(0, 0), (math.nan, 1)])
+        with pytest.raises(ValueError):
+            Polygon([(0, 0), (math.nan, 0), (1, 1)])
+
     def test_mbr_of(self):
         r = Rect.mbr_of([Rect(0, 0, 1, 1), Rect(2, -1, 3, 0.5)])
         assert r == Rect(0, -1, 3, 1)

@@ -513,17 +513,34 @@ class TestServeSeeding:
         self._assert_seeded_once(data_dir, serve(catalog, data_dir))
 
     @pytest.mark.parametrize("debris", [".ckpt-00000001.tmp",
-                                        "ckpt-00000001"])
+                                        "ckpt-00000001",
+                                        "checkpoint.before_rename",
+                                        "checkpoint.after_rename"])
     def test_crash_before_the_manifest_is_reseeded_in_full(
             self, tmp_path, serve, debris):
         # What a crash mid-seed leaves: a partial copy in the staging
         # (or already renamed, still unreferenced) checkpoint
-        # directory and no manifest.
+        # directory and no manifest — made by hand, or by a seed of a
+        # smaller catalog killed at a kill-point.
+        from repro.db.durability import DurabilityManager
+        from repro.storage.faults import KillPlan, KillSwitch, SimulatedCrash
+
         catalog = self._catalog(tmp_path / "catalog")
         data_dir = tmp_path / "data"
-        data_dir.mkdir()
-        self._catalog(data_dir / debris, per_relation=3)
-        os.unlink(data_dir / debris / "streets.geom")
+        if debris.startswith("checkpoint."):
+            kill = KillSwitch(KillPlan(points={debris: 1.0}))
+            with pytest.raises(SimulatedCrash):
+                DurabilityManager.seed(
+                    str(data_dir),
+                    self._catalog(tmp_path / "small", per_relation=3),
+                    kill=kill)
+            left = (".ckpt-00000001.tmp" if debris.endswith("before_rename")
+                    else "ckpt-00000001")
+            assert sorted(os.listdir(data_dir)) == [left]
+        else:
+            data_dir.mkdir()
+            self._catalog(data_dir / debris, per_relation=3)
+            os.unlink(data_dir / debris / "streets.geom")
         self._assert_seeded_once(data_dir, serve(catalog, data_dir))
 
     def test_seeded_directory_is_not_reseeded(self, tmp_path, serve):
