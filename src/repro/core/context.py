@@ -8,7 +8,7 @@ rectangle tests charge the same comparison counter.
 
 from __future__ import annotations
 
-import time
+from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import QueryTimeout
@@ -53,7 +53,7 @@ class JoinContext:
         #: Absolute monotonic deadline (or None): checked on every
         #: counted page fetch, the one place all join algorithms funnel
         #: through, so a runaway join is cancelled cooperatively.
-        self.deadline = (time.perf_counter() + timeout
+        self.deadline = (perf_counter() + timeout
                          if timeout is not None else None)
         #: Observability handle (tracer + metrics); the shared disabled
         #: :data:`~repro.obs.core.NULL_OBS` keeps untraced joins a
@@ -78,18 +78,28 @@ class JoinContext:
         #: from disk again.  Models "a page is sorted immediately after it
         #: is read from disk" (Section 4.2).
         self._sorted_cols: Dict[Tuple[int, int], NodeColumns] = {}
+        #: The same sorted copies for the engine's compute phase, which
+        #: runs ahead of the reads and so must not charge: one copy and
+        #: its comparison count per page for the whole join (the trees
+        #: are static meanwhile), reused by the charge when the read
+        #: schedule gets there.
+        self._sorted_views: Dict[Tuple[int, int],
+                                 Tuple[NodeColumns, int]] = {}
 
     # ------------------------------------------------------------------
     # Page access
     # ------------------------------------------------------------------
 
-    def read(self, side: int, page_id: int, depth: int) -> Node:
-        """Counted page fetch (the paper's ReadPage)."""
-        if self.deadline is not None \
-                and time.perf_counter() > self.deadline:
+    def check_deadline(self) -> None:
+        """Raise :class:`QueryTimeout` once the deadline has passed."""
+        if self.deadline is not None and perf_counter() > self.deadline:
             raise QueryTimeout(
                 "join exceeded its wall-clock budget "
                 "(JoinSpec.timeout)")
+
+    def read(self, side: int, page_id: int, depth: int) -> Node:
+        """Counted page fetch (the paper's ReadPage)."""
+        self.check_deadline()
         before = self.manager.stats.disk_reads
         node = self.manager.read(side, page_id, depth)
         if self.manager.stats.disk_reads != before:
@@ -133,11 +143,25 @@ class JoinContext:
         key = (side, node.page_id)
         cols = self._sorted_cols.get(key)
         if cols is None:
-            entries = list(node.entries)
-            self.counter.sort += counted_sort_inplace(entries)
-            cols = NodeColumns.from_entries(entries)
+            cols, count = self._sorted_views.get(key) or _sorted_copy(node)
+            self.counter.sort += count
             self._sorted_cols[key] = cols
         return cols
+
+    def sorted_view(self, side: int, node: Node) -> NodeColumns:
+        """The columns :meth:`sorted_columns` returns, without the
+        ``on_read`` sort charge: the engine computes a tree level's
+        node pairs ahead of its read schedule, and the charge follows
+        when that schedule visits the pair (``maintained`` sorts are
+        charged once per node whenever they happen, so they are
+        charged here)."""
+        if node.sorted_by_xl or self.sort_mode == "maintained":
+            return self.sorted_columns(side, node)
+        key = (side, node.page_id)
+        view = self._sorted_views.get(key)
+        if view is None:
+            view = self._sorted_views[key] = _sorted_copy(node)
+        return view[0]
 
     # ------------------------------------------------------------------
     # Pinning passthrough
@@ -148,6 +172,14 @@ class JoinContext:
 
     def unpin(self, side: int, page_id: int) -> None:
         self.manager.unpin(side, page_id)
+
+
+def _sorted_copy(node: Node) -> Tuple[NodeColumns, int]:
+    """Sorted columns of *node* (node untouched) and their counted
+    sort cost."""
+    entries = list(node.entries)
+    count = counted_sort_inplace(entries)
+    return NodeColumns.from_entries(entries), count
 
 
 def counted_sort_inplace(entries: List[Entry]) -> int:

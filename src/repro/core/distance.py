@@ -9,7 +9,8 @@ lower-bounds the distance between any contained rectangles.
 The traversal *is* SpatialJoin4's: :class:`DistanceJoin` is a
 :class:`~repro.core.engine.JoinAlgorithm` whose qualifying pairs of a
 node pair come from a plane sweep over x-intervals widened by d
-(:func:`_near_pairs`); the engine processes them in sweep order with
+(:func:`_near_pairs`, run per node pair of each descent level); the
+engine processes them in sweep order with
 degree-based pinning, hands trees of different height to
 :mod:`repro.core.heights`, and overlays MVCC deltas through
 :func:`repro.core.deltajoin.overlay_join` like any other join.
@@ -24,9 +25,9 @@ from ..geometry.rect import Rect
 from ..rtree.base import RTreeBase
 from ..rtree.columns import NodeColumns
 from ..rtree.node import Node
-from .context import JoinContext, R_SIDE, S_SIDE
+from .context import JoinContext
 from .deltajoin import overlay_join
-from .engine import ColumnsPairs, JoinAlgorithm
+from .engine import JoinAlgorithm
 from .heights import run_window_mode
 from .pairs import nested_loop_pairs_columns
 from .spec import JoinSpec
@@ -57,6 +58,7 @@ class DistanceJoin(JoinAlgorithm):
     """SJ4's read schedule over the MINDIST <= d pair search."""
 
     uses_pinning = True
+    sweeps = True
 
     def __init__(self, distance: float) -> None:
         if distance < 0.0:
@@ -65,9 +67,9 @@ class DistanceJoin(JoinAlgorithm):
         self.distance = distance
         self.name = f"distance<={distance:g}"
 
-    def _find_pairs(self, ctx: JoinContext, nr: Node, ns: Node,
-                    rect: Optional[Rect]) -> ColumnsPairs:
-        return _near_pairs(ctx, self.distance, nr, ns)
+    def _pair_kernel(self, ctx: JoinContext, cols_r: NodeColumns,
+                     cols_s: NodeColumns):
+        return _near_pairs(ctx, self.distance, cols_r, cols_s)
 
     def _window_mode(self, ctx: JoinContext, nr: Node, dr: int,
                      ns: Node, ds: int, rect: Optional[Rect],
@@ -123,17 +125,15 @@ def distance_join_snapshots(snap_l, snap_r, distance: float,
                         algorithm=DistanceJoin(distance))
 
 
-def _near_pairs(ctx: JoinContext, distance: float, nr: Node,
-                ns: Node) -> ColumnsPairs:
+def _near_pairs(ctx: JoinContext, distance: float, cols_r: NodeColumns,
+                cols_s: NodeColumns):
     """Row-index pairs with MINDIST <= distance, by a widened plane
-    sweep over the sorted columns.
+    sweep over two sorted column sets.
 
     Comparisons: each x-window check costs 1; a surviving candidate
     pays 2 more for the exact MINDIST confirmation (the same flat
     accounting style as the intersection sweep).
     """
-    cols_r = ctx.sorted_columns(R_SIDE, nr)
-    cols_s = ctx.sorted_columns(S_SIDE, ns)
     rxl = list(cols_r.xlo)
     rxu = list(cols_r.xhi)
     sxl = list(cols_s.xlo)
@@ -177,4 +177,4 @@ def _near_pairs(ctx: JoinContext, distance: float, nr: Node,
                 k += 1
             j += 1
     counter.join += comparisons
-    return cols_r, cols_s, idx_r, idx_s
+    return idx_r, idx_s

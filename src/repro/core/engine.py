@@ -4,15 +4,31 @@ All five algorithms of Section 4 are depth-first traversals of the two
 R*-trees that differ only in
 
 * how the intersecting entry pairs of a node pair are computed
-  (:meth:`JoinAlgorithm._find_pairs` — nested loop, restricted nested
-  loop, or plane sweep, each a kernel over the nodes' struct-of-arrays
-  :class:`~repro.rtree.columns.NodeColumns`), and
+  (:meth:`JoinAlgorithm._segment_pairs` — nested loop, restricted
+  nested loop, or plane sweep, each a kernel over the nodes'
+  struct-of-arrays :class:`~repro.rtree.columns.NodeColumns`), and
 * in which order the qualifying child pairs are read and recursed into
   (:meth:`JoinAlgorithm._order_pairs` and pinning).
 
+A join below one node pair runs in two phases (the "level-synchronous
+descent", see ``docs/algorithms.md``):
+
+1. **Compute.**  Both trees are walked one level at a time over the
+   uncounted structural access ``tree.node(page_id)``.  The frontier of
+   qualifying node pairs of a level goes through the algorithm's kernel
+   in *one* segmented call (restriction, then plane sweep), which
+   charges every comparison the per-pair kernels would have.
+2. **Replay.**  The paper's depth-first read schedule — sweep or
+   z-order, pinning — runs over the precomputed pair lists and issues
+   exactly the counted ``ctx.read`` calls of a per-pair traversal, in
+   the same order, so buffer hits, disk accesses, evictions, injected
+   faults, ``on_read`` sort charges and the pair output order are those
+   of the per-pair engine.
+
 The engine also owns the different-height boundary (Section 4.4): when
 one side reaches its data pages while the other still has directory
-levels, the configured window-query policy (a)/(b)/(c) takes over.
+levels, the configured window-query policy (a)/(b)/(c) takes over; the
+compute phase stops at such pairs and the replay hands them over.
 
 Concurrency contract: a traversal assumes both trees are **static for
 the duration of the join** (the paper's setting).  Callers with live
@@ -29,15 +45,17 @@ context instead of being written back into shared nodes).
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import accumulate
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..geometry.predicates import SpatialPredicate
 from ..geometry.rect import Rect
-from ..rtree.columns import NodeColumns
+from ..rtree.columns import NodeColumns, np
 from ..rtree.node import Node
 from .context import JoinContext, R_SIDE, S_SIDE
-from .pairs import iter_index_pairs, ref_pairs
+from .pairs import (concat_columns, kept_offsets, nested_loop_pairs_columns,
+                    restrict_segments)
 from .stats import JoinResult
 
 OutputPair = Tuple[int, int]
@@ -46,8 +64,26 @@ OutputPair = Tuple[int, int]
 #: both nodes plus the qualifying row-index pairs into them.
 ColumnsPairs = Tuple[NodeColumns, NodeColumns, object, object]
 
-#: A qualifying pair as (row in the R columns, row in the S columns).
-IndexPair = Tuple[int, int]
+#: A level's pair-finding result: the (restricted, sorted) row tables
+#: of all its node pairs stacked, the qualifying row-index pairs into
+#: them grouped by node pair, and the number of pairs per node pair.
+LevelPairs = Tuple[NodeColumns, NodeColumns, Sequence[int], Sequence[int],
+                   Sequence[int]]
+
+#: Restriction rectangles of a level's node pairs: four parallel
+#: sequences (xl, yl, xu, yu), one value per pair; None when the
+#: algorithm does not restrict.
+Rects = Optional[Tuple[Sequence[float], Sequence[float], Sequence[float],
+                       Sequence[float]]]
+
+#: Kinds of one descent level.
+_DIRECTORY, _DATA, _WINDOW = "directory", "data", "window"
+
+#: Node rows (both sides, before restriction) one kernel call takes at
+#: most: a larger level goes through the kernel in chunks of whole node
+#: pairs, which bounds the kernel's temporary arrays without changing
+#: any result or charge.
+LEVEL_CHUNK_ROWS = 1 << 16
 
 
 def common_rect(cols_r: NodeColumns, a: int,
@@ -60,6 +96,105 @@ def common_rect(cols_r: NodeColumns, a: int,
         # so keep the boundary rectangle.
         return rect_a
     return common
+
+
+def common_rects(table_r: NodeColumns, rows_r, table_s: NodeColumns,
+                 rows_s) -> Rects:
+    """:func:`common_rect` of every row pair, as four sequences."""
+    if table_r.is_numpy and table_s.is_numpy:
+        axl, ayl = table_r.xlo[rows_r], table_r.ylo[rows_r]
+        axu, ayu = table_r.xhi[rows_r], table_r.yhi[rows_r]
+        bxl, byl = table_s.xlo[rows_s], table_s.ylo[rows_s]
+        bxu, byu = table_s.xhi[rows_s], table_s.yhi[rows_s]
+        # Rect.intersection's choices, operand for operand.
+        xl = np.where(axl > bxl, axl, bxl)
+        yl = np.where(ayl > byl, ayl, byl)
+        xu = np.where(axu < bxu, axu, bxu)
+        yu = np.where(ayu < byu, ayu, byu)
+        lost = (xl > xu) | (yl > yu)
+        return (np.where(lost, axl, xl), np.where(lost, ayl, yl),
+                np.where(lost, axu, xu), np.where(lost, ayu, yu))
+    rects = [common_rect(table_r, a, table_s, b)
+             for a, b in zip(rows_r, rows_s)]
+    return ([r.xl for r in rects], [r.yl for r in rects],
+            [r.xu for r in rects], [r.yu for r in rects])
+
+
+def _rects_of(rect: Optional[Rect]) -> Rects:
+    """A lone node pair's restriction rectangle as :data:`Rects`."""
+    if rect is None:
+        return None
+    return (rect.xl,), (rect.yl,), (rect.xu,), (rect.yu,)
+
+
+def _rect_at(rects: Rects, p: int) -> Optional[Rect]:
+    if rects is None:
+        return None
+    return Rect(*(float(values[p]) for values in rects))
+
+
+def _as_list(values) -> List:
+    return values.tolist() if hasattr(values, "tolist") else list(values)
+
+
+def _chunks(level: "_Level") -> List[Tuple[int, int]]:
+    """Cut a level's node pairs into runs of whole pairs holding at most
+    :data:`LEVEL_CHUNK_ROWS` rows (at least one pair per run)."""
+    chunks = []
+    lo = 0
+    rows = 0
+    for p, (nr, ns) in enumerate(zip(level.nodes_r, level.nodes_s)):
+        size = len(nr) + len(ns)
+        if rows and rows + size > LEVEL_CHUNK_ROWS:
+            chunks.append((lo, p))
+            lo, rows = p, 0
+        rows += size
+    chunks.append((lo, len(level.nodes_r)))
+    return chunks
+
+
+def _concat_rects(parts: List[Rects]) -> Rects:
+    """Join per-chunk rectangle sequences (None when there are none)."""
+    if not parts:
+        return None
+    if len(parts) == 1:
+        return parts[0]
+    if hasattr(parts[0][0], "tolist"):
+        return tuple(np.concatenate(values) for values in zip(*parts))
+    return tuple([v for values in column for v in values]
+                 for column in zip(*parts))
+
+
+def _refs_at(table: NodeColumns, rows) -> List[int]:
+    """The refs of *rows* of *table*, as Python ints."""
+    if table.is_numpy:
+        return table.refs[np.asarray(rows, dtype=np.intp)].tolist()
+    return [table.refs[i] for i in rows]
+
+
+class _Level:
+    """One level of the compute phase: its node pairs and, per pair,
+    where its qualifying pairs start — in the next level's pairs
+    (directory level) or in the output pairs (data level)."""
+
+    __slots__ = ("kind", "nodes_r", "nodes_s", "rects", "starts",
+                 "found", "output")
+
+    def __init__(self, nodes_r: List[Node], nodes_s: List[Node],
+                 rects: Rects) -> None:
+        self.nodes_r = nodes_r
+        self.nodes_s = nodes_s
+        self.rects = rects
+        # R-trees are balanced, so all pairs of one level are alike.
+        if nodes_r[0].is_leaf != nodes_s[0].is_leaf:
+            self.kind = _WINDOW
+        else:
+            self.kind = _DATA if nodes_r[0].is_leaf else _DIRECTORY
+        self.starts: List[int] = []
+        #: Pairs the kernel found per node pair (before a data-level
+        #: predicate filter): the observed fanout / sweep run length.
+        self.found: List[int] = []
+        self.output: List[OutputPair] = []
 
 
 class _CallbackSink:
@@ -93,6 +228,9 @@ class JoinAlgorithm:
     restricts_search_space = False
     #: Whether page pinning groups the read schedule (Section 4.3).
     uses_pinning = False
+    #: Whether pair finding reads the nodes in plane-sweep order (the
+    #: sorted views of Section 4.2).
+    sweeps = False
 
     def __init__(self, height_policy: str = "b",
                  predicate: SpatialPredicate =
@@ -163,74 +301,150 @@ class JoinAlgorithm:
                     self._join_nodes(ctx, root_r, 0, root_s, 0, rect, out)
 
     # ------------------------------------------------------------------
-    # Recursion
+    # Recursion: compute level by level, then replay the read schedule
     # ------------------------------------------------------------------
 
     def _join_nodes(self, ctx: JoinContext, nr: Node, dr: int,
                     ns: Node, ds: int, rect: Optional[Rect],
                     out: List[OutputPair]) -> None:
         """Join the subtrees rooted at node pair (nr, ns)."""
+        levels = self._descend(ctx, nr, ns, rect)
+        self._replay(ctx, levels, 0, 0, nr, dr, ns, ds, out)
+
+    def _descend(self, ctx: JoinContext, nr: Node, ns: Node,
+                 rect: Optional[Rect]) -> List[_Level]:
+        """Compute phase: every level's qualifying node pairs, one
+        :meth:`_level_pairs` call per level (per chunk of a level when
+        it exceeds :data:`LEVEL_CHUNK_ROWS`).  Nodes come from the
+        uncounted structural access; the walk stops at data pairs and
+        at pairs of different height (left to window mode)."""
+        tree_r, tree_s = ctx.trees
+        obs = ctx.obs
+        level = _Level([nr], [ns], _rects_of(rect))
+        levels = [level]
+        while level.kind != _WINDOW:
+            started = perf_counter() if obs.enabled else 0.0
+            refs_r: List[int] = []
+            refs_s: List[int] = []
+            rects: List[Rects] = []
+            counts: List[int] = []
+            for lo, hi in _chunks(level):
+                ctx.check_deadline()
+                table_r, table_s, rows_r, rows_s, found = self._level_pairs(
+                    ctx, [self._columns(ctx, R_SIDE, node, counted=False)
+                          for node in level.nodes_r[lo:hi]],
+                    [self._columns(ctx, S_SIDE, node, counted=False)
+                     for node in level.nodes_s[lo:hi]],
+                    None if level.rects is None else
+                    tuple(values[lo:hi] for values in level.rects))
+                found = _as_list(found)
+                level.found.extend(found)
+                if level.kind == _DATA:
+                    counts.extend(self._data_output(
+                        ctx, found, table_r, rows_r, table_s, rows_s,
+                        level.output))
+                    continue
+                refs_r.extend(_refs_at(table_r, rows_r))
+                refs_s.extend(_refs_at(table_s, rows_s))
+                if self.restricts_search_space:
+                    rects.append(common_rects(table_r, rows_r,
+                                              table_s, rows_s))
+            if obs.enabled:
+                obs.tracer.add_duration("find_pairs",
+                                        perf_counter() - started,
+                                        count=len(level.nodes_r))
+            if level.kind == _DATA:
+                level.starts = list(accumulate(counts, initial=0))
+                break
+            level.starts = list(accumulate(level.found, initial=0))
+            if not refs_r:
+                break
+            level = _Level([tree_r.node(ref) for ref in refs_r],
+                           [tree_s.node(ref) for ref in refs_s],
+                           _concat_rects(rects))
+            levels.append(level)
+        return levels
+
+    def _data_output(self, ctx: JoinContext, found: List[int],
+                     table_r: NodeColumns, rows_r, table_s: NodeColumns,
+                     rows_s, output: List[OutputPair]) -> List[int]:
+        """Append a data level's qualifying rows to *output* as ref
+        pairs, applying the join predicate when it is not intersection;
+        returns the number of output pairs per node pair."""
+        if self.predicate is not SpatialPredicate.INTERSECTS:
+            predicate = self.predicate
+            counter = ctx.counter
+            pairs = list(zip(_as_list(rows_r), _as_list(rows_s)))
+            kept = []
+            counts = []
+            pos = 0
+            for count in found:
+                before = len(kept)
+                for a, b in pairs[pos:pos + count]:
+                    if predicate.evaluate_counted(table_r.rect(a),
+                                                  table_s.rect(b), counter):
+                        kept.append((a, b))
+                counts.append(len(kept) - before)
+                pos += count
+            rows_r = [a for a, _ in kept]
+            rows_s = [b for _, b in kept]
+            found = counts
+        output.extend(zip(_refs_at(table_r, rows_r),
+                          _refs_at(table_s, rows_s)))
+        return found
+
+    def _replay(self, ctx: JoinContext, levels: List[_Level], k: int,
+                p: int, nr: Node, dr: int, ns: Node, ds: int,
+                out: List[OutputPair]) -> None:
+        """Replay phase for pair *p* of level *k*: the depth-first read
+        schedule of the per-pair engine, over the computed pairs."""
         ctx.stats.node_pairs += 1
-        if nr.is_leaf != ns.is_leaf:
-            self._window_mode(ctx, nr, dr, ns, ds, rect, out)
+        level = levels[k]
+        if level.kind == _WINDOW:
+            self._window_mode(ctx, nr, dr, ns, ds, _rect_at(level.rects, p),
+                              out)
             return
-        cols_r, cols_s, idx_r, idx_s = self._observed_find_pairs(
-            ctx, nr, ns, rect, dr, leaf=nr.is_leaf)
-        if nr.is_leaf:
-            if self.predicate is SpatialPredicate.INTERSECTS:
-                out.extend(ref_pairs(cols_r, cols_s, idx_r, idx_s))
-            else:
-                predicate = self.predicate
-                counter = ctx.counter
-                refs_r = cols_r.refs
-                refs_s = cols_s.refs
-                for a, b in iter_index_pairs(idx_r, idx_s):
-                    if predicate.evaluate_counted(cols_r.rect(a),
-                                                  cols_s.rect(b), counter):
-                        out.append((int(refs_r[a]), int(refs_s[b])))
+        if self.sweeps:
+            # The on_read sort charge falls where the per-pair engine
+            # sorted: when the pair is visited, after both reads.
+            ctx.sorted_columns(R_SIDE, nr)
+            ctx.sorted_columns(S_SIDE, ns)
+        obs = ctx.obs
+        if obs.enabled:
+            metrics = obs.metrics
+            metrics.inc("join.node_pairs.level.%d" % dr)
+            metrics.observe("sweep.run_length" if level.kind == _DATA
+                            else "join.fanout", level.found[p])
+        lo, hi = level.starts[p], level.starts[p + 1]
+        if level.kind == _DATA:
+            out.extend(level.output[lo:hi])
             return
-        pairs = iter_index_pairs(idx_r, idx_s)
-        if not pairs:
+        if lo == hi:
             return
-        pairs = self._order_pairs(ctx, cols_r, cols_s, pairs)
-        process = self._make_pair_processor(ctx, cols_r, cols_s, dr, ds,
-                                            out)
+        child = levels[k + 1]
+        pairs = self._order_pairs(ctx, child.rects, list(range(lo, hi)))
+        nodes_r, nodes_s = child.nodes_r, child.nodes_s
+
+        def process(c: int) -> None:
+            child_r = ctx.read(R_SIDE, nodes_r[c].page_id, dr + 1)
+            child_s = ctx.read(S_SIDE, nodes_s[c].page_id, ds + 1)
+            self._replay(ctx, levels, k + 1, c, child_r, dr + 1,
+                         child_s, ds + 1, out)
+
         if self.uses_pinning:
-            refs_r = cols_r.refs
-            refs_s = cols_s.refs
-            refs = [(int(refs_r[a]), int(refs_s[b])) for a, b in pairs]
+            refs = [(nodes_r[c].page_id, nodes_s[c].page_id) for c in pairs]
             self._pinned_schedule(ctx, pairs, refs, process)
         else:
-            for pair in pairs:
-                process(pair)
-
-    def _make_pair_processor(
-            self, ctx: JoinContext, cols_r: NodeColumns,
-            cols_s: NodeColumns, dr: int, ds: int,
-            out: List[OutputPair]) -> Callable[[IndexPair], None]:
-        """Build the per-pair step: read both children, recurse."""
-        refs_r = cols_r.refs
-        refs_s = cols_s.refs
-
-        def process(pair: IndexPair) -> None:
-            a, b = pair
-            child_rect: Optional[Rect] = None
-            if self.restricts_search_space:
-                child_rect = common_rect(cols_r, a, cols_s, b)
-            child_r = ctx.read(R_SIDE, int(refs_r[a]), dr + 1)
-            child_s = ctx.read(S_SIDE, int(refs_s[b]), ds + 1)
-            self._join_nodes(ctx, child_r, dr + 1, child_s, ds + 1,
-                             child_rect, out)
-
-        return process
+            for c in pairs:
+                process(c)
 
     # ------------------------------------------------------------------
     # Pinning (Section 4.3)
     # ------------------------------------------------------------------
 
-    def _pinned_schedule(self, ctx: JoinContext, pairs: List[IndexPair],
+    def _pinned_schedule(self, ctx: JoinContext, pairs: List[int],
                          refs: List[Tuple[int, int]],
-                         process: Callable[[IndexPair], None]) -> None:
+                         process: Callable[[int], None]) -> None:
         """Process *pairs* in order, but after each pair pin the child
         page with the maximal degree (number of still-unprocessed pairs
         it takes part in) and finish all its pairs first.  *refs* is the
@@ -271,12 +485,78 @@ class JoinAlgorithm:
     # Hooks
     # ------------------------------------------------------------------
 
+    def _columns(self, ctx: JoinContext, side: int, node: Node,
+                 counted: bool = True) -> NodeColumns:
+        """The columns pair finding reads: sweep-sorted for sweeping
+        algorithms — charged now, or (``counted=False``, the compute
+        phase) when the replay visits the pair."""
+        if not self.sweeps:
+            return node.columns
+        if counted:
+            return ctx.sorted_columns(side, node)
+        return ctx.sorted_view(side, node)
+
+    def _level_pairs(self, ctx: JoinContext, cols_r: List[NodeColumns],
+                     cols_s: List[NodeColumns], rects: Rects) -> LevelPairs:
+        """Qualifying entry pairs of a whole frontier of node pairs
+        (node pair *p* is ``cols_r[p]`` x ``cols_s[p]``, restricted to
+        rectangle *p* when *rects* is given): one segmented restriction
+        per side, then :meth:`_segment_pairs`.  Charges what one
+        restriction and one kernel call per node pair would."""
+        table_r, offsets_r = concat_columns(cols_r)
+        table_s, offsets_s = concat_columns(cols_s)
+        if rects is not None:
+            keep = restrict_segments(table_r, offsets_r, rects, ctx.counter)
+            table_r, offsets_r = (table_r.take(keep),
+                                  kept_offsets(keep, offsets_r))
+            keep = restrict_segments(table_s, offsets_s, rects, ctx.counter)
+            table_s, offsets_s = (table_s.take(keep),
+                                  kept_offsets(keep, offsets_s))
+        rows_r, rows_s, counts = self._segment_pairs(
+            ctx, table_r, offsets_r, table_s, offsets_s)
+        return table_r, table_s, rows_r, rows_s, counts
+
+    def _segment_pairs(self, ctx: JoinContext, table_r: NodeColumns,
+                       offsets_r, table_s: NodeColumns, offsets_s):
+        """Qualifying row pairs of every segment (node pair) of two
+        stacked tables: ``(rows_r, rows_s, counts)``, grouped by segment
+        in segment order.  Default: :meth:`_pair_kernel` per segment;
+        the sweeping algorithms override it with one segmented sweep."""
+        segments = len(offsets_r) - 1
+        if segments == 1:
+            rows_r, rows_s = self._pair_kernel(ctx, table_r, table_s)
+            return rows_r, rows_s, [len(rows_r)]
+        rows_r: List[int] = []
+        rows_s: List[int] = []
+        counts: List[int] = []
+        for p in range(segments):
+            lo_r, hi_r = int(offsets_r[p]), int(offsets_r[p + 1])
+            lo_s, hi_s = int(offsets_s[p]), int(offsets_s[p + 1])
+            idx_r, idx_s = self._pair_kernel(
+                ctx, table_r.slice(lo_r, hi_r), table_s.slice(lo_s, hi_s))
+            rows_r.extend([lo_r + a for a in _as_list(idx_r)])
+            rows_s.extend([lo_s + b for b in _as_list(idx_s)])
+            counts.append(len(idx_r))
+        return rows_r, rows_s, counts
+
+    def _pair_kernel(self, ctx: JoinContext, cols_r: NodeColumns,
+                     cols_s: NodeColumns):
+        """Qualifying row pairs of one (restricted) node pair.  Default:
+        the nested loop of SJ1/SJ2, which stays per node pair even
+        within a level — broadcast over a whole frontier, the
+        unrestricted loop is millions of cells."""
+        return nested_loop_pairs_columns(cols_r, cols_s, ctx.counter)
+
     def _find_pairs(self, ctx: JoinContext, nr: Node, ns: Node,
                     rect: Optional[Rect]) -> ColumnsPairs:
-        """Intersecting entry pairs of a node pair (algorithm specific):
-        the (restricted, sorted) column views of both nodes and the
-        qualifying row-index pairs into them."""
-        raise NotImplementedError
+        """Intersecting entry pairs of one node pair — a frontier of
+        one (window mode and the parallel coordinator, which read the
+        pair before asking): the (restricted, sorted) column views of
+        both nodes and the qualifying row-index pairs into them."""
+        table_r, table_s, rows_r, rows_s, _ = self._level_pairs(
+            ctx, [self._columns(ctx, R_SIDE, nr)],
+            [self._columns(ctx, S_SIDE, ns)], _rects_of(rect))
+        return table_r, table_s, rows_r, rows_s
 
     def _observed_find_pairs(self, ctx: JoinContext, nr: Node, ns: Node,
                              rect: Optional[Rect], depth: int,
@@ -301,12 +581,13 @@ class JoinAlgorithm:
             metrics.observe("join.fanout", len(result[2]))
         return result
 
-    def _order_pairs(self, ctx: JoinContext, cols_r: NodeColumns,
-                     cols_s: NodeColumns,
-                     pairs: List[IndexPair]) -> List[IndexPair]:
-        """Reorder the qualifying pairs into the read schedule.
+    def _order_pairs(self, ctx: JoinContext, rects: Rects,
+                     pairs: List[int]) -> List[int]:
+        """Reorder the qualifying child pairs (indices into the next
+        level, whose restriction rectangles are *rects*) into the read
+        schedule.
 
-        Default: keep the order `_find_pairs` produced (discovery order
+        Default: keep the order the kernel produced (discovery order
         for SJ1/SJ2, sweep order for SJ3/SJ4).  SJ5 overrides this with
         the local z-order.
         """

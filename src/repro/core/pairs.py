@@ -21,7 +21,8 @@ the join engines run their ``*_columns`` counterparts below.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from typing import List, Sequence, Tuple
 
 from ..geometry.counting import ComparisonCounter
@@ -175,10 +176,120 @@ def sorted_intersection_test(
 # kernel emits its EntryPair list.  Each kernel dispatches per input: a
 # numpy-backed NodeColumns takes the vectorized path, a stdlib
 # array-backed one takes a tight scalar loop over the raw buffers.
+#
+# Restriction and the plane sweep are *segmented*: they run over a
+# table of several nodes' rows stacked by :func:`concat_columns`, one
+# segment per node pair, so the engine's level-synchronous descent
+# answers every node pair of a tree level with one kernel call.  A lone
+# node pair is a table of one segment (:func:`restrict_columns`,
+# :func:`sorted_intersection_test_columns`).
 
 
 def _is_np(cols: NodeColumns) -> bool:
     return HAVE_NUMPY and isinstance(cols.xlo, np.ndarray)
+
+
+def _whole(cols: NodeColumns):
+    """Segment offsets of a table holding exactly one segment."""
+    if _is_np(cols):
+        return np.array((0, len(cols)), dtype=np.intp)
+    return [0, len(cols)]
+
+
+def concat_columns(cols_list: Sequence[NodeColumns]):
+    """Stack the rows of several column sets into one table.
+
+    Returns ``(table, offsets)``: segment *p* — the rows of
+    ``cols_list[p]``, in their order — is
+    ``table[offsets[p]:offsets[p + 1]]``.  Offsets are an ``intp``
+    array for a numpy table and a list for a stdlib one.
+    """
+    if len(cols_list) == 1:
+        cols = cols_list[0]
+        return cols, _whole(cols)
+    lens = [len(cols) for cols in cols_list]
+    if all(_is_np(cols) for cols in cols_list):
+        offsets = np.zeros(len(lens) + 1, dtype=np.intp)
+        np.cumsum(lens, out=offsets[1:])
+        return NodeColumns(
+            np.concatenate([cols.xlo for cols in cols_list]),
+            np.concatenate([cols.ylo for cols in cols_list]),
+            np.concatenate([cols.xhi for cols in cols_list]),
+            np.concatenate([cols.yhi for cols in cols_list]),
+            np.concatenate([cols.refs for cols in cols_list])), offsets
+    table = NodeColumns(array("d"), array("d"), array("d"), array("d"),
+                        array("q"))
+    offsets = [0]
+    for cols in cols_list:
+        table.xlo.extend(cols.xlo)
+        table.ylo.extend(cols.ylo)
+        table.xhi.extend(cols.xhi)
+        table.yhi.extend(cols.yhi)
+        table.refs.extend(cols.refs)
+        offsets.append(offsets[-1] + len(cols))
+    return table, offsets
+
+
+def restrict_segments(table: NodeColumns, offsets, rects,
+                      counter: ComparisonCounter):
+    """Segmented :func:`restrict_entries`: keep the rows of segment *p*
+    that intersect rectangle *p*.
+
+    *rects* holds the restriction rectangles as four parallel sequences
+    ``(xl, yl, xu, yu)``, one value per segment.  Returns the kept row
+    indices in ascending order (so a sweep-sorted segment stays sorted;
+    :func:`kept_offsets` gives the segments of ``table.take(keep)``).
+    Charges the 1/2/3/4 short-circuit counts.
+    """
+    qxl, qyl, qxu, qyu = rects
+    if _is_np(table):
+        if len(offsets) == 2:
+            qxl, qyl, qxu, qyu = qxl[0], qyl[0], qxu[0], qyu[0]
+        else:
+            seg = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+            qxl = np.asarray(qxl)[seg]
+            qyl = np.asarray(qyl)[seg]
+            qxu = np.asarray(qxu)[seg]
+            qyu = np.asarray(qyu)[seg]
+        xlo, ylo, xhi, yhi = table.xlo, table.ylo, table.xhi, table.yhi
+        a = xlo > qxu                       # failed check 1
+        b = ~a & (qxl > xhi)                # failed check 2
+        ab = a | b
+        c = ~ab & (ylo > qyu)               # failed check 3
+        # a row failing check k costs k; one reaching check 4 costs 4
+        counter.join += (4 * len(xlo) - 3 * int(a.sum())
+                         - 2 * int(b.sum()) - int(c.sum()))
+        return np.flatnonzero(~(ab | c) & (yhi >= qyl))
+    xlo, ylo, xhi, yhi = table.xlo, table.ylo, table.xhi, table.yhi
+    keep: List[int] = []
+    append = keep.append
+    comparisons = 0
+    for p in range(len(offsets) - 1):
+        rxl = qxl[p]
+        ryl = qyl[p]
+        rxu = qxu[p]
+        ryu = qyu[p]
+        for i in range(offsets[p], offsets[p + 1]):
+            if xlo[i] > rxu:
+                comparisons += 1
+            elif rxl > xhi[i]:
+                comparisons += 2
+            elif ylo[i] > ryu:
+                comparisons += 3
+            else:
+                comparisons += 4
+                if yhi[i] >= ryl:
+                    append(i)
+    counter.join += comparisons
+    return keep
+
+
+def kept_offsets(keep, offsets):
+    """Segment offsets into ``table.take(keep)``, for the ascending row
+    indices *keep* of a table segmented by *offsets*."""
+    if HAVE_NUMPY and isinstance(keep, np.ndarray):
+        return np.searchsorted(keep, offsets)
+    return [bisect_left(keep, offset) for offset in offsets]
 
 
 def restrict_columns(cols: NodeColumns, rect: Rect,
@@ -188,41 +299,9 @@ def restrict_columns(cols: NodeColumns, rect: Rect,
     Preserves row order (a sweep-sorted node stays sorted) and charges
     the same 1/2/3/4 short-circuit comparison counts.
     """
-    rxl = rect.xl
-    ryl = rect.yl
-    rxu = rect.xu
-    ryu = rect.yu
-    if _is_np(cols):
-        xlo, ylo, xhi, yhi = cols.xlo, cols.ylo, cols.xhi, cols.yhi
-        n = len(xlo)
-        a = xlo > rxu                       # failed check 1
-        b = ~a & (rxl > xhi)                # failed check 2
-        ab = a | b
-        c = ~ab & (ylo > ryu)               # failed check 3
-        na = int(a.sum())
-        nb = int(b.sum())
-        nc = int(c.sum())
-        nd = n - na - nb - nc               # reached check 4
-        counter.join += na + 2 * nb + 3 * nc + 4 * nd
-        keep = ~(ab | c) & (yhi >= ryl)
-        return cols.take(np.flatnonzero(keep))
-    xlo, ylo, xhi, yhi = cols.xlo, cols.ylo, cols.xhi, cols.yhi
-    keep: List[int] = []
-    append = keep.append
-    comparisons = 0
-    for i in range(len(xlo)):
-        if xlo[i] > rxu:
-            comparisons += 1
-        elif rxl > xhi[i]:
-            comparisons += 2
-        elif ylo[i] > ryu:
-            comparisons += 3
-        else:
-            comparisons += 4
-            if yhi[i] >= ryl:
-                append(i)
-    counter.join += comparisons
-    return cols.take(keep)
+    return cols.take(restrict_segments(
+        cols, _whole(cols), ((rect.xl,), (rect.yl,), (rect.xu,), (rect.yu,)),
+        counter))
 
 
 def nested_loop_pairs_columns(cols_r: NodeColumns, cols_s: NodeColumns,
@@ -293,34 +372,69 @@ def sorted_intersection_test_columns(
     and charges identical comparison counts: +1 per sweep-rectangle
     choice, +1 per inner x-check (including the breaking one), +1 for
     the first y-check, +1 more for the second when the first passed.
+    This is :func:`sweep_segments` over one segment.
     """
-    if _is_np(cols_r) and _is_np(cols_s):
-        return _sweep_numpy(cols_r, cols_s, counter)
-    return _sweep_scalar(cols_r, cols_s, counter)
+    rows_r, rows_s, _ = sweep_segments(cols_r, _whole(cols_r),
+                                       cols_s, _whole(cols_s), counter)
+    return rows_r, rows_s
 
 
-def _sweep_scalar(cols_r: NodeColumns, cols_s: NodeColumns,
-                  counter: ComparisonCounter) -> IndexPairs:
-    """Two-pointer sweep over raw coordinate buffers (stdlib path).
+def sweep_segments(table_r: NodeColumns, offsets_r,
+                   table_s: NodeColumns, offsets_s,
+                   counter: ComparisonCounter):
+    """Segmented SortedIntersectionTest: segment *p* of *table_r* swept
+    against segment *p* of *table_s*, for every *p* at once.
 
-    Two departures from the object kernel's literal loop, neither of
-    which changes the charged totals or the emitted order:
-
-    * the buffers are copied into plain lists first — list indexing
-      hands back pre-boxed floats, while ``array('d')`` indexing boxes
-      a fresh float object on every access;
-    * each inner scan's break point is located with C-speed
-      :func:`bisect.bisect_right` (the other side is sorted by ``xl``,
-      so the first rectangle past the sweep interval is a binary-search
-      target), and the per-candidate x- and first-y-comparisons are
-      charged in bulk: ``2*(candidates)`` plus one for the breaking
-      x-check when the scan stopped early.  The remaining loop only
-      resolves the second y-comparison.
+    Every segment must be sorted by ascending ``xlo``.  Returns
+    ``(rows_r, rows_s, counts)``: the qualifying row pairs (indices
+    into the two tables), segment by segment, each segment's pairs in
+    its sweep order, and the number of pairs per segment.  Charges
+    what one :func:`sorted_intersection_test` per segment would.
     """
-    rxl, ryl, rxu, ryu = (list(cols_r.xlo), list(cols_r.ylo),
-                          list(cols_r.xhi), list(cols_r.yhi))
-    sxl, syl, sxu, syu = (list(cols_s.xlo), list(cols_s.ylo),
-                          list(cols_s.xhi), list(cols_s.yhi))
+    if _is_np(table_r) and _is_np(table_s):
+        return _sweep_segments_numpy(table_r, np.asarray(offsets_r),
+                                     table_s, np.asarray(offsets_s),
+                                     counter)
+    offsets_r = [int(o) for o in offsets_r]
+    offsets_s = [int(o) for o in offsets_s]
+    rxl, ryl, rxu, ryu = (list(table_r.xlo), list(table_r.ylo),
+                          list(table_r.xhi), list(table_r.yhi))
+    sxl, syl, sxu, syu = (list(table_s.xlo), list(table_s.ylo),
+                          list(table_s.xhi), list(table_s.yhi))
+    rows_r: List[int] = []
+    rows_s: List[int] = []
+    counts: List[int] = []
+    comparisons = 0
+    for p in range(len(offsets_r) - 1):
+        lo_r, hi_r = offsets_r[p], offsets_r[p + 1]
+        lo_s, hi_s = offsets_s[p], offsets_s[p + 1]
+        out_r, out_s, charged = _sweep_scalar(
+            rxl[lo_r:hi_r], ryl[lo_r:hi_r], rxu[lo_r:hi_r], ryu[lo_r:hi_r],
+            sxl[lo_s:hi_s], syl[lo_s:hi_s], sxu[lo_s:hi_s], syu[lo_s:hi_s])
+        comparisons += charged
+        rows_r.extend([lo_r + i for i in out_r])
+        rows_s.extend([lo_s + k for k in out_s])
+        counts.append(len(out_r))
+    counter.join += comparisons
+    return rows_r, rows_s, counts
+
+
+def _sweep_scalar(rxl, ryl, rxu, ryu, sxl, syl, sxu, syu):
+    """Two-pointer sweep over one segment's coordinate lists (stdlib
+    path); returns ``(rows_r, rows_s, comparisons)``.
+
+    One departure from the object kernel's literal loop, which changes
+    neither the charged total nor the emitted order: each inner scan's
+    break point is located with C-speed :func:`bisect.bisect_right`
+    (the other side is sorted by ``xl``, so the first rectangle past
+    the sweep interval is a binary-search target), and the
+    per-candidate x- and first-y-comparisons are charged in bulk:
+    ``2*(candidates)`` plus one for the breaking x-check when the scan
+    stopped early.  The remaining loop only resolves the second
+    y-comparison.  The inputs are plain lists: list indexing hands back
+    pre-boxed floats, while ``array('d')`` indexing boxes a fresh float
+    object on every access.
+    """
     out_r: List[int] = []
     out_s: List[int] = []
     append_r = out_r.append
@@ -359,22 +473,33 @@ def _sweep_scalar(cols_r: NodeColumns, cols_s: NodeColumns,
                         append_r(k)
                         append_s(j)
             j += 1
-    counter.join += comparisons
-    return out_r, out_s
+    return out_r, out_s, comparisons
 
 
-def _sweep_numpy(cols_r: NodeColumns, cols_s: NodeColumns,
-                 counter: ComparisonCounter) -> IndexPairs:
-    """Fully vectorized SortedIntersectionTest.
+def _sweep_segments_numpy(table_r: NodeColumns, offsets_r,
+                          table_s: NodeColumns, offsets_s,
+                          counter: ComparisonCounter):
+    """Fully vectorized segmented SortedIntersectionTest.
 
-    The two-pointer merge is data-independent once both inputs are
-    fixed, so the whole sweep schedule can be computed up front: a
-    stable argsort of the concatenated ``xl`` keys (R before S, so R
-    wins ties exactly like the scalar ``<=`` choice) gives the order in
-    which rectangles become the sweep rectangle, and prefix sums give
-    each sweep's "first unprocessed" pointer into the other side.  The
-    inner scans then become one ``searchsorted`` per side plus flat
-    candidate enumeration.  Comparison charges replicate the scalar
+    The two-pointer merge of one segment is data-independent once its
+    inputs are fixed, so every segment's sweep schedule is computed up
+    front.  R row *i* becomes the sweep rectangle at merge position
+    ``i + #(S rows with xl < i.xl)`` — R wins ties, exactly like the
+    scalar ``<=`` choice — and S row *j* at ``j + #(R rows with
+    xl <= j.xl)``.  Those counts, and each scan's end ("first row of
+    the other side whose xl exceeds my xu"), are segmented binary
+    searches: every x-bound is replaced by its dense rank among all of
+    them, so the integer key ``segment * width + rank`` orders rows
+    exactly as ``(segment, coordinate)`` does, and one global
+    ``searchsorted`` answers every segment (one segment needs no
+    ranks).  A segment's loop runs until either side is exhausted,
+    i.e. for ``min(last R position, last S position) + 1`` steps.
+
+    Merge positions, offset per segment, number every row of both
+    sides exactly once, so the sweep order is a scatter, not a sort;
+    the scans of both sides then run as one flat candidate enumeration
+    over a joint row space (R rows, then S rows) and emit their hits
+    already in sweep order.  Comparison charges replicate the scalar
     kernel exactly:
 
     * one choice comparison per processed merge position,
@@ -382,85 +507,91 @@ def _sweep_numpy(cols_r: NodeColumns, cols_s: NodeColumns,
       check when the scan stopped before the end of the other side,
     * one y-check per candidate, and a second where the first passed.
     """
-    rxl, ryl, rxu, ryu = cols_r.xlo, cols_r.ylo, cols_r.xhi, cols_r.yhi
-    sxl, syl, sxu, syu = cols_s.xlo, cols_s.ylo, cols_s.xhi, cols_s.yhi
-    n = len(rxl)
-    m = len(sxl)
+    segments = len(offsets_r) - 1
+    n = len(table_r)
+    m = len(table_s)
     if n == 0 or m == 0:
-        return [], []
-    order = np.argsort(np.concatenate((rxl, sxl)), kind="stable")
-    from_s = order >= n
-    orig = np.where(from_s, order - n, order)
-    cum_s = np.cumsum(from_s)                  # S consumed, inclusive
-    cum_r = np.arange(1, n + m + 1) - cum_s    # R consumed, inclusive
-    # The scalar loop stops when either side is exhausted: only the
-    # merge prefix up to (and including) that position is processed.
-    processed = int(np.argmax((cum_r == n) | (cum_s == m))) + 1
-    from_s = from_s[:processed]
-    orig = orig[:processed]
-    cum_s = cum_s[:processed]
-    cum_r = cum_r[:processed]
-    is_r = ~from_s
-    comparisons = processed                    # one choice per position
-
-    # R sweeps: scan S from the first unprocessed S position.
-    r_pos = np.flatnonzero(is_r)
-    r_idx = orig[is_r]
-    r_start = (cum_s - from_s)[is_r]           # S consumed *before*
-    r_stop = np.maximum(np.searchsorted(sxl, rxu[r_idx], side="right"),
-                        r_start)
-    r_counts = r_stop - r_start
-    comparisons += int(r_counts.sum()) + int((r_stop < m).sum())
-
-    # S sweeps: scan R from the first unprocessed R position.
-    s_pos = np.flatnonzero(from_s)
-    s_idx = orig[from_s]
-    s_start = (cum_r - is_r)[from_s]
-    s_stop = np.maximum(np.searchsorted(rxl, sxu[s_idx], side="right"),
-                        s_start)
-    s_counts = s_stop - s_start
-    comparisons += int(s_counts.sum()) + int((s_stop < n).sum())
-
-    def _scan(starts, counts, pos, idx, tyl, tyu, oyl, oyu):
-        """Run all one side's inner scans at once.
-
-        *starts*/*counts* delimit each sweep's candidate range in the
-        other side; *tyl*/*tyu* are the sweep rectangles' y-bounds,
-        *oyl*/*oyu* the other side's y-columns.  Returns (y-comparison
-        charge, sweep row per hit, other row per hit, merge position
-        per hit).
-        """
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.intp)
-            return 0, empty, empty, empty
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty, np.zeros(segments, dtype=np.intp)
+    if segments == 1:
+        seg_r = np.zeros(n, dtype=np.intp)
+        seg_s = np.zeros(m, dtype=np.intp)
+        key_rxl, key_rxu = table_r.xlo, table_r.xhi
+        key_sxl, key_sxu = table_s.xlo, table_s.xhi
+    else:
+        seg_r = np.repeat(np.arange(segments), np.diff(offsets_r))
+        seg_s = np.repeat(np.arange(segments), np.diff(offsets_s))
+        ranks = np.unique(np.concatenate((table_r.xlo, table_r.xhi,
+                                          table_s.xlo, table_s.xhi)),
+                          return_inverse=True)[1]
+        width = int(ranks.max()) + 1
+        key_rxl = seg_r * width + ranks[:n]
+        key_rxu = seg_r * width + ranks[n:2 * n]
+        key_sxl = seg_s * width + ranks[2 * n:2 * n + m]
+        key_sxu = seg_s * width + ranks[2 * n + m:]
+    if (key_rxl[1:] < key_rxl[:-1]).any() or \
+            (key_sxl[1:] < key_sxl[:-1]).any():
+        raise ValueError("sweep input is not sorted by xlo within each "
+                         "segment")
+    # Per row: where its own segment starts, and where the other side's
+    # segment starts and ends.
+    own_r = offsets_r[seg_r]
+    own_s = offsets_s[seg_s]
+    first_s, end_s = offsets_s[seg_r], offsets_s[1:][seg_r]
+    first_r, end_r = offsets_r[seg_s], offsets_r[1:][seg_s]
+    # Rows of the other side consumed before a row becomes the sweep
+    # rectangle = where its scan starts; the scan stops at the first
+    # row past its xu (never before it starts).
+    start_r = np.searchsorted(key_sxl, key_rxl, side="left")
+    start_s = np.searchsorted(key_rxl, key_sxl, side="right")
+    stop_r = np.maximum(np.searchsorted(key_sxl, key_rxu, side="right"),
+                        start_r)
+    stop_s = np.maximum(np.searchsorted(key_rxl, key_sxu, side="right"),
+                        start_s)
+    merge_r = np.arange(n) - own_r + start_r - first_s
+    merge_s = np.arange(m) - own_s + start_s - first_r
+    # A segment's loop ends once either side's last row is processed;
+    # an empty side means no loop at all.
+    live = (offsets_r[1:] > offsets_r[:-1]) & (offsets_s[1:] > offsets_s[:-1])
+    last_r = merge_r[np.maximum(offsets_r[1:] - 1, 0)]
+    last_s = merge_s[np.maximum(offsets_s[1:] - 1, 0)]
+    steps = np.where(live, np.minimum(last_r, last_s) + 1, 0)
+    base = offsets_r[:-1] + offsets_s[:-1]
+    # Joint row space: R row i is i, S row j is n + j.
+    order = np.empty(n + m, dtype=np.intp)
+    order[base[seg_r] + merge_r] = np.arange(n)
+    order[base[seg_s] + merge_s] = np.arange(n, n + m)
+    is_sweep = np.concatenate((merge_r < steps[seg_r],
+                               merge_s < steps[seg_s]))
+    rows = order[is_sweep[order]]              # sweep rows, sweep order
+    lo = np.concatenate((start_r + n, start_s))[rows]
+    hi = np.concatenate((stop_r + n, stop_s))[rows]
+    other_end = np.concatenate((end_s + n, end_r))[rows]
+    counts = hi - lo
+    total = int(counts.sum())
+    comparisons = (int(steps.sum()) + 2 * total
+                   + int((hi < other_end).sum()))
+    rows_r = rows_s = np.empty(0, dtype=np.intp)
+    if total:
+        ylo = np.concatenate((table_r.ylo, table_s.ylo))
+        yhi = np.concatenate((table_r.yhi, table_s.yhi))
         ends = np.cumsum(counts)
-        # Candidate rows per sweep are the slice [start, stop); flatten
-        # every slice into one array with a single repeat + arange.
-        cand = np.arange(total) + np.repeat(starts - (ends - counts),
-                                            counts)
-        y1 = np.repeat(tyl, counts) <= oyu[cand]
-        ok = y1 & (np.repeat(tyu, counts) >= oyl[cand])
+        cand = np.arange(total) + np.repeat(lo - (ends - counts), counts)
+        y1 = np.repeat(ylo[rows], counts) <= yhi[cand]
+        ok = y1 & (np.repeat(yhi[rows], counts) >= ylo[cand])
+        comparisons += int(y1.sum())
         hits = np.flatnonzero(ok)
-        # Map flat hit offsets back to their sweep ordinal (hits are
-        # few; searchsorted beats materializing a per-candidate map).
-        sweep = np.searchsorted(ends, hits, side="right")
-        return (total + int(y1.sum()), idx[sweep], cand[hits], pos[sweep])
-
-    ycomps, pr1, ps1, pp1 = _scan(r_start, r_counts, r_pos, r_idx,
-                                  ryl[r_idx], ryu[r_idx], syl, syu)
-    comparisons += ycomps
-    ycomps, ps2, pr2, pp2 = _scan(s_start, s_counts, s_pos, s_idx,
-                                  syl[s_idx], syu[s_idx], ryl, ryu)
-    comparisons += ycomps
-
+        # Map flat hit offsets back to their sweep (hits are few;
+        # searchsorted beats materializing a per-candidate map).
+        sweep_rows = rows[np.searchsorted(ends, hits, side="right")]
+        other = cand[hits]
+        from_r = sweep_rows < n
+        rows_r = np.where(from_r, sweep_rows, other)
+        rows_s = np.where(from_r, other, sweep_rows) - n
     counter.join += comparisons
-    # Interleave both sides' hits back into sweep order: ascending merge
-    # position, and within one sweep ascending scan position (stable).
-    merge_pos = np.concatenate((pp1, pp2))
-    emit = np.argsort(merge_pos, kind="stable")
-    return (np.concatenate((pr1, pr2))[emit],
-            np.concatenate((ps1, ps2))[emit])
+    if segments == 1:
+        return rows_r, rows_s, np.array((len(rows_r),), dtype=np.intp)
+    return rows_r, rows_s, np.bincount(seg_r[rows_r], minlength=segments)
 
 
 def iter_index_pairs(idx_r, idx_s):

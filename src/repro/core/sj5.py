@@ -14,9 +14,8 @@ from typing import List, Optional
 from ..curves.zorder import ZGrid
 from ..geometry.rect import Rect
 from ..rtree.base import RTreeBase
-from ..rtree.columns import NodeColumns
 from .context import JoinContext
-from .engine import IndexPair, common_rect
+from .engine import Rects
 from .sj3 import SpatialJoin3
 
 
@@ -53,14 +52,16 @@ class SpatialJoin5(SpatialJoin3):
         world = world_rect(*ctx.trees)
         self._grid = ZGrid(world, self.zgrid_bits) if world else None
 
-    def _order_pairs(self, ctx: JoinContext, cols_r: NodeColumns,
-                     cols_s: NodeColumns,
-                     pairs: List[IndexPair]) -> List[IndexPair]:
+    def _order_pairs(self, ctx: JoinContext, rects: Rects,
+                     pairs: List[int]) -> List[int]:
         if self._grid is None or len(pairs) < 2:
             return pairs
         grid = self._grid
-        keyed = [(grid.zvalue_of_rect(common_rect(cols_r, a, cols_s, b)),
-                  (a, b)) for a, b in pairs]
+        xl, yl, xu, yu = rects
+        # A child pair's restriction rectangle is the intersection
+        # rectangle of its two entries.
+        keyed = [(grid.zvalue_of_rect(Rect(xl[c], yl[c], xu[c], yu[c])), c)
+                 for c in pairs]
         # The z-sort is the extra CPU of SJ5; charge its comparisons to
         # the sorting bucket.
         count = 0

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 from ..rtree.base import RTreeBase
+from ..rtree.columns import HAVE_NUMPY, np
 
 
 @dataclass(frozen=True)
@@ -43,15 +44,31 @@ class LevelProfile:
     avg_height: float
 
 
+def _running_sum(total: float, upper, lower) -> float:
+    """``total + (upper[0] - lower[0]) + (upper[1] - lower[1]) + ...``,
+    added strictly left to right — the rounding of a ``+=`` loop over
+    the entries, which pairwise (``np.sum``) and compensated (builtin
+    ``sum`` from Python 3.12 on) summation would not reproduce."""
+    if HAVE_NUMPY and isinstance(upper, np.ndarray):
+        if not len(upper):
+            return total
+        return float(np.add.accumulate(
+            np.concatenate(((total,), upper - lower)))[-1])
+    for hi, lo in zip(upper, lower):
+        total += hi - lo
+    return total
+
+
 def level_profiles(tree: RTreeBase) -> List[LevelProfile]:
-    """Per-level entry statistics, data entries first."""
+    """Per-level entry statistics, data entries first.  Read from the
+    nodes' columns, so no node materializes ``Entry`` objects."""
     sums: Dict[int, List[float]] = {}
     for node in tree.iter_nodes():
         bucket = sums.setdefault(node.level, [0, 0.0, 0.0])
-        for entry in node.entries:
-            bucket[0] += 1
-            bucket[1] += entry.rect.width
-            bucket[2] += entry.rect.height
+        cols = node.columns
+        bucket[0] += len(cols)
+        bucket[1] = _running_sum(bucket[1], cols.xhi, cols.xlo)
+        bucket[2] = _running_sum(bucket[2], cols.yhi, cols.ylo)
     profiles = []
     for level in sorted(sums):
         count, width_sum, height_sum = sums[level]

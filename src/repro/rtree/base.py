@@ -128,7 +128,7 @@ class RTreeBase:
             entry = node.entries[index]
             grown = entry.rect.union(rect)
             if grown != entry.rect:
-                entry.rect = grown
+                node.replace_rect(index, grown)
                 self._write(node)
 
     # ------------------------------------------------------------------
@@ -153,9 +153,8 @@ class RTreeBase:
             return
 
         parent, parent_index = path[-2]
-        parent.entries[parent_index].rect = node.mbr()
+        parent.replace_rect(parent_index, node.mbr())
         parent.entries.append(Entry(sibling.mbr(), sibling.page_id))
-        parent.sorted_by_xl = False
         self._write(parent)
         if len(parent.entries) > self.params.max_entries:
             self._handle_overflow(path[:-1], level=parent.level)
@@ -223,7 +222,7 @@ class RTreeBase:
                 del parent.entries[parent_index]
                 self.store.free(node.page_id)
             else:
-                parent.entries[parent_index].rect = node.mbr()
+                parent.replace_rect(parent_index, node.mbr())
             self._write(parent)
         for entry, level in orphans:
             if self.root.level < level:

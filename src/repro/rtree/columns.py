@@ -224,11 +224,17 @@ class NodeColumns:
                                self.refs[idx])
         xlo, ylo, xhi, yhi, refs = \
             self.xlo, self.ylo, self.xhi, self.yhi, self.refs
-        return NodeColumns(array("d", (xlo[i] for i in indices)),
-                           array("d", (ylo[i] for i in indices)),
-                           array("d", (xhi[i] for i in indices)),
-                           array("d", (yhi[i] for i in indices)),
-                           array("q", (refs[i] for i in indices)))
+        return NodeColumns(array("d", [xlo[i] for i in indices]),
+                           array("d", [ylo[i] for i in indices]),
+                           array("d", [xhi[i] for i in indices]),
+                           array("d", [yhi[i] for i in indices]),
+                           array("q", [refs[i] for i in indices]))
+
+    def slice(self, lo: int, hi: int) -> "NodeColumns":
+        """A view of the rows ``lo:hi`` (a copy on the stdlib backend)."""
+        return NodeColumns(self.xlo[lo:hi], self.ylo[lo:hi],
+                           self.xhi[lo:hi], self.yhi[lo:hi],
+                           self.refs[lo:hi])
 
     def mbr(self) -> Rect:
         """MBR of all rows (matches ``Node.mbr`` bit-for-bit)."""

@@ -112,6 +112,13 @@ class Node:
             return self._columns.child_refs()
         return [e.ref for e in self._entries]
 
+    def replace_rect(self, index: int, rect: Rect) -> None:
+        """Give entry *index* a new rectangle (its ref stays).  A new
+        lower x can break plane-sweep order, so the node is no longer
+        known to be sorted."""
+        self.entries[index].rect = rect
+        self.sorted_by_xl = False
+
     def sort_by_xl(self) -> None:
         """Bring entries into plane-sweep order (ascending lower x)."""
         if not self.sorted_by_xl:

@@ -190,7 +190,7 @@ class RStarTree(RTreeBase):
             parent, parent_index = path[depth - 1]
             exact = node.mbr()
             if parent.entries[parent_index].rect != exact:
-                parent.entries[parent_index].rect = exact
+                parent.replace_rect(parent_index, exact)
                 self._write(parent)
 
 

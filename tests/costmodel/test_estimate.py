@@ -1,11 +1,16 @@
 """Tests for the analytical join-cost estimator."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.costmodel.estimate import (JoinCardinalityEstimator,
                                       LevelProfile, level_profiles)
 from repro.data import uniform_rects
-from repro.rtree import RStarTree, RTreeParams
+from repro.geometry import Rect
+from repro.rtree import RStarTree, RTreeParams, str_pack
 from tests.conftest import build_rstar, make_rects
 from repro.core import JoinSpec
 
@@ -141,3 +146,55 @@ class TestPredictions:
         estimator = JoinCardinalityEstimator(small, small)
         assert estimator.intersect_probability(profile_big,
                                                profile_big) == 1.0
+
+
+# ----------------------------------------------------------------------
+# level_profiles reads columns, with the Entry loop's exact rounding
+# ----------------------------------------------------------------------
+
+def _entry_loop_profiles(tree):
+    """The Entry-object loop level_profiles replaced, kept as the
+    bit-exact reference (its ``+=`` order fixes the rounding)."""
+    sums = {}
+    for node in tree.iter_nodes():
+        bucket = sums.setdefault(node.level, [0, 0.0, 0.0])
+        for entry in node.entries:
+            bucket[0] += 1
+            bucket[1] += entry.rect.width
+            bucket[2] += entry.rect.height
+    return [LevelProfile(level, count, width / count, height / count)
+            for level, (count, width, height) in sorted(sums.items())]
+
+
+# Extents over six orders of magnitude, so a pairwise or compensated
+# sum would round differently from the sequential one.
+_extent = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False,
+                    allow_infinity=False)
+_profile_rects = st.lists(
+    st.tuples(st.floats(min_value=-1e4, max_value=1e4), st.floats(
+        min_value=-1e4, max_value=1e4), _extent, _extent),
+    min_size=1, max_size=150)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_profile_rects, st.sampled_from([80, 100, 120, 140, 160]),
+       st.booleans())
+def test_level_profiles_bit_equal_to_entry_loop_without_entries(
+        rects, page_size, packed):
+    records = [(Rect(x, y, x + w, y + h), i)
+               for i, (x, y, w, h) in enumerate(rects)]
+    params = RTreeParams.from_page_size(page_size)
+    if packed:
+        tree = str_pack(records, params)
+    else:
+        tree = RStarTree(params)
+        for rect, ref in records:
+            tree.insert(rect, ref)
+    # A pickled node ships its columns only, like a node loaded from
+    # disk: the copy starts without Entry objects.
+    columnar = pickle.loads(pickle.dumps(tree))
+    assert not any(node.has_materialized_entries()
+                   for node in columnar.iter_nodes())
+    assert level_profiles(columnar) == _entry_loop_profiles(tree)
+    assert not any(node.has_materialized_entries()
+                   for node in columnar.iter_nodes())

@@ -150,3 +150,26 @@ class TestIntrospection:
             xls = [e.rect.xl for e in node.entries]
             assert xls == sorted(xls)
             assert node.sorted_by_xl
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sorted_flag_survives_only_while_true(self, seed):
+        """Inserts and deletes that grow or shrink a routing rectangle in
+        place must drop the node's sweep-order flag: a plane sweep over
+        a node still flagged sorted after its order broke misses pairs."""
+        rng = random.Random(seed)
+
+        def rect():
+            x, y = rng.uniform(0, 1000), rng.uniform(0, 1000)
+            return Rect(x, y, x + rng.uniform(0, 40), y + rng.uniform(0, 40))
+
+        records = [(rect(), i) for i in range(300)]
+        tree = build_rstar(records, page_size=256)
+        tree.sort_all_nodes()
+        for i in range(300, 330):
+            tree.insert(rect(), i)
+        for rect_, ref in records[:40]:
+            assert tree.delete(rect_, ref)
+        for node in tree.iter_nodes():
+            if node.sorted_by_xl:
+                xls = [e.rect.xl for e in node.entries]
+                assert xls == sorted(xls)
