@@ -2,8 +2,7 @@
 
 Creates a small GIS catalog with the :class:`repro.db.SpatialDatabase`
 facade, runs filtered and refined joins, persists everything to a
-directory, reopens it, and renders an SVG picture of one relation's
-R*-tree.
+directory and reopens it.
 
 Run with::
 
@@ -16,7 +15,6 @@ import tempfile
 from repro.data import regions, rivers_railways, streets
 from repro.db import SpatialDatabase
 from repro.geometry import Rect, SpatialPredicate
-from repro.viz import render_tree
 from repro.core import JoinSpec
 
 
@@ -68,11 +66,6 @@ def main() -> None:
     files = sorted(os.listdir(directory))
     print(f"\nsaved catalog to {directory} ({len(files)} files) and "
           f"verified the refined join after reopening")
-
-    # --- Render the district tree's MBR layers as SVG. ---
-    svg_path = os.path.join(directory, "districts-tree.svg")
-    canvas = render_tree(reopened.relation("districts").tree, svg_path)
-    print(f"rendered {len(canvas)} rectangles to {svg_path}")
 
 
 if __name__ == "__main__":

@@ -37,10 +37,9 @@ from .core import (JoinResult, JoinSpec, JoinStatistics,
                    NearestNeighborEngine, ParallelJoinResult,
                    SpatialJoin1, SpatialJoin2, SpatialJoin3, SpatialJoin4,
                    SpatialJoin5, WindowQueryEngine, id_spatial_join,
-                   multiway_spatial_join, nearest_neighbors,
-                   nested_loop_join, object_spatial_join,
-                   parallel_spatial_join, spatial_join,
-                   spatial_join_stream)
+                   nearest_neighbors, nested_loop_join,
+                   object_spatial_join, parallel_spatial_join,
+                   spatial_join, spatial_join_stream)
 from .costmodel import CostModel, JoinCardinalityEstimator, PAPER_COST_MODEL
 from .db import SpatialDatabase, SpatialRelation
 from .plan import Calibration, ExecutionPlan, plan_join, render_plan
@@ -91,7 +90,6 @@ __all__ = [
     "WindowQueryEngine",
     "id_spatial_join",
     "load_tree",
-    "multiway_spatial_join",
     "nearest_neighbors",
     "nested_loop_join",
     "object_spatial_join",

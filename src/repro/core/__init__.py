@@ -24,12 +24,10 @@ from .context import (JoinContext, R_SIDE, S_SIDE, build_context,
 from .engine import JoinAlgorithm
 from .knn import (NearestNeighborEngine, NearestNeighborResult, mindist,
                   nearest_neighbors)
-from .multiway import MultiwayJoinResult, multiway_spatial_join
 from .naive import index_nested_loop_join, nested_loop_join, plane_sweep_join
 from .pairs import (nested_loop_pairs, restrict_entries,
                     sorted_intersection_test)
 from .distance import distance_join, rect_mindist
-from .joinindex import SpatialJoinIndex
 from .parallel import (PairTask, ParallelJoinResult, cluster_tasks,
                        parallel_spatial_join, partition_tasks)
 from ..plan.registry import ALGORITHMS, make_algorithm
@@ -54,7 +52,6 @@ __all__ = [
     "JoinStatistics",
     "PairTask",
     "ParallelJoinResult",
-    "MultiwayJoinResult",
     "NearestNeighborEngine",
     "NearestNeighborResult",
     "ObjectIntersection",
@@ -66,7 +63,6 @@ __all__ = [
     "SpatialJoin3",
     "SpatialJoin4",
     "SpatialJoin5",
-    "SpatialJoinIndex",
     "WindowQueryEngine",
     "WindowQueryResult",
     "build_context",
@@ -79,7 +75,6 @@ __all__ = [
     "index_nested_loop_join",
     "make_algorithm",
     "mindist",
-    "multiway_spatial_join",
     "nearest_neighbors",
     "nested_loop_join",
     "nested_loop_pairs",

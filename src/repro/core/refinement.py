@@ -23,7 +23,7 @@ from ..geometry.clipping import clip_polygon, clip_polyline, is_convex
 from ..geometry.polygon import Polygon
 from ..geometry.polyline import Polyline
 from ..geometry.rect import Rect
-from ..geometry.segment import segment_intersection_point
+from ..geometry.segment import any_segments_cross, segment_intersection_point
 
 SpatialObject = Union[Polyline, Polygon]
 IdPair = Tuple[int, int]
@@ -125,12 +125,8 @@ def _line_meets_region(line: Polyline, region: Polygon) -> bool:
     endpoint lies inside."""
     if not line.mbr().intersects(region.mbr()):
         return False
-    edges = list(region.edges())
-    for seg in line.segments():
-        smb = seg.mbr()
-        for edge in edges:
-            if smb.intersects(edge.mbr()) and seg.intersects(edge):
-                return True
+    if any_segments_cross(line.segments(), region.edges()):
+        return True
     x, y = line.vertices[0]
     return region.contains_point(x, y)
 

@@ -6,8 +6,6 @@ from .io import RectFileError, load_records, save_records
 from .synthetic import (DEFAULT_WORLD, clustered_rects, degenerate_points,
                         uniform_rects)
 from .tiger import SpatialDataset, regions, rivers_railways, streets
-from .tigerline import (TigerFormatError, TigerRecord, read_type1,
-                        to_mbr_records, to_objects, write_type1)
 
 __all__ = [
     "DEFAULT_SCALE",
@@ -16,21 +14,15 @@ __all__ = [
     "PAPER_CARDINALITIES",
     "RectFileError",
     "SpatialDataset",
-    "TigerFormatError",
-    "TigerRecord",
     "clustered_rects",
     "degenerate_points",
     "effective_scale",
     "load_records",
     "load_test",
-    "read_type1",
     "regions",
     "rivers_railways",
     "save_records",
     "scaled_count",
     "streets",
-    "to_mbr_records",
-    "to_objects",
     "uniform_rects",
-    "write_type1",
 ]

@@ -14,7 +14,6 @@ from .polyline import Polyline, split_into_records
 from .predicates import SpatialPredicate
 from .rect import Rect, geometry_mbr, intersect_count, mbr_of_tuples
 from .segment import Segment, segment_intersection_point, segments_intersect
-from .sweepline import count_intersecting_pairs, intersecting_segment_pairs
 
 __all__ = [
     "ComparisonCounter",
@@ -27,12 +26,10 @@ __all__ = [
     "clip_polygon",
     "clip_polyline",
     "clip_segment",
-    "count_intersecting_pairs",
     "geometry_mbr",
     "intersect_count",
     "is_convex",
     "segment_intersection_point",
-    "intersecting_segment_pairs",
     "mbr_of_tuples",
     "regular_polygon",
     "segments_intersect",

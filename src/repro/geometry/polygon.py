@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Tuple
 
 from .rect import Rect
-from .segment import Segment, segments_intersect
+from .segment import Segment, any_segments_cross, segments_intersect
 
 
 class Polygon:
@@ -94,13 +94,8 @@ class Polygon:
         """
         if not self._mbr.intersects(other._mbr):
             return False
-        mine = list(self.edges())
-        theirs = list(other.edges())
-        for a in mine:
-            amb = a.mbr()
-            for b in theirs:
-                if amb.intersects(b.mbr()) and a.intersects(b):
-                    return True
+        if any_segments_cross(self.edges(), other.edges()):
+            return True
         ox, oy = other._vertices[0]
         if self.contains_point(ox, oy):
             return True

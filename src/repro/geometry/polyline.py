@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List, Tuple
 
 from .rect import Rect
-from .segment import Segment
+from .segment import Segment, any_segments_cross
 
 
 class Polyline:
@@ -65,14 +65,7 @@ class Polyline:
         """
         if not self._mbr.intersects(other._mbr):
             return False
-        mine = list(self.segments())
-        theirs = list(other.segments())
-        for a in mine:
-            amb = a.mbr()
-            for b in theirs:
-                if amb.intersects(b.mbr()) and a.intersects(b):
-                    return True
-        return False
+        return any_segments_cross(self.segments(), other.segments())
 
     def __len__(self) -> int:
         return len(self._vertices)

@@ -9,7 +9,7 @@ coordinates produced by our generators.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterable, Tuple
 
 from .rect import Rect
 
@@ -85,6 +85,22 @@ def segment_intersection_point(
     if 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0:
         return (ax + t * r_x, ay + t * r_y)
     return None
+
+
+def any_segments_cross(mine: Iterable[Segment],
+                       theirs: Iterable[Segment]) -> bool:
+    """True when some segment of *mine* meets some segment of *theirs*.
+
+    Each pair is filtered on the two segment MBRs before the exact
+    orientation test.
+    """
+    theirs = list(theirs)
+    for a in mine:
+        amb = a.mbr()
+        for b in theirs:
+            if amb.intersects(b.mbr()) and a.intersects(b):
+                return True
+    return False
 
 
 class Segment:

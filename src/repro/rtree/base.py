@@ -275,7 +275,7 @@ class RTreeBase:
     def mbr(self) -> Optional[Rect]:
         """MBR of the whole tree, or None when empty."""
         root = self.root
-        if not root.entries:
+        if not len(root):
             return None
         return root.mbr()
 

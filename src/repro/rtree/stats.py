@@ -54,10 +54,10 @@ def tree_properties(tree: RTreeBase) -> TreeProperties:
     for node in tree.iter_nodes():
         if node.is_leaf:
             data_pages += 1
-            data_entries += len(node.entries)
+            data_entries += len(node)
         else:
             dir_pages += 1
-            dir_entries += len(node.entries)
+            dir_entries += len(node)
     return TreeProperties(
         variant=tree.variant,
         page_size=tree.params.page_size,

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.geometry import Rect
-from repro.rtree import RStarTree, RTreeParams, validate_rtree
+from repro.rtree import (RStarTree, RTreeParams, load_tree, save_tree,
+                         str_pack, validate_rtree)
 from tests.conftest import build_rstar, make_rects
 
 
@@ -141,6 +142,17 @@ class TestIntrospection:
         nodes = list(tree.iter_nodes())
         assert nodes[0].page_id == tree.root_id
         assert len(nodes) > 1
+
+    def test_mbr_of_loaded_tree_leaves_entries_unbuilt(self, tmp_path):
+        """A tree loaded from disk is columnar-only; reading its MBR
+        must not build an Entry list on the root."""
+        records = make_rects(3000, seed=17)
+        path = str(tmp_path / "tree.rt")
+        save_tree(str_pack(records, RTreeParams.from_page_size(1024)), path)
+        tree = load_tree(path)
+        assert tree.mbr() == Rect.mbr_of(rect for rect, _ in records)
+        assert not any(node.has_materialized_entries()
+                       for node in tree.iter_nodes())
 
     def test_sort_all_nodes(self):
         records = make_rects(300, seed=16)

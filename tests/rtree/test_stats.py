@@ -1,6 +1,7 @@
 """Unit tests for the tree property census."""
 
-from repro.rtree import RStarTree, RTreeParams, tree_properties
+from repro.rtree import (RStarTree, RTreeParams, load_tree, save_tree,
+                         str_pack, tree_properties)
 from tests.conftest import build_rstar, make_rects
 
 
@@ -33,3 +34,16 @@ def test_utilization_bounds():
     records = make_rects(3000, seed=62)
     props = tree_properties(build_rstar(records, page_size=512))
     assert 0.0 < props.storage_utilization <= 1.0
+
+
+def test_census_of_loaded_tree_leaves_entries_unbuilt(tmp_path):
+    """Counting entries reads node lengths: a tree loaded from disk
+    stays columnar-only on every node."""
+    records = make_rects(3000, seed=63)
+    tree = str_pack(records, RTreeParams.from_page_size(1024))
+    path = str(tmp_path / "tree.rt")
+    save_tree(tree, path)
+    loaded = load_tree(path)
+    assert tree_properties(loaded) == tree_properties(tree)
+    assert not any(node.has_materialized_entries()
+                   for node in loaded.iter_nodes())

@@ -16,7 +16,7 @@ EXAMPLES = sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
 
 def test_expected_examples_present():
     assert {"quickstart.py", "forests_in_cities.py", "join_tuning.py",
-            "persistence_and_recovery.py", "map_overlay_multiway.py",
+            "persistence_and_recovery.py", "containment_and_knn.py",
             "spatial_database.py"} <= set(EXAMPLES)
 
 
