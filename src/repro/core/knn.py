@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..geometry.rect import Rect
 from ..rtree.base import RTreeBase
+from ..rtree.columns import NodeColumns, np
 from ..storage.manager import BufferManager
 from ..storage.stats import IOStatistics
 
@@ -85,6 +86,7 @@ class NearestNeighborEngine:
         result = NearestNeighborResult()
         io_before = self.manager.stats.snapshot()
         hidden = delta.hidden if delta is not None else frozenset()
+        heappush, heappop, hypot = heapq.heappush, heapq.heappop, math.hypot
 
         counter = itertools.count()   # node tiebreaker
         # Heap items: (distance, is_object, tiebreak, payload, depth).
@@ -93,31 +95,80 @@ class NearestNeighborEngine:
         # its order are deterministic regardless of tree layout or
         # which side (base tree / delta) a candidate came from.
         heap: List[Tuple[float, bool, int, object, int]] = []
+        # The k smallest object distances pushed so far (negated: a
+        # max-heap) and the largest of them once there are k.  An item
+        # strictly farther than that bound sorts after k objects
+        # already pushed, so the loop ends before it could be popped:
+        # it is never pushed, and neither the answer nor `expansions`
+        # nor the pages read can tell.
+        kth: List[float] = []
+        bound = math.inf
+
+        def admit(d: float) -> float:
+            if len(kth) < k:
+                heappush(kth, -d)
+            else:
+                heapq.heapreplace(kth, -d)
+            return -kth[0] if len(kth) == k else math.inf
+
         if len(self.tree.root):
             heap.append((0.0, False, next(counter), self.tree.root_id, 0))
         if delta is not None:
             for oid, rect, _ in delta.iter_added():
-                heapq.heappush(
-                    heap, (mindist(x, y, rect), True, oid, oid, 0))
+                d = mindist(x, y, rect)
+                if d <= bound:
+                    heappush(heap, (d, True, oid, oid, 0))
+                    bound = admit(d)
         while heap and len(result.neighbors) < k:
-            dist, is_object, _, payload, depth = heapq.heappop(heap)
+            dist, is_object, _, payload, depth = heappop(heap)
             result.expansions += 1
             if is_object:
                 result.neighbors.append((payload, dist))
                 continue
             node = self.manager.read(self._side, payload, depth)
-            for rect, ref in node.columns.iter_rect_refs():
-                if node.is_leaf and ref in hidden:
-                    continue
-                d = mindist(x, y, rect)
-                heapq.heappush(
-                    heap,
-                    (d, node.is_leaf,
-                     ref if node.is_leaf else next(counter), ref,
-                     depth + 1))
+            refs, dx, dy, rows = _offsets(node.columns, x, y, bound)
+            depth += 1
+            if not node.is_leaf:
+                for i in rows:
+                    d = hypot(dx[i], dy[i])
+                    if d <= bound:
+                        heappush(heap, (d, False, next(counter), refs[i],
+                                        depth))
+                continue
+            for i in rows:
+                d = hypot(dx[i], dy[i])
+                if d <= bound and refs[i] not in hidden:
+                    heappush(heap, (d, True, refs[i], refs[i], depth))
+                    bound = admit(d)
 
         result.io = self.manager.stats.since(io_before)
         return result
+
+
+def _offsets(cols: NodeColumns, x: float, y: float, bound: float):
+    """Per-row axis offsets of (x, y) from a node's rectangles, as
+    :func:`mindist` computes them (so ``hypot(dx[i], dy[i])`` is its
+    value bit for bit): ``(refs, dx, dy, rows)``.
+
+    *rows* lists the row indices, in order, that may lie within
+    *bound*.  The numpy backend drops rows with an offset beyond it —
+    exact, since ``hypot`` never returns less than either argument —
+    and the stdlib backend keeps every row.
+    """
+    if cols.is_numpy:
+        xlo, ylo, xhi, yhi = cols.xlo, cols.ylo, cols.xhi, cols.yhi
+        dx = np.where(x < xlo, xlo - x, np.where(x > xhi, x - xhi, 0.0))
+        dy = np.where(y < ylo, ylo - y, np.where(y > yhi, y - yhi, 0.0))
+        if bound == math.inf:
+            rows = range(len(dx))
+        else:
+            rows = np.flatnonzero((dx <= bound) & (dy <= bound)).tolist()
+        return cols.refs.tolist(), dx.tolist(), dy.tolist(), rows
+    dx = [xl - x if x < xl else (x - xu if x > xu else 0.0)
+          for xl, xu in zip(cols.xlo, cols.xhi)]
+    dy = [yl - y if y < yl else (y - yu if y > yu else 0.0)
+          for yl, yu in zip(cols.ylo, cols.yhi)]
+    return cols.refs, dx, dy, range(len(dx))
 
 
 def nearest_neighbors(tree: RTreeBase, x: float, y: float,

@@ -236,17 +236,26 @@ class RTreeBase:
     # ------------------------------------------------------------------
 
     def window_query(self, window: Rect) -> List[int]:
-        """Refs of all data entries whose MBR intersects *window*."""
+        """Refs of all data entries whose MBR intersects *window*.
+
+        Each node is tested in the representation it already holds: an
+        entry list entry by entry, a columnar-only node (a tree loaded
+        from disk) in one mask over its columns.  A read never builds
+        the representation a node lacks.
+        """
         result: List[int] = []
         stack = [self.root]
         while stack:
             node = stack.pop()
-            if node.is_leaf:
-                result.extend(e.ref for e in node.entries
-                              if e.rect.intersects(window))
+            if node.has_materialized_entries():
+                refs = [e.ref for e in node.entries
+                        if e.rect.intersects(window)]
             else:
-                stack.extend(self.node(e.ref) for e in node.entries
-                             if e.rect.intersects(window))
+                refs = node.columns.refs_intersecting(window)
+            if node.is_leaf:
+                result.extend(refs)
+            else:
+                stack.extend(self.node(ref) for ref in refs)
         return result
 
     def point_query(self, x: float, y: float) -> List[int]:

@@ -246,6 +246,19 @@ class NodeColumns:
         return Rect(min(self.xlo), min(self.ylo),
                     max(self.xhi), max(self.yhi))
 
+    def refs_intersecting(self, rect: Rect) -> List[int]:
+        """Refs of the rows whose MBR intersects *rect*, in row order —
+        :meth:`Rect.intersects` (closed intervals) as one mask over the
+        four columns."""
+        xl, yl, xu, yu = rect.xl, rect.yl, rect.xu, rect.yu
+        if self.is_numpy:
+            hit = ((self.xlo <= xu) & (self.xhi >= xl)
+                   & (self.ylo <= yu) & (self.yhi >= yl))
+            return self.refs[hit].tolist()
+        return [ref for rxl, ryl, rxu, ryu, ref
+                in zip(self.xlo, self.ylo, self.xhi, self.yhi, self.refs)
+                if rxl <= xu and xl <= rxu and ryl <= yu and yl <= ryu]
+
     def to_entries(self) -> List[Entry]:
         """Materialize ``Entry`` objects (the object-path representation)."""
         return [Entry(Rect(xl, yl, xu, yu), int(ref))

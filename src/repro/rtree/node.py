@@ -84,7 +84,9 @@ class Node:
             self._columns = None
 
     def has_materialized_entries(self) -> bool:
-        """True when the object-path entry list exists (for tests)."""
+        """True when the object-path entry list exists (reads test a
+        node in the representation it holds, see
+        :meth:`RTreeBase.window_query`)."""
         return self._entries is not None
 
     # ------------------------------------------------------------------

@@ -7,8 +7,9 @@ admission → cache → guard → handler → cache put → metrics, with every
 failure mapped onto a protocol error response (``docs/serving.md``
 walks through the stages).  A subclass supplies only what differs
 between a local and a fanned-out server: the metric/span ``PREFIX``,
-the epochs that stamp cache keys, the lock policy around a handler,
-its extra ``stats`` sections, and the ``_op_*`` handlers themselves.
+the ops that may run on the connection thread (``INLINE_OPS``), the
+epochs that stamp cache keys, the lock policy around a handler, its
+extra ``stats`` sections, and the ``_op_*`` handlers themselves.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import json
 import sys
 import time
 from concurrent.futures import TimeoutError as FuturesTimeout
-from typing import (Any, Callable, ContextManager, Dict, List, Optional,
-                    Tuple)
+from typing import (Any, Callable, ContextManager, Dict, FrozenSet, List,
+                    Optional, Tuple)
 
 from ..errors import QueryTimeout
 from ..obs.core import Observability
@@ -45,6 +46,12 @@ class RequestPipeline:
 
     #: Metric and span prefix (``serve`` / ``shard``).
     PREFIX: str
+
+    #: Ops cheap enough to run on the connection thread when the
+    #: worker pool is idle (:meth:`RequestScheduler.run_inline`); the
+    #: rest always take the pool.  None by default: the shard router's
+    #: reads block on shard sockets over per-thread connections.
+    INLINE_OPS: FrozenSet[str] = frozenset()
 
     #: Requests slower than this many milliseconds are counted in
     #: ``<prefix>.slow_requests`` and logged through :attr:`slow_log`.
@@ -147,11 +154,17 @@ class RequestPipeline:
             raise ProtocolError(f"unknown op {op!r}")
         handler, cacheable = entry
         deadline = self._deadline_of(request)
-        # Admission control happens here: a full queue raises
-        # OverloadedError straight back to the caller.
-        future = self.scheduler.submit(
-            lambda: self._execute(handler, cacheable, request, deadline),
-            deadline=deadline)
+
+        def job() -> Tuple[Any, bool]:
+            return self._execute(handler, cacheable, request, deadline)
+
+        future = None
+        if op in self.INLINE_OPS:
+            future = self.scheduler.run_inline(job, deadline)
+        if future is None:
+            # Admission control happens here: a full queue raises
+            # OverloadedError straight back to the caller.
+            future = self.scheduler.submit(job, deadline=deadline)
         remaining = (None if deadline is None
                      else max(0.0, deadline - time.perf_counter()))
         try:

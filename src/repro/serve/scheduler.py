@@ -20,6 +20,13 @@ predictably instead of collapsing:
   storage layer: the would-be delay is recorded in
   ``serve.retry_backoff_ticks`` instead of slept.
 
+A cheap request may skip the handoff: :meth:`RequestScheduler.run_inline`
+runs it on the calling thread, through the same retry and timing
+code, when nothing is queued and an execution slot is free.  Workers
+and inline callers share the ``workers`` slots, so at most ``workers``
+handlers ever execute at once; anything that cannot run inline is
+submitted as usual, so shedding and queue expiry are unchanged.
+
 Observability mirrors the queue into the shared registry: the
 ``serve.queue_depth`` gauge, ``serve.wait_ms``/``serve.exec_ms``
 histograms, and the shed/expiry/retry counters.
@@ -74,6 +81,12 @@ class RequestScheduler:
         self.obs = obs if obs is not None else NULL_OBS
         self._queue: "queue.Queue[Optional[_Job]]" = queue.Queue(
             maxsize=queue_depth)
+        # Execution slots, shared by the workers and inline callers:
+        # handlers executing now, and dequeued jobs waiting for a slot
+        # (an inline caller never takes a slot one of those wants).
+        self._slots = threading.Condition(threading.Lock())
+        self._running = 0
+        self._waiting = 0
         self._threads = [
             threading.Thread(target=self._worker_loop,
                              name=f"serve-worker-{i}", daemon=True)
@@ -105,6 +118,31 @@ class RequestScheduler:
                                        self._queue.qsize())
         return job.future
 
+    def run_inline(self, fn: Callable[[], object],
+                   deadline: Optional[float] = None
+                   ) -> "Optional[Future[object]]":
+        """Run *fn* on the calling thread if the pool is idle.
+
+        Returns the finished future, or None when the caller should
+        :meth:`submit` instead: when work is queued (it is never
+        overtaken) or every slot is taken.  An expired *deadline* fails
+        the job without running it, as a worker would.
+        """
+        if self._closed:
+            raise RuntimeError("scheduler is shut down")
+        with self._slots:
+            if (self._waiting or self._running >= self.workers
+                    or self._queue.qsize()):
+                return None
+            self._running += 1
+        try:
+            job = _Job(fn, deadline)
+            job.future.set_running_or_notify_cancel()
+            self._run_unexpired(job, job.enqueued_at)
+        finally:
+            self._release()
+        return job.future
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -114,21 +152,39 @@ class RequestScheduler:
             job = self._queue.get()
             if job is None:          # shutdown sentinel
                 return
-            now = time.perf_counter()
-            if self.obs.enabled:
-                self.obs.metrics.set_gauge("serve.queue_depth",
-                                           self._queue.qsize())
-                self.obs.metrics.observe(
-                    "serve.wait_ms", (now - job.enqueued_at) * 1e3)
-            if not job.future.set_running_or_notify_cancel():
-                continue
-            if job.deadline is not None and now > job.deadline:
+            with self._slots:
+                self._waiting += 1
+                while self._running >= self.workers:
+                    self._slots.wait()
+                self._waiting -= 1
+                self._running += 1
+            try:
+                now = time.perf_counter()
                 if self.obs.enabled:
-                    self.obs.metrics.inc("serve.deadline_expired")
-                job.future.set_exception(QueryTimeout(
-                    "deadline expired while the request was queued"))
-                continue
-            self._run(job)
+                    self.obs.metrics.set_gauge("serve.queue_depth",
+                                               self._queue.qsize())
+                    self.obs.metrics.observe(
+                        "serve.wait_ms", (now - job.enqueued_at) * 1e3)
+                if job.future.set_running_or_notify_cancel():
+                    self._run_unexpired(job, now)
+            finally:
+                self._release()
+
+    def _release(self) -> None:
+        with self._slots:
+            self._running -= 1
+            if self._waiting:
+                self._slots.notify()
+
+    def _run_unexpired(self, job: _Job, now: float) -> None:
+        """Fail *job* if its deadline passed by *now*, else run it."""
+        if job.deadline is not None and now > job.deadline:
+            if self.obs.enabled:
+                self.obs.metrics.inc("serve.deadline_expired")
+            job.future.set_exception(QueryTimeout(
+                "deadline expired before the request ran"))
+            return
+        self._run(job)
 
     def _run(self, job: _Job) -> None:
         start = time.perf_counter()

@@ -133,6 +133,7 @@ class QueryService(RequestPipeline):
     """The request pipeline over one local database."""
 
     PREFIX = "serve"
+    INLINE_OPS = frozenset({"window", "knn", "get"})
 
     def __init__(self, db: SpatialDatabase, workers: int = 4,
                  queue_depth: int = 64, cache_entries: int = 4096,
