@@ -3,8 +3,9 @@
 :class:`RequestPipeline` is the transport-independent core of both the
 single-process :class:`~repro.serve.service.QueryService` and the
 :class:`~repro.shard.router.ShardRouter`: envelope → deadline →
-admission → cache → guard → handler → cache put → metrics, with every
-failure mapped onto a protocol error response (``docs/serving.md``
+admission → cache → guard → handler → cache put (or, after a write,
+cache retirement) → metrics, with every failure mapped onto a protocol
+error response (``docs/serving.md``
 walks through the stages).  A subclass supplies only what differs
 between a local and a fanned-out server: the metric/span ``PREFIX``,
 the ops that may run on the connection thread (``INLINE_OPS``), the
@@ -203,24 +204,50 @@ class RequestPipeline:
     def _execute(self, handler: Handler, cacheable: bool,
                  request: Dict[str, Any],
                  deadline: Optional[float]) -> Tuple[Any, bool]:
-        key = self._cache_key(request) if cacheable else None
-        if key is not None:
-            payload = self.cache.get(key)
-            if payload is not None:
-                if self.obs.enabled:
-                    self.obs.metrics.inc(f"{self.PREFIX}.cache.hits")
-                return payload, True
+        if not cacheable:
+            return self._write(handler, request, deadline), False
+        key, relations = self._cache_key(request)
+        payload = self.cache.get(key)
+        if payload is not None:
             if self.obs.enabled:
-                self.obs.metrics.inc(f"{self.PREFIX}.cache.misses")
-        with self._guard(cacheable):
+                self.obs.metrics.inc(f"{self.PREFIX}.cache.hits")
+            return payload, True
+        if self.obs.enabled:
+            self.obs.metrics.inc(f"{self.PREFIX}.cache.misses")
+        with self._guard(True):
             payload = handler(request, deadline)
-        if key is not None:
-            self.cache.put(key, payload,
-                           nbytes=len(json.dumps(payload)))
+        self.cache.put(key, payload, nbytes=len(json.dumps(payload)),
+                       relations=relations)
         return payload, False
 
-    def _cache_key(self, request: Dict[str, Any]) -> str:
-        """The epoch-stamped cache key of a cacheable request."""
+    def _write(self, handler: Handler, request: Dict[str, Any],
+               deadline: Optional[float]) -> Any:
+        """Run a non-cacheable op under the write guard, then retire
+        the cached results whose keys it made unreachable: the
+        relation's entries when it bumped the relation's epoch, all of
+        them when it bumped the catalog epoch.  The check runs in a
+        ``finally`` — a failed mutation may still have bumped an epoch
+        (the router's compensation does)."""
+        relation = request.get("relation")
+        if not isinstance(relation, str):
+            relation = None
+        with self._guard(False):
+            catalog_epoch = self._catalog_epoch()
+            epoch = (None if relation is None
+                     else self._relation_epoch(relation))
+            try:
+                return handler(request, deadline)
+            finally:
+                if self._catalog_epoch() != catalog_epoch:
+                    self.cache.retire()
+                elif (relation is not None
+                      and self._relation_epoch(relation) != epoch):
+                    self.cache.retire(relation)
+
+    def _cache_key(self, request: Dict[str, Any]
+                   ) -> Tuple[str, Tuple[str, ...]]:
+        """The epoch-stamped cache key of a cacheable request, and the
+        names of the relations whose epochs stamp it."""
         params = {name: value for name, value in request.items()
                   if name not in _ENVELOPE_FIELDS}
         # Canonicalize once and stash the string on the request: a
@@ -235,8 +262,9 @@ class RequestPipeline:
             name = request.get(field)
             if isinstance(name, str):
                 epochs.append((name, self._relation_epoch(name)))
-        return normalized_key(op, None, epochs, self._catalog_epoch(),
-                              params_json=params_json)
+        key = normalized_key(op, None, epochs, self._catalog_epoch(),
+                             params_json=params_json)
+        return key, tuple(name for name, _ in epochs)
 
     def register_op(self, name: str, handler: Handler,
                     cacheable: bool = False) -> None:
@@ -256,13 +284,7 @@ class RequestPipeline:
     def metrics_snapshot(self) -> Dict[str, Any]:
         """Counters and gauges of the server registry (stats op)."""
         prefix = self.PREFIX
-        if self.obs.enabled:
-            # Cache-usage gauges are derived on demand rather than
-            # updated on every admission — the read path stays off
-            # the metrics lock.
-            for name in ("entries", "bytes", "evictions"):
-                self.obs.metrics.set_gauge(f"{prefix}.cache.{name}",
-                                           getattr(self.cache, name))
+        self._set_cache_gauges()
         cache = self.cache
         lookups = cache.hits + cache.misses
         snapshot = {"counters": dict(self.obs.metrics.counters),
@@ -280,9 +302,20 @@ class RequestPipeline:
             snapshot["latency_ms"] = latency
         return snapshot
 
+    def _set_cache_gauges(self) -> None:
+        """Cache-usage gauges are derived on demand — for ``stats``
+        and once more at :meth:`close`, so a ``--trace`` file written
+        at shutdown carries them — rather than updated on every
+        admission: the read path stays off the metrics lock."""
+        if self.obs.enabled:
+            for name in ("entries", "bytes", "evictions", "retired"):
+                self.obs.metrics.set_gauge(f"{self.PREFIX}.cache.{name}",
+                                           getattr(self.cache, name))
+
     def close(self) -> None:
         """Drain the worker pool."""
         self.scheduler.shutdown()
+        self._set_cache_gauges()
 
 
 def latency_section(obs: Observability,

@@ -30,6 +30,16 @@ local join is guaranteed to find the pair — and every other cell's
 copy is dropped.  Each pair is therefore emitted exactly once, with
 no cross-shard coordination.
 
+The router applies the rule without touching a coordinate: the point
+``(max xl, max yl)`` locates into the cell whose column is the larger
+of the two sides' owner columns and whose row is the larger of their
+owner rows.  That is exact, not an approximation — the clamped floor
+is monotone non-decreasing, so ``ix(max(p, q)) == max(ix(p), ix(q))``
+for any two floats — so :class:`PartitionMap` keeps each object's
+owner cell and :attr:`GridPartitioner.pair_owners` tabulates the pair
+rule once per grid (:meth:`GridPartitioner.owns_pair` stays as its
+reference).
+
 Coordinates outside the universe clamp onto the border cells; the
 clamp is the same monotonic ``floor`` for points and for rectangle
 ranges, so the ownership rule stays exact even for objects inserted
@@ -86,6 +96,14 @@ class GridPartitioner:
         # needs positive cell extents for the floor arithmetic.
         self._step_x = max(universe.xu - universe.xl, 1e-9) / cells_x
         self._step_y = max(universe.yu - universe.yl, 1e-9) / cells_y
+        #: ``pair_owners[a][b]``: the cell that owns a pair whose sides
+        #: have owner cells *a* and *b* — the reference-point rule over
+        #: owner cells (see the module docstring).
+        self.pair_owners: List[List[int]] = [
+            [max(a // cells_x, b // cells_x) * cells_x
+             + max(a % cells_x, b % cells_x)
+             for b in range(self.n_cells)]
+            for a in range(self.n_cells)]
 
     @classmethod
     def for_database(cls, db: "SpatialDatabase", shards: int,
@@ -161,7 +179,8 @@ class GridPartitioner:
 
     def owns_pair(self, cell: int, left: Rect, right: Rect) -> bool:
         """The reference-point rule: does *cell* own the (assumed
-        intersecting) pair?"""
+        intersecting) pair?  The reference form of the rule; the
+        router applies it as :attr:`pair_owners` over owner cells."""
         x, y = pair_reference_point(left, right)
         return self.cell_of_point(x, y) == cell
 
@@ -194,18 +213,21 @@ def dedup_pairs(partitioner: GridPartitioner, cell: int,
 class PartitionMap:
     """Router-side bookkeeping of one partitioned catalog.
 
-    For every relation it keeps each object's MBR (what the
-    reference-point rule and mutation routing need — two corner
-    points per object, not the geometry) plus a per-cell object count
-    and a per-class census.  The map is maintained by the router as
-    mutations flow through, so routing decisions never require asking
-    the shards.
+    For every relation it keeps each object's MBR (what mutation
+    routing needs — two corner points per object, not the geometry)
+    and its owner cell (what the reference-point rule needs), plus a
+    per-cell object count and a per-class census.  An oid has an
+    owner cell exactly when it has an MBR.  The map is maintained by
+    the router as mutations flow through, so routing decisions never
+    require asking the shards.
     """
 
     def __init__(self, partitioner: GridPartitioner) -> None:
         self.partitioner = partitioner
         #: relation name -> oid -> MBR.
         self.mbrs: Dict[str, Dict[int, Rect]] = {}
+        #: relation name -> oid -> owner cell (of its reference point).
+        self.owners: Dict[str, Dict[int, int]] = {}
         #: relation name -> per-cell object-copy count.
         self.cell_counts: Dict[str, List[int]] = {}
         #: relation name -> {"A": ..., "B": ..., "C": ..., "D": ...}.
@@ -243,12 +265,14 @@ class PartitionMap:
 
     def create_relation(self, name: str) -> None:
         self.mbrs[name] = {}
+        self.owners[name] = {}
         self.cell_counts[name] = [0] * self.partitioner.n_cells
         self.class_counts[name] = {label: 0 for label in CLASSES}
         self._next_oids[name] = 0
 
     def drop_relation(self, name: str) -> None:
         del self.mbrs[name]
+        del self.owners[name]
         del self.cell_counts[name]
         del self.class_counts[name]
         del self._next_oids[name]
@@ -262,6 +286,7 @@ class PartitionMap:
         """Record one object; returns the cells holding a copy."""
         cells = self.partitioner.cells_of_rect(mbr)
         self.mbrs[relation][oid] = mbr
+        self.owners[relation][oid] = self.partitioner.owner_cell(mbr)
         self._next_oids[relation] = max(self._next_oids[relation],
                                         oid + 1)
         counts = self.cell_counts[relation]
@@ -274,6 +299,7 @@ class PartitionMap:
     def remove(self, relation: str, oid: int) -> List[int]:
         """Forget one object; returns the cells that held a copy."""
         mbr = self.mbrs[relation].pop(oid)
+        del self.owners[relation][oid]
         cells = self.partitioner.cells_of_rect(mbr)
         counts = self.cell_counts[relation]
         classes = self.class_counts[relation]

@@ -17,8 +17,9 @@ coordinator owns:
    persistent per-thread TCP connections (all shards compute
    concurrently);
 3. the merge: join pairs pass the reference-point deduplication rule
-   (:meth:`~repro.shard.partition.GridPartitioner.owns_pair` — each
-   cross-partition pair is owned by exactly one cell), per-shard
+   (each cross-partition pair is owned by exactly one cell, looked up
+   from the two sides' owner cells in
+   :attr:`~repro.shard.partition.GridPartitioner.pair_owners`), per-shard
    :class:`~repro.core.stats.JoinStatistics` fold together with the
    mergeable-counter machinery, window refs dedup by the same
    ownership rule, and kNN neighbor lists merge into the global top-k;
@@ -308,26 +309,26 @@ class ShardRouter(RequestPipeline):
                                            "refine")
         cells = self._relation_cells(left, right)
         results = self._fanout(cells, "join", params, deadline)
-        left_mbrs = self.pmap.mbrs[left]
-        right_mbrs = self.pmap.mbrs[right]
-        owns = self.partitioner.owns_pair
+        left_owners = self.pmap.owners[left]
+        right_owners = self.pmap.owners[right]
+        pair_owners = self.partitioner.pair_owners
         pairs: List[List[int]] = []
         merged: Optional[JoinStatistics] = None
         algorithms = set()
         duplicates = 0
         stale = 0
         for cell, result in results:
-            for a, b in result["pairs"]:
-                left_mbr = left_mbrs.get(a)
-                right_mbr = right_mbrs.get(b)
-                if left_mbr is None or right_mbr is None:
+            for pair in result["pairs"]:
+                owner_a = left_owners.get(pair[0])
+                owner_b = right_owners.get(pair[1])
+                if owner_a is None or owner_b is None:
                     # A shard copy that outlived a failed mutation's
                     # best-effort compensation: the routing map is
                     # authoritative, so refs it no longer knows are
                     # dropped from merged results.
                     stale += 1
-                elif owns(cell, left_mbr, right_mbr):
-                    pairs.append([a, b])
+                elif pair_owners[owner_a][owner_b] == cell:
+                    pairs.append(pair)
                 else:
                     duplicates += 1
             stats = _shard_statistics(result.get("stats") or {})
@@ -389,21 +390,23 @@ class ShardRouter(RequestPipeline):
         cells = [cell for cell in self._relation_cells(relation)
                  if cell in window_cells]
         results = self._fanout(cells, "window", params, deadline)
-        mbrs = self.pmap.mbrs[relation]
-        owns = self.partitioner.owns_pair
+        owners = self.pmap.owners[relation]
+        # The same ownership rule as for join pairs, with the window's
+        # owner cell standing in for the other side's.
+        window_owners = self.partitioner.pair_owners[
+            self.partitioner.owner_cell(rect)]
         refs: List[int] = []
         duplicates = 0
         stale = 0
         for cell, result in results:
             for ref in result["refs"]:
-                mbr = mbrs.get(ref)
-                # The same ownership rule as for join pairs, with the
-                # window standing in for the other rectangle; refs the
-                # routing map no longer knows (a copy outliving a
-                # failed mutation's compensation) are dropped.
-                if mbr is None:
+                owner = owners.get(ref)
+                # Refs the routing map no longer knows (a copy
+                # outliving a failed mutation's compensation) are
+                # dropped.
+                if owner is None:
                     stale += 1
-                elif owns(cell, mbr, rect):
+                elif window_owners[owner] == cell:
                     refs.append(ref)
                 else:
                     duplicates += 1
