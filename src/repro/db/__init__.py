@@ -7,9 +7,11 @@ from .durability import DurabilityManager
 from .recovery import (RecoveredState, RecoveryError, RecoveryInfo,
                        apply_record, recover)
 from .relation import SpatialRelation
+from .table import GeometryTable
 
 __all__ = [
     "DurabilityManager",
+    "GeometryTable",
     "RecoveredState",
     "RecoveryError",
     "RecoveryInfo",

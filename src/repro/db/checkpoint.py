@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..geometry.polygon import Polygon
 from ..geometry.polyline import Polyline
@@ -36,6 +36,8 @@ from ..rtree.base import RTreeBase
 from ..rtree.persist import load_tree, save_tree
 from ..storage.atomic import atomic_write
 from .relation import Geometry, SpatialRelation
+from .table import (KIND_CODES, KIND_NAMES, POLYGON, POLYLINE, RECT,
+                    GeometryTable, TableBuilder)
 
 __all__ = ["SavedBase", "SavedCatalog", "format_geometry", "load_catalog",
            "parse_geometry", "save_catalog"]
@@ -50,11 +52,10 @@ _DELETED = "deleted"
 class SavedBase:
     """One relation's base as a saved catalog holds it."""
 
-    #: The object table its ``.rtree``/``.geom`` files encode.  Never
-    #: mutated: it is a relation's immutable base (or the table
-    #: :func:`load_catalog` read), so later saves diff against it by
-    #: identity.
-    objects: Dict[int, Geometry]
+    #: The object table its ``.rtree``/``.geom`` files encode: a
+    #: relation's immutable base, or the table :func:`load_catalog`
+    #: read.  Later saves diff against it by row stamp.
+    objects: GeometryTable
     #: Delta records the saves since this base was written have
     #: written against it (the rent side of rent-or-buy).
     delta_records: int
@@ -159,13 +160,12 @@ def load_catalog(directory: str
             records = len(added) + len(deleted)
             saved.deltas.append(name)
             saved.delta_records += records
-            objects = {oid: g for oid, g in base.items()
-                       if oid not in deleted and oid not in added}
-            objects.update(added)
+            objects = base.merged(deleted, added)
             tree = relation.bulk_load(objects)
         relation.tree = tree
-        # The setter copies, so *base* stays the table on disk.
-        relation.objects = objects
+        # The relation's base is its own table even when it is the one
+        # on disk: the next save diffs the two by stamp.
+        relation.objects = base.alias() if objects is base else objects
         relations[name] = relation
         saved.bases[relation] = SavedBase(base, records)
     return page_size, relations, saved
@@ -208,32 +208,30 @@ def _save_relation(directory: str, relation: SpatialRelation,
     return SavedBase(snap.base_objects, len(added) + len(deleted))
 
 
-def _delta_against(base: Dict[int, Geometry], delta
-                   ) -> Tuple[Dict[int, Geometry], List[int]]:
+def _delta_against(base: GeometryTable, delta
+                   ) -> Tuple[GeometryTable, List[int]]:
     """*delta* as ``(added, deleted)`` against *base*: deletions of
     oids the base does not hold, or that an add replaces, are no-ops
     and are dropped."""
     added = delta.added
-    return added, [oid for oid in delta.deleted
-                   if oid in base and oid not in added]
+    return GeometryTable.of(added), [oid for oid in delta.deleted
+                                     if oid in base and oid not in added]
 
 
-def _diff(old: Dict[int, Geometry], new: Dict[int, Geometry], delta
-          ) -> Tuple[Dict[int, Geometry], List[int]]:
+def _diff(old: GeometryTable, new: GeometryTable, delta
+          ) -> Tuple[GeometryTable, List[int]]:
     """``(added, deleted)`` taking the base *old* to the base *new*
-    overlaid by *delta*.  Geometry is compared by identity: a rebuild
-    carries every object it keeps over by reference."""
+    overlaid by *delta*.  Rows are compared by stamp: a rebuild carries
+    every row it keeps over with its stamp, so no geometry is built."""
     if new is old:
         return _delta_against(old, delta)
-    hidden = delta.hidden
-    added = {oid: g for oid, g in new.items()
-             if oid not in hidden and old.get(oid) is not g}
-    added.update(delta.added)
-    gone = (old.keys() - new.keys()) | (old.keys() & hidden)
-    return added, [oid for oid in gone if oid not in added]
+    changed, gone = new.diff(old, delta.hidden)
+    added = delta.added
+    return (changed.merged((), GeometryTable.of(added)),
+            [oid for oid in gone if oid not in added])
 
 
-def _write_delta(directory: str, name: str, added: Dict[int, Geometry],
+def _write_delta(directory: str, name: str, added: GeometryTable,
                  deleted: List[int], saved: SavedCatalog) -> None:
     if not (added or deleted):
         return
@@ -248,41 +246,77 @@ def _write_delta(directory: str, name: str, added: Dict[int, Geometry],
 # The line format shared by .geom and .delta files
 # ----------------------------------------------------------------------
 
-def _write_lines(path: str, objects: Dict[int, Geometry],
+def _write_lines(path: str, objects: GeometryTable,
                  deleted: Iterable[int] = ()) -> None:
     """*deleted* as ``<oid> deleted`` lines, then *objects* as
-    geometry lines, each in oid order."""
+    geometry lines, each in oid order, straight from the columns."""
     with atomic_write(path, "w") as handle:
         for oid in sorted(deleted):
             handle.write(f"{oid} {_DELETED}\n")
-        for oid, geometry in sorted(objects.items()):
-            handle.write(format_geometry(oid, geometry))
+        for oid, kind, values in objects.rows():
+            handle.write(_format_line(oid, kind, values))
             handle.write("\n")
 
 
 def _read_lines(path: str, deletions: bool = False
-                ) -> Tuple[Dict[int, Geometry], Set[int]]:
-    """``(objects, deleted oids)`` of a line file.  Without
-    *deletions* (a ``.geom``) a ``deleted`` line is a bad geometry
-    line like any other."""
-    objects: Dict[int, Geometry] = {}
+                ) -> Tuple[GeometryTable, Set[int]]:
+    """``(objects, deleted oids)`` of a line file, parsed straight into
+    columns.  Without *deletions* (a ``.geom``) a ``deleted`` line is a
+    bad geometry line like any other.  An oid on two lines (two adds,
+    two deletions, or one of each) is an error.
+
+    A line the columns refuse goes through :func:`parse_geometry`,
+    which raises the error naming ``path:line``."""
+    rows = TableBuilder()
     deleted: Set[int] = set()
+    # The largest oid added so far: a larger one is new unless a
+    # deleted line named it.
+    top = None
     with open(path) as handle:
         for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
+            parts = line.split()
+            if not parts:
                 continue
-            if deletions:
-                parts = line.split()
-                if len(parts) == 2 and parts[1] == _DELETED:
-                    try:
-                        deleted.add(int(parts[0]))
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}:{line_number}: bad deleted oid "
-                            f"{parts[0]!r}") from None
-                    continue
-            objects.update([parse_geometry(line, path, line_number)])
-    return objects, deleted
+            if deletions and len(parts) == 2 and parts[1] == _DELETED:
+                try:
+                    oid = int(parts[0])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{line_number}: bad deleted oid "
+                        f"{parts[0]!r}") from None
+                _once(oid, rows, deleted, path, line_number)
+                deleted.add(oid)
+                continue
+            try:
+                oid, kind = int(parts[0]), KIND_CODES[parts[1]]
+                values = list(map(float, parts[2:]))
+            except (IndexError, KeyError, ValueError):
+                # parse_geometry raises for such a line, naming why.
+                oid, kind = parse_geometry(line, path, line_number)[0], None
+            if top is not None and oid <= top or oid in deleted:
+                _once(oid, rows, deleted, path, line_number)
+            else:
+                top = oid
+            try:
+                if kind is None or not rows.add_values(oid, kind, values):
+                    # add_values refuses what parse_geometry refuses.
+                    row = dict([parse_geometry(line, path, line_number)])
+                    rows.add_row(GeometryTable.of(row), 0)
+            except OverflowError:
+                raise ValueError(f"{path}:{line_number}: oid {oid} is "
+                                 f"out of range") from None
+    return rows.build(), deleted
+
+
+def _once(oid: int, rows: TableBuilder, deleted: Set[int], path: str,
+          line_number: int) -> None:
+    if oid in deleted or oid in rows:
+        raise ValueError(
+            f"{path}:{line_number}: oid {oid} is on a second line")
+
+
+def _format_line(oid: int, kind: int, values: Sequence[float]) -> str:
+    return f"{oid} {KIND_NAMES[kind]} {' '.join(map(repr, values))}"
 
 
 def format_geometry(oid: int, geometry: Geometry) -> str:
@@ -290,11 +324,10 @@ def format_geometry(oid: int, geometry: Geometry) -> str:
     round trip is exact).  The write-ahead log reuses this encoding for
     insert records (:mod:`repro.db.durability`)."""
     if isinstance(geometry, Rect):
-        return (f"{oid} rect {geometry.xl!r} {geometry.yl!r} "
-                f"{geometry.xu!r} {geometry.yu!r}")
-    kind = "polygon" if isinstance(geometry, Polygon) else "polyline"
-    coordinates = " ".join(f"{x!r} {y!r}" for x, y in geometry.vertices)
-    return f"{oid} {kind} {coordinates}"
+        return _format_line(oid, RECT, geometry.as_tuple())
+    return _format_line(
+        oid, POLYGON if isinstance(geometry, Polygon) else POLYLINE,
+        [value for vertex in geometry.vertices for value in vertex])
 
 
 def parse_geometry(line: str, context: str = "<line>",

@@ -25,17 +25,17 @@ the serve layer keep base-tree computations cached across writes.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Mapping, Optional, Tuple, Union
 
 from ..errors import CatalogError, QueryError
 from ..geometry.polygon import Polygon
 from ..geometry.polyline import Polyline
-from ..geometry.rect import Rect, geometry_mbr
-from ..rtree.bulk import str_pack
+from ..geometry.rect import Rect
 from ..rtree.params import RTreeParams
 from ..rtree.rstar import RStarTree
 from .delta import DeltaIndex, FrozenDelta
 from .snapshot import Snapshot
+from .table import GeometryTable
 
 SpatialObject = Union[Polyline, Polygon]
 Geometry = Union[SpatialObject, Rect]
@@ -60,10 +60,11 @@ class SpatialRelation:
         #: assignment, followed by assigning :attr:`objects`, which
         #: publishes both); no write mutates it.
         self.tree = RStarTree(self.params)
-        #: The base table, object id -> exact geometry; Rect-only
-        #: inserts are stored as their MBR (the geometry *is* the
-        #: rectangle then).  The merged view is :attr:`objects`.
-        self._objects: Dict[int, Geometry] = {}
+        #: The base table, object id -> exact geometry, kept as
+        #: columns; Rect-only inserts are stored as their MBR (the
+        #: geometry *is* the rectangle then).  The merged view is
+        #: :attr:`objects`.
+        self._objects = GeometryTable.of({})
         self._next_id = 0
         #: Mutation counter: bumped by every :meth:`insert`/:meth:`delete`.
         #: Cached query results are keyed by the epochs of the relations
@@ -115,13 +116,16 @@ class SpatialRelation:
         return self.snapshot().objects
 
     @objects.setter
-    def objects(self, value: Dict[int, Geometry]) -> None:
+    def objects(self, value: Mapping[int, Geometry]) -> None:
         """Replace the base table outright and publish it with the
         current :attr:`tree` (the load path: assign ``tree`` first);
-        auto-assigned ids continue past the largest one loaded."""
+        auto-assigned ids continue past the largest one loaded.  A
+        :class:`~repro.db.table.GeometryTable` is installed as it is,
+        any other mapping is converted once."""
+        table = GeometryTable.of(value)
         with self._mutex:
-            self._objects = dict(value)
-            self._next_id = max(self._objects, default=-1) + 1
+            self._objects = table
+            self._next_id = table.next_oid()
             self._publish()
 
     @property
@@ -219,23 +223,22 @@ class SpatialRelation:
         """
         merging = self._merging
         assert merging, "begin_rebuild was not called"
-        objects = {oid: g for oid, g in self._objects.items()
-                   if oid not in merging.hidden}
-        objects.update(merging.added)
+        objects = self._objects.merged(merging.hidden,
+                                       GeometryTable.of(merging.added))
         return self.bulk_load(objects, fill=fill), objects
 
-    def bulk_load(self, objects: Dict[int, Geometry], **pack):
+    def bulk_load(self, objects: Mapping[int, Geometry], **pack):
         """The STR bulk-loaded tree over *objects*, in id order (*pack*
-        goes to :func:`~repro.rtree.bulk.str_pack`); an empty table
-        gets an empty R*-tree, which ``str_pack`` refuses to build.
-        The relation itself is not changed."""
-        records = [(geometry_mbr(g), oid)
-                   for oid, g in sorted(objects.items())]
-        if not records:
+        goes to :func:`~repro.rtree.bulk.str_pack`), packed from the
+        table's MBR columns; an empty table gets an empty R*-tree,
+        which ``str_pack`` refuses to build.  The relation itself is
+        not changed."""
+        table = GeometryTable.of(objects)
+        if not len(table):
             return RStarTree(self.params)
-        return str_pack(records, self.params, **pack)
+        return table.str_pack(self.params, **pack)
 
-    def commit_rebuild(self, tree, objects: Dict[int, Geometry]) -> None:
+    def commit_rebuild(self, tree, objects: GeometryTable) -> None:
         """Swap the merged tree in atomically.
 
         The data a reader can see does not change (the merged tree

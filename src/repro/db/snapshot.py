@@ -20,14 +20,16 @@ rule ``added wins; deleted suppresses base``.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Dict, Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Iterator, List, Optional, Tuple
 
 from ..core.knn import NearestNeighborEngine
 from ..core.refinement import exact_window_survivors
 from ..errors import CatalogError
-from ..geometry.rect import Rect, geometry_mbr
+from ..geometry.rect import Rect
 from ..rtree.base import RTreeBase
 from .delta import FrozenDelta
+from .table import GeometryTable
 
 __all__ = ["Snapshot", "SnapshotObjects"]
 
@@ -38,17 +40,17 @@ class SnapshotObjects(Mapping):
     Implements the full :class:`~collections.abc.Mapping` protocol over
     ``(base - hidden) ∪ added`` without materializing the merge; code
     that previously indexed ``relation.objects`` (persistence, chaos
-    census, CLI listings, refinement) works unchanged against it.
+    census, CLI listings, refinement) works unchanged against it.  A
+    base geometry is built only when its oid is read.
     """
 
     __slots__ = ("_base", "_delta", "_len")
 
-    def __init__(self, base: Dict[int, object],
-                 delta: FrozenDelta) -> None:
+    def __init__(self, base: GeometryTable, delta: FrozenDelta) -> None:
         self._base = base
         self._delta = delta
-        hidden_in_base = sum(1 for oid in delta.hidden if oid in base)
-        self._len = len(base) - hidden_in_base + len(delta.added)
+        #: Counted on first use: a write publishes a view per call.
+        self._len: Optional[int] = None
 
     def __getitem__(self, oid: int):
         delta = self._delta
@@ -77,6 +79,11 @@ class SnapshotObjects(Mapping):
         yield from delta.added
 
     def __len__(self) -> int:
+        if self._len is None:
+            delta = self._delta
+            self._len = (len(self._base)
+                         - self._base.count_present(delta.hidden)
+                         + len(delta.added))
         return self._len
 
 
@@ -94,7 +101,7 @@ class Snapshot:
                  "base_epoch", "objects")
 
     def __init__(self, name: str, tree: RTreeBase,
-                 base_objects: Dict[int, object], delta: FrozenDelta,
+                 base_objects: GeometryTable, delta: FrozenDelta,
                  epoch: int, base_epoch: int) -> None:
         self.name = name
         self.tree = tree
@@ -180,9 +187,17 @@ class Snapshot:
 
     @property
     def records(self) -> List[Tuple[Rect, int]]:
-        """(MBR, id) records of every visible object, id-ordered."""
-        return [(geometry_mbr(geometry), oid)
-                for oid, geometry in sorted(self.objects.items())]
+        """(MBR, id) records of every visible object, id-ordered, the
+        base's read from its MBR columns."""
+        delta = self.delta
+        records = self.base_objects.records()
+        if not delta:
+            return records
+        hidden = delta.hidden
+        records = [record for record in records if record[1] not in hidden]
+        records += [(mbr, oid) for oid, mbr, _ in delta.rows]
+        records.sort(key=itemgetter(1))
+        return records
 
     def mbr(self) -> Optional[Rect]:
         """MBR of every visible object (None when empty)."""

@@ -365,6 +365,7 @@ def partition_database(db: "SpatialDatabase",
     copy — partition-local refinement and ``get`` work unchanged.
     """
     from ..db.database import SpatialDatabase
+    from ..db.table import GeometryTable
 
     pmap = PartitionMap(partitioner)
     shards = [SpatialDatabase(page_size=db.page_size)
@@ -374,8 +375,9 @@ def partition_database(db: "SpatialDatabase",
     # rebuild packs it.
     for name, relation in sorted(db.relations.items()):
         tables = pmap.assign(name, relation.objects)
-        for shard, table in zip(shards, tables):
+        for shard, copies in zip(shards, tables):
             local = shard.create_relation(name)
+            table = GeometryTable.of(copies)
             local.tree = local.bulk_load(table)
             local.objects = table
     return shards, pmap

@@ -161,6 +161,54 @@ class TestLineFiles:
         assert sorted(db.relation("roads").objects) == [0, 1, 2]
 
 
+def _with_delta(catalog, lines):
+    manifest_path = catalog / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["deltas"] = ["roads"]
+    manifest_path.write_text(json.dumps(manifest))
+    delta = str(catalog / "roads.delta")
+    _replace_line_file(delta, lines)
+    return delta
+
+
+class TestDuplicateOids:
+    """An oid on two lines of one file is corrupt, never last-wins."""
+
+    @pytest.mark.parametrize("lines, bad_line", [
+        ([GOOD, "0 rect 2.0 2.0 3.0 3.0"], 2),
+        (["2 rect 2.0 2.0 3.0 3.0", GOOD, "1 rect 1.0 1.0 2.0 2.0",
+          "2 polyline 0.0 0.0 1.0 1.0"], 4),
+    ])
+    def test_geom_rejects_an_oid_twice(self, tmp_path, lines, bad_line):
+        catalog = _small_catalog(tmp_path / "catalog")
+        geom = str(catalog / "roads.geom")
+        _replace_line_file(geom, lines)
+        with pytest.raises(ValueError) as excinfo:
+            SpatialDatabase.open(str(catalog))
+        assert str(excinfo.value).startswith(f"{geom}:{bad_line}: oid ")
+
+    @pytest.mark.parametrize("lines", [
+        ["1 deleted", "1 rect 0.0 0.0 1.0 1.0"],
+        ["4 rect 0.0 0.0 1.0 1.0", "4 rect 0.0 0.0 2.0 2.0"],
+        ["1 deleted", "1 deleted"],
+        ["4 rect 0.0 0.0 1.0 1.0", "4 deleted"],
+    ])
+    def test_delta_rejects_an_oid_twice(self, tmp_path, lines):
+        catalog = _small_catalog(tmp_path / "catalog")
+        delta = _with_delta(catalog, lines)
+        with pytest.raises(ValueError) as excinfo:
+            SpatialDatabase.open(str(catalog))
+        assert str(excinfo.value).startswith(f"{delta}:2: oid ")
+
+    def test_distinct_oids_in_any_order_load(self, tmp_path):
+        catalog = _small_catalog(tmp_path / "catalog")
+        _with_delta(catalog, ["2 deleted", "7 rect 0.0 0.0 1.0 1.0",
+                              "1 deleted", "5 rect 1.0 1.0 2.0 2.0"])
+        roads = SpatialDatabase.open(str(catalog)).relation("roads")
+        assert sorted(roads.objects) == [0, 5, 7]
+        assert roads.get(5) == Rect(1.0, 1.0, 2.0, 2.0)
+
+
 # ----------------------------------------------------------------------
 # The bytes of a fixed catalog
 # ----------------------------------------------------------------------
