@@ -31,11 +31,12 @@ from ..errors import CatalogError, QueryError
 from ..geometry.polygon import Polygon
 from ..geometry.polyline import Polyline
 from ..geometry.rect import Rect
+from ..rtree.bulk import str_pack
 from ..rtree.params import RTreeParams
 from ..rtree.rstar import RStarTree
 from .delta import DeltaIndex, FrozenDelta
 from .snapshot import Snapshot
-from .table import GeometryTable
+from .table import OID_MAX, OID_MIN, GeometryTable
 
 SpatialObject = Union[Polyline, Polygon]
 Geometry = Union[SpatialObject, Rect]
@@ -146,6 +147,8 @@ class SpatialRelation:
     def insert(self, geometry: Geometry,
                oid: Optional[int] = None) -> int:
         """Add an object; returns its id (auto-assigned when omitted).
+        An id outside 64-bit signed range is refused: the base table
+        stores ids as ``int64``.
 
         ``committed`` runs after the mutex is released so a checkpoint
         it triggers can read this relation's snapshot.
@@ -155,6 +158,9 @@ class SpatialRelation:
         with self._mutex:
             if oid is None:
                 oid = self._next_id
+            if not OID_MIN <= oid <= OID_MAX:
+                raise QueryError(f"object id {oid} does not fit in 64 "
+                                 f"signed bits")
             if oid in self._snapshot.objects:
                 raise CatalogError(f"object id {oid} already exists in "
                                    f"{self.name!r}")
@@ -236,7 +242,7 @@ class SpatialRelation:
         table = GeometryTable.of(objects)
         if not len(table):
             return RStarTree(self.params)
-        return table.str_pack(self.params, **pack)
+        return str_pack(table.records(), self.params, **pack)
 
     def commit_rebuild(self, tree, objects: GeometryTable) -> None:
         """Swap the merged tree in atomically.

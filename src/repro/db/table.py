@@ -49,12 +49,11 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from ..geometry.polygon import Polygon
 from ..geometry.polyline import Polyline
-from ..geometry.rect import Rect, geometry_mbr, trusted_rect
+from ..geometry.rect import Rect, geometry_mbr
 from ..rtree import columns as backend
-from ..rtree.bulk import str_pack, str_pack_columns
 
-__all__ = ["GeometryTable", "KIND_CODES", "KIND_NAMES", "POLYGON",
-           "POLYLINE", "RECT", "TableBuilder"]
+__all__ = ["GeometryTable", "KIND_CODES", "KIND_NAMES", "OID_MAX",
+           "OID_MIN", "POLYGON", "POLYLINE", "RECT", "TableBuilder"]
 
 RECT, POLYLINE, POLYGON = 0, 1, 2
 #: The line-format word of each kind code.
@@ -66,7 +65,9 @@ KIND_CODES = {name: code for code, name in enumerate(KIND_NAMES)}
 _FRESH = -1
 _STAMP_LOCK = threading.Lock()
 _next_stamp = 0
-_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+#: The oids a table can hold (int64): a relation refuses to insert
+#: any other.
+OID_MIN, OID_MAX = -2 ** 63, 2 ** 63 - 1
 #: Rows converted to Python values at a time by :meth:`rows`.
 _CHUNK = 4096
 _COLUMNS = ("oids", "kinds", "offsets", "coords", "xlo", "ylo", "xhi",
@@ -233,7 +234,7 @@ class GeometryTable(Mapping):
     the module docstring); build one with :meth:`of` or a
     :class:`TableBuilder`."""
 
-    __slots__ = _COLUMNS + ("_built",)
+    __slots__ = _COLUMNS + ("_built", "_rects")
 
     def __init__(self, oids, kinds, offsets, coords, xlo, ylo, xhi, yhi,
                  stamps, built: Optional[Dict[int, object]] = None
@@ -249,6 +250,8 @@ class GeometryTable(Mapping):
         self.stamps = stamps
         #: oid -> the object a read built (or the table was built from).
         self._built: Dict[int, object] = {} if built is None else built
+        #: Per row, the MBR object :meth:`records` made (None before).
+        self._rects: Optional[List[Optional[Rect]]] = None
 
     @classmethod
     def of(cls, objects: Mapping) -> "GeometryTable":
@@ -314,7 +317,7 @@ class GeometryTable(Mapping):
             key = operator.index(oid)
         except TypeError:
             return -1
-        if not _INT64_MIN <= key <= _INT64_MAX:
+        if not OID_MIN <= key <= OID_MAX:
             return -1
         oids = self.oids
         if isinstance(oids, array):
@@ -339,29 +342,40 @@ class GeometryTable(Mapping):
     # Column reads: no geometry object is built
     # ------------------------------------------------------------------
 
+    def built(self) -> int:
+        """How many rows have their geometry object held: built by a
+        read, or handed in by the objects the table was built from."""
+        return len(self._built)
+
     def next_oid(self) -> int:
         """One past the largest oid (0 when empty)."""
         return int(self.oids[-1]) + 1 if len(self.oids) else 0
 
     def records(self) -> List[Tuple[Rect, int]]:
-        """``(MBR, oid)`` of every row, in oid order."""
-        return [(trusted_rect(xl, yl, xu, yu), oid)
-                for xl, yl, xu, yu, oid in zip(
-                    self.xlo.tolist(), self.ylo.tolist(),
-                    self.xhi.tolist(), self.yhi.tolist(),
-                    self.oids.tolist())]
+        """``(MBR, oid)`` of every row, in oid order.
 
-    def str_pack(self, params, **pack):
-        """The STR-packed tree over the MBR columns, refs the oids:
-        :func:`~repro.rtree.bulk.str_pack` of :meth:`records`, page for
-        page, with the sorting on numpy when that backend is in
-        force."""
-        if backend.use_numpy():
-            return str_pack_columns(
-                *(_view(getattr(self, name))
-                  for name in ("xlo", "ylo", "xhi", "yhi", "oids")),
-                params, **pack)
-        return str_pack(self.records(), params, **pack)
+        Each row's MBR object is made once and kept, and a table
+        :meth:`merged` from this one takes over those of the rows it
+        keeps.  So the tree a rebuild packs shares its rectangles with
+        the tree before it, as it did when they were the objects' own
+        MBRs, and a rebuild makes new ones for the delta's rows only.
+        """
+        rects = self._rects
+        if rects is None:
+            rects = [None] * len(self.oids)
+        if None in rects:
+            holes = [row for row, rect in enumerate(rects) if rect is None]
+            bounds = [self.xlo, self.ylo, self.xhi, self.yhi]
+            if backend.use_numpy():
+                rows = backend.np.array(holes, dtype=backend.np.int64)
+                bounds = [_view(column)[rows].tolist() for column in bounds]
+            else:
+                bounds = [[column[row] for row in holes]
+                          for column in bounds]
+            for row, xl, yl, xu, yu in zip(holes, *bounds):
+                rects[row] = Rect(xl, yl, xu, yu)
+            self._rects = rects
+        return list(zip(rects, self.oids.tolist()))
 
     def rows(self) -> Iterator[Tuple[int, int, Sequence[float]]]:
         """``(oid, kind, values)`` per row in oid order, as Python
@@ -387,14 +401,7 @@ class GeometryTable(Mapping):
 
     def count_present(self, oids: Iterable[int]) -> int:
         """How many of the distinct *oids* are rows of this table."""
-        oids = set(oids)
-        if not oids or not len(self.oids):
-            return 0
-        np = backend.np
-        if backend.use_numpy():
-            wanted = np.fromiter(_in_range(oids), np.int64)
-            return int(np.count_nonzero(_member(self.oids, wanted)))
-        return sum(1 for oid in oids if self._row(oid) >= 0)
+        return sum(1 for oid in set(oids) if self._row(oid) >= 0)
 
     # ------------------------------------------------------------------
     # Derived tables: stamps and built objects carried over
@@ -413,24 +420,30 @@ class GeometryTable(Mapping):
         if backend.use_numpy():
             np = backend.np
             keep = np.ones(len(self.oids), dtype=bool)
-            if drop:
-                wanted = np.fromiter(_in_range(drop), np.int64)
-                keep &= ~_member(self.oids, wanted)
-            return _gather([(self, np.flatnonzero(keep)),
-                            (added, np.arange(len(added.oids)))], built)
-        builder = TableBuilder()
-        theirs, i = added.oids.tolist(), 0
-        for row, oid in enumerate(self.oids.tolist()):
-            if oid in drop:
-                continue
-            while i < len(theirs) and theirs[i] < oid:
+            keep[_rows_of(self.oids, drop)] = False
+            table = _gather([(self, np.flatnonzero(keep)),
+                             (added, np.arange(len(added.oids)))], built)
+        else:
+            builder = TableBuilder()
+            theirs, i = added.oids.tolist(), 0
+            for row, oid in enumerate(self.oids.tolist()):
+                if oid in drop:
+                    continue
+                while i < len(theirs) and theirs[i] < oid:
+                    builder.add_row(added, i)
+                    i += 1
+                builder.add_row(self, row)
+            for i in range(i, len(theirs)):
                 builder.add_row(added, i)
-                i += 1
-            builder.add_row(self, row)
-        for i in range(i, len(theirs)):
-            builder.add_row(added, i)
-        builder.built = built
-        return builder.build()
+            builder.built = built
+            table = builder.build()
+        rects = self._rects
+        if rects is not None:
+            # A row this table kept has the stamp it had here.
+            made = dict(zip(self.stamps.tolist(), rects))
+            table._rects = [made.get(stamp)
+                            for stamp in table.stamps.tolist()]
+        return table
 
     def diff(self, old: "GeometryTable", hidden: Iterable[int]
              ) -> Tuple["GeometryTable", List[int]]:
@@ -448,10 +461,8 @@ class GeometryTable(Mapping):
             same[same] = (_view(old.stamps)[rows[same]]
                           == _view(self.stamps)[same])
             gone = _rows_in(mine, theirs) < 0
-            if hidden:
-                wanted = np.fromiter(_in_range(hidden), np.int64)
-                same |= _member(mine, wanted)
-                gone |= _member(theirs, wanted)
+            same[_rows_of(mine, hidden)] = True
+            gone[_rows_of(theirs, hidden)] = True
             changed = _gather([(self, np.flatnonzero(~same))], {})
             return changed, theirs[gone].tolist()
         stamps = dict(zip(old.oids.tolist(), old.stamps.tolist()))
@@ -481,9 +492,13 @@ def _view(column):
     return column
 
 
-def _in_range(oids: Iterable[int]) -> Iterator[int]:
-    """The *oids* a table can hold (int64)."""
-    return (oid for oid in oids if _INT64_MIN <= oid <= _INT64_MAX)
+def _rows_of(sorted_oids, oids: Iterable[int]):
+    """The rows of ascending *sorted_oids* that hold one of *oids*."""
+    np = backend.np
+    wanted = np.fromiter((oid for oid in oids if OID_MIN <= oid <= OID_MAX),
+                         np.int64)
+    rows = _rows_in(_view(sorted_oids), wanted)
+    return rows[rows >= 0]
 
 
 def _rows_in(sorted_oids, wanted):
@@ -495,12 +510,6 @@ def _rows_in(sorted_oids, wanted):
     rows = np.minimum(np.searchsorted(sorted_oids, wanted),
                       len(sorted_oids) - 1)
     return np.where(sorted_oids[rows] == wanted, rows, -1)
-
-
-def _member(oids, wanted):
-    """Per oid of *oids*: is it among *wanted*?"""
-    np = backend.np
-    return np.isin(_view(oids), wanted)
 
 
 def _gather(parts, built: Dict[int, object]) -> GeometryTable:

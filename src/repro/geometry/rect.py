@@ -220,23 +220,6 @@ class Rect:
         return f"Rect({self.xl}, {self.yl}, {self.xu}, {self.yu})"
 
 
-_new_rect = object.__new__
-_set_xl, _set_yl, _set_xu, _set_yu = (
-    Rect.__dict__[name].__set__ for name in Rect.__slots__)
-
-
-def trusted_rect(xl: float, yl: float, xu: float, yu: float) -> Rect:
-    """A :class:`Rect` over bounds a valid rectangle already had (finite
-    floats, ``xl <= xu``, ``yl <= yu``): the constructor without its
-    checks, for rebuilding many rectangles from stored columns."""
-    rect = _new_rect(Rect)
-    _set_xl(rect, xl)
-    _set_yl(rect, yl)
-    _set_xu(rect, xu)
-    _set_yu(rect, yu)
-    return rect
-
-
 def intersect_count(a: Rect, b: Rect, counter: ComparisonCounter) -> bool:
     """Counted intersection test with the paper's short-circuit semantics.
 

@@ -12,10 +12,9 @@ import math
 from typing import List, Optional, Sequence, Tuple, TypeVar
 
 from ..curves.hilbert import HilbertGrid
-from ..geometry.rect import Rect, trusted_rect
+from ..geometry.rect import Rect
 from ..storage.pagestore import PageStore
 from .base import Path, RTreeBase
-from .columns import np
 from .entry import Entry
 from .node import Node
 from .params import RTreeParams
@@ -108,75 +107,26 @@ def str_pack(rects: Sequence[Tuple[Rect, int]], params: RTreeParams,
     Entries are sorted by x-center into vertical slabs, each slab sorted
     by y-center and cut into leaves of ``fill * M`` entries.
     """
-    tree, leaf_capacity = _packing(len(rects), params, fill, store)
-    entries = [Entry(rect, ref) for rect, ref in rects]
-    entries.sort(key=lambda e: e.rect.center()[0])
-    slab_size = _slab_size(len(entries), leaf_capacity)
-    slabs = []
-    for start in range(0, len(entries), slab_size):
-        slab = entries[start:start + slab_size]
-        slab.sort(key=lambda e: e.rect.center()[1])
-        slabs.append(slab)
-    return _pack_slabs(tree, slabs, leaf_capacity)
-
-
-def str_pack_columns(xlo, ylo, xhi, yhi, refs, params: RTreeParams,
-                     fill: float = 1.0,
-                     store: Optional[PageStore] = None) -> PackedRTree:
-    """:func:`str_pack` over numpy MBR columns (bounds of valid
-    rectangles) and their refs: the same tree, page for page.
-
-    The slab orders come from stable ``argsort`` over the same center
-    expressions ``(lo + hi) / 2.0`` that :func:`str_pack` sorts by, with
-    the same tie-break (input order), so only the sorting moves out of
-    Python.
-    """
-    tree, leaf_capacity = _packing(len(refs), params, fill, store)
-    # A sum past the largest double is inf, as in Python floats.
-    with np.errstate(over="ignore"):
-        order = np.argsort((xlo + xhi) / 2.0, kind="stable")
-        y_centers = (ylo + yhi) / 2.0
-    slab_size = _slab_size(len(order), leaf_capacity)
-    slabs = []
-    for start in range(0, len(order), slab_size):
-        rows = order[start:start + slab_size]
-        rows = rows[np.argsort(y_centers[rows], kind="stable")]
-        slabs.append([
-            Entry(trusted_rect(xl, yl, xu, yu), ref)
-            for xl, yl, xu, yu, ref in zip(
-                xlo[rows].tolist(), ylo[rows].tolist(), xhi[rows].tolist(),
-                yhi[rows].tolist(), refs[rows].tolist())])
-    return _pack_slabs(tree, slabs, leaf_capacity)
-
-
-def _packing(count: int, params: RTreeParams, fill: float,
-             store: Optional[PageStore]) -> Tuple[PackedRTree, int]:
-    """The empty tree an STR pack of *count* entries fills, and its
-    leaf capacity."""
-    if not count:
+    if not rects:
         raise ValueError("cannot bulk-load zero rectangles")
     if not 0.0 < fill <= 1.0:
         raise ValueError("fill must be in (0, 1]")
-    return (PackedRTree(params, store),
-            max(params.min_entries, int(params.max_entries * fill)))
-
-
-def _slab_size(count: int, leaf_capacity: int) -> int:
-    leaf_count = math.ceil(count / leaf_capacity)
+    tree = PackedRTree(params, store)
+    leaf_capacity = max(params.min_entries, int(params.max_entries * fill))
+    entries = [Entry(rect, ref) for rect, ref in rects]
+    entries.sort(key=lambda e: e.rect.center()[0])
+    leaf_count = math.ceil(len(entries) / leaf_capacity)
     slab_count = max(1, math.ceil(math.sqrt(leaf_count)))
-    return math.ceil(count / slab_count) or 1
+    slab_size = math.ceil(len(entries) / slab_count) or 1
 
-
-def _pack_slabs(tree: PackedRTree, slabs: List[List[Entry]],
-                leaf_capacity: int) -> PackedRTree:
-    """Cut each ordered slab into leaves and pack the tree over them."""
-    minimum = tree.params.min_entries
     runs: List[List[Entry]] = []
-    for slab in slabs:
-        runs.extend(chunk_balanced(slab, leaf_capacity, minimum))
-    if len(runs) >= 2 and len(runs[-1]) < minimum:
+    for start in range(0, len(entries), slab_size):
+        slab = entries[start:start + slab_size]
+        slab.sort(key=lambda e: e.rect.center()[1])
+        runs.extend(chunk_balanced(slab, leaf_capacity, params.min_entries))
+    if len(runs) >= 2 and len(runs[-1]) < params.min_entries:
         runs = chunk_balanced([e for run in runs for e in run],
-                              leaf_capacity, minimum)
+                              leaf_capacity, params.min_entries)
     tree._pack(runs)
     return tree
 

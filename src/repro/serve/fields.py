@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional, Tuple
 
+from ..db.table import OID_MAX, OID_MIN
 from ..errors import QueryError
 from ..geometry.predicates import SpatialPredicate
 from ..geometry.rect import Rect
@@ -57,6 +58,8 @@ def oid_field(request: Dict[str, Any],
         return None
     if not isinstance(oid, int) or isinstance(oid, bool):
         raise ProtocolError(f"oid must be an integer ({oid!r})")
+    if not OID_MIN <= oid <= OID_MAX:
+        raise QueryError(f"oid must fit in 64 signed bits ({oid!r})")
     return oid
 
 

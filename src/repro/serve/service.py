@@ -520,15 +520,18 @@ class QueryService(RequestPipeline):
 
     def _stats_sections(self) -> Dict[str, Any]:
         counter = self.obs.metrics.counter
+        relations = list(self.db.relations.values())
+        bases = [relation.snapshot().base_objects for relation in relations]
         sections: Dict[str, Any] = {
             "ingest": {
                 "pending_delta_ops": sum(
-                    r.delta_ops_pending
-                    for r in self.db.relations.values()),
+                    r.delta_ops_pending for r in relations),
                 "rebuilds": self.rebuilds,
                 "base_joins_computed": counter("serve.join.base_computed"),
                 "joins_carried": counter("serve.join.carried"),
                 "carry_errors": counter("serve.join.carry_errors"),
+                "base_rows": sum(len(base) for base in bases),
+                "base_rows_built": sum(base.built() for base in bases),
             }}
         write_wait = latency_section(self.obs, "serve.lock.write_wait_ms")
         if write_wait is not None:

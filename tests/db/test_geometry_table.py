@@ -16,14 +16,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.db import DurabilityManager, SpatialDatabase
 from repro.db.checkpoint import (_diff, _read_lines, _write_lines,
                                  format_geometry, parse_geometry)
 from repro.db.delta import FrozenDelta
 from repro.db.table import GeometryTable
+from repro.errors import QueryError
 from repro.geometry import Polygon, Polyline, Rect
 from repro.geometry.rect import geometry_mbr
-from repro.rtree import (HAVE_NUMPY, RTreeParams, force_stdlib,
-                         save_tree, str_pack)
+from repro.rtree import HAVE_NUMPY, force_stdlib
+from repro.serve.service import QueryService
 
 #: A signed-zero pair, the smallest subnormals, the largest doubles and
 #: a sum with no short decimal form.
@@ -234,43 +236,6 @@ class TestParsing:
 
 
 # ----------------------------------------------------------------------
-# Packing from the MBR columns
-# ----------------------------------------------------------------------
-
-#: Few distinct values, so centers tie (and signed zeros meet).
-tie_coordinates = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
-
-
-@st.composite
-def tied_rects(draw):
-    xl, xu = sorted((draw(tie_coordinates), draw(tie_coordinates)))
-    yl, yu = sorted((draw(tie_coordinates), draw(tie_coordinates)))
-    return Rect(xl, yl, xu, yu)
-
-
-def _tree_bytes(tree):
-    with tempfile.TemporaryDirectory() as where:
-        path = os.path.join(where, "t.rtree")
-        save_tree(tree, path)
-        with open(path, "rb") as handle:
-            return handle.read()
-
-
-class TestPacking:
-    @SETTINGS
-    @given(objects=st.dictionaries(
-        oids, st.one_of(tied_rects(), geometries), min_size=1,
-        max_size=160), fill=st.sampled_from([0.5, 0.9, 1.0]))
-    def test_columns_pack_the_records_tree_page_for_page(
-            self, backend, objects, fill):
-        table = GeometryTable.of(objects)
-        params = RTreeParams.from_page_size(256)
-        expected = str_pack(table.records(), params, fill=fill)
-        assert _tree_bytes(table.str_pack(params, fill=fill)) \
-            == _tree_bytes(expected)
-
-
-# ----------------------------------------------------------------------
 # Derived tables and the checkpoint diff
 # ----------------------------------------------------------------------
 
@@ -325,6 +290,30 @@ class TestDerived:
         assert columns == _columns(GeometryTable.of(expected)) | {
             "stamps": columns["stamps"]}
 
+    @SETTINGS
+    @given(base=tables, rebuilds=st.lists(
+        st.tuples(tables, st.sets(oids, max_size=5)), min_size=1,
+        max_size=3))
+    def test_merged_tables_share_the_kept_rows_mbrs(self, backend, base,
+                                                    rebuilds):
+        table = GeometryTable.of(base)
+        expected = dict(base)
+        for added, hidden in rebuilds:
+            before = {oid: mbr for mbr, oid in table.records()}
+            table = table.merged(hidden, GeometryTable.of(added))
+            kept = {oid for oid in expected
+                    if oid not in hidden and oid not in added}
+            expected = {oid: expected[oid] for oid in kept}
+            expected.update(added)
+            records = table.records()
+            assert [oid for _, oid in records] == sorted(expected)
+            for mbr, oid in records:
+                assert _bits(mbr) == _bits(geometry_mbr(expected[oid]))
+                if oid in kept:
+                    assert mbr is before[oid]
+            assert all(a is b for (a, _), (b, _) in zip(records,
+                                                         table.records()))
+
     def test_tables_of_either_backend_derive_alike(self):
         if not HAVE_NUMPY:
             pytest.skip("numpy backend unavailable")
@@ -348,3 +337,58 @@ class TestDerived:
             results.append((_columns(merged), _columns(changed), gone))
         assert results[0] == results[1]
         assert results[0][2] == [5, 7]
+
+
+# ----------------------------------------------------------------------
+# The oid range a table holds
+# ----------------------------------------------------------------------
+
+class TestOidRange:
+    def test_an_insert_past_int64_is_refused(self):
+        relation = SpatialDatabase().create_relation("r")
+        for oid in (2 ** 63, -2 ** 63 - 1):
+            with pytest.raises(QueryError, match="64"):
+                relation.insert(Rect(0, 0, 1, 1), oid=oid)
+        relation.insert(Rect(0, 0, 1, 1), oid=2 ** 63 - 1)
+        relation.insert(Rect(0, 0, 1, 1), oid=-2 ** 63)
+        # The next auto-assigned id would be 2 ** 63.
+        with pytest.raises(QueryError, match="64"):
+            relation.insert(Rect(0, 0, 1, 1))
+        assert sorted(relation.objects) == [-2 ** 63, 2 ** 63 - 1]
+
+    def test_checkpoints_go_on_after_a_refused_oid(self, backend,
+                                                   tmp_path):
+        data = str(tmp_path / "data")
+        db, manager = DurabilityManager.open(data, checkpoint_every=1)
+        service = QueryService(db, workers=1, durability=manager)
+        try:
+            assert service.handle({"id": 1, "op": "create",
+                                   "relation": "r"})["ok"]
+            appends = manager.wal.appends
+            refused = service.handle({
+                "id": 2, "op": "insert", "relation": "r", "oid": 2 ** 63,
+                "geometry": {"kind": "rect", "coords": [0, 0, 1, 1]}})
+            assert refused["error"]["code"] == "query"
+            assert manager.wal.appends == appends
+            taken = manager.checkpoints_taken
+            for request_id, oid in ((3, 2 ** 63 - 1), (4, 5)):
+                response = service.handle({
+                    "id": request_id, "op": "insert", "relation": "r",
+                    "oid": oid,
+                    "geometry": {"kind": "rect", "coords": [0, 0, 1, 1]}})
+                assert response["ok"], response
+            # The next checkpoint diffs against a rebuilt base.
+            db.relations["r"].rebuild()
+            response = service.handle({
+                "id": 5, "op": "insert", "relation": "r", "oid": 6,
+                "geometry": {"kind": "rect", "coords": [0, 0, 1, 1]}})
+            assert response["ok"], response
+            assert manager.checkpoints_taken == taken + 3
+        finally:
+            service.close()
+        db, manager = DurabilityManager.open(data)
+        try:
+            assert manager.recovery.replayed == 0
+            assert sorted(db.relations["r"].objects) == [5, 6, 2 ** 63 - 1]
+        finally:
+            manager.close()
