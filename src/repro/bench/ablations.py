@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.context import build_context, counted_sort_inplace
+from ..core.context import build_context
 from ..core.distance import distance_join
 from ..core.pairs import nested_loop_pairs, sorted_intersection_test
 from ..core.planner import spatial_join
@@ -22,7 +22,7 @@ from ..costmodel.estimate import JoinCardinalityEstimator, JoinPrediction
 from ..costmodel.parallel import TraceKey, scaling_profile
 from ..data.datasets import effective_scale, load_test
 from ..data.synthetic import DEFAULT_WORLD
-from ..geometry.counting import ComparisonCounter
+from ..geometry.counting import ComparisonCounter, counted_xlo_order
 from ..geometry.rect import Rect
 from ..plan import plan_join
 from ..plan.registry import make_algorithm
@@ -157,12 +157,12 @@ def crossover_cell(left: List[Entry], right: List[Entry]
     nested_counter = ComparisonCounter()
     nested_loop_pairs(left, right, nested_counter)
     sweep_counter = ComparisonCounter()
-    left_sorted = list(left)
-    right_sorted = list(right)
-    sweep_counter.sort += counted_sort_inplace(left_sorted)
-    sweep_counter.sort += counted_sort_inplace(right_sorted)
-    pairs = sorted_intersection_test(left_sorted, right_sorted,
-                                     sweep_counter)
+    sides = []
+    for entries in (left, right):
+        order, count = counted_xlo_order([e.rect.xl for e in entries])
+        sweep_counter.sort += count
+        sides.append([entries[i] for i in order])
+    pairs = sorted_intersection_test(*sides, sweep_counter)
     return nested_counter, sweep_counter, pairs
 
 

@@ -18,10 +18,10 @@ import copy
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.context import counted_sort_cost
 from ..core.planner import spatial_join
 from ..core.spec import JoinSpec
 from ..data.datasets import effective_scale, load_test
+from ..geometry.counting import counted_xlo_order
 from .. import rtree
 from ..rtree.base import RTreeBase
 from ..rtree.params import RTreeParams
@@ -127,7 +127,7 @@ def presort_cost(test: str, page_size: int,
                      variant, presorted=False)
         for node in tree.iter_nodes():
             if not node.sorted_by_xl:
-                total += counted_sort_cost(node.entries)
+                total += counted_xlo_order(node.columns.xlo)[1]
     return total
 
 

@@ -19,7 +19,6 @@ Public surface:
 """
 
 from .context import (JoinContext, R_SIDE, S_SIDE, build_context,
-                      counted_sort_cost, counted_sort_inplace,
                       presort_trees)
 from .engine import JoinAlgorithm
 from .knn import (NearestNeighborEngine, NearestNeighborResult, mindist,
@@ -67,8 +66,6 @@ __all__ = [
     "WindowQueryResult",
     "build_context",
     "cluster_tasks",
-    "counted_sort_cost",
-    "counted_sort_inplace",
     "distance_join",
     "execute_plan",
     "id_spatial_join",

@@ -9,14 +9,13 @@ rectangle tests charge the same comparison counter.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import QueryTimeout
 from ..geometry.counting import ComparisonCounter
 from ..obs.core import NULL_OBS, Observability
 from ..rtree.base import RTreeBase
 from ..rtree.columns import NodeColumns
-from ..rtree.entry import Entry
 from ..rtree.node import Node
 from ..storage.manager import BufferManager
 from .spec import JoinSpec
@@ -129,21 +128,20 @@ class JoinContext:
           comparisons; the copy is reused while the page stays buffered
           and rebuilt after each disk read of the page.
 
-        Sorting is always performed (and counted) on the entry objects
-        — Timsort's data-dependent comparison count is part of the cost
-        model — and the columns are rebuilt from the sorted order.
+        Both charge Timsort's data-dependent comparison count over the
+        node's lower-x values (part of the cost model); neither builds
+        entries.
         """
         if node.sorted_by_xl:
             return node.columns
         if self.sort_mode == "maintained":
-            self.stats.presort_comparisons += counted_sort_cost(
-                node.entries)
-            node.sort_by_xl()
+            self.stats.presort_comparisons += node.sort_by_xl()
             return node.columns
         key = (side, node.page_id)
         cols = self._sorted_cols.get(key)
         if cols is None:
-            cols, count = self._sorted_views.get(key) or _sorted_copy(node)
+            cols, count = (self._sorted_views.get(key)
+                           or node.columns.xlo_sorted())
             self.counter.sort += count
             self._sorted_cols[key] = cols
         return cols
@@ -160,7 +158,7 @@ class JoinContext:
         key = (side, node.page_id)
         view = self._sorted_views.get(key)
         if view is None:
-            view = self._sorted_views[key] = _sorted_copy(node)
+            view = self._sorted_views[key] = node.columns.xlo_sorted()
         return view[0]
 
     # ------------------------------------------------------------------
@@ -174,49 +172,13 @@ class JoinContext:
         self.manager.unpin(side, page_id)
 
 
-def _sorted_copy(node: Node) -> Tuple[NodeColumns, int]:
-    """Sorted columns of *node* (node untouched) and their counted
-    sort cost."""
-    entries = list(node.entries)
-    count = counted_sort_inplace(entries)
-    return NodeColumns.from_entries(entries), count
-
-
-def counted_sort_inplace(entries: List[Entry]) -> int:
-    """Sort *entries* by lower x in place; returns the comparison count."""
-    count = 0
-
-    class _Key:
-        __slots__ = ("value",)
-
-        def __init__(self, entry: Entry) -> None:
-            self.value = entry.rect.xl
-
-        def __lt__(self, other: "_Key") -> bool:
-            nonlocal count
-            count += 1
-            return self.value < other.value
-
-    entries.sort(key=_Key)
-    return count
-
-
-def counted_sort_cost(entries: List[Entry]) -> int:
-    """Comparison cost of sorting a copy of *entries* (list untouched)."""
-    copy = list(entries)
-    return counted_sort_inplace(copy)
-
-
 def presort_trees(ctx: JoinContext) -> None:
     """Physically sort every node of both trees, charging the one-time
     cost to ``stats.presort_comparisons`` (the Table 4 "sorting" rows)."""
     with ctx.obs.tracer.span("presort"):
         for tree in ctx.trees:
             for node in tree.iter_nodes():
-                if not node.sorted_by_xl:
-                    ctx.stats.presort_comparisons += counted_sort_cost(
-                        node.entries)
-                    node.sort_by_xl()
+                ctx.stats.presort_comparisons += node.sort_by_xl()
 
 
 def resolve_obs(obs: Optional[Observability],

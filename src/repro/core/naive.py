@@ -60,37 +60,14 @@ def plane_sweep_join(left: Sequence[RectRecord],
     stats = JoinStatistics(algorithm="plane-sweep")
     counter = stats.comparisons
 
-    records_l = list(left)
-    records_r = list(right)
-    counter.sort += _counted_sort_records(records_l)
-    counter.sort += _counted_sort_records(records_r)
-    cols_l = NodeColumns.from_rect_refs(records_l)
-    cols_r = NodeColumns.from_rect_refs(records_r)
+    cols_l, count_l = NodeColumns.from_rect_refs(left).xlo_sorted()
+    cols_r, count_r = NodeColumns.from_rect_refs(right).xlo_sorted()
+    counter.sort += count_l + count_r
     idx_l, idx_r = sorted_intersection_test_columns(cols_l, cols_r,
                                                     counter)
     pairs = ref_pairs(cols_l, cols_r, idx_l, idx_r)
     stats.pairs_output = len(pairs)
     return JoinResult(pairs, stats)
-
-
-def _counted_sort_records(records: List[RectRecord]) -> int:
-    """Sort ``(rect, ref)`` records by lower x in place; returns the
-    comparison count (same Timsort charges as the entry-list sort)."""
-    count = 0
-
-    class _Key:
-        __slots__ = ("value",)
-
-        def __init__(self, record: RectRecord) -> None:
-            self.value = record[0].xl
-
-        def __lt__(self, other: "_Key") -> bool:
-            nonlocal count
-            count += 1
-            return self.value < other.value
-
-    records.sort(key=_Key)
-    return count
 
 
 def index_nested_loop_join(outer: Sequence[RectRecord],

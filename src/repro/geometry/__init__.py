@@ -7,7 +7,7 @@ is accounted through :class:`ComparisonCounter` and
 """
 
 from .clipping import clip_polygon, clip_polyline, clip_segment, is_convex
-from .counting import ComparisonCounter
+from .counting import ComparisonCounter, counted_xlo_order
 from .point import Point
 from .polygon import Polygon, regular_polygon
 from .polyline import Polyline, split_into_records
@@ -26,6 +26,7 @@ __all__ = [
     "clip_polygon",
     "clip_polyline",
     "clip_segment",
+    "counted_xlo_order",
     "geometry_mbr",
     "intersect_count",
     "is_convex",

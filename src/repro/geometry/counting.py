@@ -16,6 +16,8 @@ join so that all algorithms are charged with identical semantics.
 
 from __future__ import annotations
 
+from typing import List, Sequence, Tuple
+
 
 class ComparisonCounter:
     """Mutable tally of floating-point comparisons.
@@ -74,3 +76,27 @@ class ComparisonCounter:
         if not isinstance(other, ComparisonCounter):
             return NotImplemented
         return self.join == other.join and self.sort == other.sort
+
+
+def counted_xlo_order(keys: Sequence[float]) -> Tuple[List[int], int]:
+    """Section 4.2's sort: the stable ascending order of *keys* (a
+    node's lower-x values as a list, ``array('d')`` or ndarray, left
+    untouched) and the number of ``<`` comparisons Timsort made to find
+    it.  The count depends only on the key sequence, so it is what
+    sorting the entries themselves costs."""
+    values = keys.tolist() if hasattr(keys, "tolist") else keys
+    count = 0
+
+    class _Key:
+        __slots__ = ("value",)
+
+        def __init__(self, index: int) -> None:
+            self.value = values[index]
+
+        def __lt__(self, other: "_Key") -> bool:
+            nonlocal count
+            count += 1
+            return self.value < other.value
+
+    order = sorted(range(len(values)), key=_Key)
+    return order, count

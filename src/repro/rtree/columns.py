@@ -32,6 +32,7 @@ import os
 from array import array
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Sequence, Tuple
 
+from ..geometry.counting import counted_xlo_order
 from ..geometry.rect import Rect
 from .entry import Entry
 
@@ -229,6 +230,12 @@ class NodeColumns:
                            array("d", [xhi[i] for i in indices]),
                            array("d", [yhi[i] for i in indices]),
                            array("q", [refs[i] for i in indices]))
+
+    def xlo_sorted(self) -> Tuple["NodeColumns", int]:
+        """A copy in plane-sweep order (ascending xlo, stable) and the
+        comparisons its counted sort made (Section 4.2)."""
+        order, count = counted_xlo_order(self.xlo)
+        return self.take(order), count
 
     def slice(self, lo: int, hi: int) -> "NodeColumns":
         """A view of the rows ``lo:hi`` (a copy on the stdlib backend)."""

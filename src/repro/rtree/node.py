@@ -19,13 +19,15 @@ Code that mutates entries *through the list* (append, delete, in-place
 afterwards; ``RTreeBase._write`` does this for every structure
 modification, so tree code gets it for free.  Nodes loaded from disk or
 shipped to worker processes carry only columns until someone touches
-``.entries``.
+``.entries``.  :meth:`Node.sort_by_xl` reorders the representations a
+node holds and builds neither, so a columns-only node stays so.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
+from ..geometry.counting import counted_xlo_order
 from ..geometry.rect import Rect
 from .columns import NodeColumns
 from .entry import Entry
@@ -121,12 +123,20 @@ class Node:
         self.entries[index].rect = rect
         self.sorted_by_xl = False
 
-    def sort_by_xl(self) -> None:
-        """Bring entries into plane-sweep order (ascending lower x)."""
-        if not self.sorted_by_xl:
-            self.entries.sort(key=_xl_key)
-            self._columns = None
-            self.sorted_by_xl = True
+    def sort_by_xl(self) -> int:
+        """Bring the node into plane-sweep order (ascending lower x);
+        returns the comparisons charged (0 when already sorted)."""
+        if self.sorted_by_xl:
+            return 0
+        entries, cols = self._entries, self._columns
+        order, count = counted_xlo_order(
+            cols.xlo if entries is None else [e.rect.xl for e in entries])
+        if entries is not None:
+            entries[:] = [entries[i] for i in order]
+        if cols is not None:
+            self._columns = cols.take(order)
+        self.sorted_by_xl = True
+        return count
 
     def __len__(self) -> int:
         if self._entries is None:
@@ -171,7 +181,3 @@ class Node:
         kind = "leaf" if self.is_leaf else "dir"
         return (f"Node(page={self.page_id}, level={self.level}, "
                 f"{kind}, entries={len(self)})")
-
-
-def _xl_key(entry: Entry) -> float:
-    return entry.rect.xl

@@ -28,6 +28,12 @@ from .protocol import (ProtocolError, decode_request, encode_request,
                        encode_response, error_response)
 from .pipeline import RequestPipeline
 
+#: Longest request line the server reads, newline included (bytes).
+#: A longer line is answered with one ``bad_request`` error and the
+#: rest of it is discarded, so one connection buffers at most this much
+#: however long a client goes without sending ``\n``.
+MAX_REQUEST_LINE = 4 << 20
+
 
 class _ConnectionHandler(socketserver.StreamRequestHandler):
     """One client connection: a loop of request/response lines."""
@@ -36,14 +42,19 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
         service: RequestPipeline = self.server.service  # type: ignore
         while True:
             try:
-                line = self.rfile.readline()
+                line = self.rfile.readline(MAX_REQUEST_LINE)
             except (ConnectionResetError, OSError):
                 return          # client vanished mid-line
             if not line:
                 return
-            if not line.strip():
+            overlong = (len(line) == MAX_REQUEST_LINE
+                        and not line.endswith(b"\n"))
+            if not (overlong or line.strip()):
                 continue
             try:
+                if overlong:
+                    raise ProtocolError(
+                        f"request line longer than {MAX_REQUEST_LINE} bytes")
                 request = decode_request(line)
             except ProtocolError as exc:
                 response = error_response(None, exc.code, str(exc))
@@ -54,6 +65,12 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
                 self.wfile.flush()
             except (BrokenPipeError, ConnectionResetError):
                 return
+            while overlong:     # drop the rest of the line, chunk by chunk
+                try:
+                    line = self.rfile.readline(MAX_REQUEST_LINE)
+                except OSError:
+                    return
+                overlong = bool(line) and not line.endswith(b"\n")
 
 
 class _ThreadingTCPServer(socketserver.ThreadingTCPServer):

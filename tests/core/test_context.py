@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core import (JoinContext, R_SIDE, S_SIDE, counted_sort_cost,
-                        counted_sort_inplace, presort_trees)
+from repro.core import JoinContext, R_SIDE, S_SIDE, presort_trees
 from repro.geometry import Rect
 from repro.rtree import Entry
 from tests.conftest import build_rstar, make_rects
@@ -110,26 +109,6 @@ class TestSortedEntries:
         ctx.sorted_columns(R_SIDE, node)
         assert node.entries == before
         assert not node.sorted_by_xl
-
-
-class TestCountedSort:
-    def test_inplace_sorts_and_counts(self):
-        entries = [Entry(Rect(x, 0, x + 1, 1), x) for x in (5, 1, 3, 2, 4)]
-        count = counted_sort_inplace(entries)
-        assert [e.rect.xl for e in entries] == [1, 2, 3, 4, 5]
-        assert count > 0
-
-    def test_cost_leaves_list_untouched(self):
-        entries = [Entry(Rect(x, 0, x + 1, 1), x) for x in (5, 1, 3)]
-        order_before = list(entries)
-        cost = counted_sort_cost(entries)
-        assert entries == order_before
-        assert cost > 0
-
-    def test_empty_and_single(self):
-        assert counted_sort_inplace([]) == 0
-        assert counted_sort_inplace(
-            [Entry(Rect(0, 0, 1, 1), 0)]) == 0
 
 
 def test_presort_trees_counts_everything(trees):
