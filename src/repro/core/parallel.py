@@ -435,11 +435,15 @@ def parallel_spatial_join(tree_r: RTreeBase, tree_s: RTreeBase,
             # (whose result would otherwise never arrive) into a
             # recoverable failure.  Leaving the ``with`` block
             # terminates the pool, so a worker stuck past its deadline
-            # is killed, not leaked.
+            # is killed, not leaked.  A worker retires after one batch:
+            # lazy 'maintained' sorts reorder its copy of the trees, so
+            # a second batch on that copy would be charged fewer sort
+            # comparisons than the same batch on a fresh one.
             with obs.tracer.span("dispatch", batches=len(batches)), \
                     mp.Pool(processes=len(batches),
                             initializer=_init_worker,
-                            initargs=(tree_r, tree_s, worker_spec)) as pool:
+                            initargs=(tree_r, tree_s, worker_spec),
+                            maxtasksperchild=1) as pool:
                 handles = [pool.apply_async(_run_batch, (batch,))
                            for batch in batches]
                 for index, handle in enumerate(handles):

@@ -32,6 +32,7 @@ from ..geometry.polygon import Polygon
 from ..geometry.polyline import Polyline
 from ..geometry.rect import Rect
 from ..rtree.bulk import str_pack
+from ..rtree.columns import NodeColumns
 from ..rtree.params import RTreeParams
 from ..rtree.rstar import RStarTree
 from .delta import DeltaIndex, FrozenDelta
@@ -242,7 +243,9 @@ class SpatialRelation:
         table = GeometryTable.of(objects)
         if not len(table):
             return RStarTree(self.params)
-        return str_pack(table.records(), self.params, **pack)
+        return str_pack(NodeColumns(table.xlo, table.ylo, table.xhi,
+                                    table.yhi, table.oids),
+                        self.params, **pack)
 
     def commit_rebuild(self, tree, objects: GeometryTable) -> None:
         """Swap the merged tree in atomically.

@@ -234,7 +234,7 @@ class GeometryTable(Mapping):
     the module docstring); build one with :meth:`of` or a
     :class:`TableBuilder`."""
 
-    __slots__ = _COLUMNS + ("_built", "_rects")
+    __slots__ = _COLUMNS + ("_built",)
 
     def __init__(self, oids, kinds, offsets, coords, xlo, ylo, xhi, yhi,
                  stamps, built: Optional[Dict[int, object]] = None
@@ -250,8 +250,6 @@ class GeometryTable(Mapping):
         self.stamps = stamps
         #: oid -> the object a read built (or the table was built from).
         self._built: Dict[int, object] = {} if built is None else built
-        #: Per row, the MBR object :meth:`records` made (None before).
-        self._rects: Optional[List[Optional[Rect]]] = None
 
     @classmethod
     def of(cls, objects: Mapping) -> "GeometryTable":
@@ -352,30 +350,10 @@ class GeometryTable(Mapping):
         return int(self.oids[-1]) + 1 if len(self.oids) else 0
 
     def records(self) -> List[Tuple[Rect, int]]:
-        """``(MBR, oid)`` of every row, in oid order.
-
-        Each row's MBR object is made once and kept, and a table
-        :meth:`merged` from this one takes over those of the rows it
-        keeps.  So the tree a rebuild packs shares its rectangles with
-        the tree before it, as it did when they were the objects' own
-        MBRs, and a rebuild makes new ones for the delta's rows only.
-        """
-        rects = self._rects
-        if rects is None:
-            rects = [None] * len(self.oids)
-        if None in rects:
-            holes = [row for row, rect in enumerate(rects) if rect is None]
-            bounds = [self.xlo, self.ylo, self.xhi, self.yhi]
-            if backend.use_numpy():
-                rows = backend.np.array(holes, dtype=backend.np.int64)
-                bounds = [_view(column)[rows].tolist() for column in bounds]
-            else:
-                bounds = [[column[row] for row in holes]
-                          for column in bounds]
-            for row, xl, yl, xu, yu in zip(holes, *bounds):
-                rects[row] = Rect(xl, yl, xu, yu)
-            self._rects = rects
-        return list(zip(rects, self.oids.tolist()))
+        """``(MBR, oid)`` of every row, in oid order."""
+        return list(zip(map(Rect, self.xlo.tolist(), self.ylo.tolist(),
+                            self.xhi.tolist(), self.yhi.tolist()),
+                        self.oids.tolist()))
 
     def rows(self) -> Iterator[Tuple[int, int, Sequence[float]]]:
         """``(oid, kind, values)`` per row in oid order, as Python
@@ -421,29 +399,21 @@ class GeometryTable(Mapping):
             np = backend.np
             keep = np.ones(len(self.oids), dtype=bool)
             keep[_rows_of(self.oids, drop)] = False
-            table = _gather([(self, np.flatnonzero(keep)),
-                             (added, np.arange(len(added.oids)))], built)
-        else:
-            builder = TableBuilder()
-            theirs, i = added.oids.tolist(), 0
-            for row, oid in enumerate(self.oids.tolist()):
-                if oid in drop:
-                    continue
-                while i < len(theirs) and theirs[i] < oid:
-                    builder.add_row(added, i)
-                    i += 1
-                builder.add_row(self, row)
-            for i in range(i, len(theirs)):
+            return _gather([(self, np.flatnonzero(keep)),
+                            (added, np.arange(len(added.oids)))], built)
+        builder = TableBuilder()
+        theirs, i = added.oids.tolist(), 0
+        for row, oid in enumerate(self.oids.tolist()):
+            if oid in drop:
+                continue
+            while i < len(theirs) and theirs[i] < oid:
                 builder.add_row(added, i)
-            builder.built = built
-            table = builder.build()
-        rects = self._rects
-        if rects is not None:
-            # A row this table kept has the stamp it had here.
-            made = dict(zip(self.stamps.tolist(), rects))
-            table._rects = [made.get(stamp)
-                            for stamp in table.stamps.tolist()]
-        return table
+                i += 1
+            builder.add_row(self, row)
+        for i in range(i, len(theirs)):
+            builder.add_row(added, i)
+        builder.built = built
+        return builder.build()
 
     def diff(self, old: "GeometryTable", hidden: Iterable[int]
              ) -> Tuple["GeometryTable", List[int]]:

@@ -21,6 +21,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from ..geometry.rect import Rect
 from ..storage.pagestore import MemoryPageStore, PageStore
+from .columns import NodeColumns
 from .entry import Entry
 from .node import Node
 from .params import RTreeParams
@@ -41,16 +42,19 @@ class RTreeBase:
         self.params = params
         self.store = store if store is not None else MemoryPageStore()
         self._size = 0
-        root = self._new_node(level=0)
+        # An empty tree is columnar like every tree a reader is handed;
+        # the first insert converts its root.
+        root = self._new_node(0, NodeColumns.from_coords((), (), (), (), ()))
         self.root_id = root.page_id
 
     # ------------------------------------------------------------------
     # Node management
     # ------------------------------------------------------------------
 
-    def _new_node(self, level: int) -> Node:
+    def _new_node(self, level: int,
+                  columns: Optional[NodeColumns] = None) -> Node:
         page_id = self.store.allocate()
-        node = Node(page_id, level)
+        node = Node(page_id, level, columns=columns)
         self.store.write(page_id, node)
         return node
 
@@ -59,9 +63,6 @@ class RTreeBase:
         return self.store.read(page_id)
 
     def _write(self, node: Node) -> None:
-        # Every structure modification funnels through here; the cached
-        # columnar view (if any) is stale the moment entries changed.
-        node.invalidate_columns()
         self.store.write(node.page_id, node)
 
     @property
@@ -238,20 +239,14 @@ class RTreeBase:
     def window_query(self, window: Rect) -> List[int]:
         """Refs of all data entries whose MBR intersects *window*.
 
-        Each node is tested in the representation it already holds: an
-        entry list entry by entry, a columnar-only node (a tree loaded
-        from disk) in one mask over its columns.  A read never builds
-        the representation a node lacks.
+        Each node is tested in the form it holds
+        (:meth:`Node.refs_intersecting`), so a window converts none.
         """
         result: List[int] = []
         stack = [self.root]
         while stack:
             node = stack.pop()
-            if node.has_materialized_entries():
-                refs = [e.ref for e in node.entries
-                        if e.rect.intersects(window)]
-            else:
-                refs = node.columns.refs_intersecting(window)
+            refs = node.refs_intersecting(window)
             if node.is_leaf:
                 result.extend(refs)
             else:
@@ -276,10 +271,15 @@ class RTreeBase:
                 stack.extend(self.node(ref) for ref in node.child_refs())
 
     def iter_data_entries(self) -> Iterator[Entry]:
-        """Yield every data entry."""
+        """Yield every data entry (a read: no node is converted)."""
         for node in self.iter_nodes():
-            if node.is_leaf:
+            if not node.is_leaf:
+                continue
+            if node.has_materialized_entries():
                 yield from node.entries
+            else:
+                for rect, ref in node.columns.iter_rect_refs():
+                    yield Entry(rect, ref)
 
     def mbr(self) -> Optional[Rect]:
         """MBR of the whole tree, or None when empty."""

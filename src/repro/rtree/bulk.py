@@ -9,17 +9,23 @@ the join behaves on near-100 % utilization trees with very low overlap.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple, TypeVar
+from typing import List, Optional, Sequence, Tuple, TypeVar, Union
 
 from ..curves.hilbert import HilbertGrid
 from ..geometry.rect import Rect
 from ..storage.pagestore import PageStore
 from .base import Path, RTreeBase
-from .entry import Entry
+from .columns import NodeColumns
 from .node import Node
 from .params import RTreeParams
 
 T = TypeVar("T")
+
+#: One data entry as a caller hands it to the packers.
+Record = Tuple[Rect, int]
+#: Data entries as the packers read them: ``xlo, ylo, xhi, yhi, refs``
+#: as parallel lists of Python numbers.
+Rows = Tuple[List[float], List[float], List[float], List[float], List[int]]
 
 
 class PackedRTree(RTreeBase):
@@ -51,28 +57,42 @@ class PackedRTree(RTreeBase):
     # Packing
     # ------------------------------------------------------------------
 
-    def _pack(self, leaf_runs: List[List[Entry]]) -> None:
-        """Install packed leaves and build the directory bottom-up."""
+    def _pack(self, rows: Rows, runs: List[List[int]]) -> None:
+        """Install the leaves *runs* (lists of indices into *rows*) and
+        build the directory bottom-up; every node is born as columns."""
         self.store.free(self.root_id)  # discard the empty bootstrap leaf
+        self._size = len(rows[4])
         level = 0
-        nodes: List[Node] = []
-        for run in leaf_runs:
-            node = self._new_node(level=0)
-            node.entries = run
-            self._write(node)
-            nodes.append(node)
-        self._size = sum(len(n) for n in nodes)
-        while len(nodes) > 1:
+        while True:
+            parents: Rows = ([], [], [], [], [])
+            for run in runs:
+                xlo, ylo, xhi, yhi, refs = ([column[i] for i in run]
+                                            for column in rows)
+                node = self._new_node(level, NodeColumns.from_coords(
+                    xlo, ylo, xhi, yhi, refs))
+                # First of equal extremes wins, as in Rect.mbr_of.
+                for column, value in zip(parents, (
+                        min(xlo), min(ylo), max(xhi), max(yhi),
+                        node.page_id)):
+                    column.append(value)
+            if len(runs) == 1:
+                break
             level += 1
-            parents: List[Node] = []
-            for chunk in chunk_balanced(nodes, self.params.max_entries,
-                                        self.params.min_entries):
-                parent = self._new_node(level=level)
-                parent.entries = [Entry(c.mbr(), c.page_id) for c in chunk]
-                self._write(parent)
-                parents.append(parent)
-            nodes = parents
-        self.root_id = nodes[0].page_id
+            rows = parents
+            runs = chunk_balanced(range(len(runs)), self.params.max_entries,
+                                  self.params.min_entries)
+        self.root_id = parents[4][0]
+
+
+def _rows_of(rects: Union[Sequence[Record], NodeColumns]) -> Rows:
+    """*rects* as five parallel lists of Python numbers."""
+    if isinstance(rects, NodeColumns):
+        return (rects.xlo.tolist(), rects.ylo.tolist(), rects.xhi.tolist(),
+                rects.yhi.tolist(), rects.refs.tolist())
+    boxes = [rect for rect, _ in rects]
+    return ([r.xl for r in boxes], [r.yl for r in boxes],
+            [r.xu for r in boxes], [r.yu for r in boxes],
+            [ref for _, ref in rects])
 
 
 def chunk_balanced(items: Sequence[T], capacity: int,
@@ -99,13 +119,15 @@ def chunk_balanced(items: Sequence[T], capacity: int,
     return runs
 
 
-def str_pack(rects: Sequence[Tuple[Rect, int]], params: RTreeParams,
-             fill: float = 1.0,
+def str_pack(rects: Union[Sequence[Record], NodeColumns],
+             params: RTreeParams, fill: float = 1.0,
              store: Optional[PageStore] = None) -> PackedRTree:
-    """Sort-Tile-Recursive packing of ``(rect, ref)`` pairs.
+    """Sort-Tile-Recursive packing of ``(rect, ref)`` pairs, or of the
+    rows of a :class:`NodeColumns`.
 
     Entries are sorted by x-center into vertical slabs, each slab sorted
-    by y-center and cut into leaves of ``fill * M`` entries.
+    by y-center and cut into leaves of ``fill * M`` entries.  Both sorts
+    are stable, so entries with equal centres keep their input order.
     """
     if not rects:
         raise ValueError("cannot bulk-load zero rectangles")
@@ -113,41 +135,47 @@ def str_pack(rects: Sequence[Tuple[Rect, int]], params: RTreeParams,
         raise ValueError("fill must be in (0, 1]")
     tree = PackedRTree(params, store)
     leaf_capacity = max(params.min_entries, int(params.max_entries * fill))
-    entries = [Entry(rect, ref) for rect, ref in rects]
-    entries.sort(key=lambda e: e.rect.center()[0])
-    leaf_count = math.ceil(len(entries) / leaf_capacity)
+    rows = _rows_of(rects)
+    xlo, ylo, xhi, yhi, _ = rows
+    order = sorted(range(len(xlo)), key=[
+        (lo + hi) / 2.0 for lo, hi in zip(xlo, xhi)].__getitem__)
+    leaf_count = math.ceil(len(order) / leaf_capacity)
     slab_count = max(1, math.ceil(math.sqrt(leaf_count)))
-    slab_size = math.ceil(len(entries) / slab_count) or 1
+    slab_size = math.ceil(len(order) / slab_count) or 1
 
-    runs: List[List[Entry]] = []
-    for start in range(0, len(entries), slab_size):
-        slab = entries[start:start + slab_size]
-        slab.sort(key=lambda e: e.rect.center()[1])
+    runs: List[List[int]] = []
+    for start in range(0, len(order), slab_size):
+        slab = order[start:start + slab_size]
+        slab.sort(key=lambda i: (ylo[i] + yhi[i]) / 2.0)
         runs.extend(chunk_balanced(slab, leaf_capacity, params.min_entries))
     if len(runs) >= 2 and len(runs[-1]) < params.min_entries:
-        runs = chunk_balanced([e for run in runs for e in run],
+        runs = chunk_balanced([i for run in runs for i in run],
                               leaf_capacity, params.min_entries)
-    tree._pack(runs)
+    tree._pack(rows, runs)
     return tree
 
 
-def hilbert_pack(rects: Sequence[Tuple[Rect, int]], params: RTreeParams,
+def hilbert_pack(rects: Sequence[Record], params: RTreeParams,
                  fill: float = 1.0,
                  store: Optional[PageStore] = None) -> PackedRTree:
-    """Hilbert-curve packing of ``(rect, ref)`` pairs."""
+    """Hilbert-curve packing of ``(rect, ref)`` pairs, in the Hilbert
+    order of their centres (stable, so equal keys keep input order)."""
     if not rects:
         raise ValueError("cannot bulk-load zero rectangles")
     if not 0.0 < fill <= 1.0:
         raise ValueError("fill must be in (0, 1]")
     tree = PackedRTree(params, store)
     leaf_capacity = max(params.min_entries, int(params.max_entries * fill))
-    world = Rect.mbr_of(r for r, _ in rects)
+    rows = _rows_of(rects)
+    xlo, ylo, xhi, yhi, _ = rows
+    world = Rect(min(xlo), min(ylo), max(xhi), max(yhi))
     if world.width <= 0.0 or world.height <= 0.0:
         world = Rect(world.xl - 0.5, world.yl - 0.5,
                      world.xu + 0.5, world.yu + 0.5)
     grid = HilbertGrid(world)
-    entries = [Entry(rect, ref) for rect, ref in rects]
-    entries.sort(key=lambda e: grid.index_of_rect(e.rect))
-    runs = chunk_balanced(entries, leaf_capacity, params.min_entries)
-    tree._pack(runs)
+    key = [grid.index((xl + xu) / 2.0, (yl + yu) / 2.0)
+           for xl, yl, xu, yu in zip(xlo, ylo, xhi, yhi)]
+    order = sorted(range(len(key)), key=key.__getitem__)
+    tree._pack(rows, chunk_balanced(order, leaf_capacity,
+                                    params.min_entries))
     return tree

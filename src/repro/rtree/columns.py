@@ -101,7 +101,7 @@ class NodeColumns:
     the entry MBRs; ``refs`` is the parallel id buffer (child page ids
     for directory nodes, object ids for leaves).  Do not mutate the
     buffers in place — build a new view (tree mutations go through
-    ``Node.entries`` and invalidate the cached columns).
+    ``Node.entries``, which converts the node to its entry list).
     """
 
     __slots__ = ("xlo", "ylo", "xhi", "yhi", "refs")
@@ -120,26 +120,7 @@ class NodeColumns:
     @classmethod
     def from_entries(cls, entries: Sequence[Entry]) -> "NodeColumns":
         """Build columns from a sequence of ``Entry`` objects."""
-        if use_numpy():
-            n = len(entries)
-            xlo = np.empty(n, dtype=np.float64)
-            ylo = np.empty(n, dtype=np.float64)
-            xhi = np.empty(n, dtype=np.float64)
-            yhi = np.empty(n, dtype=np.float64)
-            refs = np.empty(n, dtype=np.int64)
-            for i, e in enumerate(entries):
-                r = e.rect
-                xlo[i] = r.xl
-                ylo[i] = r.yl
-                xhi[i] = r.xu
-                yhi[i] = r.yu
-                refs[i] = e.ref
-            return cls(xlo, ylo, xhi, yhi, refs)
-        return cls(array("d", (e.rect.xl for e in entries)),
-                   array("d", (e.rect.yl for e in entries)),
-                   array("d", (e.rect.xu for e in entries)),
-                   array("d", (e.rect.yu for e in entries)),
-                   array("q", (e.ref for e in entries)))
+        return cls.from_rect_refs([(e.rect, e.ref) for e in entries])
 
     @classmethod
     def from_coords(cls, xlo: Iterable[float], ylo: Iterable[float],
@@ -158,26 +139,12 @@ class NodeColumns:
     @classmethod
     def from_rect_refs(cls, records: Sequence[Tuple[Rect, int]]
                        ) -> "NodeColumns":
-        """Build columns from ``(rect, ref)`` pairs (raw data sets)."""
-        if use_numpy():
-            n = len(records)
-            xlo = np.empty(n, dtype=np.float64)
-            ylo = np.empty(n, dtype=np.float64)
-            xhi = np.empty(n, dtype=np.float64)
-            yhi = np.empty(n, dtype=np.float64)
-            refs = np.empty(n, dtype=np.int64)
-            for i, (r, ref) in enumerate(records):
-                xlo[i] = r.xl
-                ylo[i] = r.yl
-                xhi[i] = r.xu
-                yhi[i] = r.yu
-                refs[i] = ref
-            return cls(xlo, ylo, xhi, yhi, refs)
-        return cls(array("d", (r.xl for r, _ in records)),
-                   array("d", (r.yl for r, _ in records)),
-                   array("d", (r.xu for r, _ in records)),
-                   array("d", (r.yu for r, _ in records)),
-                   array("q", (ref for _, ref in records)))
+        """Build columns from ``(rect, ref)`` pairs (the one builder
+        from objects)."""
+        rects = [rect for rect, _ in records]
+        return cls.from_coords([r.xl for r in rects], [r.yl for r in rects],
+                               [r.xu for r in rects], [r.yu for r in rects],
+                               [ref for _, ref in records])
 
     @classmethod
     def from_records(cls, records) -> "NodeColumns":
@@ -244,14 +211,12 @@ class NodeColumns:
                            self.refs[lo:hi])
 
     def mbr(self) -> Rect:
-        """MBR of all rows (matches ``Node.mbr`` bit-for-bit)."""
+        """MBR of all rows, bit for bit :meth:`Rect.mbr_of` over them:
+        the first of equal extremes wins, so a signed zero is kept."""
         if not len(self.refs):
             raise ValueError("cannot take the MBR of zero entries")
-        if self.is_numpy:
-            return Rect(float(self.xlo.min()), float(self.ylo.min()),
-                        float(self.xhi.max()), float(self.yhi.max()))
-        return Rect(min(self.xlo), min(self.ylo),
-                    max(self.xhi), max(self.yhi))
+        return Rect(min(self.xlo.tolist()), min(self.ylo.tolist()),
+                    max(self.xhi.tolist()), max(self.yhi.tolist()))
 
     def refs_intersecting(self, rect: Rect) -> List[int]:
         """Refs of the rows whose MBR intersects *rect*, in row order —

@@ -6,21 +6,10 @@ leaves: 0 for data pages, ``height - 1`` for the root.  Nodes carry a
 entries are already in sweep order (Section 4.2 discusses maintaining
 sorted nodes vs. sorting on every read).
 
-A node holds its entries in one (or both) of two representations:
-
-* the **object path** — a list of :class:`~repro.rtree.entry.Entry`
-  objects, the mutable form all tree-maintenance code works on;
-* the **columnar path** — a :class:`~repro.rtree.columns.NodeColumns`
-  struct-of-arrays view the join kernels read.
-
-Either representation is materialized lazily from the other and cached.
-Code that mutates entries *through the list* (append, delete, in-place
-``entry.rect`` replacement) must call :meth:`Node.invalidate_columns`
-afterwards; ``RTreeBase._write`` does this for every structure
-modification, so tree code gets it for free.  Nodes loaded from disk or
-shipped to worker processes carry only columns until someone touches
-``.entries``.  :meth:`Node.sort_by_xl` reorders the representations a
-node holds and builds neither, so a columns-only node stays so.
+A node holds its entries in one representation at a time, an
+:class:`~repro.rtree.entry.Entry` list or
+:class:`~repro.rtree.columns.NodeColumns`; the rule and who converts
+when are stated once, in ``docs/columnar.md``.
 """
 
 from __future__ import annotations
@@ -34,7 +23,8 @@ from .entry import Entry
 
 
 class Node:
-    """One R-tree page: a level tag and a list of entries."""
+    """One R-tree page: a level tag and its entries, as a list of
+    ``Entry`` objects or as columns."""
 
     __slots__ = ("page_id", "level", "_entries", "_columns", "sorted_by_xl")
 
@@ -50,15 +40,24 @@ class Node:
         self.sorted_by_xl = False
 
     # ------------------------------------------------------------------
-    # Dual representation
+    # One representation at a time.  A conversion builds the new form
+    # from a local reference and publishes it before dropping the old
+    # one, so readers of a shared tree always find one of the two.
     # ------------------------------------------------------------------
 
     @property
     def entries(self) -> List[Entry]:
-        """The entry list (materialized from columns on first access)."""
-        if self._entries is None:
-            self._entries = self._columns.to_entries()
-        return self._entries
+        """The entry list, for in-place maintenance; a columnar node is
+        converted and drops its columns."""
+        entries = self._entries
+        if entries is None:
+            columns = self._columns
+            if columns is None:  # converted by another thread meanwhile
+                return self._entries
+            entries = columns.to_entries()
+            self._entries = entries
+            self._columns = None
+        return entries
 
     @entries.setter
     def entries(self, value: List[Entry]) -> None:
@@ -67,32 +66,24 @@ class Node:
 
     @property
     def columns(self) -> NodeColumns:
-        """Struct-of-arrays view of the entries (built lazily, cached).
-
-        The view is only valid until the next mutation; mutation sites
-        invalidate it via :meth:`invalidate_columns` (``RTreeBase._write``
-        calls it on every structure modification).
-        """
-        if self._columns is None:
-            self._columns = NodeColumns.from_entries(self._entries)
-        return self._columns
-
-    def invalidate_columns(self) -> None:
-        """Drop the cached columnar view after an in-place entry mutation.
-
-        A no-op for columnar-only nodes (nothing stale to drop: the
-        columns *are* the data until ``.entries`` is materialized)."""
-        if self._entries is not None:
-            self._columns = None
+        """The struct-of-arrays view the readers use; an entry node is
+        converted and drops its entry list."""
+        columns = self._columns
+        if columns is None:
+            entries = self._entries
+            if entries is None:  # converted by another thread meanwhile
+                return self._columns
+            columns = NodeColumns.from_entries(entries)
+            self._columns = columns
+            self._entries = None
+        return columns
 
     def has_materialized_entries(self) -> bool:
-        """True when the object-path entry list exists (reads test a
-        node in the representation it holds, see
-        :meth:`RTreeBase.window_query`)."""
+        """True when the node is in its ``Entry`` list form."""
         return self._entries is not None
 
     # ------------------------------------------------------------------
-    # Structure
+    # Reads in the form the node holds: none of these converts
     # ------------------------------------------------------------------
 
     @property
@@ -102,19 +93,38 @@ class Node:
 
     def mbr(self) -> Rect:
         """Minimum bounding rectangle of all entries."""
-        if self._entries is None:
-            if not len(self._columns):
-                raise ValueError(f"node {self.page_id} has no entries")
-            return self._columns.mbr()
-        if not self._entries:
-            raise ValueError(f"node {self.page_id} has no entries")
-        return Rect.mbr_of(e.rect for e in self._entries)
+        entries = self._entries
+        if entries is None:
+            columns = self.columns
+            if len(columns):
+                return columns.mbr()
+        elif entries:
+            return Rect.mbr_of(e.rect for e in entries)
+        raise ValueError(f"node {self.page_id} has no entries")
 
     def child_refs(self) -> List[int]:
-        """All entry refs, without materializing ``Entry`` objects."""
-        if self._entries is None:
-            return self._columns.child_refs()
-        return [e.ref for e in self._entries]
+        """All entry refs."""
+        entries = self._entries
+        if entries is None:
+            return self.columns.child_refs()
+        return [e.ref for e in entries]
+
+    def refs_intersecting(self, rect: Rect) -> List[int]:
+        """Refs of the entries whose MBR intersects *rect*, in order."""
+        entries = self._entries
+        if entries is None:
+            return self.columns.refs_intersecting(rect)
+        return [e.ref for e in entries if e.rect.intersects(rect)]
+
+    def __len__(self) -> int:
+        entries = self._entries
+        if entries is None:
+            return len(self.columns)
+        return len(entries)
+
+    # ------------------------------------------------------------------
+    # Mutation
+    # ------------------------------------------------------------------
 
     def replace_rect(self, index: int, rect: Rect) -> None:
         """Give entry *index* a new rectangle (its ref stays).  A new
@@ -124,32 +134,31 @@ class Node:
         self.sorted_by_xl = False
 
     def sort_by_xl(self) -> int:
-        """Bring the node into plane-sweep order (ascending lower x);
-        returns the comparisons charged (0 when already sorted)."""
+        """Bring the node into plane-sweep order (ascending lower x) in
+        the form it holds; returns the comparisons charged (0 when
+        already sorted)."""
         if self.sorted_by_xl:
             return 0
-        entries, cols = self._entries, self._columns
-        order, count = counted_xlo_order(
-            cols.xlo if entries is None else [e.rect.xl for e in entries])
-        if entries is not None:
+        entries = self._entries
+        if entries is None:
+            columns = self.columns
+            order, count = counted_xlo_order(columns.xlo)
+            self._columns = columns.take(order)
+        else:
+            order, count = counted_xlo_order([e.rect.xl for e in entries])
             entries[:] = [entries[i] for i in order]
-        if cols is not None:
-            self._columns = cols.take(order)
         self.sorted_by_xl = True
         return count
 
-    def __len__(self) -> int:
-        if self._entries is None:
-            return len(self._columns)
-        return len(self._entries)
-
     # ------------------------------------------------------------------
     # Pickling: ship columns, not Entry object graphs (parallel workers
-    # deserialize straight into the columnar fast path)
+    # deserialize straight into the columnar form)
     # ------------------------------------------------------------------
 
     def __getstate__(self):
-        cols = self.columns
+        entries = self._entries
+        cols = (self.columns if entries is None
+                else NodeColumns.from_entries(entries))
         if cols.is_numpy:
             payload = (cols.xlo, cols.ylo, cols.xhi, cols.yhi, cols.refs)
         else:

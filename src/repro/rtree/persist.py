@@ -19,8 +19,7 @@ a silently corrupt tree.
 buffers: the entry struct format ``"<4dq"`` is bit-compatible with the
 columns' numpy record dtype, so a page body encodes/decodes as one
 vectorized copy on the numpy backend — no per-entry ``Entry``/``Rect``
-object construction — and loaded nodes stay columnar until a caller
-touches ``.entries``.
+object construction.  A loaded node is columnar (``docs/columnar.md``).
 """
 
 from __future__ import annotations
@@ -169,9 +168,8 @@ def load_tree(path: str) -> RTreeBase:
     """Reconstruct a tree saved by :func:`save_tree`.
 
     The returned tree lives on a fresh :class:`MemoryPageStore` and is
-    fully operational (queries, joins, further updates).  Nodes come
-    back columnar-only; ``Entry`` objects materialize lazily if and
-    when tree-maintenance code needs them.
+    fully operational (queries, joins, further updates), and its
+    nodes are columnar.
     """
     with open(path, "rb") as f:
         raw = f.read(4 + _HEADER.size)

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.core import JoinContext, R_SIDE, S_SIDE, presort_trees
-from repro.geometry import Rect
-from repro.rtree import Entry
 from tests.conftest import build_rstar, make_rects
 
 
@@ -75,32 +73,6 @@ class TestSortedEntries:
         node = ctx.read(R_SIDE, child_id, 1)
         ctx.sorted_columns(R_SIDE, node)
         assert ctx.stats.comparisons.sort == 52
-
-    def test_on_read_cache_invalidated_across_mutation(self, trees):
-        """A sorted copy must die with its page's buffer residency.
-
-        Regression: mutate a page (as a relation insert/delete does),
-        evict it, read it back from disk — the context must rebuild
-        the sorted view instead of serving the pre-mutation copy.
-        """
-        ctx = JoinContext(*trees, buffer_kb=0, sort_mode="on_read")
-        root = ctx.read_root(R_SIDE)
-        child_id = root.entries[0].ref
-        node = ctx.read(R_SIDE, child_id, 1)
-        stale = ctx.sorted_columns(R_SIDE, node)
-        # Mutate the stored page the way a tree insert does.
-        node.entries.append(Entry(Rect(-5.0, -5.0, -4.0, -4.0), 999_999))
-        node.invalidate_columns()
-        # Evict (zero buffer: reading a sibling displaces the path
-        # slot), then re-read from disk.
-        ctx.read(R_SIDE, root.entries[1].ref, 1)
-        reread = ctx.read(R_SIDE, child_id, 1)
-        fresh = ctx.sorted_columns(R_SIDE, reread)
-        assert 999_999 not in stale.child_refs()
-        assert 999_999 in fresh.child_refs()
-        assert fresh is not stale
-        xls = list(fresh.xlo)
-        assert xls == sorted(xls)
 
     def test_on_read_does_not_mutate_node(self, trees):
         ctx = JoinContext(*trees, sort_mode="on_read")

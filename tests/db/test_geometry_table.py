@@ -290,30 +290,6 @@ class TestDerived:
         assert columns == _columns(GeometryTable.of(expected)) | {
             "stamps": columns["stamps"]}
 
-    @SETTINGS
-    @given(base=tables, rebuilds=st.lists(
-        st.tuples(tables, st.sets(oids, max_size=5)), min_size=1,
-        max_size=3))
-    def test_merged_tables_share_the_kept_rows_mbrs(self, backend, base,
-                                                    rebuilds):
-        table = GeometryTable.of(base)
-        expected = dict(base)
-        for added, hidden in rebuilds:
-            before = {oid: mbr for mbr, oid in table.records()}
-            table = table.merged(hidden, GeometryTable.of(added))
-            kept = {oid for oid in expected
-                    if oid not in hidden and oid not in added}
-            expected = {oid: expected[oid] for oid in kept}
-            expected.update(added)
-            records = table.records()
-            assert [oid for _, oid in records] == sorted(expected)
-            for mbr, oid in records:
-                assert _bits(mbr) == _bits(geometry_mbr(expected[oid]))
-                if oid in kept:
-                    assert mbr is before[oid]
-            assert all(a is b for (a, _), (b, _) in zip(records,
-                                                         table.records()))
-
     def test_tables_of_either_backend_derive_alike(self):
         if not HAVE_NUMPY:
             pytest.skip("numpy backend unavailable")

@@ -16,6 +16,8 @@ SJ3 presorts nodes in place, so every comparison here runs on freshly
 built trees rather than the shared session fixtures.
 """
 
+import math
+import pickle
 import time
 
 import pytest
@@ -117,20 +119,28 @@ def test_histogram_bucket_boundaries_stable_across_runs():
 
 
 def test_disabled_tracer_wall_clock_overhead_is_marginal():
-    # Robust timing: best of several runs each way; the disabled path
-    # must not cost more than the enabled path plus noise (the enabled
-    # path does strictly more work), which bounds the instrumentation's
-    # overhead well under the 5% budget. The two paths alternate, so a
-    # change in machine load falls on both rather than on one block.
-    def once(trace):
-        tree_r, tree_s = fresh_trees()
+    # Robust timing: best of several samples each way; the disabled
+    # path must not cost more than the enabled path plus noise (the
+    # enabled path does strictly more work), which bounds the
+    # instrumentation's overhead well under the 5% budget. One join
+    # takes a few milliseconds, too short to resolve 5%, so a sample
+    # is a timed section of enough joins to last at least 50 ms, each
+    # on its own fresh copy of the trees. The two paths alternate, so
+    # a change in machine load falls on both rather than on one block.
+    blob = pickle.dumps(fresh_trees())
+
+    def sample(trace, joins):
         spec = JoinSpec(algorithm="sj4", buffer_kb=64.0, trace=trace)
+        copies = [pickle.loads(blob) for _ in range(joins)]
         start = time.perf_counter()
-        spatial_join(tree_r, tree_s, spec=spec)
+        for tree_r, tree_s in copies:
+            spatial_join(tree_r, tree_s, spec=spec)
         return time.perf_counter() - start
 
+    per_join = sample(trace=False, joins=4) / 4
+    joins = max(16, math.ceil(0.05 / per_join) + 1)
     disabled = enabled = float("inf")
     for _ in range(5):
-        disabled = min(disabled, once(trace=False))
-        enabled = min(enabled, once(trace=True))
+        disabled = min(disabled, sample(trace=False, joins=joins))
+        enabled = min(enabled, sample(trace=True, joins=joins))
     assert disabled <= enabled * 1.05 + 1e-3
