@@ -39,6 +39,13 @@ _OPS = (("join", True), ("explain", True), ("window", True),
         ("knn", True), ("get", True), ("insert", False),
         ("delete", False), ("create", False), ("drop", False))
 
+#: op -> {payload field: column typecodes}: the lists a cached payload
+#: of that op (and of its ``<op>@base`` level) keeps as
+#: :class:`~repro.serve.cache.Columns` — ids ``q``, join pairs ``qq``,
+#: kNN ``[ref, distance]`` neighbours ``qd``.
+COLUMNS = {"window": {"refs": "q"}, "knn": {"neighbors": "qd"},
+           "join": {"pairs": "qq"}}
+
 Handler = Callable[[Dict[str, Any], Optional[float]], Any]
 
 
@@ -216,8 +223,8 @@ class RequestPipeline:
             self.obs.metrics.inc(f"{self.PREFIX}.cache.misses")
         with self._guard(True):
             payload = handler(request, deadline)
-        self.cache.put(key, payload, nbytes=len(json.dumps(payload)),
-                       relations=relations)
+        self.cache.put(key, payload, relations=relations,
+                       columns=COLUMNS.get(request["op"]))
         return payload, False
 
     def _write(self, handler: Handler, request: Dict[str, Any],
@@ -295,7 +302,8 @@ class RequestPipeline:
                               "misses": cache.misses,
                               "evictions": cache.evictions,
                               "hit_rate": round(cache.hits / lookups, 4)
-                              if lookups else 0.0}}
+                              if lookups else 0.0,
+                              "by_op": cache.by_op()}}
         snapshot.update(self._stats_sections())
         latency = latency_section(self.obs, f"{prefix}.time_ms")
         if latency is not None:

@@ -55,7 +55,6 @@ to the join metrics.
 from __future__ import annotations
 
 import contextlib
-import json
 import threading
 import time
 from dataclasses import replace
@@ -74,7 +73,7 @@ from ..obs.core import Observability
 from .cache import normalized_key
 from .fields import (bool_field, join_fields, k_field, number_field,
                      oid_field, string_field, window_field)
-from .pipeline import RequestPipeline, latency_section
+from .pipeline import COLUMNS, RequestPipeline, latency_section
 from .protocol import geometry_from_json, geometry_to_json
 
 
@@ -232,7 +231,8 @@ class QueryService(RequestPipeline):
         invalidate the full-key entry but leave these intact, so a
         read after a write replays only the delta overlay on top of
         the cached base result.  Shares the one :class:`ResultCache`
-        (and its hit/miss accounting) with the full-key level.
+        (and its hit/miss accounting) and the pipeline's
+        :data:`~repro.serve.pipeline.COLUMNS` with the full-key level.
         """
         key = _base_key(op, request["_params_json"],
                         [(snap.name, snap.base_epoch)
@@ -245,7 +245,7 @@ class QueryService(RequestPipeline):
         if self.obs.enabled:
             self.obs.metrics.inc("serve.cache.base_misses")
         payload = compute()
-        self.cache.put(key, payload, nbytes=len(json.dumps(payload)))
+        self.cache.put(key, payload, columns=COLUMNS[op])
         return payload
 
     # ------------------------------------------------------------------
@@ -323,10 +323,10 @@ class QueryService(RequestPipeline):
         rect = window_field(request)
         exact = bool_field(request, "exact", False)
         snap = self.db.relation(name).snapshot()
-        base_refs = self._base_cached(
+        base = self._base_cached(
             "window", request, (snap,),
-            lambda: snap.window_base(rect, exact))
-        refs = snap.window_overlay(base_refs, rect, exact)
+            lambda: {"refs": snap.window_base(rect, exact)})
+        refs = snap.window_overlay(base["refs"], rect, exact)
         return {"refs": refs, "count": len(refs)}
 
     def _op_knn(self, request: Dict[str, Any],
@@ -431,8 +431,8 @@ class QueryService(RequestPipeline):
             raise
         with self._locked():
             relation.commit_rebuild(tree, objects)
-            for key, payload, nbytes in carried:
-                self.cache.put(key, payload, nbytes=nbytes)
+            for key, payload in carried:
+                self.cache.put(key, payload, columns=COLUMNS["join"])
             if self.durability is not None:
                 self.durability.checkpoint()
         self.rebuilds += 1
@@ -443,11 +443,10 @@ class QueryService(RequestPipeline):
                 (time.perf_counter() - started) * 1e3)
         return True
 
-    def _carry_joins(self, relation
-                     ) -> List[Tuple[str, Dict[str, Any], int]]:
+    def _carry_joins(self, relation) -> List[Tuple[str, Dict[str, Any]]]:
         """The cached base joins over *relation*, carried across its
-        rebuild in flight: ``(key, payload, nbytes)`` per join, keyed
-        for the bases the commit installs.
+        rebuild in flight: ``(key, payload)`` per join, keyed for the
+        bases the commit installs.
 
         Each registered join whose ``join@base`` entry is cached at the
         current bases and reads *relation* becomes
@@ -497,7 +496,7 @@ class QueryService(RequestPipeline):
                                 [(snap.name,
                                   snap.base_epoch + (snap.name == name))
                                  for snap in snaps], catalog_epoch)
-                carried.append((key, payload, len(json.dumps(payload))))
+                carried.append((key, payload))
             except Exception as exc:  # noqa: BLE001 — never fail the merge
                 if self.obs.enabled:
                     self.obs.metrics.inc("serve.join.carry_errors")
@@ -568,7 +567,7 @@ def _base_key(op: str, params_json: str, epochs: List[Tuple[str, int]],
 
 
 def _join_result(payload: Dict[str, Any]) -> JoinResult:
-    """A cached ``join@base`` payload as the :class:`JoinResult` the
-    overlay takes."""
-    return JoinResult([tuple(pair) for pair in payload["pairs"]],
+    """A ``join@base`` payload as the :class:`JoinResult` the overlay
+    takes (its pairs are tuples, fresh from the cache or the join)."""
+    return JoinResult(payload["pairs"],
                       JoinStatistics.from_dict(payload["stats"]))

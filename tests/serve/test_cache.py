@@ -69,11 +69,6 @@ class TestLRU:
         assert cache.entries == 1
         assert cache.get("k") == "new"
 
-    def test_default_nbytes_is_json_size(self):
-        cache = ResultCache(max_entries=10, max_bytes=1 << 20)
-        cache.put("k", {"a": 1})
-        assert cache.bytes == len('{"a": 1}')
-
     def test_clear(self):
         cache = ResultCache()
         cache.put("k", 1, nbytes=1)

@@ -50,7 +50,7 @@ class TestBasicOps:
         assert snapshot["counters"]["serve.requests"] >= 1
         assert set(snapshot["cache"]) == {"entries", "bytes", "hits",
                                           "misses", "evictions",
-                                          "hit_rate"}
+                                          "hit_rate", "by_op"}
 
     def test_stats_cache_hit_rate_and_evictions(self, client):
         params = dict(left="streets", right="rivers", algorithm="sj2")
