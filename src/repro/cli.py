@@ -257,9 +257,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="WAL records between automatic checkpoints "
                             "(default 256)")
     _add_server_flags(serve, port=7421, who="server")
-    serve.add_argument("--max-retries", type=int, default=2,
-                       help="transient worker-failure retries per "
-                            "request (default 2)")
+    serve.add_argument("--cache-mb", type=float, default=64.0,
+                       help="result cache budget in MByte (default 64)")
+    serve.add_argument("--cache-entries", type=int, default=4096,
+                       help="result cache budget in entries "
+                            "(default 4096)")
     serve.add_argument("--slow-ms", type=float, default=None,
                        help="log every request slower than this many "
                             "milliseconds (and count it in "
@@ -389,8 +391,8 @@ def _add_server_flags(parser: argparse.ArgumentParser, port: int,
                       who: str) -> None:
     """The flags ``serve`` and ``shard serve`` share: the listening
     socket plus the request pipeline's worker pool, admission queue,
-    result cache, default deadline and shutdown trace (*who* names
-    the process in the help text)."""
+    default deadline and shutdown trace (*who* names the process in
+    the help text)."""
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=port,
                         help=f"{who} TCP port (0 picks a free one; "
@@ -402,12 +404,6 @@ def _add_server_flags(parser: argparse.ArgumentParser, port: int,
                         help=f"{who} admission-control queue depth; a "
                              f"full queue sheds requests with an "
                              f"'overloaded' error (default 64)")
-    parser.add_argument("--cache-mb", type=float, default=64.0,
-                        help=f"{who} result cache budget in MByte "
-                             f"(default 64)")
-    parser.add_argument("--cache-entries", type=int, default=4096,
-                        help=f"{who} result cache budget in entries "
-                             f"(default 4096)")
     parser.add_argument("--timeout-ms", type=float, default=30_000.0,
                         help="default per-request deadline "
                              "(default 30000)")
@@ -421,8 +417,6 @@ def _pipeline_options(args: argparse.Namespace, obs) -> dict:
     """Constructor arguments of the request pipeline behind
     :func:`_add_server_flags`."""
     return dict(workers=args.workers, queue_depth=args.queue,
-                cache_entries=args.cache_entries,
-                cache_bytes=int(args.cache_mb * (1 << 20)),
                 default_timeout=(args.timeout_ms / 1e3
                                  if args.timeout_ms else None),
                 obs=obs)
@@ -681,8 +675,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         db = SpatialDatabase.open(args.db)
     service = QueryService(
-        db, max_retries=args.max_retries, durability=durability,
-        slow_ms=args.slow_ms,
+        db, durability=durability, slow_ms=args.slow_ms,
+        cache_entries=args.cache_entries,
+        cache_bytes=int(args.cache_mb * (1 << 20)),
         rebuild_threshold=(args.rebuild_threshold or None),
         rebuild_every=args.rebuild_every,
         **_pipeline_options(args, obs))
@@ -759,8 +754,7 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
     print(f"serving {len(db)} relation(s) from {args.db} on "
           f"{host}:{port} ({topology.n_shards} {args.mode} shards, "
           f"grid {grid_txt}, router workers {args.workers}, "
-          f"queue {args.queue}, cache {args.cache_mb:g} MB/"
-          f"{args.cache_entries} entries)", flush=True)
+          f"queue {args.queue})", flush=True)
 
     def summarize():
         drained = topology.drain()
@@ -768,9 +762,7 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
         yield (f"shutting down: {counters.get('shard.requests', 0)} "
                f"requests routed, "
                f"{counters.get('shard.subrequests', 0)} shard "
-               f"sub-requests, "
-               f"{counters.get('shard.cache.hits', 0)} cache hits, "
-               f"{drained} shard(s) drained")
+               f"sub-requests, {drained} shard(s) drained")
 
     return _serve_until_signalled(
         server, obs, args, summarize,

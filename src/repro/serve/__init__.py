@@ -9,9 +9,10 @@ insert/delete through a line-oriented JSON protocol, with
 * a worker-pool scheduler with **admission control** — bounded queue,
   per-request deadlines, load shedding
   (:mod:`repro.serve.scheduler`),
-* a shared **result cache** — LRU in entries and bytes, keyed by
-  normalized query + relation epochs so mutations invalidate instantly
-  (:mod:`repro.serve.cache`),
+* one **result cache** of the base-tree work of windows, joins and
+  explains — LRU in entries and bytes, keyed by normalized query +
+  each relation's base epoch, so writes leave it reachable and reads
+  replay only the delta overlay (:mod:`repro.serve.cache`),
 * per-request **observability** — the ``serve.request`` aggregate
   timer and ``serve.*`` metrics in the same registry ``repro report``
   renders (:mod:`repro.obs`).

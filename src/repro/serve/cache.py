@@ -1,44 +1,33 @@
-"""The shared query-result cache: LRU in entries *and* bytes.
+"""The query service's result cache: LRU in entries *and* bytes.
 
-Results are cached under a key that combines the *normalized query*
-(``op`` plus its semantically relevant parameters, canonical JSON) with
-the *epochs* of everything the query read: the catalog epoch of the
-:class:`~repro.db.SpatialDatabase` plus the mutation epoch of every
-relation involved.  :meth:`~repro.db.SpatialRelation.insert` and
-:meth:`~repro.db.SpatialRelation.delete` bump the relation epoch, so a
-mutation instantly makes every previously cached result for that
-relation unreachable — stale results are never *served*.  The dead
-entries are retired on write: every entry admitted with the names of
-the relations whose epochs stamp its key is indexed under them, and
-the request pipeline calls :meth:`ResultCache.retire` with the
-relation a write bumped (and with no name, retiring everything, when a
-``create``/``drop`` bumped the catalog epoch).  A dead entry never
-waits for LRU pressure to push it out, holding memory no request can
-reach.
+What a served read spends its time on is tree work: the SJ1–SJ5 join
+of two base R*-trees, the window descent over one base tree, the plan
+over two.  Under MVCC ingest (see :mod:`repro.db.relation`) that work
+depends on a relation's *base* only — a delta write changes what the
+request answers, never what its base computation returns — so the
+:class:`~repro.serve.service.QueryService` caches exactly that part,
+under a key that combines the *normalized query* (``op`` plus its
+semantically relevant parameters, canonical JSON) with the
+``base_epoch`` of every relation it read and the catalog epoch of the
+:class:`~repro.db.SpatialDatabase`, and replays the cheap delta
+overlay on every request.  A delta write leaves every key reachable; a
+rebuild bumps ``base_epoch`` (the service carries cached joins across
+it); a ``create``/``drop`` bumps the catalog epoch and the service
+clears the cache.  Nothing else is cached: kNN and ``get`` are cheap
+and rarely repeat, and the shard router fronts shards that cache
+their own base work.
 
-Under MVCC ingest (see :mod:`repro.db.relation`) the service stores a
-second level in the same cache: ``<op>@base`` entries stamped with each
-snapshot's ``base_epoch`` instead of its mutation epoch.  Delta writes
-bump only the mutation epoch, so the expensive base-tree computation
-stays cached across writes and a post-write read replays just the
-delta overlay — this is what keeps the hit rate high under mixed
-read/write workloads, where an invalidate-on-every-write cache would
-sit near zero.  These entries are admitted without relation names, so
-a delta write never retires them.
-
-An entry holds its payload's id and distance lists as typed columns
-(:class:`Columns`: ``array('q')`` ids, ``array('d')`` distances, one
-representation on every backend), so a cached id costs 8 bytes where a
-list of Python ints costs about 36.  A put names the payload fields
-that are such lists — window refs, kNN ``[ref, distance]`` neighbours,
-a join's sorted pairs — and the cache keeps them as columns and a copy
-of the rest (:func:`freeze`); the producer's own payload is never
-kept, so it can go to the caller that asked.  Every read of an entry
-(:meth:`ResultCache.get`, :meth:`ResultCache.peek`) builds a fresh
-payload from it (:func:`thaw`): lists again, every dict and list a
-new one, so a hit's wire bytes and what an in-process caller receives
-are what the producer computed, and no caller can reach a container
-the cache keeps.
+An entry holds its payload's id lists as typed columns
+(:class:`Columns`: ``array('q')`` ids, one representation on every
+backend), so a cached id costs 8 bytes where a list of Python ints
+costs about 36.  A put names the payload fields that are such lists —
+window refs, a join's sorted pairs — and the cache keeps them as
+columns and a copy of the rest (:func:`freeze`); the producer's own
+payload is never kept, so it can go to the caller that asked.  Every
+read of an entry (:meth:`ResultCache.get`, :meth:`ResultCache.peek`)
+builds a fresh payload from it (:func:`thaw`): lists again, every dict
+and list a new one, so what a caller receives is what the producer
+computed, and no caller can reach a container the cache keeps.
 
 Capacity is bounded two ways, as real result caches are: a maximum
 entry count (lookup-table pressure) and a maximum byte total (memory
@@ -47,7 +36,7 @@ the rest of its payload, its key and a fixed per-entry cost
 (:func:`held_bytes`) — so the byte budget bounds memory rather than
 some encoding of it.  A single result larger than the byte budget is
 simply not admitted.  :meth:`ResultCache.by_op` breaks occupancy and
-outcomes down by op, the ``<op>@base`` levels apart.
+outcomes down by op.
 """
 
 from __future__ import annotations
@@ -57,15 +46,15 @@ import sys
 import threading
 from array import array
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
-#: One cached result: (payload, nbytes, relations it is indexed under).
-_Entry = Tuple[Any, int, Tuple[str, ...]]
+#: One cached result: (payload, nbytes).
+_Entry = Tuple[Any, int]
 
 #: What one entry costs beyond its payload and key: its slot in the
 #: LRU table, the entry tuple and the ``nbytes`` int (measured with
 #: ``tracemalloc`` on CPython 3.11; ``tests/serve/
-#: test_cache_accounting.py`` holds the total to the traced bytes).
+#: test_one_level_cache.py`` holds the total to the traced bytes).
 _ENTRY_BYTES = 200
 
 
@@ -73,8 +62,8 @@ class Columns:
     """A list a cached payload holds as typed columns.
 
     One typecode makes a flat list one column (``"q"``: window refs);
-    two make a list of pairs two columns (``"qq"``: join pairs,
-    ``"qd"``: kNN ``[ref, distance]`` neighbours).  :meth:`tolist`
+    two make a list of pairs two columns (``"qq"``: join pairs).
+    :meth:`tolist`
     rebuilds the list with one ``tolist()`` per column, its pairs of
     the type the producer's pairs had (``tuple`` or ``list``).
     """
@@ -159,9 +148,10 @@ def normalized_key(op: str, params: Optional[Dict[str, Any]],
     *params* must already exclude per-request noise (request id,
     deadline); *epochs* is an iterable of ``(relation_name, epoch)``
     pairs for every relation the query reads.  *params_json* is an
-    optional pre-serialized (sorted-keys) form of *params* — the hot
-    read path canonicalizes the parameters once and builds both its
-    cache keys from the same string.
+    optional pre-serialized (sorted-keys) form of *params*: the service
+    canonicalizes a request once and keys both its entry and, for a
+    join, the registration that carries the entry across rebuilds
+    with the same string.
     """
     if params_json is None:
         params_json = json.dumps(params, sort_keys=True)
@@ -188,19 +178,14 @@ class ResultCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
-        #: key -> (payload, nbytes, relations); insertion order is
-        #: recency order.
+        #: key -> (payload, nbytes); insertion order is recency order.
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        #: relation name -> the keys of the live entries admitted under
-        #: it (a name with no live entry has no set).
-        self._keys_of: Dict[str, Set[str]] = {}
         #: op (the key up to its first ``|``) -> its counts.
         self._ops: Dict[str, _OpCounts] = {}
         self._bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.retired = 0
 
     # ------------------------------------------------------------------
     # Lookup / admission
@@ -230,12 +215,9 @@ class ResultCache:
         return None if cell is None else thaw(cell[0])
 
     def put(self, key: str, payload: Any, nbytes: Optional[int] = None,
-            relations: Tuple[str, ...] = (),
             columns: Optional[Dict[str, str]] = None) -> bool:
-        """Admit *payload*, indexed under *relations* (the relations
-        whose epochs stamp *key*) for :meth:`retire`; returns False
-        when it exceeds the byte budget outright (the cache is left
-        untouched then).
+        """Admit *payload*; returns False when it exceeds the byte
+        budget outright (the cache is left untouched then).
 
         The entry is :func:`freeze` of *payload*, with the fields
         *columns* names held as columns; *payload* itself stays the
@@ -252,45 +234,23 @@ class ResultCache:
             old = self._entries.pop(key, None)
             if old is not None:
                 self._forget(key, old)
-            self._entries[key] = (payload, nbytes, relations)
+            self._entries[key] = (payload, nbytes)
             self._bytes += nbytes
             counts = self._op_counts(key)
             counts.entries += 1
             counts.bytes += nbytes
-            for name in relations:
-                self._keys_of.setdefault(name, set()).add(key)
             while (len(self._entries) > self.max_entries
                    or self._bytes > self.max_bytes):
                 self._forget(*self._entries.popitem(last=False))
                 self.evictions += 1
         return True
 
-    def retire(self, relation: Optional[str] = None) -> int:
-        """Drop the entries admitted under *relation* — every entry
-        when None — because a write made their keys unreachable;
-        returns how many went."""
-        with self._lock:
-            if relation is None:
-                dropped = len(self._entries)
-                self._reset()
-            else:
-                keys = self._keys_of.get(relation, ())
-                dropped = len(keys)
-                for key in list(keys):
-                    self._forget(key, self._entries.pop(key))
-            self.retired += dropped
-        return dropped
-
     def clear(self) -> None:
         with self._lock:
-            self._reset()
-
-    def _reset(self) -> None:
-        self._entries.clear()
-        self._keys_of.clear()
-        self._bytes = 0
-        for counts in self._ops.values():
-            counts.entries = counts.bytes = 0
+            self._entries.clear()
+            self._bytes = 0
+            for counts in self._ops.values():
+                counts.entries = counts.bytes = 0
 
     def _op_counts(self, key: str) -> _OpCounts:
         """The counts of *key*'s op (caller holds the lock)."""
@@ -307,12 +267,6 @@ class ResultCache:
         counts = self._op_counts(key)
         counts.entries -= 1
         counts.bytes -= entry[1]
-        for name in entry[2]:
-            keys = self._keys_of.get(name)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._keys_of[name]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -327,8 +281,7 @@ class ResultCache:
         return self._bytes
 
     def by_op(self) -> Dict[str, Dict[str, int]]:
-        """``op -> {entries, bytes, hits, misses}``, the ``<op>@base``
-        levels listed apart."""
+        """``op -> {entries, bytes, hits, misses}``."""
         with self._lock:
             return {op: {"entries": counts.entries,
                          "bytes": counts.bytes,

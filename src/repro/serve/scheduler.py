@@ -1,7 +1,7 @@
 """The worker-pool request scheduler with admission control.
 
 Requests enter a *bounded* queue and are executed by a fixed pool of
-worker threads.  Three protections keep an overloaded server degrading
+worker threads.  Two protections keep an overloaded server degrading
 predictably instead of collapsing:
 
 * **Load shedding** — :meth:`RequestScheduler.submit` never blocks: a
@@ -13,15 +13,13 @@ predictably instead of collapsing:
   with :class:`~repro.errors.QueryTimeout` *without executing*
   (``serve.deadline_expired``); executing work enforces the same
   deadline cooperatively via ``JoinSpec.timeout``.
-* **Retries** — transient worker failures
-  (:class:`~repro.storage.faults.TransientIOError`, the same class the
-  buffer manager retries at page granularity) are retried up to
-  ``max_retries`` times with the counted exponential backoff of the
-  storage layer: the would-be delay is recorded in
-  ``serve.retry_backoff_ticks`` instead of slept.
+
+A request that fails fails once: transient page-read faults are the
+buffer manager's to retry, at page granularity, and no served relation
+reads through a fault-injecting store.
 
 A cheap request may skip the handoff: :meth:`RequestScheduler.run_inline`
-runs it on the calling thread, through the same retry and timing
+runs it on the calling thread, through the same deadline and timing
 code, when nothing is queued and an execution slot is free.  Workers
 and inline callers share the ``workers`` slots, so at most ``workers``
 handlers ever execute at once; anything that cannot run inline is
@@ -29,7 +27,7 @@ submitted as usual, so shedding and queue expiry are unchanged.
 
 Observability mirrors the queue into the shared registry: the
 ``serve.queue_depth`` gauge, ``serve.wait_ms``/``serve.exec_ms``
-histograms, and the shed/expiry/retry counters.
+histograms, and the shed/expiry counters.
 """
 
 from __future__ import annotations
@@ -38,11 +36,10 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from typing import Callable, Optional, Tuple, Type
+from typing import Callable, Optional
 
 from ..errors import OverloadedError, QueryTimeout
 from ..obs.core import NULL_OBS, Observability
-from ..storage.faults import TransientIOError
 
 
 class _Job:
@@ -62,22 +59,13 @@ class RequestScheduler:
     """Bounded-queue worker pool executing submitted callables."""
 
     def __init__(self, workers: int = 4, queue_depth: int = 64,
-                 max_retries: int = 2, backoff_base: int = 1,
-                 retryable: Tuple[Type[BaseException], ...] =
-                 (TransientIOError,),
                  obs: Optional[Observability] = None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1 ({workers})")
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1 ({queue_depth})")
-        if max_retries < 0:
-            raise ValueError(
-                f"max_retries cannot be negative ({max_retries})")
         self.workers = workers
         self.queue_depth = queue_depth
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.retryable = retryable
         self.obs = obs if obs is not None else NULL_OBS
         self._queue: "queue.Queue[Optional[_Job]]" = queue.Queue(
             maxsize=queue_depth)
@@ -188,29 +176,12 @@ class RequestScheduler:
 
     def _run(self, job: _Job) -> None:
         start = time.perf_counter()
-        attempt = 0
-        while True:
-            try:
-                result = job.fn()
-            except self.retryable as exc:
-                if attempt >= self.max_retries:
-                    job.future.set_exception(exc)
-                    break
-                # Counted exponential backoff, like the buffer
-                # manager's page retries: recorded, never slept.
-                ticks = self.backoff_base << attempt
-                attempt += 1
-                if self.obs.enabled:
-                    self.obs.metrics.inc("serve.retries")
-                    self.obs.metrics.observe("serve.retry_backoff_ticks",
-                                             ticks)
-                continue
-            except BaseException as exc:
-                job.future.set_exception(exc)
-                break
-            else:
-                job.future.set_result(result)
-                break
+        try:
+            result = job.fn()
+        except BaseException as exc:
+            job.future.set_exception(exc)
+        else:
+            job.future.set_result(result)
         if self.obs.enabled:
             self.obs.metrics.observe(
                 "serve.exec_ms", (time.perf_counter() - start) * 1e3)

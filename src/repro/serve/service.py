@@ -2,11 +2,11 @@
 
 :class:`QueryService` is the :class:`~repro.serve.pipeline.
 RequestPipeline` over one local database.  The pipeline owns the
-request path (deadline, admission, result cache, error mapping,
-metrics — see :mod:`repro.serve.pipeline`); this module supplies the
-local side of it: cache keys stamped with the database's epochs, the
-lock policy below, the ``_op_*`` handlers over MVCC snapshots, and the
-background rebuilder.  The TCP front end (:mod:`repro.serve.server`)
+request path (deadline, admission, error mapping, metrics — see
+:mod:`repro.serve.pipeline`); this module supplies the local side of
+it: the lock policy below, the ``_op_*`` handlers over MVCC snapshots,
+the result cache of their base-tree work, and the background
+rebuilder.  The TCP front end (:mod:`repro.serve.server`)
 and the in-process :class:`~repro.serve.server.ServiceClient` both
 speak to this class.
 
@@ -31,18 +31,20 @@ shared tree nodes — so concurrent readers never mutate shared state.
 (The default ``maintained`` regime physically sorts node entry lists
 in place, which would race across reader threads.)
 
-Caching is two-level: the full epoch-stamped key (any write to a
-touched relation invalidates — this is what the envelope ``cached``
-flag reports) plus a ``<op>@base`` key stamped with the relations'
-``base_epoch``, holding the expensive base-tree computation of joins
-and window queries.  Delta writes leave ``base_epoch`` alone, so after
-a write the service re-runs only the cheap delta overlay on top of a
-base-cache hit instead of the whole join.  A rebuild does bump
-``base_epoch``, and the rebuilder carries each cached ``join@base``
-entry across it: the join of the merged base is the old entry
-overlaid with the delta the rebuild merged, installed together with
-the new tree — so a served join computes its base once, not once per
-rebuild.
+The service owns the one :class:`~repro.serve.cache.ResultCache` and
+decides what enters it: the base-tree work of ``join``, ``window`` and
+``explain`` — the SJ1–SJ5 join of two base trees, the window descent
+over one, the plan over two — keyed by the request's parameters, each
+relation's ``base_epoch`` and the catalog epoch.  Delta writes leave
+``base_epoch`` alone, so a read after a write hits and re-runs only
+the cheap delta overlay, which every request runs; the envelope's
+``cached`` flag says whether the tree work came from the cache.  kNN
+and ``get`` are cheap and rarely repeat, so they are never cached.
+A rebuild bumps ``base_epoch``, and the rebuilder carries each cached
+join across it: the join of the merged base is the old entry overlaid
+with the delta the rebuild merged, installed together with the new
+tree — so a served join computes its base once, not once per rebuild.
+``create`` and ``drop`` bump the catalog epoch and clear the cache.
 
 Every request folds its time into the ``serve.request`` aggregate
 timer on the server's :class:`~repro.obs.Observability` handle (never
@@ -55,6 +57,7 @@ to the join metrics.
 from __future__ import annotations
 
 import contextlib
+import json
 import threading
 import time
 from dataclasses import replace
@@ -70,11 +73,21 @@ from ..db.database import SpatialDatabase
 from ..db.delta import FrozenDelta
 from ..db.snapshot import Snapshot
 from ..obs.core import Observability
-from .cache import normalized_key
+from ..plan.optimizer import plan_join
+from .cache import ResultCache, normalized_key
 from .fields import (bool_field, join_fields, k_field, number_field,
                      oid_field, string_field, window_field)
-from .pipeline import COLUMNS, RequestPipeline, latency_section
+from .pipeline import Cached, RequestPipeline, latency_section
 from .protocol import geometry_from_json, geometry_to_json
+
+#: Fields every request may carry that do not affect the result (and
+#: therefore never enter a cache key).
+_ENVELOPE_FIELDS = ("id", "op", "timeout_ms")
+
+#: op -> {payload field: column typecodes}: the lists a cached payload
+#: of that op keeps as :class:`~repro.serve.cache.Columns` — window ids
+#: ``q``, join pairs ``qq``.
+COLUMNS = {"window": {"refs": "q"}, "join": {"pairs": "qq"}}
 
 
 #: What a read runs under (stateless, so one instance serves every
@@ -138,7 +151,6 @@ class QueryService(RequestPipeline):
                  queue_depth: int = 64, cache_entries: int = 4096,
                  cache_bytes: int = 64 << 20,
                  default_timeout: Optional[float] = 30.0,
-                 max_retries: int = 2,
                  obs: Optional[Observability] = None,
                  durability: Optional["DurabilityManager"] = None,
                  slow_ms: Optional[float] = None,
@@ -150,10 +162,10 @@ class QueryService(RequestPipeline):
             raise ValueError("rebuild_threshold must be >= 1 (or None)")
         if rebuild_every is not None and rebuild_every <= 0:
             raise ValueError("rebuild_every must be positive (or None)")
-        super().__init__(workers, queue_depth, cache_entries,
-                         cache_bytes, default_timeout, obs,
-                         max_retries=max_retries)
+        super().__init__(workers, queue_depth, default_timeout, obs)
         self.db = db
+        self.cache = ResultCache(max_entries=cache_entries,
+                                 max_bytes=cache_bytes)
         #: Pending delta operations that trigger a background merge.
         self.rebuild_threshold = rebuild_threshold
         #: Periodic merge interval in seconds (None: threshold only).
@@ -174,7 +186,7 @@ class QueryService(RequestPipeline):
         self.durability = durability
         #: ``params_json -> (left, right, spec without timeout,
         #: refine)`` of the joins served: what the rebuilder needs to
-        #: carry their ``join@base`` entries (:meth:`_carry_joins`).
+        #: carry their cached entries (:meth:`_carry_joins`).
         self._joins: Dict[str, Tuple[str, str, JoinSpec, bool]] = {}
         self._lock = ReadWriteLock()
         self._rebuild_stop = threading.Event()
@@ -189,15 +201,8 @@ class QueryService(RequestPipeline):
     # What the pipeline asks of a local database
     # ------------------------------------------------------------------
 
-    def _relation_epoch(self, name: str) -> int:
-        relation = self.db.relations.get(name)
-        return -1 if relation is None else relation.epoch
-
-    def _catalog_epoch(self) -> int:
-        return self.db.epoch
-
-    def _guard(self, cacheable: bool) -> ContextManager:
-        if cacheable:
+    def _guard(self, read: bool) -> ContextManager:
+        if read:
             # Read path: no lock at all.  The handler grabs one
             # immutable snapshot per relation (a single reference
             # read) and never touches shared mutable state.
@@ -222,31 +227,28 @@ class QueryService(RequestPipeline):
         finally:
             guard.__exit__(None, None, None)
 
-    def _base_cached(self, op: str, request: Dict[str, Any],
-                     snapshots: Tuple, compute: Callable[[], Any]) -> Any:
-        """Second cache level for expensive base-tree computations.
+    def _cached(self, op: str, params_json: str, snapshots: Tuple,
+                compute: Callable[[], Any]) -> Tuple[Any, bool]:
+        """The base-tree work of one read: ``(payload, hit)``.
 
-        The key is the request's parameters stamped with each
-        snapshot's ``base_epoch`` (not ``epoch``): delta writes
-        invalidate the full-key entry but leave these intact, so a
-        read after a write replays only the delta overlay on top of
-        the cached base result.  Shares the one :class:`ResultCache`
-        (and its hit/miss accounting) and the pipeline's
-        :data:`~repro.serve.pipeline.COLUMNS` with the full-key level.
+        The key is *op*, the request's canonical parameters, each
+        snapshot's ``base_epoch`` (not ``epoch``: delta writes leave
+        the entry reachable, and the caller replays the delta overlay
+        on top of it) and the catalog epoch; a miss runs *compute* and
+        admits its payload.
         """
-        key = _base_key(op, request["_params_json"],
-                        [(snap.name, snap.base_epoch)
-                         for snap in snapshots], self.db.epoch)
+        key = _key(op, params_json, [(snap.name, snap.base_epoch)
+                                     for snap in snapshots], self.db.epoch)
         payload = self.cache.get(key)
-        if payload is not None:
-            if self.obs.enabled:
-                self.obs.metrics.inc("serve.cache.base_hits")
-            return payload
+        hit = payload is not None
         if self.obs.enabled:
-            self.obs.metrics.inc("serve.cache.base_misses")
-        payload = compute()
-        self.cache.put(key, payload, columns=COLUMNS[op])
-        return payload
+            outcome = "hits" if hit else "misses"
+            self.obs.metrics.inc(f"serve.cache.{outcome}")
+            self.obs.metrics.inc(f"serve.cache.base_{outcome}")
+        if not hit:
+            payload = compute()
+            self.cache.put(key, payload, columns=COLUMNS.get(op))
+        return payload, hit
 
     # ------------------------------------------------------------------
     # Operations
@@ -270,7 +272,7 @@ class QueryService(RequestPipeline):
                         timeout=_remaining(deadline))
 
     def _op_join(self, request: Dict[str, Any],
-                 deadline: Optional[float]) -> Dict[str, Any]:
+                 deadline: Optional[float]) -> Any:
         left = string_field(request, "left")
         right = string_field(request, "right")
         refine = bool_field(request, "refine", False)
@@ -287,47 +289,53 @@ class QueryService(RequestPipeline):
                     "stats": base.stats.to_dict(),
                     "plan": base.plan.to_dict()}
 
-        cached = self._base_cached("join", request, (snap_l, snap_r),
-                                   compute)
+        params_json = _params_json(request)
+        base, hit = self._cached("join", params_json, (snap_l, snap_r),
+                                 compute)
         # Registered after the entry is cached, so a rebuilder that
         # finds this registration also finds the entry to carry.
-        self._joins[request["_params_json"]] = (
-            left, right, replace(spec, timeout=None), refine)
-        result = self.db.join_overlay(snap_l, snap_r,
-                                      _join_result(cached), spec,
-                                      refine=refine)
+        self._joins[params_json] = (left, right,
+                                    replace(spec, timeout=None), refine)
+        result = self.db.join_overlay(snap_l, snap_r, _join_result(base),
+                                      spec, refine=refine)
         pairs = sorted(result.pairs)
-        return {"pairs": pairs, "count": len(pairs),
-                "plan": cached["plan"],
-                "stats": {
-                    "algorithm": result.stats.algorithm,
-                    "disk_accesses": result.stats.disk_accesses,
-                    "comparisons": result.stats.comparisons.total,
-                }}
+        return _answer({"pairs": pairs, "count": len(pairs),
+                        "plan": base["plan"],
+                        "stats": {
+                            "algorithm": result.stats.algorithm,
+                            "disk_accesses": result.stats.disk_accesses,
+                            "comparisons": result.stats.comparisons.total,
+                        }}, hit)
 
     def _op_explain(self, request: Dict[str, Any],
-                    deadline: Optional[float]) -> Dict[str, Any]:
+                    deadline: Optional[float]) -> Any:
         """Plan a join without executing it: the resolved
-        :class:`~repro.plan.ExecutionPlan` as a JSON dict, candidates
-        always scored.  The spec is built with no timeout so the
-        cached payload does not depend on the request deadline."""
+        :class:`~repro.plan.ExecutionPlan` of the two base trees as a
+        JSON dict, candidates always scored.  The spec is built with no
+        timeout so the cached payload does not depend on the request
+        deadline."""
         left = string_field(request, "left")
         right = string_field(request, "right")
         spec = self._join_spec(request, None, default_algorithm="auto")
-        plan = self.db.explain(left, right, spec=spec)
-        return {"plan": plan.to_dict()}
+        snaps = (self.db.relation(left).snapshot(),
+                 self.db.relation(right).snapshot())
+        payload, hit = self._cached(
+            "explain", _params_json(request), snaps,
+            lambda: {"plan": plan_join(snaps[0].tree, snaps[1].tree, spec,
+                                       score=True).to_dict()})
+        return _answer(payload, hit)
 
     def _op_window(self, request: Dict[str, Any],
-                   deadline: Optional[float]) -> Dict[str, Any]:
+                   deadline: Optional[float]) -> Any:
         name = string_field(request, "relation")
         rect = window_field(request)
         exact = bool_field(request, "exact", False)
         snap = self.db.relation(name).snapshot()
-        base = self._base_cached(
-            "window", request, (snap,),
+        base, hit = self._cached(
+            "window", _params_json(request), (snap,),
             lambda: {"refs": snap.window_base(rect, exact)})
         refs = snap.window_overlay(base["refs"], rect, exact)
-        return {"refs": refs, "count": len(refs)}
+        return _answer({"refs": refs, "count": len(refs)}, hit)
 
     def _op_knn(self, request: Dict[str, Any],
                 deadline: Optional[float]) -> Dict[str, Any]:
@@ -368,12 +376,14 @@ class QueryService(RequestPipeline):
                    deadline: Optional[float]) -> Dict[str, Any]:
         name = string_field(request, "relation")
         self.db.create_relation(name)
+        self.cache.clear()
         return {"relation": name, "catalog_epoch": self.db.epoch}
 
     def _op_drop(self, request: Dict[str, Any],
                  deadline: Optional[float]) -> Dict[str, Any]:
         name = string_field(request, "relation")
         self.db.drop_relation(name)
+        self.cache.clear()
         return {"relation": name, "catalog_epoch": self.db.epoch}
 
     # ------------------------------------------------------------------
@@ -448,7 +458,7 @@ class QueryService(RequestPipeline):
         rebuild in flight: ``(key, payload)`` per join, keyed for the
         bases the commit installs.
 
-        Each registered join whose ``join@base`` entry is cached at the
+        Each registered join whose entry is cached at the
         current bases and reads *relation* becomes
         :meth:`~repro.db.SpatialDatabase.carry_join_base` of that entry
         over the current bases, with the delta being merged on
@@ -470,7 +480,7 @@ class QueryService(RequestPipeline):
             try:
                 snaps = [self.db.relations[side].snapshot()
                          for side in (left, right)]
-                payload = self.cache.peek(_base_key(
+                payload = self.cache.peek(_key(
                     "join", params_json,
                     [(snap.name, snap.base_epoch) for snap in snaps],
                     catalog_epoch))
@@ -492,10 +502,10 @@ class QueryService(RequestPipeline):
                 payload = {"pairs": sorted(result.pairs),
                            "stats": result.stats.to_dict(),
                            "plan": payload["plan"]}
-                key = _base_key("join", params_json,
-                                [(snap.name,
-                                  snap.base_epoch + (snap.name == name))
-                                 for snap in snaps], catalog_epoch)
+                key = _key("join", params_json,
+                           [(snap.name,
+                             snap.base_epoch + (snap.name == name))
+                            for snap in snaps], catalog_epoch)
                 carried.append((key, payload))
             except Exception as exc:  # noqa: BLE001 — never fail the merge
                 if self.obs.enabled:
@@ -517,11 +527,35 @@ class QueryService(RequestPipeline):
     # Introspection / lifecycle
     # ------------------------------------------------------------------
 
+    def metrics_snapshot(self) -> Dict[str, Any]:
+        self._set_cache_gauges()
+        return super().metrics_snapshot()
+
+    def _set_cache_gauges(self) -> None:
+        """Cache-usage gauges are derived on demand — for ``stats``
+        and once more at :meth:`close`, so a ``--trace`` file written
+        at shutdown carries them — rather than updated on every
+        admission: the read path stays off the metrics lock."""
+        if self.obs.enabled:
+            for name in ("entries", "bytes", "evictions"):
+                self.obs.metrics.set_gauge(f"serve.cache.{name}",
+                                           getattr(self.cache, name))
+
     def _stats_sections(self) -> Dict[str, Any]:
         counter = self.obs.metrics.counter
+        cache = self.cache
+        lookups = cache.hits + cache.misses
         relations = list(self.db.relations.values())
         bases = [relation.snapshot().base_objects for relation in relations]
         sections: Dict[str, Any] = {
+            "cache": {"entries": cache.entries,
+                      "bytes": cache.bytes,
+                      "hits": cache.hits,
+                      "misses": cache.misses,
+                      "evictions": cache.evictions,
+                      "hit_rate": round(cache.hits / lookups, 4)
+                      if lookups else 0.0,
+                      "by_op": cache.by_op()},
             "ingest": {
                 "pending_delta_ops": sum(
                     r.delta_ops_pending for r in relations),
@@ -548,6 +582,7 @@ class QueryService(RequestPipeline):
             self._rebuilder.join(timeout=10.0)
             self._rebuilder = None
         super().close()
+        self._set_cache_gauges()
         if self.durability is not None:
             with self._locked():
                 self.durability.close(checkpoint=True)
@@ -559,15 +594,28 @@ def _remaining(deadline: Optional[float]) -> Optional[float]:
     return max(1e-3, deadline - time.perf_counter())
 
 
-def _base_key(op: str, params_json: str, epochs: List[Tuple[str, int]],
-              catalog_epoch: int) -> str:
-    """The ``<op>@base`` cache key at the given ``base_epoch``s."""
-    return normalized_key(f"{op}@base", None, epochs, catalog_epoch,
+def _params_json(request: Dict[str, Any]) -> str:
+    """The canonical JSON of a request's result-relevant parameters."""
+    return json.dumps({name: value for name, value in request.items()
+                       if name not in _ENVELOPE_FIELDS}, sort_keys=True)
+
+
+def _key(op: str, params_json: str, epochs: List[Tuple[str, int]],
+         catalog_epoch: int) -> str:
+    """The cache key of *op*'s base-tree work at the given
+    ``base_epoch``s."""
+    return normalized_key(op, None, epochs, catalog_epoch,
                           params_json=params_json)
 
 
+def _answer(payload: Dict[str, Any], hit: bool) -> Any:
+    """*payload* as a handler answers it: :class:`Cached` when its tree
+    work came from the cache."""
+    return Cached(payload) if hit else payload
+
+
 def _join_result(payload: Dict[str, Any]) -> JoinResult:
-    """A ``join@base`` payload as the :class:`JoinResult` the overlay
+    """A cached join payload as the :class:`JoinResult` the overlay
     takes (its pairs are tuples, fresh from the cache or the join)."""
     return JoinResult(payload["pairs"],
                       JoinStatistics.from_dict(payload["stats"]))

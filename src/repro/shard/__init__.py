@@ -22,8 +22,8 @@ back into exactly the single-tree answer:
   the pair's intersection, so it is emitted exactly once), merges
   :class:`~repro.core.stats.JoinStatistics` with the mergeable-counter
   machinery, and fronts everything with the same admission-controlled
-  scheduler and epoch-keyed result cache the single-process service
-  uses.
+  request pipeline the single-process service uses.  It caches
+  nothing: every shard caches its own base-tree work.
 
 Quickstart::
 

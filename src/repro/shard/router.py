@@ -5,14 +5,12 @@ RequestPipeline` over a started shard fleet, so the existing
 :class:`~repro.serve.SpatialQueryServer` TCP front end (and the
 in-process :class:`~repro.serve.ServiceClient`) front it unchanged —
 ``repro shard serve`` is exactly ``repro serve`` with this class
-behind the socket.  Deadline, admission, result cache, error mapping
-and request metrics are the pipeline's; this module holds what a
-coordinator owns:
+behind the socket.  Deadline, admission, error mapping and request
+metrics are the pipeline's; this module holds what a coordinator
+owns:
 
-1. the epochs keying the cache — the router tracks its own
-   relation/catalog epochs, bumped by every mutation that passes
-   through it, so shard mutations invalidate router-cached results
-   instantly;
+1. the relation/catalog epochs a mutation answers with — the router
+   tracks its own, bumped by every mutation that passes through it;
 2. which partitions a request touches, and the fan-out to them over
    persistent per-thread TCP connections (all shards compute
    concurrently);
@@ -33,10 +31,14 @@ partition-local trees — a skewed cell may sweep (SJ2) while a dense
 one pins pages (SJ4).  The merged join payload reports the set of
 algorithms the shards chose.
 
-Every fanned-out response carries a ``shards`` field in its result
-payload (how many workers computed it — cached replays keep the
-original count), which ``repro query --connect`` prints next to
-``cached=``.  Router traffic is observable as ``shard.*`` metrics and
+The router caches nothing: each shard is a
+:class:`~repro.serve.service.QueryService` that caches its own
+partition-local base-tree work, so a router copy of the merged answer
+would be a second owner of the same data.  Its envelopes therefore
+never say ``cached: true``.  Every fanned-out response carries a
+``shards`` field in its result payload (how many workers computed
+it), which ``repro query --connect`` prints next to ``cached=``.
+Router traffic is observable as ``shard.*`` metrics and
 the ``shard.request``/``shard.fanout`` aggregate timers in the same
 registry ``repro report`` renders.
 """
@@ -88,21 +90,19 @@ class ShardRouter(RequestPipeline):
     PREFIX = "shard"
 
     def __init__(self, topology: ShardTopology, workers: int = 4,
-                 queue_depth: int = 64, cache_entries: int = 4096,
-                 cache_bytes: int = 64 << 20,
+                 queue_depth: int = 64,
                  default_timeout: Optional[float] = 30.0,
                  obs: Optional[Observability] = None) -> None:
-        super().__init__(workers, queue_depth, cache_entries,
-                         cache_bytes, default_timeout, obs)
+        super().__init__(workers, queue_depth, default_timeout, obs)
         self.topology = topology
         self.partitioner = topology.partitioner
         self.pmap = topology.pmap
         self._lock = ReadWriteLock()
         #: Router-side mutation epochs, mirroring SpatialRelation
-        #: epochs: bumped by every mutation routed through here, they
-        #: key the result cache exactly like the single-process
-        #: service's (shard-local state only changes through the
-        #: router, so these epochs are authoritative).
+        #: epochs: bumped by every mutation routed through here and
+        #: reported by mutations and ``relations`` (shard-local state
+        #: only changes through the router, so these epochs are
+        #: authoritative).
         self.epochs: Dict[str, int] = {name: 0
                                        for name in self.pmap.mbrs}
         self.catalog_epoch = 0
@@ -124,15 +124,9 @@ class ShardRouter(RequestPipeline):
     # What the pipeline asks of a fleet
     # ------------------------------------------------------------------
 
-    def _relation_epoch(self, name: str) -> int:
-        return self.epochs.get(name, -1)
-
-    def _catalog_epoch(self) -> int:
-        return self.catalog_epoch
-
-    def _guard(self, cacheable: bool) -> ContextManager:
+    def _guard(self, read: bool) -> ContextManager:
         # Fan-out mutations must not interleave with fanned-out reads.
-        return self._lock.read() if cacheable else self._lock.write()
+        return self._lock.read() if read else self._lock.write()
 
     # ------------------------------------------------------------------
     # Fan-out plumbing
@@ -471,8 +465,7 @@ class ShardRouter(RequestPipeline):
     # Compensation is best-effort (:meth:`_compensate` swallows
     # per-cell errors); a copy that survives it is harmless because
     # merges treat the routing map as authoritative and drop refs it
-    # does not know.  Either way the relevant epoch is bumped, so no
-    # cached result can outlive a possibly-mutated shard.
+    # does not know.  Either way the relevant epoch is bumped.
 
     def _compensate(self, cells: List[int], op: str,
                     params: Dict[str, Any]) -> None:

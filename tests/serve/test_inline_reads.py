@@ -2,8 +2,8 @@
 
 ``QueryService`` runs ``window``/``knn``/``get`` on the calling thread
 when its worker pool is idle (``RequestScheduler.run_inline``).  The
-pool's guarantees must hold there too: deadlines, counted retries, at
-most ``workers`` handlers at once, and a read that cannot run inline
+pool's guarantees must hold there too: deadlines, at most
+``workers`` handlers at once, and a read that cannot run inline
 queues (and sheds) like any other request.  The shard router keeps
 every read on its pool.
 """
@@ -21,7 +21,6 @@ from repro.db import SpatialDatabase
 from repro.geometry import Rect
 from repro.serve import QueryService, RequestScheduler
 from repro.shard import ShardRouter, ShardTopology
-from repro.storage.faults import TransientIOError
 
 
 def build_db(n=120, seed=5):
@@ -57,7 +56,7 @@ def test_cheap_reads_run_on_the_calling_thread(service):
     service.register_op(
         "window", lambda request, deadline:
         seen.append(threading.current_thread()) or window(request, deadline),
-        cacheable=True)
+        read=True)
     assert service.handle(window_request(1))["ok"]
     assert service.handle({"id": 2, "op": "knn", "relation": "rivers",
                            "x": 10.0, "y": 10.0, "k": 3})["ok"]
@@ -72,29 +71,12 @@ def test_expired_deadline_fails_without_running_the_handler(service):
     ran = []
     service.register_op("window",
                         lambda request, deadline: ran.append(1) or {},
-                        cacheable=True)
+                        read=True)
     response = service.handle(window_request(1, timeout_ms=1e-9))
     assert response["ok"] is False
     assert response["error"]["code"] == "timeout"
     assert ran == []
     assert service.obs.metrics.counters["serve.deadline_expired"] == 1
-
-
-def test_transient_failure_of_an_inline_read_is_retried(service):
-    calls = []
-    window = service._op_window
-
-    def flaky(request, deadline):
-        calls.append(threading.current_thread())
-        if len(calls) == 1:
-            raise TransientIOError("injected")
-        return window(request, deadline)
-
-    service.register_op("window", flaky, cacheable=True)
-    response = service.handle(window_request(1))
-    assert response["ok"], response
-    assert calls == [threading.current_thread()] * 2
-    assert service.obs.metrics.counters["serve.retries"] == 1
 
 
 def test_concurrent_clients_never_exceed_the_worker_count():
@@ -118,7 +100,7 @@ def test_concurrent_clients_never_exceed_the_worker_count():
             with lock:
                 running[0] -= 1
 
-    service.register_op("window", instrumented, cacheable=True)
+    service.register_op("window", instrumented, read=True)
     failures = []
 
     def client(c):
@@ -160,7 +142,7 @@ def test_reads_queue_behind_a_busy_pool_and_shed_when_full():
     service.register_op(
         "window", lambda request, deadline:
         ran_on.append(threading.current_thread().name)
-        or window(request, deadline), cacheable=True)
+        or window(request, deadline), read=True)
     responses = {}
 
     def fire(tag, request):
@@ -239,7 +221,7 @@ def test_router_reads_go_through_its_pool():
             router.register_op(
                 "window", lambda request, deadline:
                 seen.append(threading.current_thread().name)
-                or window(request, deadline), cacheable=True)
+                or window(request, deadline), read=True)
             inline = []
             run_inline = router.scheduler.run_inline
             router.scheduler.run_inline = (

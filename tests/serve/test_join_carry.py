@@ -1,7 +1,7 @@
 """Carrying cached base joins across rebuilds.
 
 A rebuild installs a new base (``base_epoch`` + 1), which would make
-every cached ``join@base`` entry over the relation unreachable.  The
+every cached join entry over the relation unreachable.  The
 service's rebuilder instead carries each entry over: the join of the
 merged base is the old entry overlaid with the delta being merged.
 The property here: after any interleaving of writes (including
@@ -95,12 +95,12 @@ def _spec(params):
 
 
 def _base_entry(service, params):
-    """The service's ``join@base`` payload for *params* at the current
+    """The service's cached join payload for *params* at the current
     bases and catalog (what the next such join would read), or None."""
     db = service.db
     epochs = [(name, db.relation(name).base_epoch)
               for name in (params["left"], params["right"])]
-    key = normalized_key("join@base", None, epochs, db.epoch,
+    key = normalized_key("join", None, epochs, db.epoch,
                          params_json=json.dumps(params, sort_keys=True))
     return service.cache.peek(key)
 

@@ -39,24 +39,6 @@ def rect_json(x, y, w=5.0, h=5.0):
 
 
 class TestBaseCacheLevel:
-    def test_write_leaves_base_entry_alive(self):
-        service = make_service()
-        client = ServiceClient(service)
-        try:
-            window = [0, 0, 250, 250]
-            client.window("streets", window)          # prime both levels
-            client.insert("streets", rect_json(400, 400))
-            counters = service.obs.metrics.counters
-            base_before = counters.get("serve.cache.base_hits", 0)
-            after = client.request("window", relation="streets",
-                                   window=window)
-            counters = service.obs.metrics.counters
-            # Full-key entry died with the epoch; the base entry served.
-            assert after["cached"] is False
-            assert counters["serve.cache.base_hits"] == base_before + 1
-        finally:
-            service.close()
-
     def test_overlay_result_is_correct_after_write(self):
         service = make_service()
         client = ServiceClient(service)
@@ -89,25 +71,6 @@ class TestBaseCacheLevel:
             assert service.obs.metrics.counters[
                 "serve.cache.base_hits"] > base_before
             assert len(second["pairs"]) > len(first["pairs"])
-        finally:
-            service.close()
-
-    def test_rebuild_invalidates_base_level_only(self):
-        service = make_service()
-        client = ServiceClient(service)
-        try:
-            window = [0, 0, 250, 250]
-            client.insert("streets", rect_json(60, 60))
-            primed = client.window("streets", window)
-            relation = service.db.relation("streets")
-            epoch = relation.epoch
-            assert service.force_rebuild() == 1
-            assert relation.epoch == epoch          # data unchanged
-            # Same epoch: the full-level key is still valid and serves.
-            again = client.request("window", relation="streets",
-                                   window=window)
-            assert again["cached"] is True
-            assert again["result"]["refs"] == primed["refs"]
         finally:
             service.close()
 

@@ -8,7 +8,6 @@ import pytest
 from repro.errors import OverloadedError, QueryTimeout
 from repro.obs import Observability
 from repro.serve import RequestScheduler
-from repro.storage.faults import TransientIOError
 
 
 @pytest.fixture
@@ -76,54 +75,6 @@ def test_expired_deadline_fails_without_executing(obs):
         scheduler.shutdown()
 
 
-def test_transient_failures_are_retried(obs):
-    scheduler = RequestScheduler(workers=1, max_retries=2, obs=obs)
-    attempts = []
-
-    def flaky():
-        attempts.append(1)
-        if len(attempts) < 3:
-            raise TransientIOError("blip")
-        return "ok"
-
-    try:
-        assert scheduler.submit(flaky).result(timeout=5) == "ok"
-        assert len(attempts) == 3
-        assert obs.metrics.counters["serve.retries"] == 2
-    finally:
-        scheduler.shutdown()
-
-
-def test_retries_exhausted_surfaces_the_error(obs):
-    scheduler = RequestScheduler(workers=1, max_retries=1, obs=obs)
-
-    def always_flaky():
-        raise TransientIOError("still down")
-
-    try:
-        future = scheduler.submit(always_flaky)
-        with pytest.raises(TransientIOError):
-            future.result(timeout=5)
-    finally:
-        scheduler.shutdown()
-
-
-def test_non_retryable_errors_are_not_retried(obs):
-    scheduler = RequestScheduler(workers=1, max_retries=3, obs=obs)
-    attempts = []
-
-    def broken():
-        attempts.append(1)
-        raise ValueError("bad")
-
-    try:
-        with pytest.raises(ValueError):
-            scheduler.submit(broken).result(timeout=5)
-        assert len(attempts) == 1
-    finally:
-        scheduler.shutdown()
-
-
 def test_queue_metrics_are_recorded(obs):
     scheduler = RequestScheduler(workers=2, obs=obs)
     try:
@@ -144,10 +95,8 @@ def test_shutdown_rejects_new_work(obs):
         scheduler.submit(lambda: 1)
 
 
-def test_invalid_construction_rejected():
+def test_workers_and_queue_depth_must_be_positive():
     with pytest.raises(ValueError):
         RequestScheduler(workers=0)
     with pytest.raises(ValueError):
         RequestScheduler(queue_depth=0)
-    with pytest.raises(ValueError):
-        RequestScheduler(max_retries=-1)

@@ -149,23 +149,6 @@ class TestCaching:
                                algorithm="sj1")
         assert other["cached"] is False
 
-    def test_insert_invalidates_join_and_window(self, client):
-        client.request("join", left="streets", right="rivers")
-        before = client.request("window", relation="streets",
-                                window=[400, 400, 500, 500])
-        client.insert("streets", {"kind": "rect",
-                                  "coords": [450, 450, 460, 460]})
-        after_join = client.request("join", left="streets",
-                                    right="rivers")
-        after_window = client.request("window", relation="streets",
-                                      window=[400, 400, 500, 500])
-        assert after_join["cached"] is False
-        assert after_window["cached"] is False
-        # The fresh window result must see the inserted object.
-        new_refs = set(after_window["result"]["refs"]) \
-            - set(before["result"]["refs"])
-        assert len(new_refs) == 1
-
     def test_mutating_one_relation_keeps_the_other_cached(self, client):
         client.request("window", relation="rivers",
                        window=[0, 0, 100, 100])

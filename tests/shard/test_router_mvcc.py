@@ -101,25 +101,6 @@ def test_router_joins_coherent_across_rebuilds(fleet):
             sorted(db.relation("streets").window(Rect(*window)))
 
 
-def test_rebuild_preserves_router_cache_validity(fleet):
-    """A rebuild changes no visible data, so a router-cached result
-    replayed after shard rebuilds is still correct (and still served
-    from the router cache — epochs did not move)."""
-    _, topology, router, client = fleet
-    params = dict(left="streets", right="rivers", algorithm="sj2")
-    client.insert("streets", {"kind": "rect",
-                              "coords": [10.0, 10.0, 40.0, 40.0]})
-    first = client.request("join", **params)
-    assert first["ok"]
-    assert force_rebuild_everywhere(topology) > 0
-    replay = client.request("join", **params)
-    assert replay["cached"] is True
-    assert replay["result"]["pairs"] == first["result"]["pairs"]
-    # And a forced recompute (cache-busting param) agrees too.
-    recomputed = client.request("join", buffer_kb=96.0, **params)
-    assert recomputed["result"]["pairs"] == first["result"]["pairs"]
-
-
 def test_window_during_shard_rebuild_is_stable(fleet):
     """Reads racing a slow shard rebuild see either the pre- or
     post-merge snapshot — identical data — never an error."""
