@@ -403,6 +403,34 @@ def test_auto_oids_match_the_single_server():
 # Stats / observability
 # ----------------------------------------------------------------------
 
+def test_stats_surfaces_cache_and_topology(fleet):
+    """The router holds no result cache, so its stats carry no
+    ``cache`` section; the topology and the router's counters are
+    there."""
+    _, router, client = fleet
+    stats = client.call("stats")
+    assert "cache" not in stats
+    assert not any(name.startswith("shard.cache.")
+                   for name in stats["gauges"])
+    topo = stats["topology"]
+    assert topo["shards"] == 4
+    assert topo["grid"] == [2, 2]
+    assert topo["mode"] == "thread"
+    assert topo["alive"] == 4
+    # How long the fleet took to come up, readable from the running
+    # system (and, as gauges, from ``repro report``).
+    assert topo["build_s"] + topo["start_s"] > 0
+    assert stats["gauges"]["shard.topology.build_s"] == topo["build_s"]
+    assert stats["gauges"]["shard.topology.start_s"] == topo["start_s"]
+    assert topo["relations"]["streets"]["replication"] >= 1.0
+    assert set(topo["relations"]["streets"]["classes"]) \
+        == {"A", "B", "C", "D"}
+    counters = stats["counters"]
+    assert counters["shard.requests"] > 0
+    assert counters["shard.subrequests"] > 0
+    assert "latency_ms" in stats
+
+
 def test_requests_and_fanouts_are_aggregated_not_spans(fleet):
     """Neither the router nor its shards keep a span record per
     request or per fan-out; the ``shard.request`` / ``shard.fanout``
