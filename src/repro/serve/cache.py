@@ -12,8 +12,9 @@ semantically relevant parameters, canonical JSON) with the
 :class:`~repro.db.SpatialDatabase`, and replays the cheap delta
 overlay on every request.  A delta write leaves every key reachable; a
 rebuild bumps ``base_epoch`` (the service carries cached joins across
-it); a ``create``/``drop`` bumps the catalog epoch and the service
-clears the cache.  Nothing else is cached: kNN and ``get`` are cheap
+it and discards every entry stamped with the old base); a
+``create``/``drop`` bumps the catalog epoch and the service clears the
+cache.  Nothing else is cached: kNN and ``get`` are cheap
 and rarely repeat, and the shard router fronts shards that cache
 their own base work.
 
@@ -41,7 +42,6 @@ outcomes down by op.
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
 from array import array
@@ -139,22 +139,17 @@ def held_bytes(payload: Any) -> int:
     return sys.getsizeof(payload)
 
 
-def normalized_key(op: str, params: Optional[Dict[str, Any]],
+def normalized_key(op: str, params_json: str,
                    epochs: Iterable[Tuple[str, int]],
-                   catalog_epoch: int, *,
-                   params_json: Optional[str] = None) -> str:
+                   catalog_epoch: int) -> str:
     """The canonical cache key of one query.
 
-    *params* must already exclude per-request noise (request id,
-    deadline); *epochs* is an iterable of ``(relation_name, epoch)``
-    pairs for every relation the query reads.  *params_json* is an
-    optional pre-serialized (sorted-keys) form of *params*: the service
-    canonicalizes a request once and keys both its entry and, for a
-    join, the registration that carries the entry across rebuilds
-    with the same string.
+    *params_json* is the canonical (sorted-keys) JSON of the request's
+    result-relevant parameters — per-request noise (request id,
+    deadline) already left out; *epochs* is an iterable of
+    ``(relation_name, epoch)`` pairs for every relation the query
+    reads.
     """
-    if params_json is None:
-        params_json = json.dumps(params, sort_keys=True)
     stamp = ",".join(f"{name}#{epoch}" for name, epoch in epochs)
     return f"{op}|{params_json}@cat{catalog_epoch}:{stamp}"
 
@@ -214,20 +209,19 @@ class ResultCache:
             cell = self._entries.get(key)
         return None if cell is None else thaw(cell[0])
 
-    def put(self, key: str, payload: Any, nbytes: Optional[int] = None,
+    def put(self, key: str, payload: Any,
             columns: Optional[Dict[str, str]] = None) -> bool:
         """Admit *payload*; returns False when it exceeds the byte
         budget outright (the cache is left untouched then).
 
         The entry is :func:`freeze` of *payload*, with the fields
         *columns* names held as columns; *payload* itself stays the
-        caller's.  *nbytes* defaults to what the entry holds
+        caller's.  It is counted by what it holds
         (:func:`held_bytes`)."""
         if self.max_entries == 0:
             return False
         payload = freeze(payload, columns)
-        if nbytes is None:
-            nbytes = held_bytes(payload) + sys.getsizeof(key) + _ENTRY_BYTES
+        nbytes = held_bytes(payload) + sys.getsizeof(key) + _ENTRY_BYTES
         if nbytes > self.max_bytes:
             return False
         with self._lock:
@@ -244,6 +238,19 @@ class ResultCache:
                 self._forget(*self._entries.popitem(last=False))
                 self.evictions += 1
         return True
+
+    def discard(self, name: str, epoch: int) -> int:
+        """Drop every entry whose key (:func:`normalized_key`) reads
+        relation *name* at *epoch*; returns how many went.  Not counted
+        as evictions: capacity did not push them out."""
+        stamp = f"{name}#{epoch}"
+        with self._lock:
+            keys = [key for key in self._entries
+                    if stamp in key.rpartition("@cat")[2].partition(
+                        ":")[2].split(",")]
+            for key in keys:
+                self._forget(key, self._entries.pop(key))
+        return len(keys)
 
     def clear(self) -> None:
         with self._lock:

@@ -43,7 +43,8 @@ and ``get`` are cheap and rarely repeat, so they are never cached.
 A rebuild bumps ``base_epoch``, and the rebuilder carries each cached
 join across it: the join of the merged base is the old entry overlaid
 with the delta the rebuild merged, installed together with the new
-tree — so a served join computes its base once, not once per rebuild.
+tree — so a served join computes its base once, not once per rebuild;
+every entry still stamped with the old base is then discarded.
 ``create`` and ``drop`` bump the catalog epoch and clear the cache.
 
 Every request folds its time into the ``serve.request`` aggregate
@@ -237,8 +238,9 @@ class QueryService(RequestPipeline):
         on top of it) and the catalog epoch; a miss runs *compute* and
         admits its payload.
         """
-        key = _key(op, params_json, [(snap.name, snap.base_epoch)
-                                     for snap in snapshots], self.db.epoch)
+        key = normalized_key(op, params_json,
+                             [(snap.name, snap.base_epoch)
+                              for snap in snapshots], self.db.epoch)
         payload = self.cache.get(key)
         hit = payload is not None
         if self.obs.enabled:
@@ -425,8 +427,12 @@ class QueryService(RequestPipeline):
         lock.  The carried entries enter the cache in the swap's
         critical section, so no join sees the new base without them,
         and the swap is followed by a checkpoint so the WAL records
-        absorbed by the merge can be dropped.  A failed merge leaves
-        its frozen delta pending for the next cycle to retry.
+        absorbed by the merge can be dropped.  Every entry stamped with
+        the old base is then unreachable and is discarded, so it holds
+        no slot or byte until LRU pressure would have found it (a read
+        that took its snapshot before the swap may still put one more;
+        LRU ages that out).  A failed merge leaves its frozen delta
+        pending for the next cycle to retry.
         """
         started = time.perf_counter()
         with self._locked():
@@ -440,11 +446,13 @@ class QueryService(RequestPipeline):
             relation.abort_rebuild()
             raise
         with self._locked():
+            old_base = relation.base_epoch
             relation.commit_rebuild(tree, objects)
             for key, payload in carried:
                 self.cache.put(key, payload, columns=COLUMNS["join"])
             if self.durability is not None:
                 self.durability.checkpoint()
+        self.cache.discard(relation.name, old_base)
         self.rebuilds += 1
         if self.obs.enabled:
             self.obs.metrics.inc("serve.rebuilds")
@@ -480,7 +488,7 @@ class QueryService(RequestPipeline):
             try:
                 snaps = [self.db.relations[side].snapshot()
                          for side in (left, right)]
-                payload = self.cache.peek(_key(
+                payload = self.cache.peek(normalized_key(
                     "join", params_json,
                     [(snap.name, snap.base_epoch) for snap in snaps],
                     catalog_epoch))
@@ -502,10 +510,10 @@ class QueryService(RequestPipeline):
                 payload = {"pairs": sorted(result.pairs),
                            "stats": result.stats.to_dict(),
                            "plan": payload["plan"]}
-                key = _key("join", params_json,
-                           [(snap.name,
-                             snap.base_epoch + (snap.name == name))
-                            for snap in snaps], catalog_epoch)
+                key = normalized_key(
+                    "join", params_json,
+                    [(snap.name, snap.base_epoch + (snap.name == name))
+                     for snap in snaps], catalog_epoch)
                 carried.append((key, payload))
             except Exception as exc:  # noqa: BLE001 — never fail the merge
                 if self.obs.enabled:
@@ -598,14 +606,6 @@ def _params_json(request: Dict[str, Any]) -> str:
     """The canonical JSON of a request's result-relevant parameters."""
     return json.dumps({name: value for name, value in request.items()
                        if name not in _ENVELOPE_FIELDS}, sort_keys=True)
-
-
-def _key(op: str, params_json: str, epochs: List[Tuple[str, int]],
-         catalog_epoch: int) -> str:
-    """The cache key of *op*'s base-tree work at the given
-    ``base_epoch``s."""
-    return normalized_key(op, None, epochs, catalog_epoch,
-                          params_json=params_json)
 
 
 def _answer(payload: Dict[str, Any], hit: bool) -> Any:

@@ -100,8 +100,8 @@ def _base_entry(service, params):
     db = service.db
     epochs = [(name, db.relation(name).base_epoch)
               for name in (params["left"], params["right"])]
-    key = normalized_key("join", None, epochs, db.epoch,
-                         params_json=json.dumps(params, sort_keys=True))
+    key = normalized_key("join", json.dumps(params, sort_keys=True),
+                         epochs, db.epoch)
     return service.cache.peek(key)
 
 

@@ -119,10 +119,6 @@ def test_writes_joins_and_rebuilds_interleaved(served):
     assert served_window["refs"] == \
         sorted(db.relation("streets").window(Rect(0, 0, 2000, 2000)))
 
-    # The cache stayed useful across the writes: the shared join is
-    # re-served from the full or base level, not recomputed cold
-    # every time.
-    counters = service.obs.metrics.counters
-    hits = counters.get("serve.cache.hits", 0) \
-        + counters.get("serve.cache.base_hits", 0)
-    assert hits > 0
+    # The cache stayed useful across the writes: the shared join's
+    # base is re-served from the cache, not recomputed cold every time.
+    assert service.obs.metrics.counters.get("serve.cache.hits", 0) > 0

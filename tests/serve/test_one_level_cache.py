@@ -14,14 +14,16 @@ forced rebuild, on both node-column backends, and:
 (c) ``cached`` is "the tree work was a cache hit" for every read,
     before and after a delta write;
 (d) every answer equals the library path and the naive oracle;
-(e) a thread-shard router answers as the service does and never says
-    ``cached: true``;
+(e) a thread-shard router answers as the service does — results,
+    error envelopes and the request pipeline's own counters — and
+    never says ``cached: true``;
 (f) ``create`` and ``drop`` empty the cache;
 (g) ``stats`` bytes are within 20 % of what ``tracemalloc`` sees the
     entries of windows, joins and explains hold.
 
 An ``explain`` served before a rebuild is not served again after it:
-the plan is of the new base trees.
+the plan is of the new base trees; and a rebuild leaves no entry
+stamped with the old base in the cache.
 """
 
 from __future__ import annotations
@@ -411,6 +413,76 @@ def test_explain_after_a_rebuild_plans_the_new_trees():
         service.close()
 
 
+def test_a_rebuild_discards_what_it_left_unreachable():
+    db, live = build_db(n=300)
+    service = QueryService(db, workers=1, rebuild_threshold=None)
+    client = ServiceClient(service)
+    rng = random.Random(13)
+
+    def windows(name, n):
+        boxes = []
+        for _ in range(n):
+            x, y = rng.uniform(0, UNIVERSE), rng.uniform(0, UNIVERSE)
+            boxes.append([x, y, x + 150.0, y + 150.0])
+            client.window(name, boxes[-1])
+        return boxes
+
+    try:
+        join = dict(left="streets", right="rivers", algorithm="sj4",
+                    refine=False)
+        windows("streets", 50)
+        kept = windows("rivers", 10)
+        assert client.request("join", **join)["ok"]
+        client.call("explain", left="streets", right="rivers")
+        assert service.cache.entries == 62
+        geometry = random_polygon(rng)
+        live["streets"][client.insert(
+            "streets", geometry_to_json(geometry))["oid"]] = geometry
+        assert service.force_rebuild() == 1
+        # What is left is what a request can reach: the rivers windows
+        # and the join carried to the new streets base.
+        cache = client.call("stats")["cache"]
+        assert cache["entries"] == 11
+        assert {op: counts["entries"]
+                for op, counts in cache["by_op"].items()} \
+            == {"window": 10, "join": 1, "explain": 0}
+        assert cache["bytes"] == sum(counts["bytes"] for counts
+                                     in cache["by_op"].values())
+        assert cache["evictions"] == 0
+        for key in list(service.cache._entries):
+            _, _, _, epochs = parse_key(key)
+            assert all(epoch == db.relation(name).base_epoch
+                       for name, epoch in epochs.items()), key
+        for box in kept:
+            assert client.request("window", relation="rivers",
+                                  window=box)["cached"] is True
+        response = client.request("join", **join)
+        assert response["cached"] is True
+        assert comparable("join", response["result"]) \
+            == library_answer(db, "join", join) \
+            == naive_answer(live, "join", join)
+    finally:
+        service.close()
+
+
+def pipeline_counts(pipeline):
+    """The counters the request pipeline itself keeps — requests,
+    errors, per op and per error code, expired deadlines — and its
+    ``time_ms`` count, with the ``serve.``/``shard.`` prefix
+    stripped."""
+    prefix = pipeline.PREFIX + "."
+    metrics = pipeline.obs.metrics
+    counts = {name[len(prefix):]: value
+              for name, value in metrics.counters.items()
+              if name.startswith(prefix)}
+    counts = {name: value for name, value in counts.items()
+              if name in ("requests", "errors", "deadline_expired")
+              or name.startswith(("op.", "error."))}
+    histogram = metrics.histograms.get(prefix + "time_ms")
+    counts["time_ms"] = histogram.count if histogram is not None else 0
+    return counts
+
+
 def test_the_router_answers_as_the_service_and_caches_nothing():
     db, live = build_db(n=200)
     service = QueryService(db, workers=1, rebuild_threshold=None)
@@ -421,6 +493,22 @@ def test_the_router_answers_as_the_service_and_caches_nothing():
                              mode="thread") as topology:
         router = ShardRouter(topology, workers=2)
         fanned = ServiceClient(router)
+
+        def both(op, params):
+            """One request through each server; the pipeline's own
+            counters move alike on both."""
+            before = [pipeline_counts(server)
+                      for server in (service, router)]
+            single = local.request(op, **params)
+            sharded = fanned.request(op, **params)
+            moved = [{name: value - was.get(name, 0)
+                      for name, value in pipeline_counts(server).items()
+                      if value != was.get(name, 0)}
+                     for server, was in zip((service, router), before)]
+            assert moved[0] == moved[1], (op, params)
+            assert moved[0]["requests"] == 1, (op, params)
+            return single, sharded
+
         try:
             for step in range(3):
                 for op, params in reads:
@@ -428,8 +516,7 @@ def test_the_router_answers_as_the_service_and_caches_nothing():
                             params["oid"] not in live[params["relation"]]:
                         continue
                     for _ in range(2):
-                        single = local.request(op, **params)
-                        sharded = fanned.request(op, **params)
+                        single, sharded = both(op, params)
                         assert single["ok"] and sharded["ok"], (op, params)
                         assert sharded["cached"] is False
                         if op != "explain":    # per-shard plans differ
@@ -439,24 +526,54 @@ def test_the_router_answers_as_the_service_and_caches_nothing():
                 if step < 2:
                     # The same writes through both servers.
                     geometry = random_polygon(rng)
-                    oids = {client.insert("rivers",
-                                          geometry_to_json(geometry))["oid"]
-                            for client in (local, fanned)}
+                    inserted = both("insert", dict(
+                        relation="rivers",
+                        geometry=geometry_to_json(geometry)))
+                    oids = {response["result"]["oid"]
+                            for response in inserted}
                     assert len(oids) == 1
                     live["rivers"][oids.pop()] = geometry
                     victim = sorted(live["streets"])[step]
-                    for client in (local, fanned):
-                        client.delete("streets", victim)
+                    for response in both("delete", dict(relation="streets",
+                                                        oid=victim)):
+                        assert response["ok"], response
                     del live["streets"][victim]
-            # Malformed requests fail alike on both.
-            for op, params in (
-                    ("window", dict(window=[0, 0, 1, 1])),
-                    ("join", dict(left="streets", right="lakes")),
-                    ("knn", dict(relation="rivers", x=1.0, y=1.0, k=0))):
-                single = local.request(op, **params)
-                sharded = fanned.request(op, **params)
-                assert single["ok"] is sharded["ok"] is False
-                assert single["error"] == sharded["error"], (op, params)
+            # Malformed and refused requests fail alike on both: the
+            # same error code and message, or the same success.
+            victim = sorted(live["streets"])[-1]
+            window = dict(relation="streets", window=[0.0, 0.0, 300.0,
+                                                      300.0])
+            lakes = dict(relation="lakes", window=[0.0, 0.0, 500.0, 500.0])
+            rect = {"kind": "rect", "coords": [100.0, 100.0, 400.0, 400.0]}
+            for ok, op, params in (
+                    (False, "teleport", {}),
+                    (False, "window", dict(window=[0, 0, 1, 1])),
+                    (False, "window", dict(relation="",
+                                           window=[0, 0, 1, 1])),
+                    (False, "join", dict(left="streets", right="lakes")),
+                    (False, "knn", dict(relation="rivers", x=1.0, y=1.0,
+                                        k=0)),
+                    (False, "window", dict(window, timeout_ms=0)),
+                    (False, "window", dict(window, timeout_ms=-5)),
+                    (False, "window", dict(window, timeout_ms=True)),
+                    (True, "delete", dict(relation="streets", oid=victim)),
+                    (False, "delete", dict(relation="streets", oid=victim)),
+                    (True, "create", dict(relation="lakes")),
+                    (False, "create", dict(relation="lakes")),
+                    (True, "insert", dict(relation="lakes", geometry=rect)),
+                    (True, "window", lakes),
+                    (True, "drop", dict(relation="lakes")),
+                    (False, "window", lakes),
+                    (False, "get", dict(relation="lakes", oid=0))):
+                single, sharded = both(op, params)
+                assert single["ok"] is sharded["ok"] is ok, (op, params)
+                assert single.get("error") == sharded.get("error"), \
+                    (op, params)
+                assert not sharded.get("cached"), (op, params)
+                if ok and op == "window":
+                    assert comparable(op, single["result"]) \
+                        == comparable(op, sharded["result"])
+            del live["streets"][victim]
             # The router's stats have no cache (its topology is
             # checked in tests/shard/test_router.py).
             single = local.call("stats")
